@@ -687,7 +687,3 @@ def validate_corner(
                 == corner.pull_bg_k @ face_bg.rho_k.even,
             )
     return rep
-
-
-def cohomology(complex_: CochainComplex) -> Tuple[int, ...]:
-    return complex_.cohomology()

@@ -197,6 +197,13 @@ class SectionSystem:
         return f"SectionSystem({entries})"
 
 
+def lift(datum: SubgroupDatum, section: Optional[SectionSystem], b: Character) -> Character:
+    """Lift of a subgroup character: the section's if given, else canonical."""
+    if section is None:
+        return datum.canonical_representative(b)
+    return section(b)
+
+
 def kernel_lattice(datum: SubgroupDatum) -> List[Character]:
     """Basis of the kernel of the restriction (characters of G/B)."""
     return list(datum.kernel_basis)

@@ -48,6 +48,7 @@ from .descriptor import (
     parse_descriptor,
     serialize_descriptor,
 )
+from .itspace import Pruning
 from .ktheory import action_node_k, rational_global_k
 
 COMMANDS = ("validate", "kred", "deloc", "ch", "compare", "les", "stabilize", "example")
@@ -187,17 +188,15 @@ def run(command: str, desc: ActionDescriptor, flags: argparse.Namespace) -> Comm
         return CommandResult(OK, payload, lines)
 
     if command == "compare":
-        report = compare_ranks(action, prune=removed, radius=flags.window)
-        glob = None
+        report, glob = compare_ranks(action, prune=removed, radius=flags.window)
         if report.ok:
-            glob = rational_global_k(action, prune=removed, radius=flags.window)
             payload["even"] = {"rational_k": glob.even, "delocalized": glob.even}
             payload["odd"] = {"rational_k": glob.odd, "delocalized": glob.odd}
         payload["ok"] = report.ok
         payload["report"] = _report_rows(report)
         payload["notes"] = list(action.notes)
         lines = _report_lines(report)
-        if glob is not None:
+        if report.ok:
             lines.append(f"even {glob.even} = {glob.even}, odd {glob.odd} = {glob.odd}")
         lines += _note_lines(action)
         lines.append("ranks agree" if report.ok else "rank comparison FAILED")
@@ -210,12 +209,17 @@ def run(command: str, desc: ActionDescriptor, flags: argparse.Namespace) -> Comm
         if unknown:
             raise ValueError(f"--prune names unknown node(s) {unknown}")
         removed_set = set(flags.prune)
-        kept = set(action.tree.nodes) - removed_set
+        order = sorted(removed_set, key=lambda n: (action.tree.depth(n), n))
+        # the first step is checked before the starting kept set, so a bad
+        # --prune set is reported by a node that step does not restore
+        Pruning(action.tree, (set(action.tree.nodes) - removed_set) | {order[0]})
+        sub = assemble_complex(action, prune=removed_set, radius=flags.window)
         steps = []
         lines = []
         status = OK
-        for alpha in sorted(removed_set, key=lambda n: (action.tree.depth(n), n)):
-            les = les_of_pruning(action, kept, alpha, radius=flags.window)
+        for alpha in order:
+            total = sub.full.restrict(sub.kept | {alpha})
+            les = les_of_pruning(sub, total)
             exact = les.report.ok
             steps.append({
                 "added": alpha,
@@ -234,7 +238,7 @@ def run(command: str, desc: ActionDescriptor, flags: argparse.Namespace) -> Comm
             if not exact:
                 lines += _report_lines(les.report)
                 status = MATH_FAILURE
-            kept.add(alpha)
+            sub = total
         payload["steps"] = steps
         payload["notes"] = list(action.notes)
         lines += _note_lines(action)

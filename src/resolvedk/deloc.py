@@ -15,12 +15,12 @@ is a finite sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .action import ResolvedAction, WindowError
 from .basespace import ChainMap, NodeSpaceData
-from .chargroup import Character, SectionSystem, SubgroupDatum
-from .itspace import Pruning, prune_step, pruning_sequence
+from .chargroup import Character, SectionSystem, SubgroupDatum, lift
+from .itspace import Pruning, prune_step
 from .ktheory import SixTermInstance, hexagon_check
 from .ratmat import (
     QuotientSpace,
@@ -160,10 +160,38 @@ class TwistedFormSector:
         return f"TwistedFormSector({self.label}: {entries or '0'})"
 
 
-def _lift(datum: SubgroupDatum, section: Optional[SectionSystem], b: Character) -> Character:
-    if section is None:
-        return datum.canonical_representative(b)
-    return section(b)
+def _twisted_sum(
+    entries: Iterable[Tuple[Character, Character, Sequence]],
+    datum: SubgroupDatum,
+    section: Optional[SectionSystem],
+    shifts: Sequence[ChainMap],
+    dim: int,
+    pull: Optional[ChainMap] = None,
+) -> Dict[Character, List[Fraction]]:
+    """Sum cochains onto section lifts, each twisted by its kernel offset.
+
+    `entries` yields (character of `datum`'s subgroup, ambient character,
+    cochain).  The cochain, pulled back by `pull` when given, moves from the
+    ambient character to the lift of the subgroup character through the
+    exponential of the kernel element between them; entries that land on
+    the same lift add up.
+    """
+    out: Dict[Character, List[Fraction]] = {}
+    for b, ghat, vec in entries:
+        rep = lift(datum, section, b)
+        coords = datum.kernel_coordinates(ghat - rep)
+        moved = ch_operator(shifts, coords, dim).apply(
+            vec if pull is None else pull.apply(vec)
+        )
+        if rep in out:
+            out[rep] = [x + y for x, y in zip(out[rep], moved)]
+        else:
+            out[rep] = list(moved)
+    return out
+
+
+def _edge_image(edge, b: Character) -> Character:
+    return Character(edge.codomain, edge.apply(b.coords))
 
 
 def canonicalize_form(
@@ -179,23 +207,17 @@ def canonicalize_form(
     orientation as the K-class twisting law, so the Chern character
     intertwines the two canonicalizations.
     """
-    dim = space.complex.total_dim
-    acc: Dict[Character, List[Fraction]] = {}
-    for ghat, vec in raw_table.items():
-        if not isinstance(ghat, Character):
-            if isinstance(ghat, int):
-                ghat = (ghat,)
-            ghat = Character(datum.ambient, ghat)
-        elif ghat.group != datum.ambient:
-            raise ValueError(f"character {ghat!r} is not in the ambient dual")
-        b = datum.restrict(ghat)
-        rep = _lift(datum, section, b)
-        coords = datum.kernel_coordinates(ghat - rep)
-        moved = ch_operator(space.shifts, coords, dim).apply(vec)
-        if rep in acc:
-            acc[rep] = [a + b2 for a, b2 in zip(acc[rep], moved)]
-        else:
-            acc[rep] = list(moved)
+    def entries():
+        for ghat, vec in raw_table.items():
+            if not isinstance(ghat, Character):
+                if isinstance(ghat, int):
+                    ghat = (ghat,)
+                ghat = Character(datum.ambient, ghat)
+            elif ghat.group != datum.ambient:
+                raise ValueError(f"character {ghat!r} is not in the ambient dual")
+            yield datum.restrict(ghat), ghat, vec
+
+    acc = _twisted_sum(entries(), datum, section, space.shifts, space.complex.total_dim)
     return TwistedFormSector(label, datum, space, acc)
 
 
@@ -219,20 +241,11 @@ def augmented_pullback_forms(
     of the edge restriction.  Commutes with the differentials.
     """
     face = face_maps.face
-    fdim = face.complex.total_dim
-    out: Dict[Character, List[Fraction]] = {}
-    for ghat, vec in v.table.items():
-        b = v.datum.restrict(ghat)
-        k = Character(edge.codomain, edge.apply(b.coords))
-        rep = _lift(shallow_datum, shallow_section, k)
-        coords = shallow_datum.kernel_coordinates(ghat - rep)
-        moved = ch_operator(face.shifts, coords, fdim).apply(
-            face_maps.pullback.apply(vec)
-        )
-        if rep in out:
-            out[rep] = [a + b2 for a, b2 in zip(out[rep], moved)]
-        else:
-            out[rep] = list(moved)
+    out = _twisted_sum(
+        ((_edge_image(edge, v.datum.restrict(g)), g, vec) for g, vec in v.table.items()),
+        shallow_datum, shallow_section, face.shifts, face.complex.total_dim,
+        pull=face_maps.pullback,
+    )
     return TwistedFormSector(label or v.label, shallow_datum, face, out)
 
 
@@ -270,19 +283,13 @@ def corner_forms_factorization(
                 ch: corner.into_ag.apply(vec) for ch, vec in via_ag.table.items()
             }
             via_bg = augmented_pullback_forms(fm_bg, datum_b, edge_bg, v)
-            path_b: Dict[Character, List[Fraction]] = {}
-            for ghat, vec in via_bg.table.items():
-                kb = via_bg.datum.restrict(ghat)
-                ka = Character(edge_ab.codomain, edge_ab.apply(kb.coords))
-                rep_a = datum_a.canonical_representative(ka)
-                coords = datum_a.kernel_coordinates(ghat - rep_a)
-                moved = ch_operator(corner.shifts, coords, cdim).apply(
-                    corner.pull_bg.apply(vec)
-                )
-                if rep_a in path_b:
-                    path_b[rep_a] = [x + y for x, y in zip(path_b[rep_a], moved)]
-                else:
-                    path_b[rep_a] = list(moved)
+            path_b = _twisted_sum(
+                (
+                    (_edge_image(edge_ab, datum_b.restrict(g)), g, vec)
+                    for g, vec in via_bg.table.items()
+                ),
+                datum_a, None, corner.shifts, cdim, pull=corner.pull_bg,
+            )
             pa = {ch: tuple(vec) for ch, vec in path_a.items() if any(vec)}
             pb = {ch: tuple(vec) for ch, vec in path_b.items() if any(vec)}
             if pa != pb and not mismatch:
@@ -314,9 +321,6 @@ class TwoPeriodicComplex:
 
     def basis(self, parity: int) -> RationalMatrix:
         return self._bases[parity % 2]
-
-    def dim(self, parity: int) -> int:
-        return self.basis(parity).ncols
 
     def cocycles(self, parity: int) -> RationalMatrix:
         p = parity % 2
@@ -382,7 +386,7 @@ class SectorComplex:
         self.spans = spans
         self.total = total
         self.constraint = constraint
-        self.row_origins = row_origins
+        self.row_origins = row_origins  # (description, shallow node, start, stop)
         self.diff = diff
         self.even_idx = even_idx
         self.odd_idx = odd_idx
@@ -404,42 +408,79 @@ class SectorComplex:
             self._two = TwoPeriodicComplex(self.diff, self.basis(0), self.basis(1))
         return self._two
 
-    def dims(self) -> Tuple[int, int]:
-        return self.two_periodic.dim(0), self.two_periodic.dim(1)
-
     def membership_failure(self, vec: Sequence) -> Optional[str]:
         """None if the vector satisfies every constraint, else a diagnostic."""
         res = self.constraint.apply(vec)
         for i, x in enumerate(res):
             if x != 0:
-                for desc, start, stop in self.row_origins:
+                for desc, _, start, stop in self.row_origins:
                     if start <= i < stop:
                         return desc
                 return f"constraint row {i}"
         return None
 
+    def restrict(self, kept) -> "SectorComplex":
+        """The sector over a downward-closed kept set, by index selection.
+
+        Keeps the columns of the kept blocks and the rows of the faces whose
+        shallow node is kept; a face to a pruned deep node then only asks its
+        shallow data to vanish.  Order is preserved throughout.
+        """
+        blocks, spans, cols = [], {}, []
+        for label, khat, s0, s1 in self.blocks:
+            if label in kept:
+                start = len(cols)
+                blocks.append((label, khat, start, start + s1 - s0))
+                spans[(label, khat)] = (start, start + s1 - s0)
+                cols.extend(range(s0, s1))
+        row_origins, rows = [], []
+        for desc, a, r0, r1 in self.row_origins:
+            if a in kept:
+                row_origins.append((desc, a, len(rows), len(rows) + r1 - r0))
+                rows.extend(range(r0, r1))
+        position = {old: new for new, old in enumerate(cols)}
+        return SectorComplex(
+            self.chi, tuple(blocks), spans, len(cols),
+            _submatrix(self.constraint, rows, cols), tuple(row_origins),
+            _submatrix(self.diff, cols, cols),
+            [position[i] for i in self.even_idx if i in position],
+            [position[i] for i in self.odd_idx if i in position],
+        )
+
 
 class AssembledComplex:
     """Delocalized complex of a resolved action, split by root sector."""
 
-    __slots__ = ("action", "prune", "kept", "radius", "windows", "sections", "sectors")
+    __slots__ = ("action", "kept", "radius", "windows", "sections", "sectors", "_full")
 
-    def __init__(self, action, prune, kept, radius, windows, sections, sectors):
+    def __init__(self, action, kept, radius, windows, sections, sectors, full=None):
         self.action = action
-        self.prune = prune
         self.kept = kept
         self.radius = radius
         self.windows = windows
         self.sections = sections
         self.sectors = sectors
+        self._full = full   # None on the complex over every node, so no cycle
+
+    @property
+    def full(self) -> "AssembledComplex":
+        """The complex over every node that this one restricts."""
+        return self if self._full is None else self._full
 
     def lift(self, label: str, khat: Character) -> Character:
         section = self.sections.get(label) if self.sections else None
-        return _lift(self.action.tree.nodes[label], section, khat)
+        return lift(self.action.tree.nodes[label], section, khat)
 
-    def total_dims(self) -> Tuple[int, int]:
-        dims = [s.dims() for s in self.sectors.values()]
-        return sum(d[0] for d in dims), sum(d[1] for d in dims)
+    def restrict(self, kept) -> "AssembledComplex":
+        """The subcomplex over a downward-closed kept set of nodes."""
+        kept = Pruning(self.action.tree, kept).kept
+        if kept == self.kept:
+            return self
+        full = self.full
+        return AssembledComplex(
+            self.action, kept, self.radius, self.windows, self.sections,
+            {chi: sec.restrict(kept) for chi, sec in full.sectors.items()}, full,
+        )
 
 
 def assemble_complex(
@@ -450,9 +491,10 @@ def assemble_complex(
 ) -> AssembledComplex:
     """Build the compatible-tuple complex over the kept subtree.
 
-    Pruned nodes are omitted and their faces contribute pure vanishing
-    constraints on the kept side; the result splits as a direct sum over
-    the root window characters.
+    The complex over every node is assembled and the pruned one is its
+    restriction: pruned nodes are omitted and their faces contribute pure
+    vanishing constraints on the kept side.  The result splits as a direct
+    sum over the root window characters.
     """
     tree = action.tree
     tree.require_valid()
@@ -460,8 +502,8 @@ def assemble_complex(
     unknown = sorted(prune_set - set(tree.nodes))
     if unknown:
         raise ValueError(f"cannot prune unknown nodes {unknown}")
-    kept = frozenset(tree.nodes) - prune_set
-    Pruning(tree, kept)  # raises unless the kept part is downward-closed
+    # checked before the windows, so a bad prune set is reported first
+    kept = Pruning(tree, frozenset(tree.nodes) - prune_set).kept
 
     windows = action.windows(radius)
     sat = action.check_window_saturation(windows)
@@ -477,35 +519,31 @@ def assemble_complex(
             raise ValueError(f"face {pair[0]}<{pair[1]}: pullback is not a chain map")
 
     root = tree.root
-    root_group = tree.nodes[root].target
 
     def root_image(label: str, khat: Character) -> Character:
-        if label == root:
-            return khat
-        e = tree.edge_restriction(root, label)
-        return Character(root_group, e.apply(khat.coords))
+        return khat if label == root else _edge_image(tree.edge_restriction(root, label), khat)
 
     def lift_of(label: str) -> Callable[[Character], Character]:
         section = sections.get(label) if sections else None
         datum = tree.nodes[label]
-        return lambda khat: _lift(datum, section, khat)
+        return lambda khat: lift(datum, section, khat)
 
-    sectors = {}
-    for chi in windows[root]:
-        sectors[chi] = _build_sector(
-            action, kept, windows, chi, root_image, lift_of
-        )
-    return AssembledComplex(
-        action, prune_set, kept, radius, windows, dict(sections or {}), sectors
+    sectors = {
+        chi: _build_sector(action, windows, chi, root_image, lift_of)
+        for chi in windows[root]
+    }
+    full = AssembledComplex(
+        action, frozenset(tree.nodes), radius, windows, dict(sections or {}), sectors
     )
+    return full.restrict(kept)
 
 
-def _build_sector(action, kept, windows, chi, root_image, lift_of) -> SectorComplex:
+def _build_sector(action, windows, chi, root_image, lift_of) -> SectorComplex:
     tree = action.tree
     blocks = []
     spans = {}
     offset = 0
-    for label in sorted(kept):
+    for label in sorted(tree.nodes):
         dim = action.spaces[label].complex.total_dim
         for khat in windows[label]:
             if root_image(label, khat) != chi:
@@ -518,8 +556,6 @@ def _build_sector(action, kept, windows, chi, root_image, lift_of) -> SectorComp
     rows: List[List[Fraction]] = []
     row_origins = []
     for a, b in sorted(tree.comparable_pairs()):
-        if a not in kept:
-            continue
         fm = action.faces[(a, b)]
         edge = tree.edge_restriction(a, b)
         fdim = fm.face.complex.total_dim
@@ -536,23 +572,22 @@ def _build_sector(action, kept, windows, chi, root_image, lift_of) -> SectorComp
             for i in range(fdim):
                 for j in range(rho_m.ncols):
                     block[i][s0 + j] = rho_m[i, j]
-            if b in kept:
-                rep_a = lift_a(khat)
-                for bhat in windows[b]:
-                    if edge.apply(bhat.coords) != khat.coords:
-                        continue
-                    t0, _ = spans[(b, bhat)]
-                    coords = datum_a.kernel_coordinates(lift_b(bhat) - rep_a)
-                    if coords not in exp_cache:
-                        exp_cache[coords] = ch_operator(fm.face.shifts, coords, fdim)
-                    m = exp_cache[coords] @ fm.pullback.matrix
-                    for i in range(fdim):
-                        for j in range(m.ncols):
-                            block[i][t0 + j] -= m[i, j]
+            rep_a = lift_a(khat)
+            for bhat in windows[b]:
+                if edge.apply(bhat.coords) != khat.coords:
+                    continue
+                t0, _ = spans[(b, bhat)]
+                coords = datum_a.kernel_coordinates(lift_b(bhat) - rep_a)
+                if coords not in exp_cache:
+                    exp_cache[coords] = ch_operator(fm.face.shifts, coords, fdim)
+                m = exp_cache[coords] @ fm.pullback.matrix
+                for i in range(fdim):
+                    for j in range(m.ncols):
+                        block[i][t0 + j] -= m[i, j]
             start = len(rows)
             rows.extend(block)
             row_origins.append(
-                (f"face {a}<{b} at sector {khat.coords}", start, start + fdim)
+                (f"face {a}<{b} at sector {khat.coords}", a, start, start + fdim)
             )
     constraint = (
         RationalMatrix(rows, ncols=total) if rows else RationalMatrix.zeros(0, total)
@@ -619,31 +654,23 @@ class PruningLES:
         return f"PruningLES(+{self.alpha}, dims={self.instance.dims})"
 
 
-def les_of_pruning(
-    action: ResolvedAction,
-    kept,
-    alpha: str,
-    radius: Optional[int] = None,
-    sections: Optional[Mapping[str, SectionSystem]] = None,
-) -> PruningLES:
+def les_of_pruning(sub: AssembledComplex, total: AssembledComplex) -> PruningLES:
     """Six-term sequence of adding one node to a kept subtree.
 
-    The sub-complex keeps the old nodes, the total complex also keeps
-    `alpha`, and the third term is the image of the projection onto the
-    alpha sectors with its induced differential.  All six cohomology maps
-    (including the connecting ones) are computed explicitly and exactness
-    is verified, not assumed.
+    `sub` and `total` are restrictions of one assembled complex, and `total`
+    keeps exactly one node `alpha` more than `sub`.  The third term is the
+    image of the projection onto the alpha sectors with its induced
+    differential.  All six cohomology maps (including the connecting ones)
+    are computed explicitly and exactness is verified, not assumed.
     """
-    tree = action.tree
-    bigger = prune_step(tree, kept, alpha)
-    kept_small = frozenset(kept.kept if isinstance(kept, Pruning) else kept)
-    all_nodes = set(tree.nodes)
-    sub = assemble_complex(
-        action, prune=all_nodes - kept_small, radius=radius, sections=sections
-    )
-    total = assemble_complex(
-        action, prune=all_nodes - bigger.kept, radius=radius, sections=sections
-    )
+    if sub.full is not total.full:
+        raise ValueError("a pruning step needs two restrictions of one assembled complex")
+    added = sorted(total.kept - sub.kept)
+    if len(added) != 1 or prune_step(total.action.tree, sub.kept, added[0]).kept != total.kept:
+        raise ValueError(
+            f"no single pruning step leads from {sorted(sub.kept)} to {sorted(total.kept)}"
+        )
+    (alpha,) = added
 
     report = ValidationReport()
     sector_instances = {}
@@ -656,7 +683,7 @@ def les_of_pruning(
     dims = tuple(sum(i.dims[k] for i in insts) for k in range(6))
     ranks = tuple(sum(i.ranks[k] for i in insts) for k in range(6))
     instance = SixTermInstance(dims, ranks, labels=LES_LABELS)
-    return PruningLES(kept_small, alpha, sector_instances, instance, report)
+    return PruningLES(sub.kept, alpha, sector_instances, instance, report)
 
 
 def _sector_les(sa: SectorComplex, sb: SectorComplex, alpha: str):
@@ -806,17 +833,10 @@ class ChernCocycle:
         self.name = name
         self.vectors = vectors
 
-    def sector_vector(self, chi: Character) -> Tuple[Fraction, ...]:
-        return self.vectors[chi]
-
     def node_value(self, label: str, khat: Character) -> Tuple[Fraction, ...]:
         tree = self.assembled.action.tree
         root = tree.root
-        if label == root:
-            chi = khat
-        else:
-            e = tree.edge_restriction(root, label)
-            chi = Character(tree.nodes[root].target, e.apply(khat.coords))
+        chi = khat if label == root else _edge_image(tree.edge_restriction(root, label), khat)
         sec = self.assembled.sectors[chi]
         s0, s1 = sec.spans[(label, khat)]
         return self.vectors[chi][s0:s1]
@@ -897,13 +917,15 @@ def compare_ranks(
     action: ResolvedAction,
     prune: Sequence[str] = (),
     radius: Optional[int] = None,
-) -> ValidationReport:
+):
     """Rational rank equality between the K side and the delocalized side.
 
     Per node: every window sector contributes the free ranks of (K0, K1),
     which must equal the node's even/odd cohomology.  Globally: the
     dimensions must survive every pruning hexagon, and match the action's
-    declared expectations when those cover the requested radius.
+    declared expectations when those cover the requested radius.  Returns
+    the report and the global rational K it computed (None when a hexagon
+    failed).
     """
     from .ktheory import rational_global_k
 
@@ -923,7 +945,7 @@ def compare_ranks(
         global_k = rational_global_k(action, prune=prune, radius=radius)
     except ArithmeticError as exc:
         rep.add("pruning hexagons consistent", False, str(exc))
-        return rep
+        return rep, None
     rep.add("pruning hexagons consistent", True, "")
 
     expected = (action.expected or {}).get("deloc_dims_by_radius")
@@ -936,7 +958,7 @@ def compare_ranks(
                 got == list(declared),
                 "" if got == list(declared) else f"computed {got}, declared {list(declared)}",
             )
-    return rep
+    return rep, global_k
 
 
 class WindowScan:

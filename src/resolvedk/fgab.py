@@ -104,9 +104,6 @@ class IntegerMatrix:
     def column(self, j: int) -> Tuple[int, ...]:
         return tuple(r[j] for r in self._rows)
 
-    def rows_tuple(self) -> Tuple[Tuple[int, ...], ...]:
-        return self._rows
-
     def columns(self) -> Tuple[Tuple[int, ...], ...]:
         return tuple(self.column(j) for j in range(self.ncols))
 
@@ -232,10 +229,6 @@ class SmithDecomposition:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
-
-    def invariant_factors(self) -> Tuple[int, ...]:
-        """Diagonal entries that are neither 0 nor 1."""
-        return tuple(d for d in self.diagonal() if d not in (0, 1))
 
     def verify(self, a: IntegerMatrix) -> bool:
         if self.u @ a @ self.v != self.s:
@@ -504,11 +497,6 @@ class Lattice:
     def contains(self, vec: Sequence[int]) -> bool:
         return all(x == 0 for x in self.reduce(vec))
 
-    def coordinates_of(self, vec: Sequence[int], generators: Sequence[Sequence[int]]) -> Optional[Tuple[int, ...]]:
-        """Express `vec` as an integer combination of `generators`, if possible."""
-        mat = IntegerMatrix.from_columns([list(g) for g in generators], nrows=self.ambient_dim)
-        return solve_int(mat, list(vec))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Lattice)
@@ -590,9 +578,6 @@ class FgAbGroup:
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
         return self.reduce([x + y for x, y in zip(a, b)])
-
-    def negate(self, a: Sequence[int]) -> Tuple[int, ...]:
-        return self.reduce([-x for x in a])
 
     def generators(self) -> list:
         return [tuple(1 if i == j else 0 for j in range(self.ngens)) for i in range(self.ngens)]

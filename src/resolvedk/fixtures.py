@@ -667,37 +667,3 @@ def random_action(seed: int) -> ResolvedAction:
     torsion = (rng.choice([2, 3]),)
     return product_trivial(torsion, inner)
 
-
-FIXTURES = {
-    "sphere_rotation": sphere_rotation,
-    "projective_plane": projective_plane,
-}
-
-
-def get_fixture(spec: str) -> ResolvedAction:
-    """Resolve a fixture spec string like ``sphere_rotation_speed:3``.
-
-    Plain names: sphere_rotation, projective_plane.  Parameterized:
-    ``sphere_rotation_speed:N``, ``product_trivial:D`` (product of the
-    rotation sphere with Z/D), ``random:SEED``.
-    """
-    name, _, arg = spec.partition(":")
-    if name in FIXTURES:
-        if arg:
-            raise ValueError(f"fixture {name!r} takes no parameter")
-        return FIXTURES[name]()
-    if name == "sphere_rotation_speed":
-        if not arg:
-            raise ValueError("sphere_rotation_speed needs a speed, e.g. "
-                             "sphere_rotation_speed:2")
-        return sphere_rotation_speed(int(arg))
-    if name == "product_trivial":
-        if not arg:
-            raise ValueError("product_trivial needs a factor order, e.g. "
-                             "product_trivial:2")
-        return product_trivial((int(arg),))
-    if name == "random":
-        if not arg:
-            raise ValueError("random fixture needs a seed, e.g. random:7")
-        return random_action(int(arg))
-    raise ValueError(f"unknown fixture {name!r}")

@@ -98,12 +98,6 @@ class IsotropyTree:
     def comparable_pairs(self) -> List[Tuple[str, str]]:
         return sorted(self.order)
 
-    def ancestors(self, label: str) -> List[str]:
-        return sorted(a for a, b in self.order if b == label)
-
-    def descendants(self, label: str) -> List[str]:
-        return sorted(b for a, b in self.order if a == label)
-
     def depth(self, label: str) -> int:
         """Length of the longest chain strictly below the node."""
         if self._depths is None:

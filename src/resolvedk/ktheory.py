@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .basespace import KData
-from .chargroup import Character, SectionSystem, SubgroupDatum
+from .chargroup import Character, SectionSystem, SubgroupDatum, lift
 from .fgab import AbHom, FgAbGroup
 from .report import ValidationReport
 
@@ -60,11 +60,6 @@ class GradedKGroup:
     def __contains__(self, b: Character) -> bool:
         return b in self._window_set
 
-    def lift(self, b: Character) -> Character:
-        if self.section is not None:
-            return self.section(b)
-        return self.datum.canonical_representative(b)
-
     def sector(self, b: Character) -> Tuple[FgAbGroup, FgAbGroup]:
         if b not in self._window_set:
             raise WindowExceeded(b)
@@ -86,9 +81,6 @@ class GradedKGroup:
             (b.coords, (k0.free_rank, k0.torsion), (k1.free_rank, k1.torsion))
             for b in self.window
         ]
-
-    def zero_element(self) -> Dict[Character, Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        return {}
 
     def validate_element(self, x: Mapping) -> None:
         for b, (ev, od) in x.items():
@@ -141,7 +133,7 @@ def rg_action(
         b2 = b + shift
         if b2 not in k._window_set:
             raise WindowExceeded(b2)
-        h = ghat + k.lift(b) - k.lift(b2)
+        h = ghat + lift(k.datum, k.section, b) - lift(k.datum, k.section, b2)
         coords = k.datum.kernel_coordinates(h)
         ev2 = k.kdata.sigma0_for(coords).apply(ev)
         od2 = k.kdata.sigma1_for(coords).apply(od)
@@ -456,11 +448,12 @@ def rational_global_k(
 
     checks = ValidationReport()
     steps = pruning_sequence(action.tree)
-    for idx in range(len(steps) - 1):
-        kept = steps[idx].kept
-        (alpha,) = steps[idx + 1].kept - kept
-        les = deloc.les_of_pruning(action, kept, alpha, radius=radius)
-        checks.merge(hexagon_check(les.instance), prefix=f"step +{alpha}: ")
+    sub = assembled.full.restrict(steps[0].kept)
+    for step in steps[1:]:
+        total = assembled.full.restrict(step.kept)
+        les = deloc.les_of_pruning(sub, total)
+        checks.merge(hexagon_check(les.instance), prefix=f"step +{les.alpha}: ")
+        sub = total
     if not checks.ok:
         raise ArithmeticError(
             "pruning hexagons are inconsistent with the computed dimensions:\n"

@@ -136,11 +136,6 @@ class RationalMatrix:
             [r1 + r2 for r1, r2 in zip(self._rows, other._rows)], ncols=self.ncols + other.ncols
         )
 
-    def vstack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch")
-        return RationalMatrix(self._rows + other._rows, ncols=self.ncols)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RationalMatrix)
@@ -153,13 +148,6 @@ class RationalMatrix:
 
     def __repr__(self) -> str:
         return f"RationalMatrix({[[str(x) for x in r] for r in self._rows]!r})"
-
-
-def stack_rows(mats: Sequence[RationalMatrix], ncols: int) -> RationalMatrix:
-    out = RationalMatrix.zeros(0, ncols)
-    for m in mats:
-        out = out.vstack(m)
-    return out
 
 
 def rref(mat: RationalMatrix) -> Tuple[RationalMatrix, Tuple[int, ...]]:

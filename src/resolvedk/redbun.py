@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .action import ResolvedAction
 from .basespace import FaceMaps, KData, sigma_for_character
-from .chargroup import Character, SectionSystem, SubgroupDatum
+from .chargroup import Character, SectionSystem, SubgroupDatum, lift
 from .fgab import AbHom
 from .report import ValidationReport
 
@@ -94,12 +94,6 @@ def _as_character(ambient, key) -> Character:
     return Character(ambient, key)
 
 
-def _lift(datum: SubgroupDatum, section: Optional[SectionSystem], b: Character) -> Character:
-    if section is None:
-        return datum.canonical_representative(b)
-    return section(b)
-
-
 def _twist(datum: SubgroupDatum, kdata: KData, h: Character) -> AbHom:
     return kdata.sigma0_for(datum.kernel_coordinates(h))
 
@@ -121,7 +115,7 @@ def canonicalize(
     for ghat, cls in raw_table.items():
         ghat = _as_character(ambient, ghat)
         b = datum.restrict(ghat)
-        rep = _lift(datum, section, b)
+        rep = lift(datum, section, b)
         h = ghat - rep
         moved = _twist(datum, kdata, h).apply(kdata.k0.reduce(cls))
         acc[rep] = kdata.k0.add(acc[rep], moved) if rep in acc else moved
@@ -199,7 +193,7 @@ def augmented_pullback_classes(
     for ghat, cls in w.table.items():
         b = w.datum.restrict(ghat)
         k = Character(edge.codomain, edge.apply(b.coords))
-        rep = _lift(shallow_datum, shallow_section, k)
+        rep = lift(shallow_datum, shallow_section, k)
         h = ghat - rep
         coords = shallow_datum.kernel_coordinates(h)
         moved = _family_power(target_k0, sigma_family, coords).apply(pull_hom.apply(cls))

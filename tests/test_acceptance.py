@@ -66,7 +66,7 @@ def test_criterion_2_splitting_absent_but_sections_work():
 
     dims = deloc_cohomology(assemble_complex(speed2, radius=1))
     assert (dims.even, dims.odd) == (10, 0)
-    assert compare_ranks(speed2, radius=1).ok
+    assert compare_ranks(speed2, radius=1)[0].ok
     _passed(2, "set-theoretic sections", "no splitting, pipeline dims (10, 0)")
 
 
@@ -181,10 +181,9 @@ def test_criterion_6_six_term_exactness():
     steps_checked = 0
     for action in actions:
         steps = pruning_sequence(action.tree)
+        full = assemble_complex(action, radius=1)
         for idx in range(len(steps) - 1):
-            kept = steps[idx].kept
-            (alpha,) = steps[idx + 1].kept - kept
-            les = les_of_pruning(action, kept, alpha, radius=1)
+            les = les_of_pruning(full.restrict(steps[idx].kept), full.restrict(steps[idx + 1].kept))
             assert les.report.ok, les.report.failures()
             assert les.instance.alternating_sum() == 0
             steps_checked += 1
@@ -245,7 +244,7 @@ def test_criterion_9_projective_plane_comparison():
     plane = fixtures.projective_plane()
     committed = {0: (1, 0), 1: (6, 0), 2: (12, 0)}
     for m, (even, odd) in committed.items():
-        report = compare_ranks(plane, radius=m)
+        report, _ = compare_ranks(plane, radius=m)
         assert report.ok, report.failures()
         dims = deloc_cohomology(assemble_complex(plane, radius=m))
         assert (dims.even, dims.odd) == (even, odd)

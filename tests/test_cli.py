@@ -1,11 +1,14 @@
 """Command-line interface: commands, formats, exit codes."""
 
+import importlib
 import io
 import json
+import pkgutil
 
 import pytest
 
-from resolvedk import fixtures
+import resolvedk
+from resolvedk import deloc, fixtures
 from resolvedk.action import ResolvedAction
 from resolvedk.cli import main
 from resolvedk.descriptor import parse_descriptor, serialize_descriptor
@@ -159,6 +162,40 @@ def test_les_multi_step_on_the_plane(tmp_path):
     )
     assert code == 0
     assert out.count("exact six-term sequence") == 3
+
+
+def test_les_steps_on_the_plane_pinned():
+    code, out, _ = run_cli(
+        "les", "--input", "fixture:projective_plane", "--window", "2", "--format", "json",
+        "--prune", "s", "--prune", "p1", "--prune", "p2", "--prune", "p3",
+    )
+    assert code == 0
+    steps = json.loads(out)["steps"]
+    assert [(s["added"], tuple(s["dims"])) for s in steps] == [
+        ("p2", (0, 4, 4, 0, 0, 0)),
+        ("s", (4, 4, 0, 0, 0, 0)),
+        ("p1", (4, 7, 3, 0, 0, 0)),
+        ("p3", (7, 12, 5, 0, 0, 0)),
+    ]
+
+
+def test_compare_and_kred_assemble_once(monkeypatch):
+    original = deloc.assemble_complex
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("prune", ()))
+        return original(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(resolvedk.__path__):
+        module = importlib.import_module(f"resolvedk.{info.name}")
+        if getattr(module, "assemble_complex", None) is original:
+            monkeypatch.setattr(module, "assemble_complex", counted)
+    for command in ("compare", "kred"):
+        calls.clear()
+        code, _, _ = run_cli(command, "--input", "fixture:projective_plane", "--window", "2")
+        assert code == 0
+        assert len(calls) == 1, (command, calls)
 
 
 def test_les_input_errors(sphere_file, tmp_path):

@@ -421,10 +421,9 @@ def test_sphere_pruning_steps_are_exact():
     sphere = sphere_rotation()
     steps = pruning_sequence(sphere.tree)
     for m in (1, 2):
+        full = assemble_complex(sphere, radius=m)
         for idx in range(len(steps) - 1):
-            kept = steps[idx].kept
-            (alpha,) = steps[idx + 1].kept - kept
-            les = les_of_pruning(sphere, kept, alpha, radius=m)
+            les = les_of_pruning(full.restrict(steps[idx].kept), full.restrict(steps[idx + 1].kept))
             assert les.report.ok, les.report.failures()
             assert les.instance.labels == deloc.LES_LABELS
             assert les.instance.alternating_sum() == 0
@@ -432,7 +431,8 @@ def test_sphere_pruning_steps_are_exact():
 
 def test_les_dimensions_match_direct_assemblies():
     sphere = sphere_rotation()
-    les = les_of_pruning(sphere, {"0"}, "N", radius=1)
+    full = assemble_complex(sphere, radius=1)
+    les = les_of_pruning(full.restrict({"0"}), full.restrict({"0", "N"}))
     sub = deloc_cohomology(assemble_complex(sphere, prune=("N", "S"), radius=1))
     tot = deloc_cohomology(assemble_complex(sphere, prune=("S",), radius=1))
     assert les.instance.dims[0] == sub.even and les.instance.dims[3] == sub.odd
@@ -443,27 +443,53 @@ def test_les_dimensions_match_direct_assemblies():
 
 def test_les_degenerates_when_added_window_is_empty():
     act = equal_isotropy_pair(WindowRule.explicit(()))
-    les = les_of_pruning(act, {"a"}, "b")
+    full = assemble_complex(act)
+    les = les_of_pruning(full.restrict({"a"}), full)
     assert les.report.ok
     assert les.instance.dims[2] == 0 and les.instance.dims[5] == 0
     assert les.instance.dims[0] == les.instance.dims[1]
 
 
+@pytest.mark.parametrize(
+    "build, prune, dims",
+    [
+        (projective_plane, (), (12, 0)),
+        (projective_plane, ("p2",), (7, 0)),
+        (projective_plane, ("p1", "p3"), (4, 0)),
+        (projective_plane, ("s", "p1", "p3"), (4, 0)),
+        (projective_plane, ("s", "p1", "p2", "p3"), (0, 0)),
+        (lambda: sphere_rotation_speed(3), (), (27, 0)),
+        (lambda: sphere_rotation_speed(3), ("N",), (12, 0)),
+        (lambda: sphere_rotation_speed(3), ("N", "S"), (0, 3)),
+    ],
+)
+def test_pruned_dimensions_pinned(build, prune, dims):
+    # values recorded from direct assemblies of each kept set, radius 2
+    got = deloc_cohomology(assemble_complex(build(), prune=prune, radius=2))
+    assert (got.even, got.odd) == dims
+
+
 def test_les_rejects_invalid_steps():
     sphere = sphere_rotation()
+    full = assemble_complex(sphere)
     with pytest.raises(ValueError):
-        les_of_pruning(sphere, {"0", "N"}, "N")  # already kept
+        les_of_pruning(full.restrict({"0", "N"}), full.restrict({"0", "N"}))  # already kept
     with pytest.raises(ValueError):
-        les_of_pruning(sphere, frozenset(), "N")  # root missing below
+        full.restrict({"N"})  # root missing below
+    with pytest.raises(ValueError):
+        les_of_pruning(full.restrict({"0"}), full)  # two nodes at once
+    with pytest.raises(ValueError):
+        les_of_pruning(full.restrict({"0", "N"}), full.restrict({"0", "S"}))  # N dropped
+    with pytest.raises(ValueError):
+        les_of_pruning(full.restrict({"0"}), assemble_complex(sphere, prune=("S",)))
 
 
 def test_plane_pruning_steps_are_exact():
     plane = projective_plane()
     steps = pruning_sequence(plane.tree)
+    full = assemble_complex(plane, radius=1)
     for idx in range(len(steps) - 1):
-        kept = steps[idx].kept
-        (alpha,) = steps[idx + 1].kept - kept
-        les = les_of_pruning(plane, kept, alpha, radius=1)
+        les = les_of_pruning(full.restrict(steps[idx].kept), full.restrict(steps[idx + 1].kept))
         assert les.report.ok, les.report.failures()
 
 
@@ -471,11 +497,10 @@ def test_plane_pruning_steps_are_exact():
 def test_random_actions_pruning_exactness(seed):
     act = random_action(seed)
     steps = pruning_sequence(act.tree)
+    full = assemble_complex(act, radius=1)
     for idx in range(len(steps) - 1):
-        kept = steps[idx].kept
-        (alpha,) = steps[idx + 1].kept - kept
-        les = les_of_pruning(act, kept, alpha, radius=1)
-        assert les.report.ok, (seed, alpha, les.report.failures())
+        les = les_of_pruning(full.restrict(steps[idx].kept), full.restrict(steps[idx + 1].kept))
+        assert les.report.ok, (seed, les.alpha, les.report.failures())
 
 
 # -- Chern characters -----------------------------------------------------------------
@@ -599,13 +624,13 @@ def test_chern_value_independent_of_sections():
 
 
 def test_compare_ranks_sphere():
-    rep = compare_ranks(sphere_rotation(), radius=1)
+    rep, _ = compare_ranks(sphere_rotation(), radius=1)
     assert rep.ok, rep.failures()
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_compare_ranks_plane(m):
-    rep = compare_ranks(projective_plane(), radius=m)
+    rep, _ = compare_ranks(projective_plane(), radius=m)
     assert rep.ok, rep.failures()
 
 
@@ -616,7 +641,7 @@ def test_compare_ranks_flags_wrong_expectations():
         bundles=sphere.bundles, chern=sphere.chern,
         expected={"deloc_dims_by_radius": {"1": [4, 0]}},
     )
-    rep = compare_ranks(doctored, radius=1)
+    rep, _ = compare_ranks(doctored, radius=1)
     assert not rep.ok
     assert any("declared" in name for name, _ in rep.failures())
 

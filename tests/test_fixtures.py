@@ -1,7 +1,6 @@
 import pytest
 
 from resolvedk.fixtures import (
-    get_fixture,
     product_trivial,
     projective_plane,
     random_action,
@@ -25,19 +24,6 @@ def test_fixture_validates(build):
     action = build()
     rep = action.validate(radius=1)
     assert rep.ok, str(rep)
-
-
-def test_fixture_specs():
-    assert get_fixture("sphere_rotation").tree.root == "0"
-    assert get_fixture("sphere_rotation_speed:3").group.free_rank == 1
-    assert get_fixture("product_trivial:2").group.torsion == (2,)
-    assert get_fixture("random:5").validate(radius=1).ok
-    with pytest.raises(ValueError, match="unknown fixture"):
-        get_fixture("nonsense")
-    with pytest.raises(ValueError, match="takes no parameter"):
-        get_fixture("sphere_rotation:2")
-    with pytest.raises(ValueError, match="needs a speed"):
-        get_fixture("sphere_rotation_speed")
 
 
 def test_speed_one_is_base_sphere():
