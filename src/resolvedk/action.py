@@ -30,7 +30,7 @@ from .basespace import (
     validate_face,
     validate_node,
 )
-from .chargroup import Character, SectionSystem, section
+from .chargroup import Character, SectionSystem, edge_image, section
 from .fgab import FgAbGroup
 from .itspace import IsotropyTree
 from .report import ValidationReport
@@ -213,8 +213,7 @@ class ResolvedAction:
             shallow = set(windows[a])
             edge = self.tree.edge_restriction(a, b)
             for ch in windows[b]:
-                image = Character(edge.codomain, edge.apply(ch.coords))
-                if image not in shallow:
+                if edge_image(edge, ch) not in shallow:
                     bad.append(f"{a}<{b} at {ch.coords}")
                     break
         rep.add(

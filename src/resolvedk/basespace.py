@@ -234,31 +234,35 @@ class ChainMap:
         return f"ChainMap({self.source.dims} -> {self.target.dims}, degree {self.degree})"
 
 
-def shift_for_character(shifts: Sequence[ChainMap], coeffs: Sequence[int]) -> RationalMatrix:
+def shift_for_character(
+    shifts: Sequence[ChainMap], coeffs: Sequence[int], dim: int
+) -> RationalMatrix:
     """Chain-level shift of a kernel character: L(h) = sum_i h_i L_i.
 
     First Chern classes are additive in the character, so the degree-two
     operator for a general kernel element is the integer combination of the
-    generator operators.
+    generator operators.  `dim` is the total dimension of the complex they
+    act on; an empty family gives the zero operator.
     """
     if len(shifts) != len(coeffs):
         raise ValueError("one coefficient per shift operator required")
-    if not shifts:
-        raise ValueError("no shift operators to combine")
-    n = shifts[0].source.total_dim
-    acc = RationalMatrix.zeros(n, n)
+    acc = RationalMatrix.zeros(dim, dim)
     for c, op in zip(coeffs, shifts):
-        acc = acc + op.matrix * Fraction(int(c))
+        if c:
+            acc = acc + op.matrix * Fraction(int(c))
     return acc
 
 
-def sigma_for_character(sigmas: Sequence[AbHom], coeffs: Sequence[int]) -> AbHom:
-    """K-level shift automorphism of a kernel character: product of powers."""
+def sigma_for_character(
+    sigmas: Sequence[AbHom], coeffs: Sequence[int], group: FgAbGroup
+) -> AbHom:
+    """K-level shift automorphism of a kernel character: product of powers.
+
+    `group` is the K-group the automorphisms act on; an empty family gives
+    the identity.
+    """
     if len(sigmas) != len(coeffs):
         raise ValueError("one coefficient per shift automorphism required")
-    if not sigmas:
-        raise ValueError("no shift automorphisms to combine")
-    group = sigmas[0].domain
     acc = AbHom.identity(group)
     for c, auto in zip(coeffs, sigmas):
         c = int(c)
@@ -320,10 +324,10 @@ class KData:
         return len(self.sigma0)
 
     def sigma0_for(self, coeffs: Sequence[int]) -> AbHom:
-        return sigma_for_character(self.sigma0, coeffs) if self.sigma0 else AbHom.identity(self.k0)
+        return sigma_for_character(self.sigma0, coeffs, self.k0)
 
     def sigma1_for(self, coeffs: Sequence[int]) -> AbHom:
-        return sigma_for_character(self.sigma1, coeffs) if self.sigma1 else AbHom.identity(self.k1)
+        return sigma_for_character(self.sigma1, coeffs, self.k1)
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
@@ -533,12 +537,8 @@ def validate_face(
         bad_chain = []
         bad_k = []
         for j, h in enumerate(coords):
-            face_l = (
-                shift_for_character(face_maps.face.shifts, h)
-                if face_maps.face.shifts
-                else RationalMatrix.zeros(
-                    face_maps.face.complex.total_dim, face_maps.face.complex.total_dim
-                )
+            face_l = shift_for_character(
+                face_maps.face.shifts, h, face_maps.face.complex.total_dim
             )
             if (
                 face_maps.pullback.matrix @ deep.shifts[j].matrix

@@ -186,11 +186,6 @@ class SectionSystem:
         except KeyError:
             raise ValueError(f"character {b!r} is outside the tabulated section support")
 
-    def decompose(self, ghat: Character) -> Tuple[Character, Character]:
-        """Split an ambient character as (target, kernel offset from the section)."""
-        b = self.datum.restrict(ghat)
-        return b, ghat - self(b)
-
     def __repr__(self) -> str:
         entries = ", ".join(f"{b.coords}->{g.coords}" for b, g in sorted(
             self.table.items(), key=lambda kv: kv[0].coords))
@@ -204,9 +199,24 @@ def lift(datum: SubgroupDatum, section: Optional[SectionSystem], b: Character) -
     return section(b)
 
 
-def kernel_lattice(datum: SubgroupDatum) -> List[Character]:
-    """Basis of the kernel of the restriction (characters of G/B)."""
-    return list(datum.kernel_basis)
+def lift_offset(
+    datum: SubgroupDatum, section: Optional[SectionSystem], b: Character, ghat: Character
+) -> Tuple[Character, Tuple[int, ...]]:
+    """The twisting law: where an entry at `ghat` over `b` moves, and its twist.
+
+    An entry at the ambient character `ghat`, filed over the subgroup
+    character `b`, is moved to the lift of `b` and twisted there by the
+    kernel element between them.  Returns that lift and the kernel
+    coordinates of `ghat` minus it; the twist itself is exp(L(h)) on
+    cochains and sigma(h) on K-classes.
+    """
+    rep = lift(datum, section, b)
+    return rep, datum.kernel_coordinates(ghat - rep)
+
+
+def edge_image(edge: AbHom, b: Character) -> Character:
+    """Image of a deep subgroup character under an edge restriction."""
+    return Character(edge.codomain, edge.apply(b.coords))
 
 
 def _table_additive(table: Mapping[Character, Character]) -> bool:
@@ -295,8 +305,7 @@ def fiber_support(
     for b in support:
         if b.group != edge.domain:
             raise ValueError("support character not in the edge domain")
-        target = Character(edge.codomain, edge.apply(b.coords))
-        fibers.setdefault(target, []).append(b)
+        fibers.setdefault(edge_image(edge, b), []).append(b)
     return {k: tuple(fibers[k]) for k in sorted(fibers, key=lambda c: c.coords)}
 
 
@@ -360,7 +369,7 @@ class ChainSections:
         for lvl, table in enumerate(self.edge_tables):
             edge = self.edge_maps[lvl]
             for b, lifted in table.items():
-                if Character(edge.codomain, edge.apply(lifted.coords)) != b:
+                if edge_image(edge, lifted) != b:
                     return False
         for lvl, table in enumerate(self.ambient_tables):
             datum = self.data[lvl]

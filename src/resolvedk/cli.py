@@ -37,7 +37,7 @@ from .deloc import (
     chern_character,
     compare_ranks,
     deloc_cohomology,
-    les_of_pruning,
+    pruning_walk,
     window_stabilization,
 )
 from .descriptor import (
@@ -209,20 +209,18 @@ def run(command: str, desc: ActionDescriptor, flags: argparse.Namespace) -> Comm
         if unknown:
             raise ValueError(f"--prune names unknown node(s) {unknown}")
         removed_set = set(flags.prune)
-        order = sorted(removed_set, key=lambda n: (action.tree.depth(n), n))
+        first = min(removed_set, key=lambda n: (action.tree.depth(n), n))
         # the first step is checked before the starting kept set, so a bad
         # --prune set is reported by a node that step does not restore
-        Pruning(action.tree, (set(action.tree.nodes) - removed_set) | {order[0]})
+        Pruning(action.tree, (set(action.tree.nodes) - removed_set) | {first})
         sub = assemble_complex(action, prune=removed_set, radius=flags.window)
         steps = []
         lines = []
         status = OK
-        for alpha in order:
-            total = sub.full.restrict(sub.kept | {alpha})
-            les = les_of_pruning(sub, total)
+        for les in pruning_walk(sub, sub.full):
             exact = les.report.ok
             steps.append({
-                "added": alpha,
+                "added": les.alpha,
                 "labels": list(LES_LABELS),
                 "dims": list(les.instance.dims),
                 "exact": exact,
@@ -231,14 +229,13 @@ def run(command: str, desc: ActionDescriptor, flags: argparse.Namespace) -> Comm
             dim_text = ", ".join(
                 f"{lab} {d}" for lab, d in zip(LES_LABELS, les.instance.dims)
             )
-            lines.append(f"step +{alpha}: {dim_text}")
+            lines.append(f"step +{les.alpha}: {dim_text}")
             lines.append(
-                f"step +{alpha}: " + ("exact six-term sequence" if exact else "NOT exact")
+                f"step +{les.alpha}: " + ("exact six-term sequence" if exact else "NOT exact")
             )
             if not exact:
                 lines += _report_lines(les.report)
                 status = MATH_FAILURE
-            sub = total
         payload["steps"] = steps
         payload["notes"] = list(action.notes)
         lines += _note_lines(action)

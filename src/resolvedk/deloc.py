@@ -15,11 +15,19 @@ is a finite sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .action import ResolvedAction, WindowError
-from .basespace import ChainMap, NodeSpaceData
-from .chargroup import Character, SectionSystem, SubgroupDatum, lift
+from .basespace import ChainMap, NodeSpaceData, shift_for_character
+from .chargroup import (
+    Character,
+    SectionSystem,
+    SubgroupDatum,
+    edge_image,
+    fiber_support,
+    lift,
+    lift_offset,
+)
 from .itspace import Pruning, prune_step
 from .ktheory import SixTermInstance, hexagon_check
 from .ratmat import (
@@ -85,13 +93,27 @@ def _exp_nilpotent(m: RationalMatrix) -> RationalMatrix:
 
 def ch_operator(shifts: Sequence[ChainMap], coeffs: Sequence[int], dim: int) -> RationalMatrix:
     """exp of the combined shift operator for integer kernel coordinates."""
-    if len(shifts) != len(coeffs):
-        raise ValueError("one coefficient per shift operator required")
-    total = RationalMatrix.zeros(dim, dim)
-    for c, op in zip(coeffs, shifts):
-        if c:
-            total = total + op.matrix * Fraction(int(c))
-    return _exp_nilpotent(total)
+    return _exp_nilpotent(shift_for_character(shifts, coeffs, dim))
+
+
+def _twist_operator(
+    shifts: Sequence[ChainMap], dim: int, pull: Optional[ChainMap] = None
+) -> Callable[[Tuple[int, ...]], RationalMatrix]:
+    """Kernel coordinates h -> exp(L(h)), after `pull` when given.
+
+    This is the cochain-level twist of the twisting law, optionally composed
+    with a fibration pullback; each operator is built once per coordinate
+    tuple and kept for the lifetime of the returned function.
+    """
+    cache: Dict[Tuple[int, ...], RationalMatrix] = {}
+
+    def twist(coords: Tuple[int, ...]) -> RationalMatrix:
+        if coords not in cache:
+            op = ch_operator(shifts, coords, dim)
+            cache[coords] = op if pull is None else op @ pull.matrix
+        return cache[coords]
+
+    return twist
 
 
 def ch_of_character(hhat, datum: SubgroupDatum, space: NodeSpaceData) -> RationalMatrix:
@@ -164,34 +186,24 @@ def _twisted_sum(
     entries: Iterable[Tuple[Character, Character, Sequence]],
     datum: SubgroupDatum,
     section: Optional[SectionSystem],
-    shifts: Sequence[ChainMap],
-    dim: int,
-    pull: Optional[ChainMap] = None,
+    twist: Callable[[Tuple[int, ...]], RationalMatrix],
 ) -> Dict[Character, List[Fraction]]:
     """Sum cochains onto section lifts, each twisted by its kernel offset.
 
     `entries` yields (character of `datum`'s subgroup, ambient character,
-    cochain).  The cochain, pulled back by `pull` when given, moves from the
-    ambient character to the lift of the subgroup character through the
-    exponential of the kernel element between them; entries that land on
-    the same lift add up.
+    cochain).  Each cochain moves to the lift of its subgroup character by
+    the twisting law and is mapped there by `twist(h)`, h the kernel
+    coordinates of its offset; entries that land on the same lift add up.
     """
     out: Dict[Character, List[Fraction]] = {}
     for b, ghat, vec in entries:
-        rep = lift(datum, section, b)
-        coords = datum.kernel_coordinates(ghat - rep)
-        moved = ch_operator(shifts, coords, dim).apply(
-            vec if pull is None else pull.apply(vec)
-        )
+        rep, coords = lift_offset(datum, section, b, ghat)
+        moved = twist(coords).apply(vec)
         if rep in out:
             out[rep] = [x + y for x, y in zip(out[rep], moved)]
         else:
             out[rep] = list(moved)
     return out
-
-
-def _edge_image(edge, b: Character) -> Character:
-    return Character(edge.codomain, edge.apply(b.coords))
 
 
 def canonicalize_form(
@@ -217,13 +229,20 @@ def canonicalize_form(
                 raise ValueError(f"character {ghat!r} is not in the ambient dual")
             yield datum.restrict(ghat), ghat, vec
 
-    acc = _twisted_sum(entries(), datum, section, space.shifts, space.complex.total_dim)
+    twist = _twist_operator(space.shifts, space.complex.total_dim)
+    acc = _twisted_sum(entries(), datum, section, twist)
     return TwistedFormSector(label, datum, space, acc)
 
 
 def face_restriction_forms(face_maps, v: TwistedFormSector, label: str = "") -> TwistedFormSector:
     """Restrict a shallow node's form sector to the face, characterwise."""
     return v.map_values(face_maps.rho, face_maps.face, label or v.label)
+
+
+def _face_twist(face_maps) -> Callable[[Tuple[int, ...]], RationalMatrix]:
+    """The face's exp(L(h)) @ pullback, shared by the forms model and assembly."""
+    face = face_maps.face
+    return _twist_operator(face.shifts, face.complex.total_dim, face_maps.pullback)
 
 
 def augmented_pullback_forms(
@@ -240,13 +259,11 @@ def augmented_pullback_forms(
     of the kernel element connecting the lifts, and summed over each fiber
     of the edge restriction.  Commutes with the differentials.
     """
-    face = face_maps.face
     out = _twisted_sum(
-        ((_edge_image(edge, v.datum.restrict(g)), g, vec) for g, vec in v.table.items()),
-        shallow_datum, shallow_section, face.shifts, face.complex.total_dim,
-        pull=face_maps.pullback,
+        ((edge_image(edge, v.datum.restrict(g)), g, vec) for g, vec in v.table.items()),
+        shallow_datum, shallow_section, _face_twist(face_maps),
     )
-    return TwistedFormSector(label or v.label, shallow_datum, face, out)
+    return TwistedFormSector(label or v.label, shallow_datum, face_maps.face, out)
 
 
 def corner_forms_factorization(
@@ -268,7 +285,7 @@ def corner_forms_factorization(
     edge_ab = tree.edge_restriction(a, b)
     datum_a, datum_b, datum_g = tree.nodes[a], tree.nodes[b], tree.nodes[g]
     gdim = action.spaces[g].complex.total_dim
-    cdim = corner.corner.total_dim
+    corner_twist = _twist_operator(corner.shifts, corner.corner.total_dim, corner.pull_bg)
 
     rep = ValidationReport()
     mismatch = ""
@@ -285,10 +302,10 @@ def corner_forms_factorization(
             via_bg = augmented_pullback_forms(fm_bg, datum_b, edge_bg, v)
             path_b = _twisted_sum(
                 (
-                    (_edge_image(edge_ab, datum_b.restrict(g)), g, vec)
+                    (edge_image(edge_ab, datum_b.restrict(g)), g, vec)
                     for g, vec in via_bg.table.items()
                 ),
-                datum_a, None, corner.shifts, cdim, pull=corner.pull_bg,
+                datum_a, None, corner_twist,
             )
             pa = {ch: tuple(vec) for ch, vec in path_a.items() if any(vec)}
             pb = {ch: tuple(vec) for ch, vec in path_b.items() if any(vec)}
@@ -518,19 +535,20 @@ def assemble_complex(
         if not fm.pullback.commutes_with_differentials():
             raise ValueError(f"face {pair[0]}<{pair[1]}: pullback is not a chain map")
 
-    root = tree.root
-
-    def root_image(label: str, khat: Character) -> Character:
-        return khat if label == root else _edge_image(tree.edge_restriction(root, label), khat)
-
-    def lift_of(label: str) -> Callable[[Character], Character]:
-        section = sections.get(label) if sections else None
+    # every lift a face asks for, once: a table per node over its window
+    lifts = {}
+    for label in sorted({node for pair in tree.comparable_pairs() for node in pair}):
         datum = tree.nodes[label]
-        return lambda khat: lift(datum, section, khat)
-
+        given = sections.get(label) if sections else None
+        lifts[label] = SectionSystem(datum, {b: lift(datum, given, b) for b in windows[label]})
+    faces = [
+        (a, b, fiber_support(tree.edge_restriction(a, b), windows[b]),
+         _face_twist(action.faces[(a, b)]))
+        for a, b in tree.comparable_pairs()
+    ]
     sectors = {
-        chi: _build_sector(action, windows, chi, root_image, lift_of)
-        for chi in windows[root]
+        chi: _build_sector(action, windows, chi, lifts, faces)
+        for chi in windows[tree.root]
     }
     full = AssembledComplex(
         action, frozenset(tree.nodes), radius, windows, dict(sections or {}), sectors
@@ -538,7 +556,15 @@ def assemble_complex(
     return full.restrict(kept)
 
 
-def _build_sector(action, windows, chi, root_image, lift_of) -> SectorComplex:
+def _build_sector(action, windows, chi, lifts, faces) -> SectorComplex:
+    """One root sector: its blocks, face constraints, differential and parities.
+
+    Each face row block states that the face restriction of the shallow data
+    equals the augmented pullback of the deep data, as
+    `augmented_pullback_forms` computes it: every deep character in the fiber
+    over the shallow one contributes exp(L(h)) @ pullback, with h given by
+    the twisting law.
+    """
     tree = action.tree
     blocks = []
     spans = {}
@@ -546,7 +572,7 @@ def _build_sector(action, windows, chi, root_image, lift_of) -> SectorComplex:
     for label in sorted(tree.nodes):
         dim = action.spaces[label].complex.total_dim
         for khat in windows[label]:
-            if root_image(label, khat) != chi:
+            if tree.root_image(label, khat) != chi:
                 continue
             blocks.append((label, khat, offset, offset + dim))
             spans[(label, khat)] = (offset, offset + dim)
@@ -555,15 +581,10 @@ def _build_sector(action, windows, chi, root_image, lift_of) -> SectorComplex:
 
     rows: List[List[Fraction]] = []
     row_origins = []
-    for a, b in sorted(tree.comparable_pairs()):
+    for a, b, fibers, twist in faces:
         fm = action.faces[(a, b)]
-        edge = tree.edge_restriction(a, b)
         fdim = fm.face.complex.total_dim
         rho_m = fm.rho.matrix
-        datum_a = tree.nodes[a]
-        lift_a = lift_of(a)
-        lift_b = lift_of(b)
-        exp_cache: Dict[Tuple[int, ...], RationalMatrix] = {}
         for khat in windows[a]:
             if (a, khat) not in spans:
                 continue
@@ -572,15 +593,10 @@ def _build_sector(action, windows, chi, root_image, lift_of) -> SectorComplex:
             for i in range(fdim):
                 for j in range(rho_m.ncols):
                     block[i][s0 + j] = rho_m[i, j]
-            rep_a = lift_a(khat)
-            for bhat in windows[b]:
-                if edge.apply(bhat.coords) != khat.coords:
-                    continue
+            for bhat in fibers.get(khat, ()):
                 t0, _ = spans[(b, bhat)]
-                coords = datum_a.kernel_coordinates(lift_b(bhat) - rep_a)
-                if coords not in exp_cache:
-                    exp_cache[coords] = ch_operator(fm.face.shifts, coords, fdim)
-                m = exp_cache[coords] @ fm.pullback.matrix
+                _, coords = lift_offset(tree.nodes[a], lifts[a], khat, lifts[b](bhat))
+                m = twist(coords)
                 for i in range(fdim):
                     for j in range(m.ncols):
                         block[i][t0 + j] -= m[i, j]
@@ -684,6 +700,20 @@ def les_of_pruning(sub: AssembledComplex, total: AssembledComplex) -> PruningLES
     ranks = tuple(sum(i.ranks[k] for i in insts) for k in range(6))
     instance = SixTermInstance(dims, ranks, labels=LES_LABELS)
     return PruningLES(sub.kept, alpha, sector_instances, instance, report)
+
+
+def pruning_walk(sub: AssembledComplex, total: AssembledComplex) -> Iterator[PruningLES]:
+    """Six-term sequences of the steps that lead from `sub` to `total`.
+
+    Both are restrictions of one assembled complex.  The nodes `total`
+    keeps beyond `sub` are added one at a time in depth-then-label order,
+    so every step is a pruning step and the last one ends at `total`.
+    """
+    tree = total.action.tree
+    for alpha in sorted(total.kept - sub.kept, key=lambda n: (tree.depth(n), n)):
+        step = sub.full.restrict(sub.kept | {alpha})
+        yield les_of_pruning(sub, step)
+        sub = step
 
 
 def _sector_les(sa: SectorComplex, sb: SectorComplex, alpha: str):
@@ -834,11 +864,8 @@ class ChernCocycle:
         self.vectors = vectors
 
     def node_value(self, label: str, khat: Character) -> Tuple[Fraction, ...]:
-        tree = self.assembled.action.tree
-        root = tree.root
-        chi = khat if label == root else _edge_image(tree.edge_restriction(root, label), khat)
-        sec = self.assembled.sectors[chi]
-        s0, s1 = sec.spans[(label, khat)]
+        chi = self.assembled.action.tree.root_image(label, khat)
+        s0, s1 = self.assembled.sectors[chi].spans[(label, khat)]
         return self.vectors[chi][s0:s1]
 
 

@@ -34,6 +34,8 @@ def xgcd(a: int, b: int) -> Tuple[int, int, int]:
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
+    if old_r == 0:
+        return 0, 0, 0
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
@@ -158,11 +160,6 @@ class IntegerMatrix:
             [r1 + r2 for r1, r2 in zip(self._rows, other._rows)],
             ncols=self.ncols + other.ncols,
         )
-
-    def vstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch")
-        return IntegerMatrix(self._rows + other._rows, ncols=self.ncols)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -902,28 +899,7 @@ def _lattice_quotient(ambient: int, big_gens: Sequence[Sequence[int]], small_gen
     return group, gen_vectors, project
 
 
-# -- module-level operation names ------------------------------------------
-
-
-def hom_kernel(h: AbHom) -> Tuple[FgAbGroup, AbHom]:
-    """Kernel subgroup with its inclusion; see :meth:`AbHom.kernel`."""
-    return h.kernel()
-
-
-def hom_cokernel(h: AbHom) -> Tuple[FgAbGroup, AbHom]:
-    """Cokernel with its projection; see :meth:`AbHom.cokernel`.
-
-    >>> z = FgAbGroup.free(1)
-    >>> coker, _ = hom_cokernel(AbHom(z, z, IntegerMatrix([[2]])))
-    >>> str(coker)
-    'Z/2'
-    """
-    return h.cokernel()
-
-
-def hom_image(h: AbHom) -> Tuple[FgAbGroup, AbHom]:
-    """Image subgroup with its inclusion; see :meth:`AbHom.image`."""
-    return h.image()
+# -- module-level operations ----------------------------------------------
 
 
 def is_exact_at(f: AbHom, g: AbHom) -> bool:
@@ -937,11 +913,3 @@ def is_exact_at(f: AbHom, g: AbHom) -> bool:
     if f.codomain != g.domain:
         raise ValueError("is_exact_at needs codomain(f) == domain(g)")
     return f.image_lattice() == g.kernel_lattice()
-
-
-def preimage_representative(h: AbHom, y: Sequence[int]) -> Tuple[int, ...]:
-    return h.preimage_representative(y)
-
-
-def try_split(h: AbHom) -> Optional[AbHom]:
-    return h.try_split()

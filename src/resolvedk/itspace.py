@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .chargroup import SubgroupDatum, edge_restriction
+from .chargroup import Character, SubgroupDatum, edge_image, edge_restriction
 from .fgab import AbHom
 from .report import ValidationReport
 
@@ -132,6 +132,12 @@ class IsotropyTree:
             self._edge_cache[(a, b)] = edge_restriction(self.nodes[a], self.nodes[b])
         return self._edge_cache[(a, b)]
 
+    def root_image(self, label: str, khat: Character) -> Character:
+        """The root character a node's character restricts to (its sector)."""
+        if label == self.root:
+            return khat
+        return edge_image(self.edge_restriction(self.root, label), khat)
+
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
@@ -238,8 +244,8 @@ class Pruning:
         unknown = kept_set - set(tree.nodes)
         if unknown:
             raise ValueError(f"pruning keeps unknown nodes {sorted(unknown)}")
-        for b in kept_set:
-            for a, b2 in tree.order:
+        for b in sorted(kept_set):
+            for a, b2 in tree.comparable_pairs():
                 if b2 == b and a not in kept_set:
                     raise ValueError(
                         f"kept set is not downward-closed: {b!r} kept but {a!r} is not"

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .basespace import KData
-from .chargroup import Character, SectionSystem, SubgroupDatum, lift
+from .chargroup import Character, SectionSystem, SubgroupDatum, lift, lift_offset
 from .fgab import AbHom, FgAbGroup
 from .report import ValidationReport
 
@@ -133,8 +133,8 @@ def rg_action(
         b2 = b + shift
         if b2 not in k._window_set:
             raise WindowExceeded(b2)
-        h = ghat + lift(k.datum, k.section, b) - lift(k.datum, k.section, b2)
-        coords = k.datum.kernel_coordinates(h)
+        # the entry at b sits at ghat + lift(b) over b2 once translated
+        _, coords = lift_offset(k.datum, k.section, b2, ghat + lift(k.datum, k.section, b))
         ev2 = k.kdata.sigma0_for(coords).apply(ev)
         od2 = k.kdata.sigma1_for(coords).apply(od)
         if b2 in out:
@@ -436,24 +436,20 @@ def rational_global_k(
 ) -> GlobalRationalK:
     """Global K-dimensions over the rationals, via the delocalized model.
 
-    The dimensions are those of the delocalized cohomology; every step of
-    the canonical pruning sequence must yield an exact six-term sequence,
-    otherwise the computation aborts with the failing hexagon.
+    The dimensions are those of the delocalized cohomology of the kept
+    complex.  Every step of the pruning sequence that builds that complex
+    from its root must yield an exact six-term sequence, otherwise the
+    computation aborts with the failing hexagon.
     """
     from . import deloc
-    from .itspace import pruning_sequence
 
     assembled = deloc.assemble_complex(action, prune=prune, radius=radius)
     dims = deloc.deloc_cohomology(assembled)
 
     checks = ValidationReport()
-    steps = pruning_sequence(action.tree)
-    sub = assembled.full.restrict(steps[0].kept)
-    for step in steps[1:]:
-        total = assembled.full.restrict(step.kept)
-        les = deloc.les_of_pruning(sub, total)
+    start = assembled.full.restrict(assembled.kept & {action.tree.root})
+    for les in deloc.pruning_walk(start, assembled):
         checks.merge(hexagon_check(les.instance), prefix=f"step +{les.alpha}: ")
-        sub = total
     if not checks.ok:
         raise ArithmeticError(
             "pruning hexagons are inconsistent with the computed dimensions:\n"

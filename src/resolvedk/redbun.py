@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .action import ResolvedAction
 from .basespace import FaceMaps, KData, sigma_for_character
-from .chargroup import Character, SectionSystem, SubgroupDatum, lift
+from .chargroup import Character, SectionSystem, SubgroupDatum, edge_image, lift_offset
 from .fgab import AbHom
 from .report import ValidationReport
 
@@ -94,10 +94,6 @@ def _as_character(ambient, key) -> Character:
     return Character(ambient, key)
 
 
-def _twist(datum: SubgroupDatum, kdata: KData, h: Character) -> AbHom:
-    return kdata.sigma0_for(datum.kernel_coordinates(h))
-
-
 def canonicalize(
     raw_table: Mapping,
     datum: SubgroupDatum,
@@ -111,13 +107,10 @@ def canonicalize(
     no section supplied the canonical coset representatives are used.
     """
     acc: Dict[Character, Tuple[int, ...]] = {}
-    ambient = datum.ambient
     for ghat, cls in raw_table.items():
-        ghat = _as_character(ambient, ghat)
-        b = datum.restrict(ghat)
-        rep = lift(datum, section, b)
-        h = ghat - rep
-        moved = _twist(datum, kdata, h).apply(kdata.k0.reduce(cls))
+        ghat = _as_character(datum.ambient, ghat)
+        rep, coords = lift_offset(datum, section, datum.restrict(ghat), ghat)
+        moved = kdata.sigma0_for(coords).apply(kdata.k0.reduce(cls))
         acc[rep] = kdata.k0.add(acc[rep], moved) if rep in acc else moved
     return ReducedBundleNode(label, datum, kdata, acc)
 
@@ -166,12 +159,6 @@ def shift_act(
     return tensor_with_representation({hhat: 1}, w, section=section)
 
 
-def _family_power(k0, family: Sequence[AbHom], coords: Sequence[int]) -> AbHom:
-    if not family:
-        return AbHom.identity(k0)
-    return sigma_for_character(family, coords)
-
-
 def augmented_pullback_classes(
     edge: AbHom,
     shallow_datum: SubgroupDatum,
@@ -191,12 +178,9 @@ def augmented_pullback_classes(
     target_k0 = pull_hom.codomain
     out: Dict[Character, Tuple[int, ...]] = {}
     for ghat, cls in w.table.items():
-        b = w.datum.restrict(ghat)
-        k = Character(edge.codomain, edge.apply(b.coords))
-        rep = lift(shallow_datum, shallow_section, k)
-        h = ghat - rep
-        coords = shallow_datum.kernel_coordinates(h)
-        moved = _family_power(target_k0, sigma_family, coords).apply(pull_hom.apply(cls))
+        k = edge_image(edge, w.datum.restrict(ghat))
+        rep, coords = lift_offset(shallow_datum, shallow_section, k, ghat)
+        moved = sigma_for_character(sigma_family, coords, target_k0).apply(pull_hom.apply(cls))
         out[rep] = target_k0.add(out[rep], moved) if rep in out else moved
     return out
 

@@ -108,23 +108,25 @@ def test_chain_map_from_blocks_and_compose():
 def test_shift_for_character_is_linear():
     c = CochainComplex((1, 0, 1))
     cup = ChainMap.from_blocks(c, c, {0: [[1]]}, degree=2)
-    assert shift_for_character([cup], (3,)) == cup.matrix * 3
+    assert shift_for_character([cup], (3,), 2) == cup.matrix * 3
     other = ChainMap.from_blocks(c, c, {0: [[2]]}, degree=2)
-    combo = shift_for_character([cup, other], (1, -1))
+    combo = shift_for_character([cup, other], (1, -1), 2)
     assert combo == cup.matrix * 1 + other.matrix * (-1)
+    assert shift_for_character([], (), 2) == RationalMatrix.zeros(2, 2)
     with pytest.raises(ValueError, match="one coefficient"):
-        shift_for_character([cup], (1, 2))
+        shift_for_character([cup], (1, 2), 2)
 
 
 def test_sigma_for_character_powers_and_inverses():
     z2 = FgAbGroup.free(2)
     s = AbHom(z2, z2, [[1, 0], [1, 1]])
-    sq = sigma_for_character([s], (2,))
+    sq = sigma_for_character([s], (2,), z2)
     assert sq.matrix.to_lists() == [[1, 0], [2, 1]]
-    inv = sigma_for_character([s], (-1,))
+    inv = sigma_for_character([s], (-1,), z2)
     assert (inv @ s) == AbHom.identity(z2)
+    assert sigma_for_character([], (), z2) == AbHom.identity(z2)
     with pytest.raises(ValueError, match="not invertible"):
-        sigma_for_character([AbHom(Z, Z, [[2]])], (-1,))
+        sigma_for_character([AbHom(Z, Z, [[2]])], (-1,), Z)
 
 
 def kdata_trivial(k0=Z, k1=ZERO, count=1):

@@ -10,7 +10,7 @@ from resolvedk.chargroup import (
     compare_sections,
     edge_restriction,
     fiber_support,
-    kernel_lattice,
+    lift_offset,
     offset_section,
     section,
     section_from_splitting,
@@ -45,7 +45,7 @@ def test_character_arithmetic():
 
 def test_kernel_lattice_mod2():
     datum = mod2_datum()
-    (gen,) = kernel_lattice(datum)
+    (gen,) = datum.kernel_basis
     assert gen.coords == (2,)
     assert datum.in_kernel(Character(Z, (-4,)))
     assert not datum.in_kernel(Character(Z, (3,)))
@@ -158,13 +158,15 @@ def test_compare_sections_support_mismatch():
         compare_sections(a, b)
 
 
-def test_decompose():
+def test_lift_offset_decomposes():
     datum = mod2_datum()
     sec = section(datum, [(0,), (1,)])
-    b, h = sec.decompose(Character(Z, (5,)))
-    assert b.coords == (1,)
-    assert h.coords == (4,)
-    assert datum.in_kernel(h)
+    ghat = Character(Z, (5,))
+    rep, coords = lift_offset(datum, sec, datum.restrict(ghat), ghat)
+    assert rep.coords == (1,)
+    assert datum.kernel_element(coords).coords == (4,)
+    # without a section the canonical lift is used
+    assert lift_offset(datum, None, Character(C2, (1,)), ghat) == (rep, coords)
 
 
 def test_section_table_validated():

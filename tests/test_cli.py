@@ -3,7 +3,10 @@
 import importlib
 import io
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -206,6 +209,24 @@ def test_les_input_errors(sphere_file, tmp_path):
     code, _, err = run_cli("les", "--input", str(path), "--prune", "s")
     assert code == 2
     assert "downward" in err
+
+
+def test_downward_closure_error_does_not_depend_on_the_hash_seed():
+    # two seeds that named different nodes while the kept set was scanned
+    # in frozenset order
+    src = os.path.dirname(os.path.dirname(resolvedk.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    messages = set()
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "resolvedk.cli", "les", "--input", "fixture:projective_plane",
+             "--prune", "0", "--prune", "s", "--window", "0"],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        messages.add(proc.stderr)
+    assert messages == {"resolvedk: kept set is not downward-closed: 'p1' kept but 's' is not\n"}
 
 
 def test_stabilize_scans_windows(sphere_file):

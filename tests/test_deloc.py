@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from resolvedk import deloc
 from resolvedk.action import ChernData, ResolvedAction, WindowError, WindowRule
 from resolvedk.basespace import ChainMap, CochainComplex, FaceMaps, KData, KPair, NodeSpaceData
-from resolvedk.chargroup import Character, SubgroupDatum, offset_section, section
+from resolvedk.chargroup import Character, SubgroupDatum, edge_image, offset_section, section
 from resolvedk.deloc import (
     TwistedFormSector,
     assemble_complex,
@@ -23,6 +23,7 @@ from resolvedk.deloc import (
     deloc_cohomology,
     face_restriction_forms,
     les_of_pruning,
+    pruning_walk,
     validate_chern_data,
     window_stabilization,
 )
@@ -414,6 +415,68 @@ def test_assembly_dimensions_independent_of_sections():
     assert (first.even, first.odd) == (second.even, second.odd)
 
 
+def _unit(dim, i):
+    return tuple(Fraction(int(j == i)) for j in range(dim))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(sphere_rotation, id="sphere"),
+        pytest.param(lambda: sphere_rotation_speed(3), id="speed3"),
+        pytest.param(projective_plane, id="plane"),
+        pytest.param(lambda: product_trivial((2,)), id="product2"),
+    ] + [pytest.param(lambda seed=seed: random_action(seed), id=f"random{seed}") for seed in range(8)],
+)
+@pytest.mark.parametrize("radius", [1, 2])
+def test_face_blocks_match_the_forms_model(build, radius):
+    # The forms model is the reference: each face row block is the face
+    # restriction on the shallow columns and minus the augmented pullback of
+    # every unit cochain at the deep lifts; every other column is zero.
+    action = build()
+    tree = action.tree
+    full = assemble_complex(action, radius=radius)
+    for chi, sec in full.sectors.items():
+        expected = [
+            (a, b, khat)
+            for a, b in tree.comparable_pairs()
+            for khat in full.windows[a]
+            if (a, khat) in sec.spans
+        ]
+        assert len(expected) == len(sec.row_origins)
+        for (a, b, khat), (desc, shallow, r0, r1) in zip(expected, sec.row_origins):
+            assert (desc, shallow) == (f"face {a}<{b} at sector {khat.coords}", a)
+            fm = action.faces[(a, b)]
+            edge = tree.edge_restriction(a, b)
+            rep_a = full.lift(a, khat)
+            rows = range(r0, r1)
+            seen = set()
+
+            def columns(label, char):
+                s0, s1 = sec.spans[(label, char)]
+                seen.update(range(s0, s1))
+                return range(s0, s1)
+
+            space = action.spaces[a]
+            for j, col in enumerate(columns(a, khat)):
+                v = TwistedFormSector(a, tree.nodes[a], space,
+                                      {rep_a: _unit(space.complex.total_dim, j)})
+                got = face_restriction_forms(fm, v)
+                assert tuple(sec.constraint[i, col] for i in rows) == got.get(rep_a)
+            space = action.spaces[b]
+            for bhat in full.windows[b]:
+                if edge_image(edge, bhat) != khat:
+                    continue
+                for j, col in enumerate(columns(b, bhat)):
+                    v = TwistedFormSector(b, tree.nodes[b], space,
+                                          {full.lift(b, bhat): _unit(space.complex.total_dim, j)})
+                    got = augmented_pullback_forms(fm, tree.nodes[a], edge, v)
+                    assert set(got.table) <= {rep_a}
+                    assert tuple(-sec.constraint[i, col] for i in rows) == got.get(rep_a)
+            for col in set(range(sec.total)) - seen:
+                assert all(sec.constraint[i, col] == 0 for i in rows)
+
+
 # -- pruning long exact sequences ----------------------------------------------------
 
 
@@ -501,6 +564,25 @@ def test_random_actions_pruning_exactness(seed):
     for idx in range(len(steps) - 1):
         les = les_of_pruning(full.restrict(steps[idx].kept), full.restrict(steps[idx + 1].kept))
         assert les.report.ok, (seed, les.alpha, les.report.failures())
+
+
+def test_relative_global_k_checks_the_hexagons_of_its_own_complex():
+    plane = projective_plane()
+    pruned = assemble_complex(plane, prune=("p3",), radius=1)
+    walk = list(pruning_walk(pruned.full.restrict({"0"}), pruned))
+    assert [les.alpha for les in walk] == ["p2", "s", "p1"]
+    dims = deloc_cohomology(pruned)
+    assert (walk[-1].instance.dims[1], walk[-1].instance.dims[4]) == (dims.even, dims.odd)
+
+    glob = rational_global_k(plane, prune=("p3",), radius=1)
+    assert (glob.even, glob.odd) == (dims.even, dims.odd)
+    assert {name.split(":")[0] for name, _, _ in glob.checks.checks} == {
+        "step +p2", "step +s", "step +p1"
+    }
+    sphere = sphere_rotation()
+    glob = rational_global_k(sphere, prune=("N",), radius=1)
+    assert {name.split(":")[0] for name, _, _ in glob.checks.checks} == {"step +S"}
+    assert rational_global_k(sphere, prune=("0", "N", "S"), radius=1).checks.checks == []
 
 
 # -- Chern characters -----------------------------------------------------------------

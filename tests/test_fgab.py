@@ -10,16 +10,11 @@ from resolvedk.fgab import (
     IntegerMatrix,
     Lattice,
     det_int,
-    hom_cokernel,
-    hom_image,
-    hom_kernel,
     is_exact_at,
     kernel_basis,
-    preimage_representative,
     row_hermite_form,
     smith_normal_form,
     solve_int,
-    try_split,
 )
 
 
@@ -184,7 +179,7 @@ class TestAbHom:
 
     def test_cokernel_of_doubling(self):
         z = FgAbGroup.free(1)
-        coker, proj = hom_cokernel(AbHom(z, z, IntegerMatrix([[2]])))
+        coker, proj = AbHom(z, z, IntegerMatrix([[2]])).cokernel()
         assert coker == FgAbGroup(0, (2,))
         assert proj.apply((3,)) == (1,)
 
@@ -192,7 +187,7 @@ class TestAbHom:
         z = FgAbGroup.free(1)
         z2 = FgAbGroup(0, (2,))
         h = AbHom(z, z2, IntegerMatrix([[1]]))
-        ker, incl = hom_kernel(h)
+        ker, incl = h.kernel()
         assert ker == FgAbGroup.free(1)
         assert (h @ incl).is_zero()
         # The kernel is the even integers.
@@ -200,7 +195,7 @@ class TestAbHom:
 
     def test_image(self):
         z = FgAbGroup.free(1)
-        img, incl = hom_image(AbHom(z, z, IntegerMatrix([[2]])))
+        img, incl = AbHom(z, z, IntegerMatrix([[2]])).image()
         assert img == FgAbGroup.free(1)
         assert incl.matrix.column(0)[0] in (2, -2)
 
@@ -223,12 +218,11 @@ class TestAbHom:
 
     def test_preimage_representative(self):
         h = AbHom(FgAbGroup.free(2), FgAbGroup.free(1), IntegerMatrix([[2, 3]]))
-        assert preimage_representative(h, (1,)) == (-1, 1)
-        assert preimage_representative(h, (0,)) == (0, 0)
+        assert h.preimage_representative((1,)) == (-1, 1)
+        assert h.preimage_representative((0,)) == (0, 0)
+        doubling = AbHom(FgAbGroup.free(1), FgAbGroup.free(1), IntegerMatrix([[2]]))
         with pytest.raises(ValueError):
-            preimage_representative(
-                AbHom(FgAbGroup.free(1), FgAbGroup.free(1), IntegerMatrix([[2]])), (1,)
-            )
+            doubling.preimage_representative((1,))
 
     def test_preimage_deterministic_across_presentations(self):
         z2g = FgAbGroup.free(2)
@@ -247,11 +241,11 @@ class TestAbHom:
     def test_try_split_absent_for_mod2(self):
         z = FgAbGroup.free(1)
         z2 = FgAbGroup(0, (2,))
-        assert try_split(AbHom(z, z2, IntegerMatrix([[1]]))) is None
+        assert AbHom(z, z2, IntegerMatrix([[1]])).try_split() is None
 
     def test_try_split_present(self):
         h = AbHom(FgAbGroup.free(2), FgAbGroup.free(1), IntegerMatrix([[2, 3]]))
-        s = try_split(h)
+        s = h.try_split()
         assert s is not None
         assert s.matrix.to_lists() == [[-1], [1]]
         assert (h @ s) == AbHom.identity(FgAbGroup.free(1))
