@@ -102,6 +102,10 @@ def run(command: str, desc: ActionDescriptor, flags: argparse.Namespace) -> Comm
         payload["relative"] = sorted(removed)
 
     if command == "validate":
+        # a bad radius override is an input error, as for every other command,
+        # not a failed check of the descriptor
+        if flags.window is not None and flags.window < 0:
+            raise WindowError("window radius must be nonnegative")
         report = action.validate(flags.window)
         payload["ok"] = report.ok
         payload["report"] = _report_rows(report)

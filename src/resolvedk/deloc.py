@@ -362,23 +362,20 @@ class TwoPeriodicComplex:
         if self._class[p] is None:
             z = self.cocycles(p)
             bnd = self.boundaries(p)
-            coords = []
-            for j in range(bnd.ncols):
-                x = solve(z, bnd.column(j))
-                if x is None:
-                    raise ArithmeticError("boundary escaped the cocycle space")
-                coords.append(x)
+            coords = solve(z, bnd.columns())
+            if None in coords:
+                raise ArithmeticError("boundary escaped the cocycle space")
             sub = RationalMatrix.from_columns(coords, nrows=z.ncols)
             self._class[p] = (z, QuotientSpace(sub))
         return self._class[p]
 
-    def class_coords(self, vec: Sequence, parity: int) -> Tuple[Fraction, ...]:
-        """Cohomology-class coordinates of a cocycle."""
+    def class_coords(self, vecs: Sequence[Sequence], parity: int) -> List[Tuple[Fraction, ...]]:
+        """Cohomology-class coordinates of each cocycle in `vecs`."""
         z, qs = self._class_space(parity)
-        x = solve(z, vec)
-        if x is None:
+        coords = solve(z, vecs)
+        if None in coords:
             raise ArithmeticError("vector is not a cocycle of the subcomplex")
-        return qs.project(x)
+        return [qs.project(x) for x in coords]
 
     def class_representatives(self, parity: int) -> RationalMatrix:
         """One cocycle per cohomology class of a distinguished basis."""
@@ -740,34 +737,26 @@ def _sector_les(sa: SectorComplex, sb: SectorComplex, alpha: str):
     for p in (0, 1):
         # induced inclusion on cohomology
         ra = two_a.class_representatives(p)
-        cols = [
-            two_b.class_coords(_scatter(ra.column(j), emb, sb.total), p)
-            for j in range(ra.ncols)
-        ]
+        cols = two_b.class_coords([_scatter(col, emb, sb.total) for col in ra.columns()], p)
         maps[("incl", p)] = RationalMatrix.from_columns(cols, nrows=two_b.h_dim(p))
         # induced projection on cohomology
         rb = two_b.class_representatives(p)
-        cols = [
-            two_q.class_coords(_select(rb.column(j), q_idx), p)
-            for j in range(rb.ncols)
-        ]
+        cols = two_q.class_coords([_select(col, q_idx) for col in rb.columns()], p)
         maps[("proj", p)] = RationalMatrix.from_columns(cols, nrows=two_q.h_dim(p))
-        # connecting map: lift a quotient cocycle, apply the differential,
+        # connecting map: lift each quotient cocycle, apply the differential,
         # pull the result back into the sub sector
         rq = two_q.class_representatives(p)
         vb = two_b.basis(p)
-        q_of_vb = _submatrix(vb, q_idx, range(vb.ncols))
-        cols = []
-        for j in range(rq.ncols):
-            x = solve(q_of_vb, rq.column(j))
-            if x is None:
-                raise ArithmeticError("quotient cocycle has no total-space lift")
-            lifted = vb.apply(x)
-            image = sb.diff.apply(lifted)
-            back = _select(image, emb)
+        lifts = solve(_submatrix(vb, q_idx, range(vb.ncols)), rq.columns())
+        if None in lifts:
+            raise ArithmeticError("quotient cocycle has no total-space lift")
+        backs = []
+        for x in lifts:
+            image = sb.diff.apply(vb.apply(x))
             if any(image[i] != 0 for i in q_idx):
                 raise ArithmeticError("connecting image does not vanish on the quotient")
-            cols.append(two_a.class_coords(back, (p + 1) % 2))
+            backs.append(_select(image, emb))
+        cols = two_a.class_coords(backs, (p + 1) % 2)
         maps[("conn", p)] = RationalMatrix.from_columns(
             cols, nrows=two_a.h_dim((p + 1) % 2)
         )

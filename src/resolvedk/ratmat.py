@@ -1,17 +1,26 @@
 """Exact rational linear algebra over `fractions.Fraction`.
 
-Small dense matrices only; everything the assembly and long-exact-sequence
-machinery needs: reduced row echelon form, rank, nullspaces, solving, matrix
-inverse, and quotient-space coordinates (choose a complement of a subspace
-and project onto it).
+Storage is dense: a matrix is an immutable tuple of rows of Fractions, which
+is what equality and hashing compare.  The matrices the assembly produces are
+nearly all zeros, so every kernel visits only nonzero entries: a product
+builds each row from the nonzeros of the left row times the nonzero entries of
+the matching right rows, `apply` sums over nonzero pairs, and Gauss-Jordan
+elimination touches only the nonzero columns of a pivot row and the rows with
+a nonzero in the pivot column.  On top of `rref`: rank, nullspaces, matrix
+inverse, quotient-space coordinates (choose a complement of a subspace and
+project onto it), and `solve`, which eliminates once for a whole batch of
+right-hand sides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .fgab import IntegerMatrix
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _frac(x) -> Fraction:
@@ -44,12 +53,21 @@ class RationalMatrix:
         self._rows = data
 
     @classmethod
+    def _of(cls, rows: Tuple[Tuple[Fraction, ...], ...], ncols: int) -> "RationalMatrix":
+        """Wrap rows a kernel built: equal-length tuples of Fractions."""
+        mat = object.__new__(cls)
+        mat.nrows = len(rows)
+        mat.ncols = ncols
+        mat._rows = rows
+        return mat
+
+    @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], ncols=n)
+        return cls._of(tuple(_unit(n, i) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls([[Fraction(0)] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._of(((_ZERO,) * ncols,) * nrows, ncols)
 
     @classmethod
     def from_integer(cls, mat: IntegerMatrix) -> "RationalMatrix":
@@ -64,7 +82,7 @@ class RationalMatrix:
                 raise ValueError("ragged columns")
         elif nrows is None:
             raise ValueError("empty column list needs nrows")
-        return cls([[c[i] for c in cols] for i in range(nrows)], ncols=len(cols))
+        return cls._of(tuple(zip(*cols)) if cols else ((),) * nrows, len(cols))
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -91,38 +109,43 @@ class RationalMatrix:
     def apply(self, vec: Sequence) -> Tuple[Fraction, ...]:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        v = [_frac(x) for x in vec]
-        return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in self._rows)
+        terms = [(k, x) for k, x in enumerate(_frac(x) for x in vec) if x]
+        return tuple(
+            sum([row[k] * x for k, x in terms if row[k]], _ZERO) for row in self._rows
+        )
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        ocols = other.columns()
-        return RationalMatrix(
-            [
-                [sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in ocols]
-                for row in self._rows
-            ],
-            ncols=other.ncols,
-        )
+        n = other.ncols
+        right = [[(j, b) for j, b in enumerate(row) if b] for row in other._rows]
+        out = []
+        for row in self._rows:
+            acc = [_ZERO] * n
+            for a, terms in zip(row, right):
+                if a and terms:
+                    for j, b in terms:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return RationalMatrix._of(tuple(out), n)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return RationalMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)],
-            ncols=self.ncols,
+        return RationalMatrix._of(
+            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self._rows, other._rows)),
+            self.ncols,
         )
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix([[-x for x in r] for r in self._rows], ncols=self.ncols)
+        return RationalMatrix._of(tuple(tuple(-x for x in r) for r in self._rows), self.ncols)
 
     def __mul__(self, scalar) -> "RationalMatrix":
         s = _frac(scalar)
-        return RationalMatrix([[s * x for x in r] for r in self._rows], ncols=self.ncols)
+        return RationalMatrix._of(tuple(tuple(s * x for x in r) for r in self._rows), self.ncols)
 
     __rmul__ = __mul__
 
@@ -132,8 +155,8 @@ class RationalMatrix:
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
-        return RationalMatrix(
-            [r1 + r2 for r1, r2 in zip(self._rows, other._rows)], ncols=self.ncols + other.ncols
+        return RationalMatrix._of(
+            tuple(r1 + r2 for r1, r2 in zip(self._rows, other._rows)), self.ncols + other.ncols
         )
 
     def __eq__(self, other: object) -> bool:
@@ -150,32 +173,50 @@ class RationalMatrix:
         return f"RationalMatrix({[[str(x) for x in r] for r in self._rows]!r})"
 
 
-def rref(mat: RationalMatrix) -> Tuple[RationalMatrix, Tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns."""
-    rows = [list(r) for r in mat._rows]
-    m, n = mat.shape
-    pivots = []
+def _unit(n: int, i: int) -> Tuple[Fraction, ...]:
+    return (_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - i - 1)
+
+
+def _eliminate(rows: List[List[Fraction]], width: int) -> List[int]:
+    """Gauss-Jordan elimination in place, with pivots among the first `width` columns.
+
+    The columns after `width` ride along: they undergo the same row
+    operations but never hold a pivot.  Returns the pivot columns; pivot row
+    `r` holds a one in column `pivots[r]` and every other row a zero there.
+    """
+    m = len(rows)
+    pivots: List[int] = []
     r = 0
-    for c in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
+    for c in range(width):
+        if r == m:
+            break
+        pivot_row = next((i for i in range(r, m) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        prow = rows[r]
+        # entries left of c are zero in every row from r on
+        nz = [j for j in range(c, len(prow)) if prow[j]]
+        pv = prow[c]
+        if pv != 1:
+            for j in nz:
+                prow[j] /= pv
         for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[c]
+            if f and i != r:
+                for j in nz:
+                    row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
-        if r == m:
-            break
-    return RationalMatrix(rows, ncols=n), tuple(pivots)
+    return pivots
+
+
+def rref(mat: RationalMatrix) -> Tuple[RationalMatrix, Tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns."""
+    rows = [list(r) for r in mat._rows]
+    pivots = _eliminate(rows, mat.ncols)
+    return RationalMatrix._of(tuple(map(tuple, rows)), mat.ncols), tuple(pivots)
 
 
 def rank(mat: RationalMatrix) -> int:
@@ -189,40 +230,51 @@ def nullspace_basis(mat: RationalMatrix) -> list:
     free_cols = [j for j in range(mat.ncols) if j not in pivot_set]
     basis = []
     for fc in free_cols:
-        vec = [Fraction(0)] * mat.ncols
-        vec[fc] = Fraction(1)
+        vec = [_ZERO] * mat.ncols
+        vec[fc] = _ONE
         for r, pc in enumerate(pivots):
             vec[pc] = -red[r, fc]
         basis.append(tuple(vec))
     return basis
 
 
-def solve(mat: RationalMatrix, rhs: Sequence) -> Optional[Tuple[Fraction, ...]]:
-    """One solution of mat @ x = rhs, or None."""
-    if len(rhs) != mat.nrows:
+def solve(mat: RationalMatrix, rhs: Sequence[Sequence]) -> List[Optional[Tuple[Fraction, ...]]]:
+    """One solution of mat @ x = b for each column b of the batch `rhs`.
+
+    Eliminates `[mat | rhs...]` once.  A column with no solution gets None;
+    a consistent one gets the solution whose free coordinates are zero, the
+    same one it gets when solved alone.
+
+    >>> solve(RationalMatrix([[1, 0], [1, 0]]), [[3, 3], [1, 2]])
+    [(Fraction(3, 1), Fraction(0, 1)), None]
+    """
+    cols = [tuple(_frac(x) for x in b) for b in rhs]
+    if any(len(b) != mat.nrows for b in cols):
         raise ValueError("rhs length mismatch")
-    aug = mat.hstack(RationalMatrix.from_columns([list(rhs)], nrows=mat.nrows))
-    red, pivots = rref(aug)
-    if pivots and pivots[-1] == mat.ncols:
-        return None
-    x = [Fraction(0)] * mat.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r, mat.ncols]
-    return tuple(x)
+    n = mat.ncols
+    rows = [list(row) + [b[i] for b in cols] for i, row in enumerate(mat._rows)]
+    pivots = _eliminate(rows, n)
+    zero_rows = rows[len(pivots):]
+    out: List[Optional[Tuple[Fraction, ...]]] = []
+    for j in range(n, n + len(cols)):
+        if any(row[j] for row in zero_rows):
+            out.append(None)
+            continue
+        x = [_ZERO] * n
+        for row, pc in zip(rows, pivots):
+            x[pc] = row[j]
+        out.append(tuple(x))
+    return out
 
 
 def inverse(mat: RationalMatrix) -> RationalMatrix:
     if mat.nrows != mat.ncols:
         raise ValueError("inverse of non-square matrix")
     n = mat.nrows
-    red, pivots = rref(mat.hstack(RationalMatrix.identity(n)))
-    if len(pivots) != n or any(p >= n for p in pivots):
+    rows = [list(row) + list(_unit(n, i)) for i, row in enumerate(mat._rows)]
+    if len(_eliminate(rows, n)) != n:
         raise ValueError("matrix is singular")
-    return RationalMatrix([red.row(i)[n:] for i in range(n)], ncols=n)
-
-
-def column_space_contains(mat: RationalMatrix, vec: Sequence) -> bool:
-    return solve(mat, vec) is not None
+    return RationalMatrix._of(tuple(tuple(row[n:]) for row in rows), n)
 
 
 class QuotientSpace:
@@ -235,42 +287,29 @@ class QuotientSpace:
     coordinates back to the ambient representative in E.
     """
 
-    __slots__ = ("ambient_dim", "sub_dim", "dim", "_tinv", "_comp_cols")
+    __slots__ = ("ambient_dim", "sub_dim", "dim", "_proj", "_comp_cols")
 
     def __init__(self, sub_basis: RationalMatrix):
         n, k = sub_basis.shape
-        if rank(sub_basis) != k:
+        _, pivots = rref(sub_basis.hstack(RationalMatrix.identity(n)))
+        if sum(1 for p in pivots if p < k) != k:
             raise ValueError("sub-basis columns are dependent")
-        aug = sub_basis.hstack(RationalMatrix.identity(n))
-        _, pivots = rref(aug)
         comp_cols = [p - k for p in pivots if p >= k]
-        ext = RationalMatrix.from_columns(
-            [[Fraction(int(i == c)) for i in range(n)] for c in comp_cols], nrows=n
-        )
-        t = sub_basis.hstack(ext)
+        t = sub_basis.hstack(RationalMatrix.from_columns([_unit(n, c) for c in comp_cols], nrows=n))
         self.ambient_dim = n
         self.sub_dim = k
         self.dim = n - k
         self._comp_cols = tuple(comp_cols)
-        self._tinv = inverse(t) if n else RationalMatrix.zeros(0, 0)
-
-    def full_coords(self, vec: Sequence) -> Tuple[Fraction, ...]:
-        return self._tinv.apply(vec)
+        # the E-rows of [S | E]^-1
+        self._proj = RationalMatrix._of(inverse(t)._rows[k:], n)
 
     def project(self, vec: Sequence) -> Tuple[Fraction, ...]:
-        return self.full_coords(vec)[self.sub_dim:]
-
-    def sub_coords(self, vec: Sequence) -> Tuple[Fraction, ...]:
-        """Coordinates in the sub-basis; requires vec to lie in the subspace."""
-        full = self.full_coords(vec)
-        if any(x != 0 for x in full[self.sub_dim:]):
-            raise ValueError("vector is not in the subspace")
-        return full[: self.sub_dim]
+        return self._proj.apply(vec)
 
     def lift(self, qcoords: Sequence) -> Tuple[Fraction, ...]:
         if len(qcoords) != self.dim:
             raise ValueError("class coordinate length mismatch")
-        vec = [Fraction(0)] * self.ambient_dim
+        vec = [_ZERO] * self.ambient_dim
         for c, x in zip(self._comp_cols, qcoords):
             vec[c] = _frac(x)
         return tuple(vec)

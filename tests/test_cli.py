@@ -201,6 +201,24 @@ def test_compare_and_kred_assemble_once(monkeypatch):
         assert len(calls) == 1, (command, calls)
 
 
+@pytest.mark.parametrize(
+    "command", [["validate"], ["deloc"], ["kred"], ["ch"], ["compare"], ["les", "--prune", "N"]]
+)
+def test_negative_window_is_an_input_error(sphere_file, command):
+    code, out, err = run_cli(*command, "--input", sphere_file, "--window", "-1")
+    assert (code, out, err) == (2, "", "resolvedk: window radius must be nonnegative\n")
+
+
+def test_compare_on_the_plane_at_radius_six():
+    code, out, _ = run_cli(
+        "compare", "--input", "fixture:projective_plane", "--window", "6", "--format", "json"
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["ok"] is True
+    assert payload["even"] == {"delocalized": 36, "rational_k": 36}
+    assert payload["odd"] == {"delocalized": 0, "rational_k": 0}
+
+
 def test_les_input_errors(sphere_file, tmp_path):
     assert run_cli("les", "--input", sphere_file)[0] == 2
     assert run_cli("les", "--input", sphere_file, "--prune", "Q")[0] == 2

@@ -1,12 +1,15 @@
 """Delocalized model: exponential twists, assembly, pruning sequences, Chern."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resolvedk import deloc
+import resolvedk
+from resolvedk import deloc, ratmat
 from resolvedk.action import ChernData, ResolvedAction, WindowError, WindowRule
 from resolvedk.basespace import ChainMap, CochainComplex, FaceMaps, KData, KPair, NodeSpaceData
 from resolvedk.chargroup import Character, SubgroupDatum, edge_image, offset_section, section
@@ -330,6 +333,21 @@ def test_product_doubles_every_sector():
     assert sorted(dims.sectors.values()) == [(5, 0), (5, 0)]
 
 
+@pytest.mark.parametrize(
+    "build, even",
+    [
+        pytest.param(sphere_rotation, 41, id="sphere"),
+        pytest.param(lambda: sphere_rotation_speed(3), 123, id="speed3"),
+        pytest.param(projective_plane, 60, id="plane"),
+        pytest.param(lambda: product_trivial((2,)), 82, id="product2"),
+    ],
+)
+def test_closed_forms_at_radius_ten(build, even):
+    # docs/: sphere 4m+1, speed-n n(4m+1), plane 6m, product d(4m+1); odd 0
+    dims = deloc_cohomology(assemble_complex(build(), radius=10))
+    assert (dims.even, dims.odd) == (even, 0)
+
+
 def test_assemble_rejects_bad_prunes():
     sphere = sphere_rotation()
     with pytest.raises(ValueError, match="unknown"):
@@ -554,6 +572,35 @@ def test_plane_pruning_steps_are_exact():
     for idx in range(len(steps) - 1):
         les = les_of_pruning(full.restrict(steps[idx].kept), full.restrict(steps[idx + 1].kept))
         assert les.report.ok, les.report.failures()
+
+
+def test_les_step_solves_once_per_batch(monkeypatch):
+    # One elimination per batch of right-hand sides: the solves a pruning
+    # step makes per sector do not grow with the cohomology it maps.
+    original = ratmat.solve
+    calls = []
+
+    def counted(mat, rhs):
+        calls.append(len(rhs))
+        return original(mat, rhs)
+
+    for info in pkgutil.iter_modules(resolvedk.__path__):
+        module = importlib.import_module(f"resolvedk.{info.name}")
+        if getattr(module, "solve", None) is original:
+            monkeypatch.setattr(module, "solve", counted)
+    plane = projective_plane()
+    steps = pruning_sequence(plane.tree)
+    per_sector = {}
+    for radius in (2, 4):
+        full = assemble_complex(plane, radius=radius)
+        sub, total = full.restrict(steps[-2].kept), full.restrict(steps[-1].kept)
+        calls.clear()
+        les = les_of_pruning(sub, total)
+        assert les.report.ok, les.report.failures()
+        assert len(calls) % len(total.sectors) == 0
+        per_sector[radius] = len(calls) // len(total.sectors)
+        assert max(calls) > 1  # some batch holds more than one vector
+    assert per_sector[2] == per_sector[4]
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -6,7 +6,6 @@ import pytest
 from resolvedk.ratmat import (
     QuotientSpace,
     RationalMatrix,
-    column_space_contains,
     inverse,
     nullspace_basis,
     rank,
@@ -50,16 +49,20 @@ def test_solve_roundtrip():
         mat = _random_rat(rng, rng.randint(1, 5), rng.randint(1, 5))
         x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(mat.ncols)]
         b = mat.apply(x)
-        sol = solve(mat, b)
+        (sol,) = solve(mat, [b])
         assert sol is not None
         assert mat.apply(sol) == b
 
 
 def test_solve_inconsistent():
     mat = RationalMatrix([[1, 0], [1, 0]])
-    assert solve(mat, [1, 2]) is None
-    assert not column_space_contains(mat, [1, 2])
-    assert column_space_contains(mat, [3, 3])
+    assert solve(mat, [[1, 2]]) == [None]
+    assert solve(mat, [[3, 3], [1, 2], [0, 0]]) == [
+        (Fraction(3), Fraction(0)), None, (Fraction(0), Fraction(0))
+    ]
+    assert solve(mat, []) == []
+    with pytest.raises(ValueError):
+        solve(mat, [[1, 2, 3]])
 
 
 def test_inverse():
@@ -85,11 +88,11 @@ def test_quotient_space():
         assert q.project(q.lift(v)) == tuple(Fraction(x) for x in v)
 
 
-def test_quotient_space_sub_coords():
-    sub = RationalMatrix.from_columns([[1, 0], [0, 1]], nrows=2)
-    q = QuotientSpace(sub)
-    assert q.dim == 0
-    assert q.sub_coords([3, 4]) == (Fraction(3), Fraction(4))
+def test_quotient_space_rejects_dependent_sub_basis():
+    with pytest.raises(ValueError):
+        QuotientSpace(RationalMatrix.from_columns([[1, 1, 0], [2, 2, 0]], nrows=3))
+    full = QuotientSpace(RationalMatrix.from_columns([[1, 0], [0, 1]], nrows=2))
+    assert full.dim == 0 and full.project([3, 4]) == ()
 
 
 def test_empty_shapes():
@@ -98,5 +101,4 @@ def test_empty_shapes():
     assert len(nullspace_basis(z)) == 3
     z2 = RationalMatrix.zeros(3, 0)
     assert rank(z2) == 0
-    assert solve(z2, [0, 0, 0]) == ()
-    assert solve(z2, [1, 0, 0]) is None
+    assert solve(z2, [[0, 0, 0], [1, 0, 0]]) == [(), None]

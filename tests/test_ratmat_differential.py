@@ -1,0 +1,118 @@
+"""Differential tests: the exact kernels of `ratmat` against sympy.
+
+Inputs are seeded random sparse matrices (5-50% nonzeros, shapes up to
+12x12, zero-row and zero-column shapes included), the regime the assembly
+produces.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from resolvedk.ratmat import RationalMatrix, inverse, nullspace_basis, rank, rref, solve  # noqa: E402
+
+SEEDS = range(40)
+
+
+def _entry(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))
+
+
+def _sparse(rng, m, n, density=None):
+    density = rng.uniform(0.05, 0.5) if density is None else density
+    return RationalMatrix(
+        [[_entry(rng) if rng.random() < density else Fraction(0) for _ in range(n)] for _ in range(m)],
+        ncols=n,
+    )
+
+
+def _shape(rng):
+    return 0 if rng.random() < 0.1 else rng.randint(1, 12)
+
+
+def _sym(mat):
+    return sympy.Matrix(mat.nrows, mat.ncols, [
+        sympy.Rational(x.numerator, x.denominator) for row in mat.to_lists() for x in row
+    ])
+
+
+def _vec(rng, n, density=0.5):
+    return tuple(_entry(rng) if rng.random() < density else Fraction(0) for _ in range(n))
+
+
+def _back(sym_mat):
+    return [[Fraction(int(x.p), int(x.q)) for x in sym_mat.row(i)] for i in range(sym_mat.rows)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_matmul_and_apply_match_sympy(seed):
+    rng = random.Random(seed)
+    m, k, n = _shape(rng), _shape(rng), _shape(rng)
+    a, b = _sparse(rng, m, k), _sparse(rng, k, n)
+    prod = a @ b
+    assert prod.shape == (m, n)
+    assert prod.to_lists() == _back(_sym(a) * _sym(b))
+    vec = _vec(rng, k)
+    want = _sym(a) * sympy.Matrix(k, 1, [sympy.Rational(x.numerator, x.denominator) for x in vec])
+    assert list(a.apply(vec)) == [row[0] for row in _back(want)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rref_rank_and_nullspace_match_sympy(seed):
+    rng = random.Random(seed)
+    mat = _sparse(rng, _shape(rng), _shape(rng))
+    red, pivots = rref(mat)
+    sym_red, sym_pivots = _sym(mat).rref()
+    assert red.to_lists() == _back(sym_red)
+    assert pivots == tuple(sym_pivots)
+    assert rank(mat) == _sym(mat).rank()
+    null = nullspace_basis(mat)
+    assert len(null) == len(_sym(mat).nullspace()) == mat.ncols - rank(mat)
+    for v in null:
+        assert not any(mat.apply(v))
+    if null:
+        assert rank(RationalMatrix(null)) == len(null)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_inverse_matches_sympy(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 12)
+    # a dense diagonal keeps most draws invertible; the rest must be refused
+    mat = _sparse(rng, n, n) + RationalMatrix(
+        [[_entry(rng) if i == j and rng.random() < 0.9 else Fraction(0) for j in range(n)]
+         for i in range(n)], ncols=n,
+    )
+    if _sym(mat).det() == 0:
+        with pytest.raises(ValueError):
+            inverse(mat)
+        return
+    inv = inverse(mat)
+    assert inv.to_lists() == _back(_sym(mat).inv())
+    assert inv @ mat == RationalMatrix.identity(n)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batched_solve_matches_sympy_and_single_columns(seed):
+    rng = random.Random(seed)
+    m, n = _shape(rng), _shape(rng)
+    mat = _sparse(rng, m, n)
+    sym_mat = _sym(mat)
+    batch = []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.5:
+            batch.append(mat.apply(_vec(rng, n)))  # consistent by construction
+        else:
+            batch.append(_vec(rng, m))
+    got = solve(mat, batch)
+    assert len(got) == len(batch)
+    for b, x in zip(batch, got):
+        sym_b = sympy.Matrix(m, 1, [sympy.Rational(y.numerator, y.denominator) for y in b])
+        consistent = sym_mat.row_join(sym_b).rank() == sym_mat.rank()
+        assert (x is not None) == consistent
+        if x is not None:
+            assert mat.apply(x) == b
+        assert solve(mat, [b]) == [x]
