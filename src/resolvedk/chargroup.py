@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .fgab import AbHom, FgAbGroup, IntegerMatrix, Lattice, solve_int
+from .fgab import AbHom, FgAbGroup, IntegerMatrix, Lattice, smith_normal_form
 
 DualGroup = FgAbGroup
 
@@ -77,7 +77,7 @@ class SubgroupDatum:
     used.
     """
 
-    __slots__ = ("ambient", "restriction", "kernel_basis", "lattice")
+    __slots__ = ("ambient", "restriction", "kernel_basis", "lattice", "_kernel_dec")
 
     def __init__(self, restriction: AbHom, kernel_basis: Optional[Sequence[Sequence[int]]] = None):
         ambient = restriction.domain
@@ -109,6 +109,9 @@ class SubgroupDatum:
         self.restriction = restriction
         self.kernel_basis = tuple(Character(ambient, b) for b in basis)
         self.lattice = lattice
+        self._kernel_dec = smith_normal_form(
+            IntegerMatrix.from_columns([list(b.coords) for b in self.kernel_basis], nrows=ambient.ngens)
+        )
 
     @property
     def target(self) -> FgAbGroup:
@@ -126,10 +129,7 @@ class SubgroupDatum:
 
     def kernel_coordinates(self, ghat: Character) -> Tuple[int, ...]:
         """Integer coordinates of a kernel element in the stored basis."""
-        mat = IntegerMatrix.from_columns(
-            [list(b.coords) for b in self.kernel_basis], nrows=self.ambient.ngens
-        )
-        sol = solve_int(mat, list(ghat.coords))
+        sol = self._kernel_dec.solve(list(ghat.coords))
         if sol is None:
             raise ValueError(f"{ghat!r} is not in the kernel lattice")
         return sol

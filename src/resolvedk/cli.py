@@ -213,7 +213,7 @@ def run(command: str, desc: ActionDescriptor, flags: argparse.Namespace) -> Comm
         if unknown:
             raise ValueError(f"--prune names unknown node(s) {unknown}")
         removed_set = set(flags.prune)
-        first = min(removed_set, key=lambda n: (action.tree.depth(n), n))
+        first = next(n for n in action.tree.labels_by_depth() if n in removed_set)
         # the first step is checked before the starting kept set, so a bad
         # --prune set is reported by a node that step does not restore
         Pruning(action.tree, (set(action.tree.nodes) - removed_set) | {first})

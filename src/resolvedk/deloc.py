@@ -334,7 +334,7 @@ class TwoPeriodicComplex:
         self._bases = (basis_even, basis_odd)
         self._cocycles: List[Optional[RationalMatrix]] = [None, None]
         self._boundaries: List[Optional[RationalMatrix]] = [None, None]
-        self._class: List[Optional[Tuple[RationalMatrix, QuotientSpace]]] = [None, None]
+        self._class: List[Optional[QuotientSpace]] = [None, None]
 
     def basis(self, parity: int) -> RationalMatrix:
         return self._bases[parity % 2]
@@ -357,32 +357,25 @@ class TwoPeriodicComplex:
     def h_dim(self, parity: int) -> int:
         return self.cocycles(parity).ncols - self.boundaries(parity).ncols
 
-    def _class_space(self, parity: int) -> Tuple[RationalMatrix, QuotientSpace]:
+    def _class_space(self, parity: int) -> QuotientSpace:
         p = parity % 2
         if self._class[p] is None:
-            z = self.cocycles(p)
-            bnd = self.boundaries(p)
-            coords = solve(z, bnd.columns())
-            if None in coords:
-                raise ArithmeticError("boundary escaped the cocycle space")
-            sub = RationalMatrix.from_columns(coords, nrows=z.ncols)
-            self._class[p] = (z, QuotientSpace(sub))
+            try:
+                self._class[p] = QuotientSpace(self.boundaries(p), self.cocycles(p))
+            except ValueError as exc:
+                raise ArithmeticError("boundary escaped the cocycle space") from exc
         return self._class[p]
 
     def class_coords(self, vecs: Sequence[Sequence], parity: int) -> List[Tuple[Fraction, ...]]:
         """Cohomology-class coordinates of each cocycle in `vecs`."""
-        z, qs = self._class_space(parity)
-        coords = solve(z, vecs)
-        if None in coords:
-            raise ArithmeticError("vector is not a cocycle of the subcomplex")
-        return [qs.project(x) for x in coords]
+        try:
+            return self._class_space(parity).coords(vecs)
+        except ValueError as exc:
+            raise ArithmeticError("vector is not a cocycle of the subcomplex") from exc
 
     def class_representatives(self, parity: int) -> RationalMatrix:
         """One cocycle per cohomology class of a distinguished basis."""
-        z, qs = self._class_space(parity % 2)
-        cols = [z.apply(qs.lift(unit)) for unit in RationalMatrix.identity(qs.dim).columns()] \
-            if qs.dim else []
-        return RationalMatrix.from_columns(cols, nrows=z.nrows)
+        return self._class_space(parity).representatives
 
 
 class SectorComplex:
@@ -706,8 +699,8 @@ def pruning_walk(sub: AssembledComplex, total: AssembledComplex) -> Iterator[Pru
     keeps beyond `sub` are added one at a time in depth-then-label order,
     so every step is a pruning step and the last one ends at `total`.
     """
-    tree = total.action.tree
-    for alpha in sorted(total.kept - sub.kept, key=lambda n: (tree.depth(n), n)):
+    added = total.kept - sub.kept
+    for alpha in (n for n in total.action.tree.labels_by_depth() if n in added):
         step = sub.full.restrict(sub.kept | {alpha})
         yield les_of_pruning(sub, step)
         sub = step

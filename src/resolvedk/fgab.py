@@ -248,6 +248,29 @@ class SmithDecomposition:
                     return False
         return True
 
+    def solve(self, rhs: Sequence[int]) -> Optional[Tuple[int, ...]]:
+        """One integer solution x of a @ x = rhs for the decomposed a, or None.
+
+        >>> smith_normal_form(IntegerMatrix([[2, 3]])).solve([1])
+        (-1, 1)
+        >>> smith_normal_form(IntegerMatrix([[2]])).solve([3]) is None
+        True
+        """
+        if len(rhs) != self.s.nrows:
+            raise ValueError("rhs length mismatch")
+        c = self.u.apply(rhs)
+        diag = self.diagonal()
+        y = [0] * self.s.ncols
+        for i in range(self.s.nrows):
+            d = diag[i] if i < len(diag) else 0
+            if d != 0:
+                if c[i] % d != 0:
+                    return None
+                y[i] = c[i] // d
+            elif c[i] != 0:
+                return None
+        return self.v.apply(y)
+
 
 def smith_normal_form(mat: IntegerMatrix) -> SmithDecomposition:
     """Smith normal form over the integers, with unimodular transforms.
@@ -362,29 +385,6 @@ def smith_normal_form(mat: IntegerMatrix) -> SmithDecomposition:
         IntegerMatrix(s, ncols=n),
         IntegerMatrix(v, ncols=n),
     )
-
-
-def solve_int(mat: IntegerMatrix, rhs: Sequence[int]) -> Optional[Tuple[int, ...]]:
-    """One integer solution x of mat @ x = rhs, or None.
-
-    >>> solve_int(IntegerMatrix([[2, 3]]), [1])
-    (-1, 1)
-    """
-    if len(rhs) != mat.nrows:
-        raise ValueError("rhs length mismatch")
-    dec = smith_normal_form(mat)
-    c = dec.u.apply(rhs)
-    diag = dec.diagonal()
-    y = [0] * mat.ncols
-    for i in range(mat.nrows):
-        d = diag[i] if i < len(diag) else 0
-        if d != 0:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-        elif c[i] != 0:
-            return None
-    return dec.v.apply(y)
 
 
 def kernel_basis(mat: IntegerMatrix) -> list:
@@ -799,7 +799,7 @@ class AbHom:
         """
         rel = self.codomain.relation_matrix()
         stacked = self.matrix.hstack(rel) if rel.ncols else self.matrix
-        sol = solve_int(stacked, self.codomain.reduce(y))
+        sol = smith_normal_form(stacked).solve(self.codomain.reduce(y))
         if sol is None:
             raise ValueError(f"{tuple(y)} is not in the image")
         x = sol[: self.domain.ngens]
@@ -835,7 +835,7 @@ class AbHom:
                 # relation lattice.
                 gmat = IntegerMatrix.from_columns([list(g) for g in graph], nrows=n)
                 blocks = (d * gmat).hstack(rel_dom) if rel_dom.ncols else d * gmat
-                sol = solve_int(blocks, [-d * xi for xi in x])
+                sol = smith_normal_form(blocks).solve([-d * xi for xi in x])
                 if sol is None:
                     return None
                 corr = gmat.apply(sol[: len(graph)])
@@ -861,10 +861,12 @@ def _lattice_quotient(ambient: int, big_gens: Sequence[Sequence[int]], small_gen
     """
     big_rows = row_hermite_form([list(g) for g in big_gens], ambient)
     k = len(big_rows)
-    basis_mat = IntegerMatrix.from_columns([list(r) for r in big_rows], nrows=ambient)
+    basis_dec = smith_normal_form(
+        IntegerMatrix.from_columns([list(r) for r in big_rows], nrows=ambient)
+    )
 
     def in_basis(vec: Sequence[int]) -> Tuple[int, ...]:
-        sol = solve_int(basis_mat, list(vec))
+        sol = basis_dec.solve(list(vec))
         if sol is None:
             raise ValueError("vector not in the big lattice")
         return sol
@@ -873,11 +875,8 @@ def _lattice_quotient(ambient: int, big_gens: Sequence[Sequence[int]], small_gen
     cmat = IntegerMatrix.from_columns([list(c) for c in small_in_b], nrows=k)
     dec = smith_normal_form(cmat)
     diag = dec.diagonal()
-    uinv_cols = []
-    for j in range(k):
-        e = [1 if i == j else 0 for i in range(k)]
-        col = solve_int(dec.u, e)
-        uinv_cols.append(col)
+    u_dec = smith_normal_form(dec.u)
+    uinv_cols = [u_dec.solve([1 if i == j else 0 for i in range(k)]) for j in range(k)]
 
     free_idx = [i for i in range(k) if (i >= len(diag) or diag[i] == 0)]
     tors_idx = [i for i in range(k) if i < len(diag) and diag[i] >= 2]

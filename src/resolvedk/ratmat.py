@@ -6,10 +6,10 @@ nearly all zeros, so every kernel visits only nonzero entries: a product
 builds each row from the nonzeros of the left row times the nonzero entries of
 the matching right rows, `apply` sums over nonzero pairs, and Gauss-Jordan
 elimination touches only the nonzero columns of a pivot row and the rows with
-a nonzero in the pivot column.  On top of `rref`: rank, nullspaces, matrix
-inverse, quotient-space coordinates (choose a complement of a subspace and
-project onto it), and `solve`, which eliminates once for a whole batch of
-right-hand sides.
+a nonzero in the pivot column.  On that elimination: `rref`, rank,
+nullspaces, `solve`, which eliminates once for a whole batch of right-hand
+sides, and `QuotientSpace`, coordinates on a quotient of two column spans
+from one elimination with the identity riding along.
 """
 
 from __future__ import annotations
@@ -152,13 +152,6 @@ class RationalMatrix:
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(self.columns(), ncols=self.nrows)
 
-    def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch")
-        return RationalMatrix._of(
-            tuple(r1 + r2 for r1, r2 in zip(self._rows, other._rows)), self.ncols + other.ncols
-        )
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RationalMatrix)
@@ -267,49 +260,46 @@ def solve(mat: RationalMatrix, rhs: Sequence[Sequence]) -> List[Optional[Tuple[F
     return out
 
 
-def inverse(mat: RationalMatrix) -> RationalMatrix:
-    if mat.nrows != mat.ncols:
-        raise ValueError("inverse of non-square matrix")
-    n = mat.nrows
-    rows = [list(row) + list(_unit(n, i)) for i, row in enumerate(mat._rows)]
-    if len(_eliminate(rows, n)) != n:
-        raise ValueError("matrix is singular")
-    return RationalMatrix._of(tuple(tuple(row[n:]) for row in rows), n)
-
-
 class QuotientSpace:
-    """Coordinates on ambient/sub for a distinguished complement.
+    """Coordinates on span(span)/span(sub), in ambient coordinates.
 
-    Given an independent sub-basis S (columns), picks the deterministic
-    complement E made of standard unit vectors (greedy by rref pivots), so
-    that [S | E] is a basis of the ambient space.  `project` returns the
-    E-coordinates of a vector (its class in ambient/sub), `lift` maps class
-    coordinates back to the ambient representative in E.
+    Eliminates `[sub | span | I]` once, with pivots among the first
+    `sub.ncols + span.ncols` columns; the identity columns ride along and
+    record the row operations.  Every `sub` column must be a pivot (the
+    sub-basis is independent) and the pivot count must be `span.ncols` (the
+    span columns are a basis containing span(sub)).  The representatives are
+    the `span` columns whose pivots come after `sub`, chosen greedily in
+    column order; `coords` gives the representative part of a vector written
+    in the basis `[sub | representatives]`.
     """
 
-    __slots__ = ("ambient_dim", "sub_dim", "dim", "_proj", "_comp_cols")
+    __slots__ = ("dim", "representatives", "_proj", "_outside")
 
-    def __init__(self, sub_basis: RationalMatrix):
-        n, k = sub_basis.shape
-        _, pivots = rref(sub_basis.hstack(RationalMatrix.identity(n)))
+    def __init__(self, sub: RationalMatrix, span: RationalMatrix):
+        n, k = sub.shape
+        if span.nrows != n:
+            raise ValueError("row count mismatch")
+        width = k + span.ncols
+        rows = [list(a + b + _unit(n, i)) for i, (a, b) in enumerate(zip(sub._rows, span._rows))]
+        pivots = _eliminate(rows, width)
         if sum(1 for p in pivots if p < k) != k:
             raise ValueError("sub-basis columns are dependent")
-        comp_cols = [p - k for p in pivots if p >= k]
-        t = sub_basis.hstack(RationalMatrix.from_columns([_unit(n, c) for c in comp_cols], nrows=n))
-        self.ambient_dim = n
-        self.sub_dim = k
-        self.dim = n - k
-        self._comp_cols = tuple(comp_cols)
-        # the E-rows of [S | E]^-1
-        self._proj = RationalMatrix._of(inverse(t)._rows[k:], n)
+        if len(pivots) != span.ncols:
+            raise ValueError("sub-basis is not inside the span")
+        self.dim = len(pivots) - k
+        self.representatives = RationalMatrix.from_columns(
+            [span.column(p - k) for p in pivots[k:]], nrows=n
+        )
+        # ride-along rows: those of the representative pivots give the
+        # coordinates, those below the rank annihilate exactly the span
+        self._proj = RationalMatrix._of(tuple(tuple(row[width:]) for row in rows[k:len(pivots)]), n)
+        self._outside = RationalMatrix._of(tuple(tuple(row[width:]) for row in rows[len(pivots):]), n)
 
-    def project(self, vec: Sequence) -> Tuple[Fraction, ...]:
-        return self._proj.apply(vec)
-
-    def lift(self, qcoords: Sequence) -> Tuple[Fraction, ...]:
-        if len(qcoords) != self.dim:
-            raise ValueError("class coordinate length mismatch")
-        vec = [_ZERO] * self.ambient_dim
-        for c, x in zip(self._comp_cols, qcoords):
-            vec[c] = _frac(x)
-        return tuple(vec)
+    def coords(self, vecs: Sequence[Sequence]) -> List[Tuple[Fraction, ...]]:
+        """Class coordinates of each vector in `vecs`; each must lie in the span."""
+        out = []
+        for v in vecs:
+            if any(self._outside.apply(v)):
+                raise ValueError("vector is not in the span")
+            out.append(self._proj.apply(v))
+        return out

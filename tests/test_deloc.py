@@ -603,6 +603,34 @@ def test_les_step_solves_once_per_batch(monkeypatch):
     assert per_sector[2] == per_sector[4]
 
 
+def test_class_space_is_one_elimination(monkeypatch):
+    # With cocycles and boundaries known, a class space is one elimination
+    # and class coordinates are read off it without solving.
+    original = ratmat._eliminate
+    calls = []
+
+    def counted(rows, width):
+        calls.append(width)
+        return original(rows, width)
+
+    monkeypatch.setattr(ratmat, "_eliminate", counted)
+    full = assemble_complex(projective_plane(), radius=2)
+    spaces = 0
+    for chi in sorted(full.sectors, key=lambda c: c.coords):
+        for p in (0, 1):
+            two = full.sectors[chi].two_periodic
+            z, bnd = two.cocycles(p), two.boundaries(p)
+            calls.clear()
+            reps = two.class_representatives(p)
+            assert two.class_coords(reps.columns(), p) == \
+                list(RationalMatrix.identity(two.h_dim(p)).columns())
+            assert all(not any(c) for c in two.class_coords(bnd.columns(), p))
+            assert len(two.class_coords(z.columns(), p)) == z.ncols
+            assert len(calls) == 1
+            spaces += reps.ncols > 0
+    assert spaces > 0
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_random_actions_pruning_exactness(seed):
     act = random_action(seed)

@@ -14,7 +14,6 @@ from resolvedk.fgab import (
     kernel_basis,
     row_hermite_form,
     smith_normal_form,
-    solve_int,
 )
 
 
@@ -98,8 +97,10 @@ class TestSmithNormalForm:
 
 class TestSolveAndKernel:
     def test_solve_simple(self):
-        assert solve_int(IntegerMatrix([[2, 3]]), [1]) == (-1, 1)
-        assert solve_int(IntegerMatrix([[2]]), [3]) is None
+        assert smith_normal_form(IntegerMatrix([[2, 3]])).solve([1]) == (-1, 1)
+        assert smith_normal_form(IntegerMatrix([[2]])).solve([3]) is None
+        with pytest.raises(ValueError):
+            smith_normal_form(IntegerMatrix([[2]])).solve([1, 2])
 
     def test_solve_random_consistency(self):
         rng = random.Random(44100)
@@ -107,7 +108,7 @@ class TestSolveAndKernel:
             mat = _random_matrix(rng, max_dim=5, max_entry=6)
             x = [rng.randint(-4, 4) for _ in range(mat.ncols)]
             b = mat.apply(x)
-            sol = solve_int(mat, b)
+            sol = smith_normal_form(mat).solve(b)
             assert sol is not None
             assert mat.apply(sol) == b
 

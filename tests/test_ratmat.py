@@ -6,7 +6,6 @@ import pytest
 from resolvedk.ratmat import (
     QuotientSpace,
     RationalMatrix,
-    inverse,
     nullspace_basis,
     rank,
     rref,
@@ -65,34 +64,32 @@ def test_solve_inconsistent():
         solve(mat, [[1, 2, 3]])
 
 
-def test_inverse():
-    mat = RationalMatrix([[2, 1], [1, 1]])
-    inv = inverse(mat)
-    assert inv @ mat == RationalMatrix.identity(2)
-    with pytest.raises(ValueError):
-        inverse(RationalMatrix([[1, 1], [2, 2]]))
-
-
 def test_quotient_space():
+    # span(span) is the plane z = 0; sub is the line through (1, 1, 0)
     sub = RationalMatrix.from_columns([[1, 1, 0]], nrows=3)
-    q = QuotientSpace(sub)
-    assert q.dim == 2
-    # The class map kills the subspace and is linear.
-    assert q.project([2, 2, 0]) == (Fraction(0), Fraction(0))
-    a = q.project([1, 0, 0])
-    b = q.project([0, 1, 0])
-    ab = q.project([1, 1, 0])
-    assert tuple(x + y for x, y in zip(a, b)) == ab == (Fraction(0), Fraction(0))
-    # lift is a section of project.
-    for v in [(1, 0), (0, 1), (3, -2)]:
-        assert q.project(q.lift(v)) == tuple(Fraction(x) for x in v)
+    span = RationalMatrix.from_columns([[1, 0, 0], [1, 1, 0]], nrows=3)
+    q = QuotientSpace(sub, span)
+    assert q.dim == 1
+    # the first span column independent of sub represents the class
+    assert q.representatives == RationalMatrix.from_columns([[1, 0, 0]], nrows=3)
+    assert q.coords([[1, 0, 0], [2, 2, 0], [0, 1, 0], [3, 1, 0]]) == [
+        (Fraction(1),), (Fraction(0),), (Fraction(-1),), (Fraction(2),)
+    ]
+    assert q.coords([]) == []
+    with pytest.raises(ValueError, match="not in the span"):
+        q.coords([[0, 0, 1]])
 
 
 def test_quotient_space_rejects_dependent_sub_basis():
-    with pytest.raises(ValueError):
-        QuotientSpace(RationalMatrix.from_columns([[1, 1, 0], [2, 2, 0]], nrows=3))
-    full = QuotientSpace(RationalMatrix.from_columns([[1, 0], [0, 1]], nrows=2))
-    assert full.dim == 0 and full.project([3, 4]) == ()
+    span = RationalMatrix.from_columns([[1, 0, 0], [0, 1, 0]], nrows=3)
+    with pytest.raises(ValueError, match="dependent"):
+        QuotientSpace(RationalMatrix.from_columns([[1, 1, 0], [2, 2, 0]], nrows=3), span)
+    with pytest.raises(ValueError, match="not inside"):
+        QuotientSpace(RationalMatrix.from_columns([[0, 0, 1]], nrows=3), span)
+    eye = RationalMatrix.identity(2)
+    full = QuotientSpace(eye, eye)
+    assert full.dim == 0 and full.coords([[3, 4]]) == [()]
+    assert full.representatives.shape == (2, 0)
 
 
 def test_empty_shapes():

@@ -12,7 +12,14 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from resolvedk.ratmat import RationalMatrix, inverse, nullspace_basis, rank, rref, solve  # noqa: E402
+from resolvedk.ratmat import (  # noqa: E402
+    QuotientSpace,
+    RationalMatrix,
+    nullspace_basis,
+    rank,
+    rref,
+    solve,
+)
 
 SEEDS = range(40)
 
@@ -47,6 +54,11 @@ def _back(sym_mat):
     return [[Fraction(int(x.p), int(x.q)) for x in sym_mat.row(i)] for i in range(sym_mat.rows)]
 
 
+def _column_basis(mat):
+    _, pivots = rref(mat)
+    return [mat.column(j) for j in pivots]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matmul_and_apply_match_sympy(seed):
     rng = random.Random(seed)
@@ -79,6 +91,7 @@ def test_rref_rank_and_nullspace_match_sympy(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_inverse_matches_sympy(seed):
+    # over the zero subspace of a square matrix, quotient coordinates are the inverse
     rng = random.Random(seed)
     n = rng.randint(0, 12)
     # a dense diagonal keeps most draws invertible; the rest must be refused
@@ -88,11 +101,36 @@ def test_inverse_matches_sympy(seed):
     )
     if _sym(mat).det() == 0:
         with pytest.raises(ValueError):
-            inverse(mat)
+            QuotientSpace(RationalMatrix.zeros(n, 0), mat)
         return
-    inv = inverse(mat)
+    q = QuotientSpace(RationalMatrix.zeros(n, 0), mat)
+    assert q.representatives == mat
+    inv = RationalMatrix.from_columns(q.coords(RationalMatrix.identity(n).columns()), nrows=n)
     assert inv.to_lists() == _back(_sym(mat).inv())
-    assert inv @ mat == RationalMatrix.identity(n)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_quotient_space_matches_sympy(seed):
+    rng = random.Random(seed)
+    n = _shape(rng)
+    # Z: independent columns; B: a basis of the span of sparse combinations of them
+    z = _sparse(rng, n, rng.randint(0, n), rng.uniform(0.2, 0.5))
+    z = RationalMatrix.from_columns(_column_basis(z), nrows=n)
+    combos = _sparse(rng, z.ncols, rng.randint(0, z.ncols), rng.uniform(0.2, 0.5))
+    b = RationalMatrix.from_columns(_column_basis(z @ combos), nrows=n)
+    q = QuotientSpace(b, z)
+    assert q.dim == _sym(z).rank() - _sym(b).rank() == q.representatives.ncols
+    assert all(not any(c) for c in q.coords(b.columns()))
+    assert q.coords(q.representatives.columns()) == list(RationalMatrix.identity(q.dim).columns())
+    u, v = (z.apply(_vec(rng, z.ncols)) for _ in range(2))
+    s = _entry(rng)
+    cu, cv, cw = q.coords([u, v, tuple(x + s * y for x, y in zip(u, v))])
+    assert cw == tuple(x + s * y for x, y in zip(cu, cv))
+    if z.ncols < n:
+        outside = next(e for e in RationalMatrix.identity(n).columns()
+                       if _sym(z).row_join(sympy.Matrix(n, 1, list(e))).rank() > z.ncols)
+        with pytest.raises(ValueError):
+            q.coords([outside])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
