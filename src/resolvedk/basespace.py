@@ -17,7 +17,7 @@ representation as everything else.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fgab import AbHom, FgAbGroup
 from .ratmat import RationalMatrix, rank
@@ -280,10 +280,11 @@ class KData:
     """Integral K-groups of a node with shift automorphisms.
 
     `sigma0[i]` / `sigma1[i]` act on K0 / K1 for the i-th kernel-lattice
-    generator; `dim_hom` is the rank homomorphism K0 -> Z.
+    generator; `dim_hom` is the rank homomorphism K0 -> Z.  The shift
+    automorphism of a kernel character is built once per coefficient tuple.
     """
 
-    __slots__ = ("k0", "k1", "sigma0", "sigma1", "dim_hom")
+    __slots__ = ("k0", "k1", "sigma0", "sigma1", "dim_hom", "_shifts")
 
     def __init__(
         self,
@@ -308,6 +309,7 @@ class KData:
         self.sigma0 = tuple(sigma0)
         self.sigma1 = tuple(sigma1)
         self.dim_hom = dim_hom
+        self._shifts: Dict[Tuple[int, Tuple[int, ...]], AbHom] = {}
 
     @classmethod
     def trivial_shifts(cls, k0: FgAbGroup, k1: FgAbGroup, dim_hom: AbHom, count: int) -> "KData":
@@ -324,10 +326,18 @@ class KData:
         return len(self.sigma0)
 
     def sigma0_for(self, coeffs: Sequence[int]) -> AbHom:
-        return sigma_for_character(self.sigma0, coeffs, self.k0)
+        return self._shift(0, coeffs)
 
     def sigma1_for(self, coeffs: Sequence[int]) -> AbHom:
-        return sigma_for_character(self.sigma1, coeffs, self.k1)
+        return self._shift(1, coeffs)
+
+    def _shift(self, parity: int, coeffs: Sequence[int]) -> AbHom:
+        key = (parity, tuple(int(c) for c in coeffs))
+        hom = self._shifts.get(key)
+        if hom is None:
+            family, group = (self.sigma0, self.k0) if parity == 0 else (self.sigma1, self.k1)
+            hom = self._shifts[key] = sigma_for_character(family, key[1], group)
+        return hom
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()

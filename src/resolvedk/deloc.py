@@ -54,18 +54,18 @@ LES_LABELS = (
 
 
 def _submatrix(mat: RationalMatrix, rows: Sequence[int], cols: Sequence[int]) -> RationalMatrix:
-    return RationalMatrix(
-        [[mat[i, j] for j in cols] for i in rows], ncols=len(cols)
+    return RationalMatrix._of(
+        tuple(tuple(mat[i, j] for j in cols) for i in rows), len(cols)
     )
 
 def _select(vec: Sequence, idx: Sequence[int]) -> Tuple:
     return tuple(vec[i] for i in idx)
 
 
-def _scatter(vec: Sequence, idx: Sequence[int], total: int) -> Tuple:
+def _scatter(vec: Sequence[Fraction], idx: Sequence[int], total: int) -> Tuple[Fraction, ...]:
     out = [Fraction(0)] * total
     for x, i in zip(vec, idx):
-        out[i] = Fraction(x)
+        out[i] = x
     return tuple(out)
 
 
@@ -536,8 +536,18 @@ def assemble_complex(
          _face_twist(action.faces[(a, b)]))
         for a, b in tree.comparable_pairs()
     ]
+    # every window character sorted into its root sector in one pass, in
+    # node order and then window order
+    members: Dict[Character, List[Tuple[str, Character]]] = {
+        chi: [] for chi in windows[tree.root]
+    }
+    for label in sorted(tree.nodes):
+        for khat in windows[label]:
+            chi = khat if label == tree.root else tree.root_image(label, khat)
+            if chi in members:
+                members[chi].append((label, khat))
     sectors = {
-        chi: _build_sector(action, windows, chi, lifts, faces)
+        chi: _build_sector(action, chi, members[chi], lifts, faces)
         for chi in windows[tree.root]
     }
     full = AssembledComplex(
@@ -546,11 +556,12 @@ def assemble_complex(
     return full.restrict(kept)
 
 
-def _build_sector(action, windows, chi, lifts, faces) -> SectorComplex:
+def _build_sector(action, chi, members, lifts, faces) -> SectorComplex:
     """One root sector: its blocks, face constraints, differential and parities.
 
-    Each face row block states that the face restriction of the shallow data
-    equals the augmented pullback of the deep data, as
+    `members` lists the sector's (label, window character) pairs in block
+    order.  Each face row block states that the face restriction of the
+    shallow data equals the augmented pullback of the deep data, as
     `augmented_pullback_forms` computes it: every deep character in the fiber
     over the shallow one contributes exp(L(h)) @ pullback, with h given by
     the twisting law.
@@ -558,15 +569,14 @@ def _build_sector(action, windows, chi, lifts, faces) -> SectorComplex:
     tree = action.tree
     blocks = []
     spans = {}
+    by_node: Dict[str, List[Character]] = {}
     offset = 0
-    for label in sorted(tree.nodes):
+    for label, khat in members:
         dim = action.spaces[label].complex.total_dim
-        for khat in windows[label]:
-            if tree.root_image(label, khat) != chi:
-                continue
-            blocks.append((label, khat, offset, offset + dim))
-            spans[(label, khat)] = (offset, offset + dim)
-            offset += dim
+        blocks.append((label, khat, offset, offset + dim))
+        spans[(label, khat)] = (offset, offset + dim)
+        by_node.setdefault(label, []).append(khat)
+        offset += dim
     total = offset
 
     rows: List[List[Fraction]] = []
@@ -575,9 +585,7 @@ def _build_sector(action, windows, chi, lifts, faces) -> SectorComplex:
         fm = action.faces[(a, b)]
         fdim = fm.face.complex.total_dim
         rho_m = fm.rho.matrix
-        for khat in windows[a]:
-            if (a, khat) not in spans:
-                continue
+        for khat in by_node.get(a, ()):
             s0, _ = spans[(a, khat)]
             block = [[Fraction(0)] * total for _ in range(fdim)]
             for i in range(fdim):
@@ -595,9 +603,7 @@ def _build_sector(action, windows, chi, lifts, faces) -> SectorComplex:
             row_origins.append(
                 (f"face {a}<{b} at sector {khat.coords}", a, start, start + fdim)
             )
-    constraint = (
-        RationalMatrix(rows, ncols=total) if rows else RationalMatrix.zeros(0, total)
-    )
+    constraint = RationalMatrix._of(tuple(map(tuple, rows)), total)
 
     diff_rows = [[Fraction(0)] * total for _ in range(total)]
     even_idx: List[int] = []
@@ -611,7 +617,7 @@ def _build_sector(action, windows, chi, lifts, faces) -> SectorComplex:
                     diff_rows[s0 + i][s0 + j] = d[i, j]
         even_idx.extend(s0 + i for i in cx.parity_slots(0))
         odd_idx.extend(s0 + i for i in cx.parity_slots(1))
-    diff = RationalMatrix(diff_rows, ncols=total) if total else RationalMatrix.zeros(0, 0)
+    diff = RationalMatrix._of(tuple(map(tuple, diff_rows)), total)
 
     return SectorComplex(
         chi, tuple(blocks), spans, total, constraint, tuple(row_origins),

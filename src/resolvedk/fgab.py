@@ -5,7 +5,9 @@ Smith/Hermite reductions carry their unimodular transforms, and group
 homomorphisms are integer matrices acting on chosen generators.  Groups are
 kept in invariant-factor form (free rank plus a divisibility chain of torsion
 factors); subgroups, kernels, images and cokernels are computed through
-integer lattices.
+integer lattices.  A hom decomposes its graph [matrix | relations] once, the
+first time a preimage, kernel or section asks for it, and computes its
+inverse once; both are kept on the (immutable) hom.
 
 Coordinate convention: a group with free rank f and torsion factors
 (d_1 | d_2 | ... | d_t) has f + t generators, free generators first.  An
@@ -271,6 +273,10 @@ class SmithDecomposition:
                 return None
         return self.v.apply(y)
 
+    def kernel_basis(self) -> list:
+        """Basis of the integer kernel of the decomposed matrix: v's last columns."""
+        return [self.v.column(j) for j in range(self.rank, self.v.ncols)]
+
 
 def smith_normal_form(mat: IntegerMatrix) -> SmithDecomposition:
     """Smith normal form over the integers, with unimodular transforms.
@@ -393,10 +399,7 @@ def kernel_basis(mat: IntegerMatrix) -> list:
     >>> kernel_basis(IntegerMatrix([[2, 3]]))
     [(3, -2)]
     """
-    dec = smith_normal_form(mat)
-    diag = dec.diagonal()
-    rank = sum(1 for d in diag if d != 0)
-    return [dec.v.column(j) for j in range(rank, mat.ncols)]
+    return smith_normal_form(mat).kernel_basis()
 
 
 def row_hermite_form(rows: Iterable[Sequence[int]], width: int) -> list:
@@ -622,6 +625,9 @@ class FgAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
+_UNKNOWN = object()   # an inverse not yet computed; None means "no inverse"
+
+
 def _normalize_matrix(domain: FgAbGroup, codomain: FgAbGroup, matrix: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix.from_columns(
         [codomain.reduce(matrix.column(j)) for j in range(matrix.ncols)],
@@ -642,7 +648,7 @@ class AbHom:
     (1,)
     """
 
-    __slots__ = ("domain", "codomain", "matrix")
+    __slots__ = ("domain", "codomain", "matrix", "_graph", "_inverse")
 
     def __init__(self, domain: FgAbGroup, codomain: FgAbGroup, matrix):
         if not isinstance(matrix, IntegerMatrix):
@@ -663,6 +669,8 @@ class AbHom:
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
+        self._graph = None
+        self._inverse = _UNKNOWN
 
     @classmethod
     def identity(cls, group: FgAbGroup) -> "AbHom":
@@ -718,15 +726,28 @@ class AbHom:
 
     # -- lattice plumbing ---------------------------------------------------
 
-    def _graph_lattice_basis(self) -> list:
+    def _graph_data(self) -> Tuple[SmithDecomposition, tuple, Lattice]:
+        """The graph [M | rel] decomposed once: (decomposition, basis, lattice).
+
+        The basis spans {x in Z^n : M x lies in the codomain relation
+        lattice}, read off the kernel columns of the decomposition, and the
+        lattice is the one it spans.
+        """
+        if self._graph is None:
+            rel = self.codomain.relation_matrix()
+            stacked = self.matrix.hstack(rel) if rel.ncols else self.matrix
+            dec = smith_normal_form(stacked)
+            n = self.domain.ngens
+            basis = tuple(k[:n] for k in dec.kernel_basis())
+            self._graph = (dec, basis, Lattice(n, basis))
+        return self._graph
+
+    def _graph_lattice_basis(self) -> tuple:
         """Basis of {x in Z^n : M x lies in the codomain relation lattice}."""
-        rel = self.codomain.relation_matrix()
-        stacked = self.matrix.hstack(rel) if rel.ncols else self.matrix
-        n = self.domain.ngens
-        return [k[:n] for k in kernel_basis(stacked)]
+        return self._graph_data()[1]
 
     def kernel_lattice(self) -> Lattice:
-        return Lattice(self.domain.ngens, self._graph_lattice_basis())
+        return self._graph_data()[2]
 
     def image_lattice(self) -> Lattice:
         cols = list(self.matrix.columns()) + list(self.codomain.relation_matrix().columns())
@@ -766,15 +787,21 @@ class AbHom:
         return group, proj
 
     def is_surjective(self) -> bool:
-        group, _ = self.cokernel()
-        return group.is_trivial
+        """Whether M and the codomain relations span Z^m: m unit invariant factors."""
+        diag = self._graph_data()[0].diagonal()
+        return sum(1 for d in diag if d == 1) == self.codomain.ngens
 
     def is_injective(self) -> bool:
-        group, _ = self.kernel()
-        return group.is_trivial
+        """Whether the graph lattice is just the domain's relation lattice."""
+        return not any(any(self.domain.reduce(b)) for b in self._graph_lattice_basis())
 
     def inverse(self) -> Optional["AbHom"]:
         """Two-sided inverse hom, or None when not an isomorphism."""
+        if self._inverse is _UNKNOWN:
+            self._inverse = self._compute_inverse()
+        return self._inverse
+
+    def _compute_inverse(self) -> Optional["AbHom"]:
         if not (self.is_surjective() and self.is_injective()):
             return None
         cols = [self.preimage_representative(e) for e in self.codomain.generators()]
@@ -797,14 +824,11 @@ class AbHom:
         >>> h.preimage_representative((1,))
         (-1, 1)
         """
-        rel = self.codomain.relation_matrix()
-        stacked = self.matrix.hstack(rel) if rel.ncols else self.matrix
-        sol = smith_normal_form(stacked).solve(self.codomain.reduce(y))
+        dec, _, lat = self._graph_data()
+        sol = dec.solve(self.codomain.reduce(y))
         if sol is None:
             raise ValueError(f"{tuple(y)} is not in the image")
-        x = sol[: self.domain.ngens]
-        lat = Lattice(self.domain.ngens, self._graph_lattice_basis())
-        return self.domain.reduce(lat.reduce(x))
+        return self.domain.reduce(lat.reduce(sol[: self.domain.ngens]))
 
     def try_split(self) -> Optional["AbHom"]:
         """Homomorphic section s with self o s = id, or None.
@@ -835,14 +859,15 @@ class AbHom:
                 # relation lattice.
                 gmat = IntegerMatrix.from_columns([list(g) for g in graph], nrows=n)
                 blocks = (d * gmat).hstack(rel_dom) if rel_dom.ncols else d * gmat
-                sol = smith_normal_form(blocks).solve([-d * xi for xi in x])
+                block_dec = smith_normal_form(blocks)
+                sol = block_dec.solve([-d * xi for xi in x])
                 if sol is None:
                     return None
                 corr = gmat.apply(sol[: len(graph)])
                 x = [xi + ci for xi, ci in zip(x, corr)]
                 # Deterministic representative: reduce modulo the lattice of
                 # valid corrections {v in graph-lattice : d*v in relations}.
-                cond_rows = [gmat.apply(k[: len(graph)]) for k in kernel_basis(blocks)]
+                cond_rows = [gmat.apply(k[: len(graph)]) for k in block_dec.kernel_basis()]
                 x = list(Lattice(n, cond_rows).reduce(x))
             cols.append(self.domain.reduce(x))
         sec = AbHom.from_columns(cod, self.domain, cols)

@@ -264,6 +264,25 @@ def test_corner_forms_factorization_on_plane():
 # -- assembling the global complex ---------------------------------------------------
 
 
+def test_assembly_sorts_each_character_once(monkeypatch):
+    calls = []
+    original = IsotropyTree.root_image
+
+    def counting(self, label, khat):
+        calls.append((label, khat))
+        return original(self, label, khat)
+
+    monkeypatch.setattr(IsotropyTree, "root_image", counting)
+    # the plane has one root sector, the torsion-2 product two
+    for act in (projective_plane(), product_trivial((2,))):
+        tree = act.tree
+        windows = act.windows(4)
+        pairs = sum(len(windows[label]) for label in tree.nodes if label != tree.root)
+        calls.clear()
+        assemble_complex(act, radius=4)
+        assert 0 < len(calls) <= pairs
+
+
 def test_single_free_node_is_the_node_complex():
     act = free_circle_action()
     asm = assemble_complex(act)

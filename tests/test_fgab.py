@@ -299,3 +299,26 @@ class TestRankFormulas:
             mat = _random_matrix(rng, max_dim=6, max_entry=8)
             dec = smith_normal_form(mat)
             assert dec.rank + len(kernel_basis(mat)) == mat.ncols
+
+
+def test_hom_decomposes_its_graph_once(monkeypatch):
+    from resolvedk import fgab
+
+    h = AbHom(FgAbGroup(2, (6,)), FgAbGroup(1, (6,)), IntegerMatrix([[1, 2, 0], [0, 3, 1]]))
+    graph = h.matrix.hstack(h.codomain.relation_matrix())
+    seen = []
+    original = fgab.smith_normal_form
+
+    def counting(mat):
+        seen.append(mat)
+        return original(mat)
+
+    monkeypatch.setattr(fgab, "smith_normal_form", counting)
+    rng = random.Random(7)
+    for _ in range(10):
+        x = h.domain.reduce([rng.randint(-9, 9) for _ in range(3)])
+        assert h.apply(h.preimage_representative(h.apply(x))) == h.apply(x)
+    h.kernel_lattice()
+    h.kernel()
+    assert h.try_split() is not None
+    assert sum(1 for mat in seen if mat == graph) == 1

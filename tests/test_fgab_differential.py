@@ -1,10 +1,14 @@
-"""Differential tests: the Smith normal form of `fgab` against sympy.
+"""Differential tests: the Smith normal form of `fgab` against sympy, and
+the decompose-once paths of homs and shifts against the direct formulas.
 
 Inputs are seeded integer matrices up to 6x6 with entries in -9..9, with
-zero rows and zero columns mixed in.
+zero rows and zero columns mixed in, and seeded homs into groups with
+torsion.
 """
 
+import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -12,7 +16,21 @@ sympy = pytest.importorskip("sympy")
 
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
-from resolvedk.fgab import IntegerMatrix, smith_normal_form  # noqa: E402
+from resolvedk.basespace import sigma_for_character  # noqa: E402
+from resolvedk.fgab import (  # noqa: E402
+    AbHom,
+    FgAbGroup,
+    IntegerMatrix,
+    Lattice,
+    kernel_basis,
+    smith_normal_form,
+)
+from resolvedk.fixtures import (  # noqa: E402
+    product_trivial,
+    projective_plane,
+    sphere_rotation,
+    sphere_rotation_speed,
+)
 
 SEEDS = range(40)
 
@@ -40,3 +58,93 @@ def test_smith_normal_form_matches_sympy(seed):
         x = [rng.randint(-5, 5) for _ in range(a.ncols)]
         y = dec.solve(a.apply(x))
         assert y is not None and a.apply(y) == a.apply(x)
+
+
+TORSION = [(2,), (3,), (4,), (6,), (2, 4), (2, 6), (3, 6)]
+
+
+def _column(rng, codomain, order):
+    """A random column for a generator of the given order (0: free)."""
+    col = [0 if order else rng.randint(-4, 4) for _ in range(codomain.free_rank)]
+    for t in codomain.torsion:
+        step = t // gcd(order, t) if order else 1
+        col.append(step * rng.randint(0, t))
+    return col
+
+
+def _hom_into_torsion(rng):
+    codomain = FgAbGroup(rng.randint(0, 2), rng.choice(TORSION))
+    domain = FgAbGroup(rng.randint(1, 3), rng.choice([(), (2,), (3,), (2, 2), (2, 4)]))
+    orders = [0] * domain.free_rank + list(domain.torsion)
+    cols = [_column(rng, codomain, d) for d in orders]
+    return AbHom.from_columns(domain, codomain, cols)
+
+
+def _automorphism(rng, group):
+    """Unimodular free block, unit diagonal on torsion, free-to-torsion mixing."""
+    f = group.free_rank
+    rows = [[1 if i == j else 0 for j in range(group.ngens)] for i in range(group.ngens)]
+    for _ in range(4 * f):
+        i, j = rng.sample(range(f), 2) if f > 1 else (0, 0)
+        if i != j:
+            q = rng.randint(-2, 2)
+            rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+    for k, t in enumerate(group.torsion):
+        units = [u for u in range(1, t) if gcd(u, t) == 1]
+        rows[f + k][f + k] = rng.choice(units)
+        for j in range(f):
+            rows[f + k][j] = rng.randint(0, t - 1)
+    return AbHom(group, group, IntegerMatrix(rows, ncols=group.ngens))
+
+
+def _uncached_preimage(h, y):
+    rel = h.codomain.relation_matrix()
+    stacked = h.matrix.hstack(rel) if rel.ncols else h.matrix
+    n = h.domain.ngens
+    lat = Lattice(n, [k[:n] for k in kernel_basis(stacked)])
+    sol = smith_normal_form(stacked).solve(h.codomain.reduce(y))
+    return h.domain.reduce(lat.reduce(sol[:n]))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_preimage_representative_is_canonical(seed):
+    rng = random.Random(seed)
+    h = _hom_into_torsion(rng)
+    again = AbHom(h.domain, h.codomain, h.matrix)
+    for _ in range(4):
+        y = h.apply([rng.randint(-9, 9) for _ in range(h.domain.ngens)])
+        x = h.preimage_representative(y)
+        assert h.apply(x) == y
+        assert x == _uncached_preimage(h, y)
+        assert h.preimage_representative(y) == x
+        assert again.preimage_representative(y) == x
+    assert h.is_surjective() == h.cokernel()[0].is_trivial
+    assert h.is_injective() == h.kernel()[0].is_trivial
+
+    auto = _automorphism(rng, h.codomain)
+    inv = auto.inverse()
+    assert inv is not None
+    assert auto.inverse() == inv
+    assert AbHom(auto.domain, auto.codomain, auto.matrix).inverse() == inv
+    assert auto @ inv == AbHom.identity(auto.codomain)
+    assert inv @ auto == AbHom.identity(auto.codomain)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [sphere_rotation, lambda: sphere_rotation_speed(3), projective_plane,
+     lambda: product_trivial((2,))],
+    ids=["sphere", "speed3", "plane", "product2"],
+)
+def test_shift_automorphisms_match_sigma_for_character(build):
+    checked = 0
+    for space in build().spaces.values():
+        k = space.kdata
+        for coeffs in itertools.product(range(-3, 4), repeat=k.generator_count):
+            if not coeffs:
+                continue
+            for _ in range(2):
+                assert k.sigma0_for(coeffs) == sigma_for_character(k.sigma0, coeffs, k.k0)
+                assert k.sigma1_for(coeffs) == sigma_for_character(k.sigma1, coeffs, k.k1)
+            checked += 1
+    assert checked
