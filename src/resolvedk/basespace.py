@@ -61,15 +61,14 @@ class CochainComplex:
         total = offsets[-1]
         slot_degrees = tuple(k for k, n in enumerate(dims) for _ in range(n))
 
-        rows = [[Fraction(0)] * total for _ in range(total)]
+        rows: List[Dict[int, Fraction]] = [{} for _ in range(total)]
         for k, block in enumerate(blocks):
             block = _as_rational(block, dims[k + 1], dims[k])
-            for i in range(dims[k + 1]):
-                for j in range(dims[k]):
-                    rows[offsets[k + 1] + i][offsets[k] + j] = block[i, j]
+            for i, j, x in block.entries():
+                rows[offsets[k + 1] + i][offsets[k] + j] = x
         self.dims = dims
         self.slot_degrees = slot_degrees
-        self.d = RationalMatrix(rows, ncols=total)
+        self.d = RationalMatrix.from_row_maps(rows, total)
         self._offsets = tuple(offsets)
 
     @classmethod
@@ -94,23 +93,12 @@ class CochainComplex:
 
     def differential_block(self, k: int) -> RationalMatrix:
         """d_k as a dims[k+1] x dims[k] matrix."""
-        rows = [
-            [self.d[i, j] for j in self.degree_slots(k)]
-            for i in self.degree_slots(k + 1)
-        ]
-        return RationalMatrix(rows, ncols=self.dims[k])
+        return self.d.submatrix(self.degree_slots(k + 1), self.degree_slots(k))
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
         dd = self.d @ self.d
-        bad = sorted(
-            {
-                self.slot_degrees[j]
-                for i in range(dd.nrows)
-                for j in range(dd.ncols)
-                if dd[i, j] != 0
-            }
-        )
+        bad = sorted({self.slot_degrees[j] for _, j, _ in dd.entries()})
         rep.add(
             "differential squares to zero",
             not bad,
@@ -160,15 +148,12 @@ class ChainMap:
 
     def __init__(self, source: CochainComplex, target: CochainComplex, matrix, degree: int = 0):
         matrix = _as_rational(matrix, target.total_dim, source.total_dim)
-        for i in range(matrix.nrows):
-            for j in range(matrix.ncols):
-                if matrix[i, j] != 0 and (
-                    target.slot_degrees[i] != source.slot_degrees[j] + degree
-                ):
-                    raise ValueError(
-                        f"entry ({i},{j}) maps degree {source.slot_degrees[j]} "
-                        f"into degree {target.slot_degrees[i]}, not +{degree}"
-                    )
+        for i, j, _ in matrix.entries():
+            if target.slot_degrees[i] != source.slot_degrees[j] + degree:
+                raise ValueError(
+                    f"entry ({i},{j}) maps degree {source.slot_degrees[j]} "
+                    f"into degree {target.slot_degrees[i]}, not +{degree}"
+                )
         self.source = source
         self.target = target
         self.matrix = matrix
@@ -191,17 +176,14 @@ class ChainMap:
         degree: int = 0,
     ) -> "ChainMap":
         """Assemble from per-degree blocks {k: matrix degree k -> k+degree}."""
-        total = [
-            [Fraction(0)] * source.total_dim for _ in range(target.total_dim)
-        ]
+        rows: List[Dict[int, Fraction]] = [{} for _ in range(target.total_dim)]
         for k, block in blocks.items():
             src = source.degree_slots(k)
             tgt = target.degree_slots(k + degree)
             block = _as_rational(block, len(tgt), len(src))
-            for i, ti in enumerate(tgt):
-                for j, sj in enumerate(src):
-                    total[ti][sj] = block[i, j]
-        return cls(source, target, RationalMatrix(total, ncols=source.total_dim), degree)
+            for i, j, x in block.entries():
+                rows[tgt[i]][src[j]] = x
+        return cls(source, target, RationalMatrix.from_row_maps(rows, source.total_dim), degree)
 
     def commutes_with_differentials(self) -> bool:
         return self.target.d @ self.matrix == self.matrix @ self.source.d

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .fgab import AbHom, FgAbGroup, IntegerMatrix, Lattice, smith_normal_form
+from .fgab import AbHom, FgAbGroup, IntegerMatrix, Lattice, row_hermite_form, smith_normal_form
 
 DualGroup = FgAbGroup
 
@@ -66,6 +66,37 @@ class Character:
         return f"Character{self.coords}"
 
 
+def _free_kernel_lattice(restriction: AbHom) -> Lattice:
+    """The kernel of a dual restriction, checked free and inside the free coordinates.
+
+    The kernel is the restriction's graph lattice L = {x : M x in the target
+    relations}, which its one graph decomposition already holds, modulo the
+    ambient torsion relations R.  It has torsion exactly when L has more
+    vectors with zero free part than R, and lies in the free part exactly
+    when every vector of L has torsion coordinates in R; it is then the
+    lattice of the free parts of L.
+    """
+    ambient = restriction.domain
+    f = ambient.free_rank
+    # echelon form pivoting on the free coordinates first: its rows with no
+    # free entry span the vectors of L with zero free part
+    graph = restriction.kernel_lattice().basis()
+    echelon = [tuple(row) for row in row_hermite_form(graph, ambient.ngens)]
+    relations = [
+        tuple(d if i == j else 0 for j in range(len(ambient.torsion)))
+        for i, d in enumerate(ambient.torsion)
+    ]
+    if [row[f:] for row in echelon if not any(row[:f])] != relations:
+        raise ValueError(
+            "kernel of the restriction has torsion; a free kernel lattice is required"
+        )
+    if any(x % d for row in echelon for x, d in zip(row[f:], ambient.torsion)):
+        raise ValueError(
+            "kernel lattice is not contained in the free part of the ambient dual"
+        )
+    return Lattice(ambient.ngens, [row[:f] + (0,) * len(ambient.torsion) for row in echelon])
+
+
 class SubgroupDatum:
     """A closed subgroup presented by its dual surjection.
 
@@ -83,18 +114,7 @@ class SubgroupDatum:
         ambient = restriction.domain
         if not restriction.is_surjective():
             raise ValueError("restriction to the subgroup dual is not surjective")
-        ker_group, incl = restriction.kernel()
-        if ker_group.torsion:
-            raise ValueError(
-                "kernel of the restriction has torsion; a free kernel lattice is required"
-            )
-        computed = [incl.matrix.column(j) for j in range(incl.matrix.ncols)]
-        for col in computed:
-            if any(col[ambient.free_rank:]):
-                raise ValueError(
-                    "kernel lattice is not contained in the free part of the ambient dual"
-                )
-        lattice = Lattice(ambient.ngens, computed)
+        lattice = _free_kernel_lattice(restriction)
         if kernel_basis is None:
             basis = lattice.basis()
         else:

@@ -53,11 +53,6 @@ LES_LABELS = (
 # -- small exact-linear-algebra helpers ----------------------------------------
 
 
-def _submatrix(mat: RationalMatrix, rows: Sequence[int], cols: Sequence[int]) -> RationalMatrix:
-    return RationalMatrix._of(
-        tuple(tuple(mat[i, j] for j in cols) for i in rows), len(cols)
-    )
-
 def _select(vec: Sequence, idx: Sequence[int]) -> Tuple:
     return tuple(vec[i] for i in idx)
 
@@ -69,10 +64,18 @@ def _scatter(vec: Sequence[Fraction], idx: Sequence[int], total: int) -> Tuple[F
     return tuple(out)
 
 
+def _placed_rows(mat: RationalMatrix, idx: Sequence[int], total: int) -> RationalMatrix:
+    """The matrix with `total` rows whose row idx[i] is row i of `mat`, the rest zero."""
+    rows: List[Dict[int, Fraction]] = [{} for _ in range(total)]
+    for i, j, x in mat.entries():
+        rows[idx[i]][j] = x
+    return RationalMatrix.from_row_maps(rows, mat.ncols)
+
+
 def _column_space_basis(mat: RationalMatrix) -> RationalMatrix:
     """Independent columns of `mat` spanning its column space."""
     _, pivots = rref(mat)
-    return _submatrix(mat, range(mat.nrows), pivots)
+    return mat.submatrix(range(mat.nrows), pivots)
 
 
 def _exp_nilpotent(m: RationalMatrix) -> RationalMatrix:
@@ -383,17 +386,18 @@ class SectorComplex:
 
     __slots__ = (
         "chi", "blocks", "spans", "total", "constraint", "row_origins",
-        "diff", "even_idx", "odd_idx", "_two",
+        "row_chars", "diff", "even_idx", "odd_idx", "_two",
     )
 
     def __init__(self, chi, blocks, spans, total, constraint, row_origins,
-                 diff, even_idx, odd_idx):
+                 row_chars, diff, even_idx, odd_idx):
         self.chi = chi
         self.blocks = blocks        # (label, window char, start, stop)
         self.spans = spans
         self.total = total
         self.constraint = constraint
         self.row_origins = row_origins  # (description, shallow node, start, stop)
+        self.row_chars = row_chars  # the shallow window character of each row block
         self.diff = diff
         self.even_idx = even_idx
         self.odd_idx = odd_idx
@@ -405,9 +409,9 @@ class SectorComplex:
     def basis(self, parity: int) -> RationalMatrix:
         """Basis of the compatible subspace in the given parity, as columns."""
         idx = self.parity_indices(parity)
-        restricted = _submatrix(self.constraint, range(self.constraint.nrows), idx)
-        cols = [_scatter(v, idx, self.total) for v in nullspace_basis(restricted)]
-        return RationalMatrix.from_columns(cols, nrows=self.total)
+        restricted = self.constraint.submatrix(range(self.constraint.nrows), idx)
+        null = RationalMatrix.from_columns(nullspace_basis(restricted), nrows=len(idx))
+        return _placed_rows(null, idx, self.total)
 
     @property
     def two_periodic(self) -> TwoPeriodicComplex:
@@ -426,30 +430,36 @@ class SectorComplex:
                 return f"constraint row {i}"
         return None
 
-    def restrict(self, kept) -> "SectorComplex":
-        """The sector over a downward-closed kept set, by index selection.
+    def select(self, keep: Callable[[str, Character], bool]) -> "SectorComplex":
+        """The sector on the blocks whose (node, window character) passes `keep`.
 
-        Keeps the columns of the kept blocks and the rows of the faces whose
-        shallow node is kept; a face to a pruned deep node then only asks its
-        shallow data to vanish.  Order is preserved throughout.
+        Keeps the columns of those blocks and the face row blocks whose
+        shallow (node, window character) passes; order is preserved
+        throughout.  Over a downward-closed kept set of nodes, a face to a
+        pruned deep node then only asks its shallow data to vanish.  Over
+        smaller nested windows with the same lifts, the kept row blocks are
+        exactly those of the smaller windows, and the deep characters outside
+        them lose their columns, which leaves each block's fiber sum over
+        the smaller window.
         """
         blocks, spans, cols = [], {}, []
         for label, khat, s0, s1 in self.blocks:
-            if label in kept:
+            if keep(label, khat):
                 start = len(cols)
                 blocks.append((label, khat, start, start + s1 - s0))
                 spans[(label, khat)] = (start, start + s1 - s0)
                 cols.extend(range(s0, s1))
-        row_origins, rows = [], []
-        for desc, a, r0, r1 in self.row_origins:
-            if a in kept:
+        row_origins, row_chars, rows = [], [], []
+        for (desc, a, r0, r1), khat in zip(self.row_origins, self.row_chars):
+            if keep(a, khat):
                 row_origins.append((desc, a, len(rows), len(rows) + r1 - r0))
+                row_chars.append(khat)
                 rows.extend(range(r0, r1))
         position = {old: new for new, old in enumerate(cols)}
         return SectorComplex(
             self.chi, tuple(blocks), spans, len(cols),
-            _submatrix(self.constraint, rows, cols), tuple(row_origins),
-            _submatrix(self.diff, cols, cols),
+            self.constraint.submatrix(rows, cols), tuple(row_origins), tuple(row_chars),
+            self.diff.submatrix(cols, cols),
             [position[i] for i in self.even_idx if i in position],
             [position[i] for i in self.odd_idx if i in position],
         )
@@ -486,8 +496,71 @@ class AssembledComplex:
         full = self.full
         return AssembledComplex(
             self.action, kept, self.radius, self.windows, self.sections,
-            {chi: sec.restrict(kept) for chi, sec in full.sectors.items()}, full,
+            {chi: sec.select(lambda label, _: label in kept) for chi, sec in full.sectors.items()},
+            full,
         )
+
+    def at_radius(
+        self, radius: Optional[int], windows: Mapping[str, Sequence[Character]]
+    ) -> "AssembledComplex":
+        """This complex over the smaller windows of `radius`, by index selection.
+
+        `windows` are the action's windows at `radius`.  Each must lie inside
+        the window this complex was assembled on (checked), as they do for
+        every resizable rule: ball windows grow with the radius and full
+        windows ignore it.  Lifts are per character, so the selection equals
+        a fresh assembly at `radius` with the same sections, kept set and
+        block and row order.
+        """
+        tree = self.action.tree
+        inside = {label: frozenset(windows[label]) for label in tree.nodes}
+        for label in sorted(tree.nodes):
+            if not inside[label] <= set(self.windows[label]):
+                raise ValueError(
+                    f"window of node {label} at radius {radius} is not inside "
+                    f"the assembled window at radius {self.radius}"
+                )
+        full = self.full
+        at = AssembledComplex(
+            self.action, full.kept, radius, dict(windows), self.sections,
+            {
+                chi: full.sectors[chi].select(lambda label, khat: khat in inside[label])
+                for chi in windows[tree.root]
+            },
+        )
+        return at.restrict(self.kept)
+
+
+def _checked_kept(action: ResolvedAction, prune: Sequence[str]) -> frozenset:
+    """The kept node set of a prune list, after checking the tree and the list."""
+    tree = action.tree
+    tree.require_valid()
+    prune_set = frozenset(prune)
+    unknown = sorted(prune_set - set(tree.nodes))
+    if unknown:
+        raise ValueError(f"cannot prune unknown nodes {unknown}")
+    return Pruning(tree, frozenset(tree.nodes) - prune_set).kept
+
+
+def _checked_windows(action: ResolvedAction, radius: Optional[int]) -> Dict[str, List[Character]]:
+    """The windows at `radius`, after checking that they are saturated."""
+    windows = action.windows(radius)
+    sat = action.check_window_saturation(windows)
+    if not sat.ok:
+        raise WindowError(
+            "; ".join(f"{name}: {detail}" for name, detail in sat.failures())
+        )
+    return windows
+
+
+def _check_face_maps(action: ResolvedAction) -> None:
+    """Raise unless every face restriction and pullback is a chain map."""
+    for pair in sorted(action.faces):
+        fm = action.faces[pair]
+        if not fm.rho.commutes_with_differentials():
+            raise ValueError(f"face {pair[0]}<{pair[1]}: restriction is not a chain map")
+        if not fm.pullback.commutes_with_differentials():
+            raise ValueError(f"face {pair[0]}<{pair[1]}: pullback is not a chain map")
 
 
 def assemble_complex(
@@ -504,26 +577,10 @@ def assemble_complex(
     sum over the root window characters.
     """
     tree = action.tree
-    tree.require_valid()
-    prune_set = frozenset(prune)
-    unknown = sorted(prune_set - set(tree.nodes))
-    if unknown:
-        raise ValueError(f"cannot prune unknown nodes {unknown}")
     # checked before the windows, so a bad prune set is reported first
-    kept = Pruning(tree, frozenset(tree.nodes) - prune_set).kept
-
-    windows = action.windows(radius)
-    sat = action.check_window_saturation(windows)
-    if not sat.ok:
-        raise WindowError(
-            "; ".join(f"{name}: {detail}" for name, detail in sat.failures())
-        )
-    for pair in sorted(action.faces):
-        fm = action.faces[pair]
-        if not fm.rho.commutes_with_differentials():
-            raise ValueError(f"face {pair[0]}<{pair[1]}: restriction is not a chain map")
-        if not fm.pullback.commutes_with_differentials():
-            raise ValueError(f"face {pair[0]}<{pair[1]}: pullback is not a chain map")
+    kept = _checked_kept(action, prune)
+    windows = _checked_windows(action, radius)
+    _check_face_maps(action)
 
     # every lift a face asks for, once: a table per node over its window
     lifts = {}
@@ -564,7 +621,8 @@ def _build_sector(action, chi, members, lifts, faces) -> SectorComplex:
     shallow data equals the augmented pullback of the deep data, as
     `augmented_pullback_forms` computes it: every deep character in the fiber
     over the shallow one contributes exp(L(h)) @ pullback, with h given by
-    the twisting law.
+    the twisting law.  Rows are built as `{column: value}` maps, so only
+    nonzero entries are ever stored.
     """
     tree = action.tree
     blocks = []
@@ -579,49 +637,44 @@ def _build_sector(action, chi, members, lifts, faces) -> SectorComplex:
         offset += dim
     total = offset
 
-    rows: List[List[Fraction]] = []
+    rows: List[Dict[int, Fraction]] = []
     row_origins = []
+    row_chars = []
     for a, b, fibers, twist in faces:
         fm = action.faces[(a, b)]
         fdim = fm.face.complex.total_dim
-        rho_m = fm.rho.matrix
         for khat in by_node.get(a, ()):
             s0, _ = spans[(a, khat)]
-            block = [[Fraction(0)] * total for _ in range(fdim)]
-            for i in range(fdim):
-                for j in range(rho_m.ncols):
-                    block[i][s0 + j] = rho_m[i, j]
+            block: List[Dict[int, Fraction]] = [{} for _ in range(fdim)]
+            for i, j, x in fm.rho.matrix.entries():
+                block[i][s0 + j] = x
             for bhat in fibers.get(khat, ()):
                 t0, _ = spans[(b, bhat)]
                 _, coords = lift_offset(tree.nodes[a], lifts[a], khat, lifts[b](bhat))
-                m = twist(coords)
-                for i in range(fdim):
-                    for j in range(m.ncols):
-                        block[i][t0 + j] -= m[i, j]
+                for i, j, x in twist(coords).entries():
+                    block[i][t0 + j] = block[i].get(t0 + j, 0) - x
             start = len(rows)
             rows.extend(block)
             row_origins.append(
                 (f"face {a}<{b} at sector {khat.coords}", a, start, start + fdim)
             )
-    constraint = RationalMatrix._of(tuple(map(tuple, rows)), total)
+            row_chars.append(khat)
+    constraint = RationalMatrix.from_row_maps(rows, total)
 
-    diff_rows = [[Fraction(0)] * total for _ in range(total)]
+    diff_rows: List[Dict[int, Fraction]] = [{} for _ in range(total)]
     even_idx: List[int] = []
     odd_idx: List[int] = []
     for label, khat, s0, _ in blocks:
         cx = action.spaces[label].complex
-        d = cx.d
-        for i in range(d.nrows):
-            for j in range(d.ncols):
-                if d[i, j] != 0:
-                    diff_rows[s0 + i][s0 + j] = d[i, j]
+        for i, j, x in cx.d.entries():
+            diff_rows[s0 + i][s0 + j] = x
         even_idx.extend(s0 + i for i in cx.parity_slots(0))
         odd_idx.extend(s0 + i for i in cx.parity_slots(1))
-    diff = RationalMatrix._of(tuple(map(tuple, diff_rows)), total)
+    diff = RationalMatrix.from_row_maps(diff_rows, total)
 
     return SectorComplex(
         chi, tuple(blocks), spans, total, constraint, tuple(row_origins),
-        diff, even_idx, odd_idx,
+        tuple(row_chars), diff, even_idx, odd_idx,
     )
 
 
@@ -723,13 +776,13 @@ def _sector_les(sa: SectorComplex, sb: SectorComplex, alpha: str):
     for label, khat, s0, s1 in sb.blocks:
         if label == alpha:
             q_idx.extend(range(s0, s1))
-    d_alpha = _submatrix(sb.diff, q_idx, q_idx)
+    d_alpha = sb.diff.submatrix(q_idx, q_idx)
 
     two_a, two_b = sa.two_periodic, sb.two_periodic
     q_images = []
     for p in (0, 1):
         vb = two_b.basis(p)
-        q_images.append(_column_space_basis(_submatrix(vb, q_idx, range(vb.ncols))))
+        q_images.append(_column_space_basis(vb.submatrix(q_idx)))
     two_q = TwoPeriodicComplex(d_alpha, q_images[0], q_images[1])
 
     maps = {}
@@ -746,7 +799,7 @@ def _sector_les(sa: SectorComplex, sb: SectorComplex, alpha: str):
         # pull the result back into the sub sector
         rq = two_q.class_representatives(p)
         vb = two_b.basis(p)
-        lifts = solve(_submatrix(vb, q_idx, range(vb.ncols)), rq.columns())
+        lifts = solve(vb.submatrix(q_idx), rq.columns())
         if None in lifts:
             raise ArithmeticError("quotient cocycle has no total-space lift")
         backs = []
@@ -998,14 +1051,28 @@ def window_stabilization(
 ) -> WindowScan:
     """Scan dimensions over growing windows and flag stabilization.
 
-    With a declared support bound, stabilization means all dimensions for
-    radii at or past the bound agree; otherwise the last two rows are
-    compared.
+    The complex is assembled once, at the largest radius, and every radius
+    reads its complex from that one by selection (`AssembledComplex.at_radius`);
+    the checks a fresh assembly makes run for each radius in the given order
+    first, so a failing input raises the error its first failing radius
+    would.  With a declared support bound, stabilization means all
+    dimensions for radii at or past the bound agree; otherwise the last two
+    rows are compared.
     """
+    radii = list(radii)
     rows = []
-    for r in radii:
-        dims = deloc_cohomology(assemble_complex(action, prune=prune, radius=r))
-        rows.append((r, dims.even, dims.odd))
+    if radii:
+        _checked_kept(action, prune)
+        windows = {}
+        for i, r in enumerate(radii):
+            windows[r] = _checked_windows(action, r)
+            if i == 0:
+                # radius-independent: made once, where a fresh assembly makes it first
+                _check_face_maps(action)
+        top = assemble_complex(action, prune=prune, radius=max(radii))
+        for r in radii:
+            dims = deloc_cohomology(top.at_radius(r, windows[r]))
+            rows.append((r, dims.even, dims.odd))
     stabilized: Optional[bool] = None
     if support_bound is not None:
         tail = [(e, o) for r, e, o in rows if r >= support_bound]

@@ -529,7 +529,7 @@ def _int_matrix_json(m: IntegerMatrix) -> List[List[str]]:
 
 
 def _rat_matrix_json(m: RationalMatrix) -> List[List[str]]:
-    return [[_rat_str(m[i, j]) for j in range(m.ncols)] for i in range(m.nrows)]
+    return [[_rat_str(x) for x in row] for row in m.to_lists()]
 
 
 def _complex_json(cx: CochainComplex) -> Dict:

@@ -625,7 +625,7 @@ class FgAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-_UNKNOWN = object()   # an inverse not yet computed; None means "no inverse"
+_UNKNOWN = object()   # an inverse or split not yet computed; None means "none exists"
 
 
 def _normalize_matrix(domain: FgAbGroup, codomain: FgAbGroup, matrix: IntegerMatrix) -> IntegerMatrix:
@@ -648,7 +648,7 @@ class AbHom:
     (1,)
     """
 
-    __slots__ = ("domain", "codomain", "matrix", "_graph", "_inverse")
+    __slots__ = ("domain", "codomain", "matrix", "_graph", "_inverse", "_split")
 
     def __init__(self, domain: FgAbGroup, codomain: FgAbGroup, matrix):
         if not isinstance(matrix, IntegerMatrix):
@@ -671,6 +671,7 @@ class AbHom:
         self.matrix = matrix
         self._graph = None
         self._inverse = _UNKNOWN
+        self._split = _UNKNOWN
 
     @classmethod
     def identity(cls, group: FgAbGroup) -> "AbHom":
@@ -846,6 +847,11 @@ class AbHom:
         """
         if not self.is_surjective():
             raise ValueError("try_split requires a surjective homomorphism")
+        if self._split is _UNKNOWN:
+            self._split = self._compute_split()
+        return self._split
+
+    def _compute_split(self) -> Optional["AbHom"]:
         n = self.domain.ngens
         cod = self.codomain
         rel_dom = self.domain.relation_matrix()

@@ -1,26 +1,32 @@
 """Exact rational linear algebra over `fractions.Fraction`.
 
-Storage is dense: a matrix is an immutable tuple of rows of Fractions, which
-is what equality and hashing compare.  The matrices the assembly produces are
-nearly all zeros, so every kernel visits only nonzero entries: a product
-builds each row from the nonzeros of the left row times the nonzero entries of
-the matching right rows, `apply` sums over nonzero pairs, and Gauss-Jordan
-elimination touches only the nonzero columns of a pivot row and the rows with
-a nonzero in the pivot column.  On that elimination: `rref`, rank,
-nullspaces, `solve`, which eliminates once for a whole batch of right-hand
-sides, and `QuotientSpace`, coordinates on a quotient of two column spans
-from one elimination with the identity riding along.
+Storage is sparse: a matrix keeps each row as a tuple of `(column, value)`
+pairs sorted by column, with no zero values.  That form is canonical, so
+equality and hashing compare it directly.  The matrices the assembly
+produces are nearly all zeros, and every kernel visits only nonzero entries:
+a product builds each row from the nonzeros of the left row times the rows
+they select on the right, `apply` sums over nonzero pairs, and Gauss-Jordan
+elimination runs on `{column: value}` rows, touching only the nonzero
+columns of a pivot row and the rows with a nonzero in the pivot column.  On
+that elimination: `rref`, rank, nullspaces, `solve`, which eliminates once
+for a whole batch of right-hand sides, and `QuotientSpace`, coordinates on a
+quotient of two column spans from one elimination with the identity riding
+along.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import compress, repeat
+from operator import is_not
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .fgab import IntegerMatrix
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+Row = Tuple[Tuple[int, Fraction], ...]
 
 
 def _frac(x) -> Fraction:
@@ -31,16 +37,39 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class RationalMatrix:
-    """Immutable matrix of Fractions."""
+def _fracs(values: Iterable) -> Tuple[Fraction, ...]:
+    """The values as a tuple of Fractions, every one type-checked."""
+    values = tuple(values)
+    if all(map(isinstance, values, repeat(Fraction))):
+        return values
+    return tuple(_frac(x) for x in values)
 
-    __slots__ = ("nrows", "ncols", "_rows")
+
+def _nonzero(values: Sequence[Fraction]) -> Iterator[Tuple[int, Fraction]]:
+    """(index, value) of each nonzero entry of a Fraction sequence.
+
+    Entries that are the shared zero are skipped by identity, at C speed;
+    only the others are tested.
+    """
+    candidates = compress(enumerate(values), map(is_not, values, repeat(_ZERO)))
+    return ((j, x) for j, x in candidates if x)
+
+
+def _canon(row: Mapping[int, Fraction]) -> Row:
+    """The canonical row of a `{column: value}` map: sorted, zeros dropped."""
+    return tuple(sorted((j, x) for j, x in row.items() if x))
+
+
+class RationalMatrix:
+    """Immutable matrix of Fractions, stored as sparse rows."""
+
+    __slots__ = ("nrows", "ncols", "_data")
 
     def __init__(self, rows: Iterable[Iterable], *, ncols: Optional[int] = None):
-        data = tuple(tuple(_frac(x) for x in row) for row in rows)
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
+        dense = [_fracs(row) for row in rows]
+        if dense:
+            width = len(dense[0])
+            if any(len(r) != width for r in dense):
                 raise ValueError("ragged rows")
             if ncols is not None and ncols != width:
                 raise ValueError("ncols disagrees with rows")
@@ -48,26 +77,26 @@ class RationalMatrix:
             if ncols is None:
                 raise ValueError("empty matrix needs explicit ncols")
             width = ncols
-        self.nrows = len(data)
+        self.nrows = len(dense)
         self.ncols = width
-        self._rows = data
+        self._data = tuple(tuple(_nonzero(r)) for r in dense)
 
     @classmethod
-    def _of(cls, rows: Tuple[Tuple[Fraction, ...], ...], ncols: int) -> "RationalMatrix":
-        """Wrap rows a kernel built: equal-length tuples of Fractions."""
+    def _of(cls, data: Tuple[Row, ...], ncols: int) -> "RationalMatrix":
+        """Wrap rows a kernel built, already in canonical sparse form."""
         mat = object.__new__(cls)
-        mat.nrows = len(rows)
+        mat.nrows = len(data)
         mat.ncols = ncols
-        mat._rows = rows
+        mat._data = data
         return mat
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._of(tuple(_unit(n, i) for i in range(n)), n)
+        return cls._of(tuple(((i, _ONE),) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls._of(((_ZERO,) * ncols,) * nrows, ncols)
+        return cls._of(((),) * nrows, ncols)
 
     @classmethod
     def from_integer(cls, mat: IntegerMatrix) -> "RationalMatrix":
@@ -75,131 +104,217 @@ class RationalMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], nrows: Optional[int] = None) -> "RationalMatrix":
-        cols = [tuple(_frac(x) for x in c) for c in columns]
+        cols = [_fracs(c) for c in columns]
         if cols:
             nrows = len(cols[0])
             if any(len(c) != nrows for c in cols):
                 raise ValueError("ragged columns")
         elif nrows is None:
             raise ValueError("empty column list needs nrows")
-        return cls._of(tuple(zip(*cols)) if cols else ((),) * nrows, len(cols))
+        rows: List[List[Tuple[int, Fraction]]] = [[] for _ in range(nrows)]
+        for j, col in enumerate(cols):
+            for i, x in _nonzero(col):
+                rows[i].append((j, x))
+        return cls._of(tuple(map(tuple, rows)), len(cols))
+
+    @classmethod
+    def from_row_maps(cls, rows: Sequence[Mapping[int, object]], ncols: int) -> "RationalMatrix":
+        """Matrix whose row i holds the `{column: value}` entries of `rows[i]`.
+
+        Missing columns are zero and zero values are dropped.
+        """
+        data = []
+        for row in rows:
+            if any(not 0 <= j < ncols for j in row):
+                raise ValueError("column index out of range")
+            data.append(_canon({j: _frac(x) for j, x in row.items()}))
+        return cls._of(tuple(data), ncols)
 
     @property
     def shape(self) -> Tuple[int, int]:
         return (self.nrows, self.ncols)
 
+    @property
+    def _rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """Dense rows, built on every access (perfbench's tracer reads them)."""
+        return tuple(self.row(i) for i in range(self.nrows))
+
+    def _column_index(self, j: int) -> int:
+        if not -self.ncols <= j < self.ncols:
+            raise IndexError("column index out of range")
+        return j % self.ncols
+
     def __getitem__(self, key: Tuple[int, int]) -> Fraction:
-        return self._rows[key[0]][key[1]]
+        row = self._data[key[0]]
+        j = self._column_index(key[1])
+        for c, x in row:
+            if c >= j:
+                return x if c == j else _ZERO
+        return _ZERO
 
     def row(self, i: int) -> Tuple[Fraction, ...]:
-        return self._rows[i]
+        out = [_ZERO] * self.ncols
+        for j, x in self._data[i]:
+            out[j] = x
+        return tuple(out)
 
     def column(self, j: int) -> Tuple[Fraction, ...]:
-        return tuple(r[j] for r in self._rows)
+        j = self._column_index(j)
+        return tuple(self[i, j] for i in range(self.nrows))
 
     def columns(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        return tuple(self.column(j) for j in range(self.ncols))
+        cols = [[_ZERO] * self.nrows for _ in range(self.ncols)]
+        for i, row in enumerate(self._data):
+            for j, x in row:
+                cols[j][i] = x
+        return tuple(map(tuple, cols))
+
+    def entries(self) -> Iterator[Tuple[int, int, Fraction]]:
+        """The nonzero entries as (row, column, value), in row-major order."""
+        for i, row in enumerate(self._data):
+            for j, x in row:
+                yield i, j, x
+
+    def submatrix(self, rows: Iterable[int], cols: Optional[Sequence[int]] = None) -> "RationalMatrix":
+        """The given rows, restricted to the given distinct columns in their order.
+
+        `cols=None` keeps every column.
+        """
+        if cols is None:
+            return RationalMatrix._of(tuple(self._data[i] for i in rows), self.ncols)
+        pos = {c: k for k, c in enumerate(cols)}
+        if len(pos) != len(cols):
+            raise ValueError("repeated column in a submatrix selection")
+        ascending = all(a < b for a, b in zip(cols, cols[1:]))
+        out = []
+        for i in rows:
+            picked = [(pos[j], x) for j, x in self._data[i] if j in pos]
+            if not ascending:
+                picked.sort()
+            out.append(tuple(picked))
+        return RationalMatrix._of(tuple(out), len(pos))
 
     def to_lists(self) -> list:
-        return [list(r) for r in self._rows]
+        return [list(self.row(i)) for i in range(self.nrows)]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self._rows for x in r)
+        return not any(self._data)
 
     def apply(self, vec: Sequence) -> Tuple[Fraction, ...]:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        terms = [(k, x) for k, x in enumerate(_frac(x) for x in vec) if x]
-        return tuple(
-            sum([row[k] * x for k, x in terms if row[k]], _ZERO) for row in self._rows
-        )
+        v = _fracs(vec)
+        return tuple(sum([x * v[j] for j, x in row if v[j]], _ZERO) for row in self._data)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        n = other.ncols
-        right = [[(j, b) for j, b in enumerate(row) if b] for row in other._rows]
+        right = other._data
         out = []
-        for row in self._rows:
-            acc = [_ZERO] * n
-            for a, terms in zip(row, right):
-                if a and terms:
-                    for j, b in terms:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return RationalMatrix._of(tuple(out), n)
+        for row in self._data:
+            acc: Dict[int, Fraction] = {}
+            for k, a in row:
+                for j, b in right[k]:
+                    acc[j] = acc.get(j, _ZERO) + a * b
+            out.append(_canon(acc))
+        return RationalMatrix._of(tuple(out), other.ncols)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return RationalMatrix._of(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self._rows, other._rows)),
-            self.ncols,
-        )
+        out = []
+        for r1, r2 in zip(self._data, other._data):
+            if not r1 or not r2:
+                out.append(r1 or r2)
+                continue
+            acc = dict(r1)
+            for j, x in r2:
+                acc[j] = acc.get(j, _ZERO) + x
+            out.append(_canon(acc))
+        return RationalMatrix._of(tuple(out), self.ncols)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix._of(tuple(tuple(-x for x in r) for r in self._rows), self.ncols)
+        return RationalMatrix._of(
+            tuple(tuple((j, -x) for j, x in row) for row in self._data), self.ncols
+        )
 
     def __mul__(self, scalar) -> "RationalMatrix":
         s = _frac(scalar)
-        return RationalMatrix._of(tuple(tuple(s * x for x in r) for r in self._rows), self.ncols)
+        if not s:
+            return RationalMatrix.zeros(self.nrows, self.ncols)
+        return RationalMatrix._of(
+            tuple(tuple((j, s * x) for j, x in row) for row in self._data), self.ncols
+        )
 
     __rmul__ = __mul__
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.columns(), ncols=self.nrows)
+        cols: List[List[Tuple[int, Fraction]]] = [[] for _ in range(self.ncols)]
+        for i, row in enumerate(self._data):
+            for j, x in row:
+                cols[j].append((i, x))
+        return RationalMatrix._of(tuple(map(tuple, cols)), self.nrows)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RationalMatrix)
             and self.ncols == other.ncols
-            and self._rows == other._rows
+            and self._data == other._data
         )
 
     def __hash__(self) -> int:
-        return hash((self.ncols, self._rows))
+        return hash((self.ncols, self._data))
 
     def __repr__(self) -> str:
-        return f"RationalMatrix({[[str(x) for x in r] for r in self._rows]!r})"
+        return f"RationalMatrix({[[str(x) for x in r] for r in self.to_lists()]!r})"
 
 
-def _unit(n: int, i: int) -> Tuple[Fraction, ...]:
-    return (_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - i - 1)
+def _eliminate(rows: List[Dict[int, Fraction]], width: int) -> List[int]:
+    """Gauss-Jordan elimination in place on `{column: value}` rows.
 
-
-def _eliminate(rows: List[List[Fraction]], width: int) -> List[int]:
-    """Gauss-Jordan elimination in place, with pivots among the first `width` columns.
-
-    The columns after `width` ride along: they undergo the same row
-    operations but never hold a pivot.  Returns the pivot columns; pivot row
-    `r` holds a one in column `pivots[r]` and every other row a zero there.
+    Pivots lie among the first `width` columns, and the pivot of a column is
+    the first row from the current one down with a nonzero there.  The
+    columns after `width` ride along: they undergo the same row operations
+    but never hold a pivot.  A column that starts out zero in every row stays
+    zero, so only the columns that occur are scanned.  Returns the pivot
+    columns; pivot row `r` holds a one in column `pivots[r]` and every other
+    row nothing there.
     """
     m = len(rows)
     pivots: List[int] = []
     r = 0
-    for c in range(width):
+    for c in sorted({j for row in rows for j in row if j < width}):
         if r == m:
             break
-        pivot_row = next((i for i in range(r, m) if rows[i][c]), None)
+        pivot_row = next((i for i in range(r, m) if c in rows[i]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         prow = rows[r]
-        # entries left of c are zero in every row from r on
-        nz = [j for j in range(c, len(prow)) if prow[j]]
         pv = prow[c]
         if pv != 1:
-            for j in nz:
+            for j in prow:
                 prow[j] /= pv
+        # entries left of c are zero in every row from r on
+        nz = list(prow.items())
         for i in range(m):
             row = rows[i]
-            f = row[c]
-            if f and i != r:
-                for j in nz:
-                    row[j] -= f * prow[j]
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for j, x in nz:
+                y = row.get(j)
+                if y is None:
+                    row[j] = -f * x
+                else:
+                    y -= f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
         pivots.append(c)
         r += 1
     return pivots
@@ -207,9 +322,9 @@ def _eliminate(rows: List[List[Fraction]], width: int) -> List[int]:
 
 def rref(mat: RationalMatrix) -> Tuple[RationalMatrix, Tuple[int, ...]]:
     """Reduced row echelon form and pivot columns."""
-    rows = [list(r) for r in mat._rows]
+    rows = [dict(r) for r in mat._data]
     pivots = _eliminate(rows, mat.ncols)
-    return RationalMatrix._of(tuple(map(tuple, rows)), mat.ncols), tuple(pivots)
+    return RationalMatrix._of(tuple(map(_canon, rows)), mat.ncols), tuple(pivots)
 
 
 def rank(mat: RationalMatrix) -> int:
@@ -219,14 +334,23 @@ def rank(mat: RationalMatrix) -> int:
 def nullspace_basis(mat: RationalMatrix) -> list:
     """Basis (list of length-ncols tuples) of the right nullspace."""
     red, pivots = rref(mat)
+    n = mat.ncols
     pivot_set = set(pivots)
-    free_cols = [j for j in range(mat.ncols) if j not in pivot_set]
+    # the pivot entries of each free column's basis vector: minus its column
+    # of the reduced form, read off the sparse pivot rows
+    pivot_entries: Dict[int, List[Tuple[int, Fraction]]] = {}
+    for row, pc in zip(red._data, pivots):
+        for j, x in row:
+            if j not in pivot_set:
+                pivot_entries.setdefault(j, []).append((pc, -x))
     basis = []
-    for fc in free_cols:
-        vec = [_ZERO] * mat.ncols
+    for fc in range(n):
+        if fc in pivot_set:
+            continue
+        vec = [_ZERO] * n
         vec[fc] = _ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r, fc]
+        for pc, x in pivot_entries.get(fc, ()):
+            vec[pc] = x
         basis.append(tuple(vec))
     return basis
 
@@ -245,19 +369,31 @@ def solve(mat: RationalMatrix, rhs: Sequence[Sequence]) -> List[Optional[Tuple[F
     if any(len(b) != mat.nrows for b in cols):
         raise ValueError("rhs length mismatch")
     n = mat.ncols
-    rows = [list(row) + [b[i] for b in cols] for i, row in enumerate(mat._rows)]
+    rows = []
+    for i, row in enumerate(mat._data):
+        entries = dict(row)
+        for t, b in enumerate(cols):
+            if b[i]:
+                entries[n + t] = b[i]
+        rows.append(entries)
     pivots = _eliminate(rows, n)
-    zero_rows = rows[len(pivots):]
+    # below the rank only ride-along columns are left: the inconsistent ones
+    inconsistent = {j for row in rows[len(pivots):] for j in row}
     out: List[Optional[Tuple[Fraction, ...]]] = []
     for j in range(n, n + len(cols)):
-        if any(row[j] for row in zero_rows):
+        if j in inconsistent:
             out.append(None)
             continue
         x = [_ZERO] * n
         for row, pc in zip(rows, pivots):
-            x[pc] = row[j]
+            x[pc] = row.get(j, _ZERO)
         out.append(tuple(x))
     return out
+
+
+def _ride_along(row: Mapping[int, Fraction], width: int) -> Row:
+    """The entries of a row from column `width` on, shifted to start at 0."""
+    return tuple(sorted((j - width, x) for j, x in row.items() if j >= width))
 
 
 class QuotientSpace:
@@ -280,20 +416,28 @@ class QuotientSpace:
         if span.nrows != n:
             raise ValueError("row count mismatch")
         width = k + span.ncols
-        rows = [list(a + b + _unit(n, i)) for i, (a, b) in enumerate(zip(sub._rows, span._rows))]
+        rows = []
+        for i, (a, b) in enumerate(zip(sub._data, span._data)):
+            entries = dict(a)
+            for j, x in b:
+                entries[k + j] = x
+            entries[width + i] = _ONE
+            rows.append(entries)
         pivots = _eliminate(rows, width)
         if sum(1 for p in pivots if p < k) != k:
             raise ValueError("sub-basis columns are dependent")
         if len(pivots) != span.ncols:
             raise ValueError("sub-basis is not inside the span")
         self.dim = len(pivots) - k
-        self.representatives = RationalMatrix.from_columns(
-            [span.column(p - k) for p in pivots[k:]], nrows=n
-        )
+        self.representatives = span.submatrix(range(n), [p - k for p in pivots[k:]])
         # ride-along rows: those of the representative pivots give the
         # coordinates, those below the rank annihilate exactly the span
-        self._proj = RationalMatrix._of(tuple(tuple(row[width:]) for row in rows[k:len(pivots)]), n)
-        self._outside = RationalMatrix._of(tuple(tuple(row[width:]) for row in rows[len(pivots):]), n)
+        self._proj = RationalMatrix._of(
+            tuple(_ride_along(row, width) for row in rows[k:len(pivots)]), n
+        )
+        self._outside = RationalMatrix._of(
+            tuple(_ride_along(row, width) for row in rows[len(pivots):]), n
+        )
 
     def coords(self, vecs: Sequence[Sequence]) -> List[Tuple[Fraction, ...]]:
         """Class coordinates of each vector in `vecs`; each must lie in the span."""

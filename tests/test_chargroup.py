@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +18,7 @@ from resolvedk.chargroup import (
     section,
     section_from_splitting,
 )
-from resolvedk.fgab import AbHom, FgAbGroup
+from resolvedk.fgab import AbHom, FgAbGroup, IntegerMatrix, Lattice
 
 
 Z = FgAbGroup.free(1)
@@ -237,3 +240,71 @@ def test_canonical_representative_is_coset_invariant(x, y):
     assert datum.restrict(shifted) == b
     again = datum.canonical_representative(datum.restrict(shifted))
     assert again == rep
+
+
+# -- the free-kernel check against the kernel group ---------------------------------
+
+KERNEL_SEEDS = range(40)
+TORSION_CHOICES = ((), (2,), (3,), (2, 2), (2, 4))
+TORSION_MESSAGE = "kernel of the restriction has torsion; a free kernel lattice is required"
+FREE_PART_MESSAGE = "kernel lattice is not contained in the free part of the ambient dual"
+
+
+def _surjection_with_torsion(seed):
+    """A seeded surjective hom whose domain has torsion.
+
+    A third of the draws map the domain torsion identically onto the same
+    torsion in the target and the free part into the free part, so that
+    free kernels inside the free part, the case `SubgroupDatum` accepts,
+    occur often enough.
+    """
+    rng = random.Random(seed)
+    while True:
+        dom = FgAbGroup(rng.randint(1, 3), rng.choice(TORSION_CHOICES[1:]))
+        injected = rng.random() < 1 / 3
+        torsion = dom.torsion if injected else rng.choice(TORSION_CHOICES)
+        cod = FgAbGroup(rng.randint(0, 2), torsion)
+        rows = [[rng.randint(-3, 3) for _ in range(dom.ngens)] for _ in range(cod.ngens)]
+        if injected:
+            for i in range(len(torsion)):
+                rows[cod.free_rank + i] = [int(j == dom.free_rank + i) for j in range(dom.ngens)]
+        try:
+            hom = AbHom(dom, cod, IntegerMatrix(rows, ncols=dom.ngens))
+        except ValueError:
+            continue  # does not respect the torsion relations
+        if hom.is_surjective():
+            return hom
+
+
+def _kernel_reference(hom):
+    """Outcome of the free-kernel check read off the kernel group and its inclusion."""
+    ambient = hom.domain
+    group, incl = hom.kernel()
+    if group.torsion:
+        return TORSION_MESSAGE
+    cols = [incl.matrix.column(j) for j in range(incl.matrix.ncols)]
+    if any(any(col[ambient.free_rank:]) for col in cols):
+        return FREE_PART_MESSAGE
+    return Lattice(ambient.ngens, cols)
+
+
+def _datum_outcome(hom):
+    try:
+        return SubgroupDatum(hom).lattice
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_free_kernel_check_matches_the_kernel_group(seed):
+    hom = _surjection_with_torsion(seed)
+    assert _datum_outcome(hom) == _kernel_reference(hom)
+
+
+def test_free_kernel_seeds_reach_every_outcome():
+    outcomes = Counter(
+        _kernel_reference(_surjection_with_torsion(seed)) for seed in KERNEL_SEEDS
+    )
+    assert outcomes[TORSION_MESSAGE] >= 3
+    assert outcomes[FREE_PART_MESSAGE] >= 3
+    assert sum(n for key, n in outcomes.items() if isinstance(key, Lattice)) >= 3

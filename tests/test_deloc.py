@@ -847,3 +847,101 @@ def test_window_scan_empty_radii():
     scan = window_stabilization(sphere_rotation(), radii=())
     assert scan.rows == ()
     assert scan.stabilized is None
+
+
+SELECTION_BUILDS = [
+    pytest.param(sphere_rotation, id="sphere"),
+    pytest.param(lambda: sphere_rotation_speed(3), id="speed3"),
+    pytest.param(projective_plane, id="plane"),
+    pytest.param(lambda: product_trivial((2,)), id="product2"),
+] + [pytest.param(lambda seed=seed: random_action(seed), id=f"random{seed}") for seed in range(12)]
+
+
+def _sector_fields(sec):
+    return (
+        sec.chi, sec.blocks, sec.spans, sec.total, sec.constraint, sec.diff,
+        sec.even_idx, sec.odd_idx, sec.row_origins, sec.row_chars,
+    )
+
+
+@pytest.mark.parametrize("build", SELECTION_BUILDS)
+@pytest.mark.parametrize("relative", [False, True], ids=["full", "relative"])
+def test_window_selection_matches_fresh_assembly(build, relative):
+    action = build()
+    prune = (action.tree.labels_by_depth()[-1],) if relative else ()
+    top = assemble_complex(action, prune=prune, radius=4)
+    for r in range(5):
+        fresh = assemble_complex(action, prune=prune, radius=r)
+        got = top.at_radius(r, action.windows(r))
+        assert (got.kept, got.radius, got.windows) == (fresh.kept, fresh.radius, fresh.windows)
+        assert list(got.sectors) == list(fresh.sectors)
+        for chi, sec in fresh.sectors.items():
+            assert _sector_fields(got.sectors[chi]) == _sector_fields(sec)
+        assert got.full.kept == frozenset(action.tree.nodes)
+
+
+def test_window_selection_refuses_windows_outside_the_assembled_ones():
+    sphere = sphere_rotation()
+    small = assemble_complex(sphere, radius=1)
+    with pytest.raises(ValueError, match="not inside the assembled window"):
+        small.at_radius(2, sphere.windows(2))
+
+
+def sloped_pair():
+    """A circle-isotropy node below a torus-fixed point, with edge (x, y) -> x + 2y.
+
+    The deep ball of radius r maps onto [-3r, 3r], so the shallow ball of the
+    same radius holds it at radius 0 only: the windows are saturated at
+    radius 0 and unsaturated from radius 1 on.
+    """
+    torus = FgAbGroup.free(2)
+    circle = SubgroupDatum(AbHom(torus, Z, [[1, 2]]))
+    fixed = SubgroupDatum(AbHom.identity(torus))
+    pt = CochainComplex.point()
+    shallow = NodeSpaceData(
+        pt, [ChainMap.zero(pt, pt, degree=2)], KData.trivial_shifts(Z, TRIV, AbHom.identity(Z), 1)
+    )
+    deep = NodeSpaceData(pt, [], KData.trivial_shifts(Z, TRIV, AbHom.identity(Z), 0))
+    kid = KPair(AbHom.identity(Z), AbHom.identity(TRIV))
+    face = FaceMaps(shallow, ChainMap.identity(pt), ChainMap.identity(pt), kid, kid)
+    tree = IsotropyTree({"a": circle, "b": fixed}, [("a", "b")])
+    return ResolvedAction(
+        tree, {"a": shallow, "b": deep}, {("a", "b"): face},
+        {"a": WindowRule.ball(1), "b": WindowRule.ball(1)},
+    )
+
+
+def _fresh_scan_error(action, radii, prune=()):
+    """The first error of assembling afresh at each radius in turn."""
+    with pytest.raises(Exception) as info:
+        for r in radii:
+            deloc_cohomology(assemble_complex(action, prune=prune, radius=r))
+    return info.type, str(info.value)
+
+
+@pytest.mark.parametrize(
+    "build, radii, prune",
+    [
+        pytest.param(sloped_pair, range(3), (), id="unsaturated-from-1"),
+        pytest.param(sloped_pair, (2, 0), (), id="unsaturated-first"),
+        pytest.param(sloped_pair, range(3), ("x",), id="unknown-prune"),
+        pytest.param(sloped_pair, range(3), ("a",), id="prune-not-closed"),
+        pytest.param(lambda: fixed_point_action(WindowRule.explicit([[0], [1]])), range(3), (),
+                     id="explicit"),
+        pytest.param(lambda: equal_isotropy_pair(WindowRule.residue_ball(2, 1)), range(2), (),
+                     id="unsaturated-everywhere"),
+        pytest.param(sphere_rotation, (1, -1, 2), (), id="negative-radius"),
+    ],
+)
+def test_stabilize_raises_the_first_error_of_a_fresh_scan(build, radii, prune):
+    action = build()
+    expected = _fresh_scan_error(action, radii, prune)
+    with pytest.raises(Exception) as info:
+        window_stabilization(action, radii=radii, prune=prune)
+    assert (info.type, str(info.value)) == expected
+
+
+def test_stabilize_of_no_radii_checks_nothing():
+    scan = window_stabilization(sloped_pair(), radii=(), prune=("x",))
+    assert scan.rows == () and scan.stabilized is None
+    assert window_stabilization(sloped_pair(), radii=(0,)).rows == ((0, 1, 0),)

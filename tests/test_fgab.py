@@ -320,5 +320,9 @@ def test_hom_decomposes_its_graph_once(monkeypatch):
         assert h.apply(h.preimage_representative(h.apply(x))) == h.apply(x)
     h.kernel_lattice()
     h.kernel()
-    assert h.try_split() is not None
+    split = h.try_split()
+    assert split is not None
+    calls = len(seen)
+    assert h.try_split() is split
+    assert len(seen) == calls
     assert sum(1 for mat in seen if mat == graph) == 1

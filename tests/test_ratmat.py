@@ -99,3 +99,64 @@ def test_empty_shapes():
     z2 = RationalMatrix.zeros(3, 0)
     assert rank(z2) == 0
     assert solve(z2, [[0, 0, 0], [1, 0, 0]]) == [(), None]
+
+
+def test_sparse_rows_are_canonical():
+    # the same matrix reached from dense rows with zeros, from columns, from
+    # row maps with explicit zeros and from products stores the same rows
+    rng = random.Random(11)
+    for _ in range(40):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        dense = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4
+             else rng.choice([0, Fraction(0)]) for _ in range(n)]
+            for _ in range(m)
+        ]
+        a = RationalMatrix(dense, ncols=n)
+        same = [
+            RationalMatrix.from_columns([[row[j] for row in dense] for j in range(n)], nrows=m),
+            RationalMatrix.from_row_maps([dict(enumerate(row)) for row in dense], n),
+            a @ RationalMatrix.identity(n),
+            RationalMatrix.identity(m) @ a,
+            a + RationalMatrix.zeros(m, n),
+            a - a + a,
+            (a * 3) * Fraction(1, 3),
+            a.transpose().transpose(),
+            a.submatrix(range(m), range(n)),
+        ]
+        for other in same:
+            assert other == a and hash(other) == hash(a)
+        for mat in [a] + same:
+            assert mat._rows == tuple(map(tuple, mat.to_lists()))
+            assert all(x for _, _, x in mat.entries())
+    cancel = RationalMatrix([[1, 1]]) @ RationalMatrix([[1], [-1]])
+    assert cancel == RationalMatrix.zeros(1, 1) and cancel.is_zero()
+    assert RationalMatrix([[1, 2]]) - RationalMatrix([[1, 2]]) == RationalMatrix.zeros(1, 2)
+
+
+def test_every_entry_is_type_checked():
+    with pytest.raises(TypeError):
+        RationalMatrix([[1, 0.0]])
+    with pytest.raises(TypeError):
+        RationalMatrix.from_columns([[0, 0.0]])
+    with pytest.raises(TypeError):
+        RationalMatrix.from_row_maps([{0: 0.0}], 1)
+    with pytest.raises(ValueError):
+        RationalMatrix([[1, 0], [1]])
+    with pytest.raises(ValueError):
+        RationalMatrix.from_row_maps([{2: 1}], 2)
+
+
+def test_entry_access_on_sparse_rows():
+    mat = RationalMatrix([[0, 2, 0], [0, 0, 0], [Fraction(1, 2), 0, 3]])
+    assert mat[0, 1] == 2 and mat[0, 0] == 0 and mat[2, -1] == 3 and mat[1, 2] == 0
+    assert mat.row(2) == (Fraction(1, 2), 0, 3)
+    assert mat.column(0) == (0, 0, Fraction(1, 2))
+    assert mat.columns() == tuple(mat.column(j) for j in range(3))
+    assert list(mat.entries()) == [(0, 1, 2), (2, 0, Fraction(1, 2)), (2, 2, 3)]
+    assert mat.submatrix([2, 0], [2, 1]) == RationalMatrix([[3, 0], [0, 2]])
+    assert mat.submatrix([1]) == RationalMatrix.zeros(1, 3)
+    with pytest.raises(IndexError):
+        mat[0, 3]
+    with pytest.raises(ValueError, match="repeated column"):
+        mat.submatrix([0], [1, 1])
