@@ -8,6 +8,10 @@ exact integral K-groups with shift automorphisms.  Faces between comparable
 nodes carry their own complex plus restriction and fibration-pullback maps,
 whose compatibilities are validated here.
 
+A node's K-data and its cochain model are the two coefficient systems of
+`redbun`'s twisted tables (`Coefficients`); faces and corners expose each
+system's restriction and pullback as a `TwistedMaps`.
+
 All complexes are stored flat: one total coordinate space whose slots are
 tagged with degrees, differentials and chain maps as single matrices.  That
 keeps operators that mix degrees (exponentials of shifts) in the same
@@ -17,6 +21,7 @@ representation as everything else.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fgab import AbHom, FgAbGroup
@@ -117,9 +122,6 @@ class CochainComplex:
             out.append(self.dims[k] - rk - prev_rank)
             prev_rank = rk
         return tuple(out)
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * n for k, n in enumerate(self.dims))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -258,15 +260,88 @@ def sigma_for_character(
     return acc
 
 
-class KData:
+def _exp_nilpotent(m: RationalMatrix) -> RationalMatrix:
+    if m.nrows != m.ncols:
+        raise ValueError("exponential of a non-square matrix")
+    acc = RationalMatrix.identity(m.nrows)
+    term = acc
+    for k in range(1, m.nrows + 2):
+        term = (term @ m) * Fraction(1, k)
+        if term.is_zero():
+            return acc
+        acc = acc + term
+    raise ValueError("operator is not nilpotent")
+
+
+def ch_operator(shifts: Sequence[ChainMap], coeffs: Sequence[int], dim: int) -> RationalMatrix:
+    """exp of the combined shift operator for integer kernel coordinates."""
+    return _exp_nilpotent(shift_for_character(shifts, coeffs, dim))
+
+
+class Coefficients:
+    """A coefficient system: the values a twisted table holds at a character.
+
+    `zero` is the zero value, `normalize` brings a raw value to canonical
+    form (raising ValueError on a malformed one) and `add` sums two
+    canonical values.  `twist(h)` is the operator of the twisting law for
+    the kernel element with coordinates h: an entry x at rep + h is the
+    entry twist(h)(x) at rep.  Operators have `apply` and compose with `@`;
+    each is built once per coordinate tuple and kept.
+
+    Two systems occur: K-classes over Z twisted by sigma(h) (`KData` is the
+    one of its K0), and cochains over Q twisted by exp(L(h))
+    (`NodeSpaceData` is the one of its complex).
+    """
+
+    __slots__ = ("zero", "normalize", "add", "_build", "_twists")
+
+    def __init__(self, zero, normalize, add, build):
+        self.zero = zero
+        self.normalize = normalize
+        self.add = add
+        self._build = build
+        self._twists: Dict[Tuple[int, ...], object] = {}
+
+    def twist(self, coords: Sequence[int]):
+        key = tuple(int(c) for c in coords)
+        op = self._twists.get(key)
+        if op is None:
+            op = self._twists[key] = self._build(key)
+        return op
+
+
+def _classes(group: FgAbGroup, sigmas: Sequence[AbHom]) -> tuple:
+    """Coefficient-system parts for classes of `group`, twisted by `sigmas`."""
+    twist = partial(sigma_for_character, tuple(sigmas), group=group)
+    return group.zero(), group.reduce, group.add, twist
+
+
+def _cochains(complex_: CochainComplex, shifts: Sequence[ChainMap]) -> tuple:
+    """Coefficient-system parts for cochains of `complex_`, twisted by exp(L(h))."""
+    dim = complex_.total_dim
+
+    def normalize(vec: Sequence) -> Tuple[Fraction, ...]:
+        vec = tuple(Fraction(x) for x in vec)
+        if len(vec) != dim:
+            raise ValueError(f"cochain length {len(vec)} != {dim}")
+        return vec
+
+    def add(x: Sequence[Fraction], y: Sequence[Fraction]) -> Tuple[Fraction, ...]:
+        return tuple(a + b for a, b in zip(x, y))
+
+    return (Fraction(0),) * dim, normalize, add, partial(ch_operator, tuple(shifts), dim=dim)
+
+
+class KData(Coefficients):
     """Integral K-groups of a node with shift automorphisms.
 
     `sigma0[i]` / `sigma1[i]` act on K0 / K1 for the i-th kernel-lattice
-    generator; `dim_hom` is the rank homomorphism K0 -> Z.  The shift
-    automorphism of a kernel character is built once per coefficient tuple.
+    generator; `dim_hom` is the rank homomorphism K0 -> Z.  A KData is the
+    coefficient system of K0 classes, so `twist(h)` is the shift
+    automorphism of a kernel element on K0; `odd` is the one of K1.
     """
 
-    __slots__ = ("k0", "k1", "sigma0", "sigma1", "dim_hom", "_shifts")
+    __slots__ = ("k0", "k1", "sigma0", "sigma1", "dim_hom", "odd")
 
     def __init__(
         self,
@@ -291,7 +366,8 @@ class KData:
         self.sigma0 = tuple(sigma0)
         self.sigma1 = tuple(sigma1)
         self.dim_hom = dim_hom
-        self._shifts: Dict[Tuple[int, Tuple[int, ...]], AbHom] = {}
+        super().__init__(*_classes(k0, self.sigma0))
+        self.odd = Coefficients(*_classes(k1, self.sigma1))
 
     @classmethod
     def trivial_shifts(cls, k0: FgAbGroup, k1: FgAbGroup, dim_hom: AbHom, count: int) -> "KData":
@@ -306,20 +382,6 @@ class KData:
     @property
     def generator_count(self) -> int:
         return len(self.sigma0)
-
-    def sigma0_for(self, coeffs: Sequence[int]) -> AbHom:
-        return self._shift(0, coeffs)
-
-    def sigma1_for(self, coeffs: Sequence[int]) -> AbHom:
-        return self._shift(1, coeffs)
-
-    def _shift(self, parity: int, coeffs: Sequence[int]) -> AbHom:
-        key = (parity, tuple(int(c) for c in coeffs))
-        hom = self._shifts.get(key)
-        if hom is None:
-            family, group = (self.sigma0, self.k0) if parity == 0 else (self.sigma1, self.k1)
-            hom = self._shifts[key] = sigma_for_character(family, key[1], group)
-        return hom
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
@@ -353,11 +415,13 @@ class KData:
         return rep
 
 
-class NodeSpaceData:
+class NodeSpaceData(Coefficients):
     """Everything attached to a single tree node.
 
     `shifts` holds one degree-two chain endomorphism per kernel-lattice
     generator of the node, in the order fixed by the node's SubgroupDatum.
+    A NodeSpaceData is the coefficient system of the node's cochains, so
+    `twist(h)` is exp(L(h)); `kdata` is the one of its K0 classes.
     """
 
     __slots__ = ("complex", "shifts", "kdata")
@@ -371,6 +435,7 @@ class NodeSpaceData:
         self.complex = complex_
         self.shifts = tuple(shifts)
         self.kdata = kdata
+        super().__init__(*_cochains(complex_, self.shifts))
 
 
 def validate_node(data: NodeSpaceData, kernel_rank: Optional[int] = None) -> ValidationReport:
@@ -425,16 +490,41 @@ class KPair:
         return f"KPair({self.even!r}, {self.odd!r})"
 
 
+class TwistedMaps:
+    """One coefficient system's side of a face or a corner.
+
+    `coefficients` is the system of the face (or corner), `restriction`
+    maps shallow values into it and `pullback` deep ones.  `pulled(h)` is
+    twist(h) @ pullback, what the augmented pullback applies to a deep
+    value at kernel offset h; each is built once per coordinate tuple.
+    """
+
+    __slots__ = ("coefficients", "restriction", "pullback", "_pulled")
+
+    def __init__(self, coefficients: Coefficients, restriction, pullback):
+        self.coefficients = coefficients
+        self.restriction = restriction
+        self.pullback = pullback
+        self._pulled: Dict[Tuple[int, ...], object] = {}
+
+    def pulled(self, coords: Tuple[int, ...]):
+        op = self._pulled.get(coords)
+        if op is None:
+            op = self._pulled[coords] = self.coefficients.twist(coords) @ self.pullback
+        return op
+
+
 class FaceMaps:
     """Data of one boundary face between comparable nodes a < b.
 
     The face carries its own complex and node-style shift/K data indexed by
     the *shallow* node's kernel generators, a restriction chain map `rho`
     from the shallow node, and a fibration pullback `pullback` from the deep
-    node, together with their K-group shadows.
+    node, together with their K-group shadows.  `classes` and `forms` are
+    the K0 and cochain sides of the face.
     """
 
-    __slots__ = ("face", "rho", "pullback", "rho_k", "pullback_k")
+    __slots__ = ("face", "rho", "pullback", "rho_k", "pullback_k", "classes", "forms")
 
     def __init__(
         self,
@@ -457,6 +547,8 @@ class FaceMaps:
         self.pullback = pullback
         self.rho_k = rho_k
         self.pullback_k = pullback_k
+        self.classes = TwistedMaps(face.kdata, rho_k.even, pullback_k.even)
+        self.forms = TwistedMaps(face, rho.matrix, pullback.matrix)
 
 
 def validate_face(
@@ -539,10 +631,10 @@ def validate_face(
                 bad_chain.append(j)
             if (
                 face_maps.pullback_k.even @ deep.kdata.sigma0[j]
-                != face_maps.face.kdata.sigma0_for(h) @ face_maps.pullback_k.even
+                != face_maps.face.kdata.twist(h) @ face_maps.pullback_k.even
             ) or (
                 face_maps.pullback_k.odd @ deep.kdata.sigma1[j]
-                != face_maps.face.kdata.sigma1_for(h) @ face_maps.pullback_k.odd
+                != face_maps.face.kdata.odd.twist(h) @ face_maps.pullback_k.odd
             ):
                 bad_k.append(j)
         rep.add(
@@ -564,7 +656,9 @@ class CornerData:
     `into_ab` and `into_ag` restrict the faces (a,b) and (a,c) to the
     corner; `pull_bg` pulls the face (b,c) back to it.  An optional K0
     block (`k0`, automorphisms `sigma0`, and the three K0 maps) enables the
-    K-level factorization check.
+    K-level factorization check.  `forms` and `classes` (None without the
+    K0 block) are the cochain and K0 sides of the corner, restricting along
+    `into_ag` and pulling back along `pull_bg`.
     """
 
     __slots__ = (
@@ -578,6 +672,8 @@ class CornerData:
         "into_ab_k",
         "into_ag_k",
         "pull_bg_k",
+        "forms",
+        "classes",
     )
 
     def __init__(
@@ -609,6 +705,12 @@ class CornerData:
         self.into_ab_k = into_ab_k
         self.into_ag_k = into_ag_k
         self.pull_bg_k = pull_bg_k
+        self.forms = TwistedMaps(
+            Coefficients(*_cochains(corner, self.shifts)), into_ag.matrix, pull_bg.matrix
+        )
+        self.classes = None if k0 is None else TwistedMaps(
+            Coefficients(*_classes(k0, self.sigma0)), into_ag_k, pull_bg_k
+        )
 
     @property
     def has_k_level(self) -> bool:

@@ -268,18 +268,6 @@ def section(datum: SubgroupDatum, support: Iterable) -> SectionSystem:
     return SectionSystem(datum, table, homomorphic)
 
 
-def section_from_splitting(datum: SubgroupDatum, split: AbHom, support: Iterable) -> SectionSystem:
-    """Tabulate a homomorphic splitting over a support."""
-    if (datum.restriction @ split) != AbHom.identity(datum.target):
-        raise ValueError("supplied hom is not a splitting of the restriction")
-    table = {}
-    for b in support:
-        if not isinstance(b, Character):
-            b = Character(datum.target, b)
-        table[b] = Character(datum.ambient, split.apply(b.coords))
-    return SectionSystem(datum, table, True)
-
-
 def offset_section(base: SectionSystem, offsets: Mapping[Character, Sequence[int]]) -> SectionSystem:
     """New section differing from `base` by kernel elements.
 
@@ -293,23 +281,6 @@ def offset_section(base: SectionSystem, offsets: Mapping[Character, Sequence[int
             raise ValueError(f"offset for {b!r} outside the section support")
         table[b] = table[b] + datum.kernel_element(coeffs)
     return SectionSystem(datum, table, None)
-
-
-def compare_sections(first: SectionSystem, second: SectionSystem) -> Dict[Character, Character]:
-    """Pointwise difference second - first, verified to lie in the kernel."""
-    if first.datum is not second.datum and (
-        first.datum.restriction != second.datum.restriction
-    ):
-        raise ValueError("sections belong to different subgroup data")
-    if set(first.table) != set(second.table):
-        raise ValueError("sections are tabulated over different supports")
-    diff = {}
-    for b in first.table:
-        mu = second.table[b] - first.table[b]
-        if not first.datum.in_kernel(mu):
-            raise ValueError(f"difference at {b!r} is not in the kernel lattice")
-        diff[b] = mu
-    return diff
 
 
 def fiber_support(
@@ -343,101 +314,3 @@ def edge_restriction(shallow: SubgroupDatum, deep: SubgroupDatum) -> AbHom:
     if (edge @ deep.restriction) != shallow.restriction:
         raise ValueError("edge restriction is not well-defined")
     return edge
-
-
-class ChainSections:
-    """Stepwise-consistent section tables along a chain of subgroups.
-
-    Levels are ordered shallow to deep (kernel lattices decreasing).  Edge
-    lifts are canonical per consecutive edge; composites are *defined* as
-    products of the one-step lifts, which makes the composition identity
-    hold on the tabulated supports by construction -- `verify` re-checks
-    both that identity and the section property of every composite.
-    """
-
-    __slots__ = ("data", "edge_maps", "edge_tables", "ambient_tables")
-
-    def __init__(self, data, edge_maps, edge_tables, ambient_tables):
-        self.data = tuple(data)
-        self.edge_maps = tuple(edge_maps)
-        self.edge_tables = tuple(edge_tables)
-        self.ambient_tables = tuple(ambient_tables)
-
-    def lift(self, level: int, b: Character) -> Character:
-        """One-step lift from level to level + 1."""
-        try:
-            return self.edge_tables[level][b]
-        except KeyError:
-            raise ValueError(f"{b!r} is not tabulated at chain level {level}")
-
-    def composite(self, start: int, stop: int, b: Character) -> Character:
-        """Lift from level `start` up to level `stop` by composing steps."""
-        if not 0 <= start <= stop < len(self.data):
-            raise ValueError("chain levels out of range")
-        cur = b
-        for lvl in range(start, stop):
-            cur = self.lift(lvl, cur)
-        return cur
-
-    def to_ambient(self, level: int, b: Character) -> Character:
-        try:
-            return self.ambient_tables[level][b]
-        except KeyError:
-            raise ValueError(f"{b!r} is not tabulated at chain level {level}")
-
-    def verify(self) -> bool:
-        for lvl, table in enumerate(self.edge_tables):
-            edge = self.edge_maps[lvl]
-            for b, lifted in table.items():
-                if edge_image(edge, lifted) != b:
-                    return False
-        for lvl, table in enumerate(self.ambient_tables):
-            datum = self.data[lvl]
-            for b, ghat in table.items():
-                if datum.restrict(ghat) != b:
-                    return False
-                if lvl + 1 < len(self.data) and b in self.edge_tables[lvl]:
-                    stepped = self.to_ambient(lvl + 1, self.edge_tables[lvl][b])
-                    if stepped != ghat:
-                        return False
-        return True
-
-
-def chain_sections(data: Sequence[SubgroupDatum], supports: Sequence[Iterable[Character]]) -> ChainSections:
-    """Build stepwise-consistent lifts along a chain of nested subgroups.
-
-    `data` is ordered shallow to deep; `supports[i]` is the finite support
-    to tabulate at level i.  Supports are automatically enlarged so that the
-    image of each tabulated lift is tabulated at the next level.
-    """
-    if len(data) != len(supports):
-        raise ValueError("one support per chain level required")
-    k = len(data)
-    edge_maps = [edge_restriction(data[i], data[i + 1]) for i in range(k - 1)]
-
-    needed: List[set] = [set() for _ in range(k)]
-    for i in range(k):
-        for b in supports[i]:
-            if not isinstance(b, Character):
-                b = Character(data[i].target, b)
-            needed[i].add(b)
-
-    edge_tables: List[Dict[Character, Character]] = []
-    for i in range(k - 1):
-        table = {}
-        for b in sorted(needed[i], key=lambda c: c.coords):
-            lifted = Character(
-                data[i + 1].target, edge_maps[i].preimage_representative(b.coords)
-            )
-            table[b] = lifted
-            needed[i + 1].add(lifted)
-        edge_tables.append(table)
-
-    # Ambient lifts: canonical at the deepest level, stepwise below it.
-    ambient_tables: List[Dict[Character, Character]] = [dict() for _ in range(k)]
-    for b in sorted(needed[k - 1], key=lambda c: c.coords):
-        ambient_tables[k - 1][b] = data[k - 1].canonical_representative(b)
-    for i in range(k - 2, -1, -1):
-        for b, lifted in edge_tables[i].items():
-            ambient_tables[i][b] = ambient_tables[i + 1][lifted]
-    return ChainSections(data, edge_maps, edge_tables, ambient_tables)

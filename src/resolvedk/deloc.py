@@ -7,27 +7,23 @@ summed pullback of the deep data.  Pruned nodes contribute nothing and
 force the corresponding restrictions to vanish, which is what makes the
 relative complexes of a pruning step literally sub- and quotient complexes.
 
-All linear algebra is exact and rational; the character twists enter
-through exponentials of the nilpotent shift operators, so every exponential
-is a finite sum.
+Each face condition is the forms side of `redbun.augmented_pullback`, the
+table model this assembly is checked against: a face row block holds the
+face restriction on the shallow block and minus exp(L(h)) @ pullback on
+each deep block of the fiber.  All linear algebra is exact and rational;
+the character twists are exponentials of the nilpotent shift operators, so
+every exponential is a finite sum, and each node space builds each one
+once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .action import ResolvedAction, WindowError
-from .basespace import ChainMap, NodeSpaceData, shift_for_character
-from .chargroup import (
-    Character,
-    SectionSystem,
-    SubgroupDatum,
-    edge_image,
-    fiber_support,
-    lift,
-    lift_offset,
-)
+from .basespace import NodeSpaceData, _exp_nilpotent
+from .chargroup import Character, SectionSystem, SubgroupDatum, fiber_support, lift, lift_offset
 from .itspace import Pruning, prune_step
 from .ktheory import SixTermInstance, hexagon_check
 from .ratmat import (
@@ -50,7 +46,7 @@ LES_LABELS = (
 )
 
 
-# -- small exact-linear-algebra helpers ----------------------------------------
+# -- small exact-linear-algebra helpers and character exponentials --------------
 
 
 def _select(vec: Sequence, idx: Sequence[int]) -> Tuple:
@@ -78,250 +74,13 @@ def _column_space_basis(mat: RationalMatrix) -> RationalMatrix:
     return mat.submatrix(range(mat.nrows), pivots)
 
 
-def _exp_nilpotent(m: RationalMatrix) -> RationalMatrix:
-    if m.nrows != m.ncols:
-        raise ValueError("exponential of a non-square matrix")
-    acc = RationalMatrix.identity(m.nrows)
-    term = acc
-    for k in range(1, m.nrows + 2):
-        term = (term @ m) * Fraction(1, k)
-        if term.is_zero():
-            return acc
-        acc = acc + term
-    raise ValueError("operator is not nilpotent")
-
-
-# -- character exponentials and twisted form sectors ---------------------------
-
-
-def ch_operator(shifts: Sequence[ChainMap], coeffs: Sequence[int], dim: int) -> RationalMatrix:
-    """exp of the combined shift operator for integer kernel coordinates."""
-    return _exp_nilpotent(shift_for_character(shifts, coeffs, dim))
-
-
-def _twist_operator(
-    shifts: Sequence[ChainMap], dim: int, pull: Optional[ChainMap] = None
-) -> Callable[[Tuple[int, ...]], RationalMatrix]:
-    """Kernel coordinates h -> exp(L(h)), after `pull` when given.
-
-    This is the cochain-level twist of the twisting law, optionally composed
-    with a fibration pullback; each operator is built once per coordinate
-    tuple and kept for the lifetime of the returned function.
-    """
-    cache: Dict[Tuple[int, ...], RationalMatrix] = {}
-
-    def twist(coords: Tuple[int, ...]) -> RationalMatrix:
-        if coords not in cache:
-            op = ch_operator(shifts, coords, dim)
-            cache[coords] = op if pull is None else op @ pull.matrix
-        return cache[coords]
-
-    return twist
-
-
 def ch_of_character(hhat, datum: SubgroupDatum, space: NodeSpaceData) -> RationalMatrix:
     """Even chain operator of a kernel character: exponential of its shift."""
     if not isinstance(hhat, Character):
         if isinstance(hhat, int):
             hhat = (hhat,)
         hhat = Character(datum.ambient, hhat)
-    coords = datum.kernel_coordinates(hhat)
-    return ch_operator(space.shifts, coords, space.complex.total_dim)
-
-
-class TwistedFormSector:
-    """Finitely supported table of cochains at one node, canonical form."""
-
-    __slots__ = ("label", "datum", "space", "table")
-
-    def __init__(
-        self,
-        label: str,
-        datum: SubgroupDatum,
-        space: NodeSpaceData,
-        table: Mapping[Character, Sequence],
-    ):
-        clean: Dict[Character, Tuple[Fraction, ...]] = {}
-        for ghat, vec in table.items():
-            vec = tuple(Fraction(x) for x in vec)
-            if len(vec) != space.complex.total_dim:
-                raise ValueError(f"cochain length mismatch at {ghat!r}")
-            if any(vec):
-                clean[ghat] = vec
-        self.label = label
-        self.datum = datum
-        self.space = space
-        self.table = clean
-
-    def get(self, ghat: Character) -> Tuple[Fraction, ...]:
-        return self.table.get(ghat, (Fraction(0),) * self.space.complex.total_dim)
-
-    def support(self) -> List[Character]:
-        return sorted(self.table, key=lambda c: c.coords)
-
-    def apply_d(self) -> "TwistedFormSector":
-        d = self.space.complex.d
-        return TwistedFormSector(
-            self.label, self.datum, self.space,
-            {g: d.apply(v) for g, v in self.table.items()},
-        )
-
-    def map_values(
-        self, op: ChainMap, space: NodeSpaceData, label: str = ""
-    ) -> "TwistedFormSector":
-        return TwistedFormSector(
-            label or self.label, self.datum, space,
-            {g: op.apply(v) for g, v in self.table.items()},
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TwistedFormSector) and self.table == other.table
-
-    def __repr__(self) -> str:
-        entries = ", ".join(
-            f"{g.coords}->{tuple(str(x) for x in v)}"
-            for g, v in sorted(self.table.items(), key=lambda kv: kv[0].coords)
-        )
-        return f"TwistedFormSector({self.label}: {entries or '0'})"
-
-
-def _twisted_sum(
-    entries: Iterable[Tuple[Character, Character, Sequence]],
-    datum: SubgroupDatum,
-    section: Optional[SectionSystem],
-    twist: Callable[[Tuple[int, ...]], RationalMatrix],
-) -> Dict[Character, List[Fraction]]:
-    """Sum cochains onto section lifts, each twisted by its kernel offset.
-
-    `entries` yields (character of `datum`'s subgroup, ambient character,
-    cochain).  Each cochain moves to the lift of its subgroup character by
-    the twisting law and is mapped there by `twist(h)`, h the kernel
-    coordinates of its offset; entries that land on the same lift add up.
-    """
-    out: Dict[Character, List[Fraction]] = {}
-    for b, ghat, vec in entries:
-        rep, coords = lift_offset(datum, section, b, ghat)
-        moved = twist(coords).apply(vec)
-        if rep in out:
-            out[rep] = [x + y for x, y in zip(out[rep], moved)]
-        else:
-            out[rep] = list(moved)
-    return out
-
-
-def canonicalize_form(
-    raw_table: Mapping,
-    datum: SubgroupDatum,
-    space: NodeSpaceData,
-    section: Optional[SectionSystem] = None,
-    label: str = "",
-) -> TwistedFormSector:
-    """Move form entries onto section representatives.
-
-    An entry v at rep + h is identified with exp(L(h)) v at rep — the same
-    orientation as the K-class twisting law, so the Chern character
-    intertwines the two canonicalizations.
-    """
-    def entries():
-        for ghat, vec in raw_table.items():
-            if not isinstance(ghat, Character):
-                if isinstance(ghat, int):
-                    ghat = (ghat,)
-                ghat = Character(datum.ambient, ghat)
-            elif ghat.group != datum.ambient:
-                raise ValueError(f"character {ghat!r} is not in the ambient dual")
-            yield datum.restrict(ghat), ghat, vec
-
-    twist = _twist_operator(space.shifts, space.complex.total_dim)
-    acc = _twisted_sum(entries(), datum, section, twist)
-    return TwistedFormSector(label, datum, space, acc)
-
-
-def face_restriction_forms(face_maps, v: TwistedFormSector, label: str = "") -> TwistedFormSector:
-    """Restrict a shallow node's form sector to the face, characterwise."""
-    return v.map_values(face_maps.rho, face_maps.face, label or v.label)
-
-
-def _face_twist(face_maps) -> Callable[[Tuple[int, ...]], RationalMatrix]:
-    """The face's exp(L(h)) @ pullback, shared by the forms model and assembly."""
-    face = face_maps.face
-    return _twist_operator(face.shifts, face.complex.total_dim, face_maps.pullback)
-
-
-def augmented_pullback_forms(
-    face_maps,
-    shallow_datum: SubgroupDatum,
-    edge,
-    v: TwistedFormSector,
-    shallow_section: Optional[SectionSystem] = None,
-    label: str = "",
-) -> TwistedFormSector:
-    """Pull a deep form sector back to the face over the shallow node.
-
-    Entries are pulled back along the fibration, twisted by the exponential
-    of the kernel element connecting the lifts, and summed over each fiber
-    of the edge restriction.  Commutes with the differentials.
-    """
-    out = _twisted_sum(
-        ((edge_image(edge, v.datum.restrict(g)), g, vec) for g, vec in v.table.items()),
-        shallow_datum, shallow_section, _face_twist(face_maps),
-    )
-    return TwistedFormSector(label or v.label, shallow_datum, face_maps.face, out)
-
-
-def corner_forms_factorization(
-    action: ResolvedAction, chain: Sequence[str], radius: Optional[int] = None
-) -> ValidationReport:
-    """Pulling forms back along a composite edge factors through the corner.
-
-    Checked on every basis cochain of the deep node over its whole window:
-    restriction-to-corner of the pullback along a<g must agree with the
-    corner-level pullback of the pullback along b<g.
-    """
-    a, b, g = chain
-    tree = action.tree
-    windows = action.windows(radius)
-    corner = action.corners[tuple(chain)]
-    fm_ag, fm_bg = action.faces[(a, g)], action.faces[(b, g)]
-    edge_ag = tree.edge_restriction(a, g)
-    edge_bg = tree.edge_restriction(b, g)
-    edge_ab = tree.edge_restriction(a, b)
-    datum_a, datum_b, datum_g = tree.nodes[a], tree.nodes[b], tree.nodes[g]
-    gdim = action.spaces[g].complex.total_dim
-    corner_twist = _twist_operator(corner.shifts, corner.corner.total_dim, corner.pull_bg)
-
-    rep = ValidationReport()
-    mismatch = ""
-    for khat_g in windows[g]:
-        lift_g = datum_g.canonical_representative(khat_g)
-        for i in range(gdim):
-            unit = [Fraction(0)] * gdim
-            unit[i] = Fraction(1)
-            v = TwistedFormSector(g, datum_g, action.spaces[g], {lift_g: unit})
-            via_ag = augmented_pullback_forms(fm_ag, datum_a, edge_ag, v)
-            path_a = {
-                ch: corner.into_ag.apply(vec) for ch, vec in via_ag.table.items()
-            }
-            via_bg = augmented_pullback_forms(fm_bg, datum_b, edge_bg, v)
-            path_b = _twisted_sum(
-                (
-                    (edge_image(edge_ab, datum_b.restrict(g)), g, vec)
-                    for g, vec in via_bg.table.items()
-                ),
-                datum_a, None, corner_twist,
-            )
-            pa = {ch: tuple(vec) for ch, vec in path_a.items() if any(vec)}
-            pb = {ch: tuple(vec) for ch, vec in path_b.items() if any(vec)}
-            if pa != pb and not mismatch:
-                mismatch = (
-                    f"basis cochain {i} at {khat_g.coords}: direct {pa} != factored {pb}"
-                )
-    rep.add(
-        f"corner {'<'.join(chain)} form pullback factorization",
-        not mismatch,
-        mismatch,
-    )
-    return rep
+    return space.twist(datum.kernel_coordinates(hhat))
 
 
 # -- the assembled global complex ----------------------------------------------
@@ -346,9 +105,7 @@ class TwoPeriodicComplex:
         p = parity % 2
         if self._cocycles[p] is None:
             b = self.basis(p)
-            null = nullspace_basis(self.d @ b)
-            coeff = RationalMatrix.from_columns(null, nrows=b.ncols)
-            self._cocycles[p] = b @ coeff
+            self._cocycles[p] = b @ nullspace_basis(self.d @ b)
         return self._cocycles[p]
 
     def boundaries(self, parity: int) -> RationalMatrix:
@@ -410,8 +167,7 @@ class SectorComplex:
         """Basis of the compatible subspace in the given parity, as columns."""
         idx = self.parity_indices(parity)
         restricted = self.constraint.submatrix(range(self.constraint.nrows), idx)
-        null = RationalMatrix.from_columns(nullspace_basis(restricted), nrows=len(idx))
-        return _placed_rows(null, idx, self.total)
+        return _placed_rows(nullspace_basis(restricted), idx, self.total)
 
     @property
     def two_periodic(self) -> TwoPeriodicComplex:
@@ -589,8 +345,7 @@ def assemble_complex(
         given = sections.get(label) if sections else None
         lifts[label] = SectionSystem(datum, {b: lift(datum, given, b) for b in windows[label]})
     faces = [
-        (a, b, fiber_support(tree.edge_restriction(a, b), windows[b]),
-         _face_twist(action.faces[(a, b)]))
+        (a, b, fiber_support(tree.edge_restriction(a, b), windows[b]))
         for a, b in tree.comparable_pairs()
     ]
     # every window character sorted into its root sector in one pass, in
@@ -619,10 +374,10 @@ def _build_sector(action, chi, members, lifts, faces) -> SectorComplex:
     `members` lists the sector's (label, window character) pairs in block
     order.  Each face row block states that the face restriction of the
     shallow data equals the augmented pullback of the deep data, as
-    `augmented_pullback_forms` computes it: every deep character in the fiber
-    over the shallow one contributes exp(L(h)) @ pullback, with h given by
-    the twisting law.  Rows are built as `{column: value}` maps, so only
-    nonzero entries are ever stored.
+    `redbun.augmented_pullback` computes it on the face's forms side: every
+    deep character in the fiber over the shallow one contributes
+    exp(L(h)) @ pullback, with h given by the twisting law.  Rows are built
+    as `{column: value}` maps, so only nonzero entries are ever stored.
     """
     tree = action.tree
     blocks = []
@@ -640,18 +395,18 @@ def _build_sector(action, chi, members, lifts, faces) -> SectorComplex:
     rows: List[Dict[int, Fraction]] = []
     row_origins = []
     row_chars = []
-    for a, b, fibers, twist in faces:
-        fm = action.faces[(a, b)]
-        fdim = fm.face.complex.total_dim
+    for a, b, fibers in faces:
+        forms = action.faces[(a, b)].forms
+        fdim = len(forms.coefficients.zero)
         for khat in by_node.get(a, ()):
             s0, _ = spans[(a, khat)]
             block: List[Dict[int, Fraction]] = [{} for _ in range(fdim)]
-            for i, j, x in fm.rho.matrix.entries():
+            for i, j, x in forms.restriction.entries():
                 block[i][s0 + j] = x
             for bhat in fibers.get(khat, ()):
                 t0, _ = spans[(b, bhat)]
                 _, coords = lift_offset(tree.nodes[a], lifts[a], khat, lifts[b](bhat))
-                for i, j, x in twist(coords).entries():
+                for i, j, x in forms.pulled(coords).entries():
                     block[i][t0 + j] = block[i].get(t0 + j, 0) - x
             start = len(rows)
             rows.extend(block)

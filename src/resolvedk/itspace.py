@@ -119,11 +119,6 @@ class IsotropyTree:
     def labels_by_depth(self) -> List[str]:
         return sorted(self.nodes, key=lambda n: (self.depth(n), n))
 
-    def face_id(self, a: str, b: str) -> str:
-        if (a, b) not in self.order:
-            raise ValueError(f"nodes {a!r} and {b!r} are not comparable")
-        return self.face_ids[(a, b)]
-
     def edge_restriction(self, a: str, b: str) -> AbHom:
         """Dual restriction B-hat_b -> B-hat_a for a < b (cached)."""
         if (a, b) not in self.order:

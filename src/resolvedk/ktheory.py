@@ -65,10 +65,6 @@ class GradedKGroup:
             raise WindowExceeded(b)
         return self.kdata.k0, self.kdata.k1
 
-    def sector_ranks(self, b: Character) -> Tuple[int, int]:
-        k0, k1 = self.sector(b)
-        return k0.free_rank, k1.free_rank
-
     def total_ranks(self) -> Tuple[int, int]:
         even = len(self.window) * self.kdata.k0.free_rank
         odd = len(self.window) * self.kdata.k1.free_rank
@@ -135,8 +131,8 @@ def rg_action(
             raise WindowExceeded(b2)
         # the entry at b sits at ghat + lift(b) over b2 once translated
         _, coords = lift_offset(k.datum, k.section, b2, ghat + lift(k.datum, k.section, b))
-        ev2 = k.kdata.sigma0_for(coords).apply(ev)
-        od2 = k.kdata.sigma1_for(coords).apply(od)
+        ev2 = k.kdata.twist(coords).apply(ev)
+        od2 = k.kdata.odd.twist(coords).apply(od)
         if b2 in out:
             prev = out[b2]
             ev2 = k.kdata.k0.add(prev[0], ev2)

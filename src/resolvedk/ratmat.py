@@ -331,28 +331,22 @@ def rank(mat: RationalMatrix) -> int:
     return len(rref(mat)[1])
 
 
-def nullspace_basis(mat: RationalMatrix) -> list:
-    """Basis (list of length-ncols tuples) of the right nullspace."""
+def nullspace_basis(mat: RationalMatrix) -> RationalMatrix:
+    """Basis of the right nullspace, as the columns of an ncols-row matrix.
+
+    Column k belongs to the k-th free column f of the reduced form: a one in
+    row f, and in the row of each pivot column minus that pivot row's entry
+    at f.  The rows are read straight off the sparse pivot rows.
+    """
     red, pivots = rref(mat)
-    n = mat.ncols
     pivot_set = set(pivots)
-    # the pivot entries of each free column's basis vector: minus its column
-    # of the reduced form, read off the sparse pivot rows
-    pivot_entries: Dict[int, List[Tuple[int, Fraction]]] = {}
+    free = {j: k for k, j in enumerate(j for j in range(mat.ncols) if j not in pivot_set)}
+    rows: List[Row] = [()] * mat.ncols
+    for j, k in free.items():
+        rows[j] = ((k, _ONE),)
     for row, pc in zip(red._data, pivots):
-        for j, x in row:
-            if j not in pivot_set:
-                pivot_entries.setdefault(j, []).append((pc, -x))
-    basis = []
-    for fc in range(n):
-        if fc in pivot_set:
-            continue
-        vec = [_ZERO] * n
-        vec[fc] = _ONE
-        for pc, x in pivot_entries.get(fc, ()):
-            vec[pc] = x
-        basis.append(tuple(vec))
-    return basis
+        rows[pc] = tuple((free[j], -x) for j, x in row if j in free)
+    return RationalMatrix._of(tuple(rows), len(free))
 
 
 def solve(mat: RationalMatrix, rhs: Sequence[Sequence]) -> List[Optional[Tuple[Fraction, ...]]]:

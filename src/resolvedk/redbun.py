@@ -1,87 +1,85 @@
-"""Reduced bundles: character-indexed K-classes with the twisting law.
+"""Twisted tables: character-indexed values under the twisting law.
 
-A reduced bundle over a node assigns a virtual K0-class to finitely many
-ambient characters.  Entries at characters with the same restriction to the
-node's subgroup are identified by the twisting law: an entry x sitting at
-rep + h (h in the kernel lattice) is the same datum as the entry sigma(h)(x)
-at rep.  Canonical form pushes all entries onto section representatives,
-making equality of bundles plain table equality.
+A twisted table over a node assigns a value to finitely many ambient
+characters.  Entries at characters with the same restriction to the node's
+subgroup are identified by the twisting law: an entry x sitting at rep + h
+(h in the kernel lattice) is the same datum as the entry twist(h)(x) at
+rep.  Canonical form pushes all entries onto section representatives,
+making equality of tables plain dictionary equality.
 
-The augmented pullback transports a deep node's bundle onto a face over a
+The values come from a coefficient system (`basespace.Coefficients`), and
+the same kernel serves both systems the model needs: reduced bundles hold
+K0 classes over Z twisted by sigma(h) (the system is the node's `KData`),
+and twisted forms hold cochains over Q twisted by exp(L(h)) (the system is
+the node's `NodeSpaceData`).  The Chern character intertwines the two.
+
+The augmented pullback transports a deep node's table onto a face over a
 shallower node: entries are pulled back along the fibration and re-twisted
 by the kernel element connecting the two section lifts, then summed over
-each fiber of the edge restriction.
+each fiber of the edge restriction.  Faces and corners expose one
+`TwistedMaps` per system, so restriction, pullback and the corner
+factorization are written once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .action import ResolvedAction
-from .basespace import FaceMaps, KData, sigma_for_character
+from .basespace import Coefficients, TwistedMaps
 from .chargroup import Character, SectionSystem, SubgroupDatum, edge_image, lift_offset
 from .fgab import AbHom
 from .report import ValidationReport
 
 
-class ReducedBundleNode:
-    """Canonical finitely supported table of K0-classes at one node."""
+class TwistedTable:
+    """Canonical finitely supported table of values at one node."""
 
-    __slots__ = ("label", "datum", "kdata", "table")
+    __slots__ = ("label", "datum", "coefficients", "table")
 
     def __init__(
         self,
         label: str,
         datum: SubgroupDatum,
-        kdata: KData,
-        table: Mapping[Character, Sequence[int]],
+        coefficients: Coefficients,
+        table: Mapping[Character, Sequence],
     ):
-        clean: Dict[Character, Tuple[int, ...]] = {}
-        for ghat, cls in table.items():
-            cls = kdata.k0.reduce(cls)
-            if any(cls):
-                clean[ghat] = cls
+        clean: Dict[Character, tuple] = {}
+        for ghat, value in table.items():
+            value = coefficients.normalize(value)
+            if any(value):
+                clean[ghat] = value
         self.label = label
         self.datum = datum
-        self.kdata = kdata
+        self.coefficients = coefficients
         self.table = clean
 
     def support(self) -> List[Character]:
         return sorted(self.table, key=lambda c: c.coords)
 
-    def get(self, ghat: Character) -> Tuple[int, ...]:
-        return self.table.get(ghat, self.kdata.k0.zero())
+    def get(self, ghat: Character) -> tuple:
+        return self.table.get(ghat, self.coefficients.zero)
 
     def is_zero(self) -> bool:
         return not self.table
 
-    def map_classes(self, hom: AbHom, kdata: KData, label: Optional[str] = None) -> "ReducedBundleNode":
-        """Apply a K0 homomorphism entrywise (e.g. restriction to a face)."""
-        if hom.domain != self.kdata.k0 or hom.codomain != kdata.k0:
-            raise ValueError("class map does not match the K-groups")
-        return ReducedBundleNode(
-            label if label is not None else self.label,
-            self.datum,
-            kdata,
-            {g: hom.apply(c) for g, c in self.table.items()},
-        )
-
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, ReducedBundleNode)
+            isinstance(other, TwistedTable)
             and self.datum.restriction == other.datum.restriction
             and self.table == other.table
         )
 
     def __hash__(self) -> int:
-        return hash((self.label, tuple(sorted(
-            (g.coords, c) for g, c in self.table.items()))))
+        return hash(tuple(sorted((g.coords, v) for g, v in self.table.items())))
 
     def __repr__(self) -> str:
         entries = ", ".join(
-            f"{g.coords}->{c}" for g, c in sorted(self.table.items(), key=lambda kv: kv[0].coords)
+            f"{g.coords}->({', '.join(map(str, v))})"
+            for g, v in sorted(self.table.items(), key=lambda kv: kv[0].coords)
         )
-        return f"ReducedBundleNode({self.label}: {entries or '0'})"
+        return f"TwistedTable({self.label}: {entries or '0'})"
 
 
 def _as_character(ambient, key) -> Character:
@@ -94,63 +92,82 @@ def _as_character(ambient, key) -> Character:
     return Character(ambient, key)
 
 
+def twisted_sum(
+    coefficients: Coefficients,
+    twist: Callable,
+    entries: Iterable[Tuple[Character, Character, Sequence]],
+    datum: SubgroupDatum,
+    section: Optional[SectionSystem],
+) -> Dict[Character, tuple]:
+    """Sum values onto section lifts, each moved by the twist of its offset.
+
+    `entries` yields (character of `datum`'s subgroup, ambient character,
+    value).  Each value moves to the lift of its subgroup character by the
+    twisting law and is mapped there by `twist(h)`, h the kernel coordinates
+    of its offset; values that land on the same lift add up.
+    """
+    out: Dict[Character, tuple] = {}
+    for b, ghat, value in entries:
+        rep, coords = lift_offset(datum, section, b, ghat)
+        moved = twist(coords).apply(value)
+        out[rep] = coefficients.add(out[rep], moved) if rep in out else moved
+    return out
+
+
 def canonicalize(
     raw_table: Mapping,
     datum: SubgroupDatum,
-    kdata: KData,
+    coefficients: Coefficients,
     section: Optional[SectionSystem] = None,
     label: str = "",
-) -> ReducedBundleNode:
-    """Move a raw bundle table onto section representatives.
+) -> TwistedTable:
+    """Move a raw table onto section representatives.
 
-    An entry x at rep + h contributes sigma(h)(x) at rep.  Idempotent; with
+    An entry x at rep + h contributes twist(h)(x) at rep.  Idempotent; with
     no section supplied the canonical coset representatives are used.
     """
-    acc: Dict[Character, Tuple[int, ...]] = {}
-    for ghat, cls in raw_table.items():
-        ghat = _as_character(datum.ambient, ghat)
-        rep, coords = lift_offset(datum, section, datum.restrict(ghat), ghat)
-        moved = kdata.sigma0_for(coords).apply(kdata.k0.reduce(cls))
-        acc[rep] = kdata.k0.add(acc[rep], moved) if rep in acc else moved
-    return ReducedBundleNode(label, datum, kdata, acc)
+    def entries():
+        for key, value in raw_table.items():
+            ghat = _as_character(datum.ambient, key)
+            yield datum.restrict(ghat), ghat, coefficients.normalize(value)
+
+    table = twisted_sum(coefficients, coefficients.twist, entries(), datum, section)
+    return TwistedTable(label, datum, coefficients, table)
 
 
-def direct_sum(w1: ReducedBundleNode, w2: ReducedBundleNode) -> ReducedBundleNode:
+def direct_sum(w1: TwistedTable, w2: TwistedTable) -> TwistedTable:
     if w1.datum is not w2.datum and w1.datum.restriction != w2.datum.restriction:
-        raise ValueError("direct sum needs bundles over the same node")
+        raise ValueError("direct sum needs tables over the same node")
     table = dict(w1.table)
-    for g, c in w2.table.items():
-        table[g] = w1.kdata.k0.add(table[g], c) if g in table else c
-    return ReducedBundleNode(w1.label, w1.datum, w1.kdata, table)
+    for g, v in w2.table.items():
+        table[g] = w1.coefficients.add(table[g], v) if g in table else v
+    return TwistedTable(w1.label, w1.datum, w1.coefficients, table)
 
 
 def tensor_with_representation(
     rep_table: Mapping,
-    w: ReducedBundleNode,
+    w: TwistedTable,
     section: Optional[SectionSystem] = None,
-) -> ReducedBundleNode:
-    """Convolve a finitely supported character table into the bundle."""
-    ambient = w.datum.ambient
-    raw: Dict[Character, List[int]] = {}
+) -> TwistedTable:
+    """Convolve a finitely supported character table into the table."""
+    coefficients = w.coefficients
+    raw: Dict[Character, tuple] = {}
     for ghat, mult in rep_table.items():
-        ghat = _as_character(ambient, ghat)
+        ghat = _as_character(w.datum.ambient, ghat)
         mult = int(mult)
-        for g, cls in w.table.items():
+        for g, v in w.table.items():
             key = ghat + g
-            scaled = w.kdata.k0.reduce([mult * x for x in cls])
-            if key in raw:
-                raw[key] = list(w.kdata.k0.add(raw[key], scaled))
-            else:
-                raw[key] = list(scaled)
-    return canonicalize(raw, w.datum, w.kdata, section=section, label=w.label)
+            scaled = coefficients.normalize([mult * x for x in v])
+            raw[key] = coefficients.add(raw[key], scaled) if key in raw else scaled
+    return canonicalize(raw, w.datum, coefficients, section=section, label=w.label)
 
 
 def shift_act(
-    hhat, w: ReducedBundleNode, section: Optional[SectionSystem] = None
-) -> ReducedBundleNode:
+    hhat, w: TwistedTable, section: Optional[SectionSystem] = None
+) -> TwistedTable:
     """Act by a kernel-lattice character: translate support, recanonicalize.
 
-    On canonical forms this applies sigma(h) to every class and keeps the
+    On canonical forms this applies twist(h) to every value and keeps the
     support fixed.
     """
     hhat = _as_character(w.datum.ambient, hhat)
@@ -159,64 +176,70 @@ def shift_act(
     return tensor_with_representation({hhat: 1}, w, section=section)
 
 
-def augmented_pullback_classes(
-    edge: AbHom,
-    shallow_datum: SubgroupDatum,
-    pull_hom: AbHom,
-    sigma_family: Sequence[AbHom],
-    w: ReducedBundleNode,
-    shallow_section: Optional[SectionSystem] = None,
-) -> Dict[Character, Tuple[int, ...]]:
-    """Core augmented-pullback sum, returning a table over section lifts.
-
-    `edge` restricts the deep subgroup dual onto the shallow one;
-    `pull_hom` maps the deep K0 into the target K0; `sigma_family` gives
-    the target's shift automorphisms, one per shallow kernel generator.
-    For each supported entry, the twist is by the kernel element connecting
-    the deep lift to the shallow lift of its edge image.
-    """
-    target_k0 = pull_hom.codomain
-    out: Dict[Character, Tuple[int, ...]] = {}
-    for ghat, cls in w.table.items():
-        k = edge_image(edge, w.datum.restrict(ghat))
-        rep, coords = lift_offset(shallow_datum, shallow_section, k, ghat)
-        moved = sigma_for_character(sigma_family, coords, target_k0).apply(pull_hom.apply(cls))
-        out[rep] = target_k0.add(out[rep], moved) if rep in out else moved
-    return out
+def face_restriction(maps: TwistedMaps, w: TwistedTable) -> TwistedTable:
+    """Restrict a shallow node's table to the face, entrywise."""
+    return TwistedTable(
+        w.label, w.datum, maps.coefficients,
+        {g: maps.restriction.apply(v) for g, v in w.table.items()},
+    )
 
 
 def augmented_pullback(
-    face_maps: FaceMaps,
+    maps: TwistedMaps,
     shallow_datum: SubgroupDatum,
     edge: AbHom,
-    w: ReducedBundleNode,
+    w: TwistedTable,
     shallow_section: Optional[SectionSystem] = None,
-    label: str = "",
-) -> ReducedBundleNode:
-    """Pull a deep node's bundle back to the face over the shallow node."""
-    table = augmented_pullback_classes(
-        edge,
-        shallow_datum,
-        face_maps.pullback_k.even,
-        face_maps.face.kdata.sigma0,
-        w,
-        shallow_section,
+) -> TwistedTable:
+    """Pull a deep node's table back to the face over the shallow node.
+
+    `edge` restricts the deep subgroup dual onto the shallow one.  Each
+    entry is pulled back along the fibration, twisted by the kernel element
+    connecting the deep lift to the shallow lift of its edge image, and the
+    entries over each shallow character add up.  Commutes with the
+    differentials on cochains.
+    """
+    entries = ((edge_image(edge, w.datum.restrict(g)), g, v) for g, v in w.table.items())
+    table = twisted_sum(maps.coefficients, maps.pulled, entries, shallow_datum, shallow_section)
+    return TwistedTable(w.label, shallow_datum, maps.coefficients, table)
+
+
+def corner_mismatch(
+    action: ResolvedAction,
+    chain: Sequence[str],
+    side: Callable,
+    w: TwistedTable,
+    sections: Optional[Mapping[str, SectionSystem]] = None,
+) -> str:
+    """Check that pulling a deep table back along a < b < g factors through the corner.
+
+    `side` picks one coefficient system's `TwistedMaps` from a face or a
+    corner, e.g. `attrgetter("forms")`.  Path A pulls `w` to the face (a,g)
+    and restricts it into the corner; path B pulls it to the face (b,g)
+    first, then through the corner along the (a,b) edge with the corner's
+    own twists.  Returns "" when the two agree, else a diagnostic.
+    """
+    a, b, g = chain
+    tree = action.tree
+    sec_a = sections.get(a) if sections else None
+    sec_b = sections.get(b) if sections else None
+    corner = side(action.corners[tuple(chain)])
+    via_ag = augmented_pullback(
+        side(action.faces[(a, g)]), tree.nodes[a], tree.edge_restriction(a, g), w, sec_a
     )
-    return ReducedBundleNode(label or w.label, shallow_datum, face_maps.face.kdata, table)
-
-
-def face_restriction(
-    face_maps: FaceMaps, w: ReducedBundleNode, label: str = ""
-) -> ReducedBundleNode:
-    """Restrict a shallow node's bundle to the face (classwise rho)."""
-    return w.map_classes(face_maps.rho_k.even, face_maps.face.kdata, label or w.label)
+    path_a = face_restriction(corner, via_ag)
+    via_bg = augmented_pullback(
+        side(action.faces[(b, g)]), tree.nodes[b], tree.edge_restriction(b, g), w, sec_b
+    )
+    path_b = augmented_pullback(corner, tree.nodes[a], tree.edge_restriction(a, b), via_bg, sec_a)
+    return "" if path_a.table == path_b.table else f"direct {path_a!r} != factored {path_b!r}"
 
 
 def canonical_bundle(
     action: ResolvedAction,
     name: str,
     sections: Optional[Mapping[str, SectionSystem]] = None,
-) -> Dict[str, ReducedBundleNode]:
+) -> Dict[str, TwistedTable]:
     """Canonicalize a named raw bundle at every node of the action."""
     if name not in action.bundles:
         raise ValueError(f"no bundle named {name!r}")
@@ -250,8 +273,8 @@ def check_iterated(
         fm = action.faces[(a, b)]
         edge = tree.edge_restriction(a, b)
         sec = sections.get(a) if sections else None
-        lhs = face_restriction(fm, bundles[a])
-        rhs = augmented_pullback(fm, tree.nodes[a], edge, bundles[b], shallow_section=sec)
+        lhs = face_restriction(fm.classes, bundles[a])
+        rhs = augmented_pullback(fm.classes, tree.nodes[a], edge, bundles[b], shallow_section=sec)
         same = lhs.table == rhs.table
         rep.add(
             f"edge {a}<{b} bundle compatibility",
@@ -259,41 +282,10 @@ def check_iterated(
             "" if same else f"restriction {lhs!r} != pullback {rhs!r}",
         )
     for chain in sorted(action.corners):
-        corner = action.corners[chain]
-        if not corner.has_k_level:
+        if not action.corners[chain].has_k_level:
             continue
-        a, b, g = chain[0], chain[1], chain[2]
-        sec_a = sections.get(a) if sections else None
-        sec_b = sections.get(b) if sections else None
-        # path A: pull the deep bundle to the face (a,g), then restrict
-        # into the corner
-        via_ag = augmented_pullback(
-            action.faces[(a, g)], tree.nodes[a], tree.edge_restriction(a, g),
-            bundles[g], shallow_section=sec_a,
+        mismatch = corner_mismatch(
+            action, chain, attrgetter("classes"), bundles[chain[2]], sections
         )
-        path_a = {
-            ch: corner.into_ag_k.apply(cls) for ch, cls in via_ag.table.items()
-        }
-        # path B: pull to the face (b,g) first, then through the corner
-        # along the (a,b) edge with the corner's own twists
-        via_bg = augmented_pullback(
-            action.faces[(b, g)], tree.nodes[b], tree.edge_restriction(b, g),
-            bundles[g], shallow_section=sec_b,
-        )
-        path_b = augmented_pullback_classes(
-            tree.edge_restriction(a, b),
-            tree.nodes[a],
-            corner.pull_bg_k,
-            corner.sigma0,
-            via_bg,
-            shallow_section=sec_a,
-        )
-        path_a = {ch: cls for ch, cls in path_a.items() if any(cls)}
-        path_b = {ch: cls for ch, cls in path_b.items() if any(cls)}
-        same = path_a == path_b
-        rep.add(
-            f"corner {'<'.join(chain)} pullback factorization",
-            same,
-            "" if same else f"direct {path_a} != factored {path_b}",
-        )
+        rep.add(f"corner {'<'.join(chain)} pullback factorization", not mismatch, mismatch)
     return rep

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +18,7 @@ from resolvedk.basespace import (
 )
 from resolvedk.chargroup import SubgroupDatum
 from resolvedk.fgab import AbHom, FgAbGroup
-from resolvedk.ratmat import RationalMatrix, nullspace_basis
+from resolvedk.ratmat import RationalMatrix
 
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.free(0)
@@ -66,21 +65,6 @@ def test_slot_bookkeeping():
     assert c.parity_slots(0) == [0, 1]
     assert c.parity_slots(1) == []
     assert interval().differential_block(0).to_lists() == [[-1, 1]]
-
-
-def test_euler_characteristic_matches_cohomology():
-    rng = random.Random(7)
-    for _ in range(10):
-        n0, n1 = rng.randint(1, 3), rng.randint(1, 3)
-        d0 = RationalMatrix([[rng.randint(-2, 2) for _ in range(n0)] for _ in range(n1)],
-                            ncols=n0)
-        # second differential: rows from the left null space of d0
-        left = nullspace_basis(d0.transpose())
-        d1 = RationalMatrix(list(left), ncols=n1) if left else RationalMatrix.zeros(0, n1)
-        c = CochainComplex((n0, n1, d1.nrows), [d0, d1])
-        assert c.validate().ok
-        coh = c.cohomology()
-        assert c.euler_characteristic() == sum((-1) ** k * h for k, h in enumerate(coh))
 
 
 def test_chain_map_homogeneity_enforced():

@@ -5,18 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from resolvedk.chargroup import (
-    ChainSections,
     Character,
     SectionSystem,
     SubgroupDatum,
-    chain_sections,
-    compare_sections,
     edge_restriction,
     fiber_support,
     lift_offset,
     offset_section,
     section,
-    section_from_splitting,
 )
 from resolvedk.fgab import AbHom, FgAbGroup, IntegerMatrix, Lattice
 
@@ -24,7 +20,6 @@ from resolvedk.fgab import AbHom, FgAbGroup, IntegerMatrix, Lattice
 Z = FgAbGroup.free(1)
 Z2 = FgAbGroup.free(2)
 C2 = FgAbGroup(0, (2,))
-TRIV = FgAbGroup.free(0)
 
 
 def mod2_datum():
@@ -125,23 +120,12 @@ def test_canonical_section_slope_breaks_additivity_on_larger_support():
     assert sec.homomorphic is False
 
 
-def test_section_from_splitting():
-    datum = slope_datum()
-    split = AbHom(Z, Z2, [[-1], [1]])
-    sec = section_from_splitting(datum, split, [Character(Z, (k,)) for k in range(-2, 3)])
-    assert sec.homomorphic is True
-    assert sec(Character(Z, (2,))).coords == (-2, 2)
-    bad = AbHom(Z, Z2, [[1], [0]])
-    with pytest.raises(ValueError, match="not a splitting"):
-        section_from_splitting(datum, bad, [])
-
-
 def test_offset_and_compare_sections():
     datum = mod2_datum()
     base = section(datum, [(0,), (1,)])
     moved = offset_section(base, {Character(C2, (1,)): (1,)})
     assert moved(Character(C2, (1,))).coords == (3,)
-    diff = compare_sections(base, moved)
+    diff = {b: moved(b) - base(b) for b in base.table}
     assert diff[Character(C2, (1,))].coords == (2,)
     assert diff[Character(C2, (0,))].is_zero()
 
@@ -151,14 +135,6 @@ def test_offset_section_rejects_unknown_support():
     base = section(datum, [Character(Z, (0,))])
     with pytest.raises(ValueError, match="outside the section support"):
         offset_section(base, {Character(Z, (7,)): (1,)})
-
-
-def test_compare_sections_support_mismatch():
-    datum = mod2_datum()
-    a = section(datum, [(0,), (1,)])
-    b = section(datum, [(0,)])
-    with pytest.raises(ValueError, match="different supports"):
-        compare_sections(a, b)
 
 
 def test_lift_offset_decomposes():
@@ -196,37 +172,6 @@ def test_edge_restriction_mod2():
     assert tuple(edge.apply((1,))) == (1,)
     with pytest.raises(ValueError, match="not nested"):
         edge_restriction(full, half)
-
-
-def test_chain_sections_compose():
-    trivial = SubgroupDatum(AbHom(Z, TRIV, []))
-    half = SubgroupDatum(AbHom(Z, C2, [[1]]))
-    full = SubgroupDatum(AbHom(Z, Z, [[1]]))
-    chain = chain_sections(
-        [trivial, half, full],
-        [
-            [Character(TRIV, ())],
-            [Character(C2, (0,)), Character(C2, (1,))],
-            [Character(Z, (k,)) for k in range(3)],
-        ],
-    )
-    assert isinstance(chain, ChainSections)
-    assert chain.verify()
-    # one-step lifts land where the next level expects them
-    one = chain.lift(1, Character(C2, (1,)))
-    assert one.coords == (1,)
-    # composite two-step lift of the trivial character
-    top = chain.composite(0, 2, Character(TRIV, ()))
-    assert top.coords == (0,)
-    # ambient lifts are stepwise-consistent by construction
-    assert chain.to_ambient(1, Character(C2, (1,))).coords == (1,)
-    assert chain.to_ambient(0, Character(TRIV, ())).coords == (0,)
-
-
-def test_chain_sections_needs_matching_lengths():
-    half = SubgroupDatum(AbHom(Z, C2, [[1]]))
-    with pytest.raises(ValueError, match="one support per chain level"):
-        chain_sections([half], [])
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20))

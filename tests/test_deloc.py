@@ -3,28 +3,31 @@
 import importlib
 import pkgutil
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resolvedk
-from resolvedk import deloc, ratmat
+from resolvedk import basespace, deloc, ratmat
 from resolvedk.action import ChernData, ResolvedAction, WindowError, WindowRule
-from resolvedk.basespace import ChainMap, CochainComplex, FaceMaps, KData, KPair, NodeSpaceData
+from resolvedk.basespace import (
+    ChainMap,
+    CochainComplex,
+    FaceMaps,
+    KData,
+    KPair,
+    NodeSpaceData,
+    ch_operator,
+)
 from resolvedk.chargroup import Character, SubgroupDatum, edge_image, offset_section, section
 from resolvedk.deloc import (
-    TwistedFormSector,
     assemble_complex,
-    augmented_pullback_forms,
-    canonicalize_form,
     ch_of_character,
-    ch_operator,
     chern_character,
     compare_ranks,
-    corner_forms_factorization,
     deloc_cohomology,
-    face_restriction_forms,
     les_of_pruning,
     pruning_walk,
     validate_chern_data,
@@ -41,6 +44,13 @@ from resolvedk.fixtures import (
 from resolvedk.itspace import IsotropyTree, pruning_sequence
 from resolvedk.ktheory import rational_global_k
 from resolvedk.ratmat import RationalMatrix
+from resolvedk.redbun import (
+    TwistedTable,
+    augmented_pullback,
+    canonicalize,
+    corner_mismatch,
+    face_restriction,
+)
 
 Z = FgAbGroup.free(1)
 TRIV = FgAbGroup.free(0)
@@ -135,7 +145,7 @@ def test_ch_requires_kernel_character():
 
 def test_exp_rejects_non_nilpotent():
     with pytest.raises(ValueError, match="nilpotent"):
-        deloc._exp_nilpotent(RationalMatrix.identity(2))
+        basespace._exp_nilpotent(RationalMatrix.identity(2))
 
 
 def test_ch_operator_coefficient_count():
@@ -150,32 +160,32 @@ def test_ch_operator_coefficient_count():
 def test_canonicalize_form_additive_when_untwisted():
     sphere = sphere_rotation()
     datum, space = sphere.tree.nodes["0"], sphere.spaces["0"]
-    v = canonicalize_form({5: (1, 2, 0), 0: (1, 0, 0)}, datum, space)
+    v = canonicalize({5: (1, 2, 0), 0: (1, 0, 0)}, datum, space)
     assert v.table == {Character(Z, (0,)): (1 + 1, 2, 0)}
 
 
 def test_canonicalize_form_applies_nilpotent_twist():
     datum, space = plane_root()
-    v = canonicalize_form({3: (1, 2)}, datum, space)
+    v = canonicalize({3: (1, 2)}, datum, space)
     assert v.table == {Character(Z, (0,)): (Fraction(1), Fraction(5))}
-    again = canonicalize_form(v.table, datum, space)
+    again = canonicalize(v.table, datum, space)
     assert again == v
 
 
 def test_canonicalize_form_zero_drop_and_errors():
     datum, space = plane_root()
-    assert canonicalize_form({2: (0, 0)}, datum, space).table == {}
+    assert canonicalize({2: (0, 0)}, datum, space).table == {}
     with pytest.raises(ValueError, match="ambient"):
-        canonicalize_form({Character(FgAbGroup(0, (2,)), (1,)): (1, 0)}, datum, space)
+        canonicalize({Character(FgAbGroup(0, (2,)), (1,)): (1, 0)}, datum, space)
     with pytest.raises(ValueError, match="length"):
-        canonicalize_form({0: (1, 0, 0)}, datum, space)
+        canonicalize({0: (1, 0, 0)}, datum, space)
 
 
 def test_canonicalize_form_with_offset_section():
     datum, space = plane_root()
     base = section(datum, [Character(TRIV, ())])
     moved = offset_section(base, {Character(TRIV, ()): (2,)})
-    v = canonicalize_form({3: (1, 0)}, datum, space, section=moved)
+    v = canonicalize({3: (1, 0)}, datum, space, section=moved)
     assert v.table == {Character(Z, (2,)): (Fraction(1), Fraction(1))}
 
 
@@ -189,8 +199,8 @@ def test_canonicalize_form_with_offset_section():
 )
 def test_canonicalize_form_idempotent(entries):
     datum, space = plane_root()
-    v = canonicalize_form(entries, datum, space)
-    assert canonicalize_form(v.table, datum, space) == v
+    v = canonicalize(entries, datum, space)
+    assert canonicalize(v.table, datum, space) == v
     for ghat in v.support():
         assert ghat == datum.canonical_representative(datum.restrict(ghat))
 
@@ -201,9 +211,9 @@ def test_canonicalize_form_idempotent(entries):
 def test_face_restriction_forms_evaluates():
     sphere = sphere_rotation()
     datum, space = sphere.tree.nodes["0"], sphere.spaces["0"]
-    v = TwistedFormSector("0", datum, space, {Character(Z, (0,)): (4, 7, 1)})
-    north = face_restriction_forms(sphere.faces[("0", "N")], v)
-    south = face_restriction_forms(sphere.faces[("0", "S")], v)
+    v = TwistedTable("0", datum, space, {Character(Z, (0,)): (4, 7, 1)})
+    north = face_restriction(sphere.faces[("0", "N")].forms, v)
+    south = face_restriction(sphere.faces[("0", "S")].forms, v)
     assert north.table == {Character(Z, (0,)): (Fraction(4),)}
     assert south.table == {Character(Z, (0,)): (Fraction(7),)}
 
@@ -215,9 +225,9 @@ def test_augmented_pullback_forms_twists_by_exponential():
     root_datum = plane.tree.nodes["0"]
     deep_datum = plane.tree.nodes["p2"]
     for g in (2, -1):
-        v = TwistedFormSector("p2", deep_datum, plane.spaces["p2"],
-                              {Character(Z, (g,)): (5,)})
-        out = augmented_pullback_forms(fm, root_datum, edge, v)
+        v = TwistedTable("p2", deep_datum, plane.spaces["p2"],
+                         {Character(Z, (g,)): (5,)})
+        out = augmented_pullback(fm.forms, root_datum, edge, v)
         assert out.table == {Character(Z, (0,)): (Fraction(5), Fraction(5 * g))}
 
 
@@ -225,11 +235,11 @@ def test_augmented_pullback_forms_sums_over_fiber():
     sphere = sphere_rotation()
     fm = sphere.faces[("0", "N")]
     edge = sphere.tree.edge_restriction("0", "N")
-    v = TwistedFormSector(
+    v = TwistedTable(
         "N", sphere.tree.nodes["N"], sphere.spaces["N"],
         {Character(Z, (-1,)): (2,), Character(Z, (0,)): (3,), Character(Z, (1,)): (4,)},
     )
-    out = augmented_pullback_forms(fm, sphere.tree.nodes["0"], edge, v)
+    out = augmented_pullback(fm.forms, sphere.tree.nodes["0"], edge, v)
     assert out.table == {Character(Z, (0,)): (Fraction(9),)}
 
 
@@ -237,9 +247,9 @@ def test_plain_pullback_on_equal_isotropy_edge():
     act = equal_isotropy_pair(WindowRule.ball(1))
     fm = act.faces[("a", "b")]
     edge = act.tree.edge_restriction("a", "b")
-    v = TwistedFormSector("b", act.tree.nodes["b"], act.spaces["b"],
-                          {Character(Z, (1,)): (6,)})
-    out = augmented_pullback_forms(fm, act.tree.nodes["a"], edge, v)
+    v = TwistedTable("b", act.tree.nodes["b"], act.spaces["b"],
+                     {Character(Z, (1,)): (6,)})
+    out = augmented_pullback(fm.forms, act.tree.nodes["a"], edge, v)
     assert out.table == {Character(Z, (1,)): (Fraction(6),)}
 
 
@@ -247,18 +257,32 @@ def test_pullback_forms_commute_with_differential():
     sphere = sphere_rotation()
     fm = sphere.faces[("0", "S")]
     edge = sphere.tree.edge_restriction("0", "S")
-    v = TwistedFormSector("S", sphere.tree.nodes["S"], sphere.spaces["S"],
-                          {Character(Z, (1,)): (3,)})
-    direct = augmented_pullback_forms(fm, sphere.tree.nodes["0"], edge, v.apply_d())
-    other = augmented_pullback_forms(fm, sphere.tree.nodes["0"], edge, v).apply_d()
+    v = TwistedTable("S", sphere.tree.nodes["S"], sphere.spaces["S"],
+                     {Character(Z, (1,)): (3,)})
+
+    def apply_d(w):
+        d = w.coefficients.complex.d
+        return TwistedTable(w.label, w.datum, w.coefficients,
+                            {g: d.apply(x) for g, x in w.table.items()})
+
+    direct = augmented_pullback(fm.forms, sphere.tree.nodes["0"], edge, apply_d(v))
+    other = apply_d(augmented_pullback(fm.forms, sphere.tree.nodes["0"], edge, v))
     assert direct == other
 
 
 def test_corner_forms_factorization_on_plane():
+    # every basis cochain of the deep node over its radius-1 window
     plane = projective_plane()
+    windows = plane.windows(1)
     for chain in sorted(plane.corners):
-        rep = corner_forms_factorization(plane, chain, radius=1)
-        assert rep.ok, rep.failures()
+        g = chain[2]
+        datum, space = plane.tree.nodes[g], plane.spaces[g]
+        dim = space.complex.total_dim
+        for khat in windows[g]:
+            for i in range(dim):
+                v = TwistedTable(g, datum, space,
+                                 {datum.canonical_representative(khat): _unit(dim, i)})
+                assert corner_mismatch(plane, chain, attrgetter("forms"), v) == ""
 
 
 # -- assembling the global complex ---------------------------------------------------
@@ -496,18 +520,18 @@ def test_face_blocks_match_the_forms_model(build, radius):
 
             space = action.spaces[a]
             for j, col in enumerate(columns(a, khat)):
-                v = TwistedFormSector(a, tree.nodes[a], space,
-                                      {rep_a: _unit(space.complex.total_dim, j)})
-                got = face_restriction_forms(fm, v)
+                v = TwistedTable(a, tree.nodes[a], space,
+                                 {rep_a: _unit(space.complex.total_dim, j)})
+                got = face_restriction(fm.forms, v)
                 assert tuple(sec.constraint[i, col] for i in rows) == got.get(rep_a)
             space = action.spaces[b]
             for bhat in full.windows[b]:
                 if edge_image(edge, bhat) != khat:
                     continue
                 for j, col in enumerate(columns(b, bhat)):
-                    v = TwistedFormSector(b, tree.nodes[b], space,
-                                          {full.lift(b, bhat): _unit(space.complex.total_dim, j)})
-                    got = augmented_pullback_forms(fm, tree.nodes[a], edge, v)
+                    v = TwistedTable(b, tree.nodes[b], space,
+                                     {full.lift(b, bhat): _unit(space.complex.total_dim, j)})
+                    got = augmented_pullback(fm.forms, tree.nodes[a], edge, v)
                     assert set(got.table) <= {rep_a}
                     assert tuple(-sec.constraint[i, col] for i in rows) == got.get(rep_a)
             for col in set(range(sec.total)) - seen:

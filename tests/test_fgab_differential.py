@@ -144,7 +144,7 @@ def test_shift_automorphisms_match_sigma_for_character(build):
             if not coeffs:
                 continue
             for _ in range(2):
-                assert k.sigma0_for(coeffs) == sigma_for_character(k.sigma0, coeffs, k.k0)
-                assert k.sigma1_for(coeffs) == sigma_for_character(k.sigma1, coeffs, k.k1)
+                assert k.twist(coeffs) == sigma_for_character(k.sigma0, coeffs, k.k0)
+                assert k.odd.twist(coeffs) == sigma_for_character(k.sigma1, coeffs, k.k1)
             checked += 1
     assert checked

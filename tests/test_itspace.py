@@ -104,9 +104,8 @@ def test_missing_root_reported():
 
 def test_face_ids_default_and_lookup():
     tree = sphere_tree()
-    assert tree.face_id("0", "N") == "F(0<N)"
-    with pytest.raises(ValueError, match="not comparable"):
-        tree.face_id("N", "S")
+    assert tree.face_ids[("0", "N")] == "F(0<N)"
+    assert ("N", "S") not in tree.face_ids
 
 
 def test_face_ids_must_cover_pairs():

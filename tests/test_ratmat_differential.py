@@ -81,7 +81,7 @@ def test_rref_rank_and_nullspace_match_sympy(seed):
     assert red.to_lists() == _back(sym_red)
     assert pivots == tuple(sym_pivots)
     assert rank(mat) == _sym(mat).rank()
-    null = nullspace_basis(mat)
+    null = nullspace_basis(mat).columns()
     assert len(null) == len(_sym(mat).nullspace()) == mat.ncols - rank(mat)
     for v in null:
         assert not any(mat.apply(v))

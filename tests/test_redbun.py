@@ -1,18 +1,26 @@
-"""Reduced-bundle canonicalization, operations, and tree compatibility."""
+"""Twisted tables: canonicalization, operations, and tree compatibility."""
+
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resolvedk.action import ResolvedAction, WindowRule
-from resolvedk.basespace import KData, NodeSpaceData, CochainComplex
-from resolvedk.chargroup import Character, SubgroupDatum, compare_sections, offset_section, section
+from resolvedk.basespace import KData, NodeSpaceData, CochainComplex, TwistedMaps
+from resolvedk.chargroup import Character, SubgroupDatum, offset_section, section
 from resolvedk.fgab import AbHom, FgAbGroup
-from resolvedk.fixtures import projective_plane, sphere_rotation
+from resolvedk.fixtures import (
+    product_trivial,
+    projective_plane,
+    sphere_rotation,
+    sphere_rotation_speed,
+)
 from resolvedk.itspace import IsotropyTree
 from resolvedk.redbun import (
     augmented_pullback,
-    augmented_pullback_classes,
+    TwistedTable,
     canonical_bundle,
     canonicalize,
     check_iterated,
@@ -150,20 +158,20 @@ def test_augmented_pullback_worked_value():
     deep = SubgroupDatum(AbHom.identity(Z))
     deep_kdata = KData(Z2, TRIV, [], [], AbHom(Z2, Z, [[1, 0]]))
     w = canonicalize({1: (1, 0), 3: (0, 1)}, deep, deep_kdata)
-    out = augmented_pullback_classes(
-        AbHom(Z, C2, [[1]]), shallow, AbHom.identity(Z2), [SIGMA], w
+    out = augmented_pullback(
+        TwistedMaps(kdata, None, AbHom.identity(Z2)), shallow, AbHom(Z, C2, [[1]]), w
     )
-    assert out == {Character(Z, (1,)): (2, 1)}
+    assert out.table == {Character(Z, (1,)): (2, 1)}
 
 
 def test_pullback_with_equal_isotropy_is_plain_pullback():
     datum, _ = mod2_node()
     kdata = KData.trivial_shifts(Z, TRIV, AbHom.identity(Z), 1)
     w = canonicalize({0: (1,), 1: (3,)}, datum, kdata)
-    out = augmented_pullback_classes(
-        AbHom.identity(C2), datum, AbHom(Z, Z, [[2]]), [AbHom.identity(Z)], w
+    out = augmented_pullback(
+        TwistedMaps(kdata, None, AbHom(Z, Z, [[2]])), datum, AbHom.identity(C2), w
     )
-    assert out == {Character(Z, (0,)): (2,), Character(Z, (1,)): (6,)}
+    assert out.table == {Character(Z, (0,)): (2,), Character(Z, (1,)): (6,)}
 
 
 def test_sphere_pole_edge():
@@ -171,10 +179,10 @@ def test_sphere_pole_edge():
     bundles = canonical_bundle(act, "poles")
     fm = act.faces[("0", "N")]
     pulled = augmented_pullback(
-        fm, act.tree.nodes["0"], act.tree.edge_restriction("0", "N"), bundles["N"]
+        fm.classes, act.tree.nodes["0"], act.tree.edge_restriction("0", "N"), bundles["N"]
     )
     assert pulled.table == {Character(Z, (0,)): (3,)}
-    restricted = face_restriction(fm, bundles["0"])
+    restricted = face_restriction(fm.classes, bundles["0"])
     assert restricted.table == pulled.table
 
     report = check_iterated(act, "poles")
@@ -242,15 +250,69 @@ def test_section_change_twists_tables():
     raw = {0: (2, 3), 1: (1, 0), 3: (0, 1)}
     w1 = canonicalize(raw, datum, kdata, section=base)
     w2 = canonicalize(raw, datum, kdata, section=moved)
-    mu = compare_sections(base, moved)
     for b, lift in base.table.items():
-        twist = kdata.sigma0_for(
-            [-c for c in datum.kernel_coordinates(mu[b])]
+        twist = kdata.twist(
+            [-c for c in datum.kernel_coordinates(moved(b) - lift)]
         )
         assert w2.get(moved(b)) == twist.apply(w1.get(lift))
     # spot values
     assert w1.get(Character(Z, (1,))) == (2, 1)
     assert w2.get(Character(Z, (3,))) == (1, 1)
+
+
+def _chern(space, reps, cls):
+    """The Chern representative of a K0 class: its coordinates against `reps`."""
+    vec = [Fraction(0)] * space.complex.total_dim
+    for c, rep in zip(cls, reps):
+        for i, x in enumerate(rep):
+            vec[i] += c * Fraction(x)
+    return tuple(vec)
+
+
+def _offset_sections(action, radius, seed):
+    windows = action.windows(radius)
+    rng = random.Random(seed)
+    out = {}
+    for label, sec in action.sections(windows).items():
+        rank = action.tree.nodes[label].kernel_rank
+        out[label] = offset_section(sec, {
+            b: tuple(rng.randint(-2, 2) for _ in range(rank)) for b in sec.table
+        }) if rank else sec
+    return out
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2], ids=["canonical", "offset1", "offset2"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(sphere_rotation, id="sphere"),
+        pytest.param(lambda: sphere_rotation_speed(3), id="speed3"),
+        pytest.param(projective_plane, id="plane"),
+        pytest.param(lambda: product_trivial((2,)), id="product2"),
+    ],
+)
+def test_chern_character_intertwines_the_two_canonicalizations(build, seed):
+    # canonicalizing K0 classes and then taking Chern representatives
+    # entrywise equals canonicalizing the forms of the raw entries, because
+    # the representatives intertwine sigma(h) with exp(L(h))
+    action = build()
+    sections = None if seed is None else _offset_sections(action, 3, seed)
+    for name, per_node in sorted(action.bundles.items()):
+        for label, datum in sorted(action.tree.nodes.items()):
+            space = action.spaces[label]
+            reps = action.chern.reps[label]
+            raw = per_node.get(label, {})
+            section = sections[label] if sections else None
+            classes = canonicalize(raw, datum, space.kdata, section=section)
+            forms = canonicalize(
+                {g: _chern(space, reps, cls) for g, cls in raw.items()},
+                datum, space, section=section,
+            )
+            assert forms.table, f"{name} at {label} has no forms to compare"
+            charted = TwistedTable(label, datum, space, {
+                g: _chern(space, reps, cls) for g, cls in classes.table.items()
+            })
+            assert charted == forms, f"{name} at {label}"
 
 
 def deep_mod4():
@@ -261,7 +323,7 @@ def deep_mod4():
 
 
 def test_pullback_value_independent_of_deep_section():
-    shallow, _ = mod2_node()
+    shallow, shallow_kdata = mod2_node()
     deep, deep_kdata = deep_mod4()
     raw = {0: (1, 0), 1: (0, 1), 2: (1, 1), 3: (2, 0)}
     w_canon = canonicalize(raw, deep, deep_kdata)
@@ -272,9 +334,9 @@ def test_pullback_value_independent_of_deep_section():
     assert w_canon.table != w_moved.table  # genuinely different presentations
 
     def pull(w):
-        return augmented_pullback_classes(
-            AbHom(C4, C2, [[1]]), shallow, AbHom.identity(Z2), [SIGMA], w
-        )
+        return augmented_pullback(
+            TwistedMaps(shallow_kdata, None, AbHom.identity(Z2)), shallow, AbHom(C4, C2, [[1]]), w
+        ).table
 
     expected = {Character(Z, (0,)): (3, 1), Character(Z, (1,)): (2, 1)}
     assert pull(w_canon) == expected
@@ -282,14 +344,14 @@ def test_pullback_value_independent_of_deep_section():
 
 
 def test_pullback_commutes_with_sum_and_kernel_shift():
-    shallow, _ = mod2_node()
+    shallow, shallow_kdata = mod2_node()
     deep, deep_kdata = deep_mod4()
     edge = AbHom(C4, C2, [[1]])
 
     def pull(w):
-        return augmented_pullback_classes(
-            edge, shallow, AbHom.identity(Z2), [SIGMA], w
-        )
+        return augmented_pullback(
+            TwistedMaps(shallow_kdata, None, AbHom.identity(Z2)), shallow, edge, w
+        ).table
 
     w1 = canonicalize({0: (1, 0), 1: (0, 1), 2: (1, 1), 3: (2, 0)}, deep, deep_kdata)
     w2 = canonicalize({1: (1, 1), 2: (0, 2)}, deep, deep_kdata)
