@@ -25,7 +25,7 @@ from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fgab import AbHom, FgAbGroup
-from .ratmat import RationalMatrix, rank
+from .ratmat import Exact, RationalMatrix, exact, rank
 from .report import ValidationReport
 
 
@@ -233,7 +233,7 @@ def shift_for_character(
     acc = RationalMatrix.zeros(dim, dim)
     for c, op in zip(coeffs, shifts):
         if c:
-            acc = acc + op.matrix * Fraction(int(c))
+            acc = acc + op.matrix * int(c)
     return acc
 
 
@@ -320,16 +320,16 @@ def _cochains(complex_: CochainComplex, shifts: Sequence[ChainMap]) -> tuple:
     """Coefficient-system parts for cochains of `complex_`, twisted by exp(L(h))."""
     dim = complex_.total_dim
 
-    def normalize(vec: Sequence) -> Tuple[Fraction, ...]:
-        vec = tuple(Fraction(x) for x in vec)
+    def normalize(vec: Sequence) -> Tuple[Exact, ...]:
+        vec = tuple(map(exact, vec))
         if len(vec) != dim:
             raise ValueError(f"cochain length {len(vec)} != {dim}")
         return vec
 
-    def add(x: Sequence[Fraction], y: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-        return tuple(a + b for a, b in zip(x, y))
+    def add(x: Sequence[Exact], y: Sequence[Exact]) -> Tuple[Exact, ...]:
+        return tuple(exact(a + b) for a, b in zip(x, y))
 
-    return (Fraction(0),) * dim, normalize, add, partial(ch_operator, tuple(shifts), dim=dim)
+    return (0,) * dim, normalize, add, partial(ch_operator, tuple(shifts), dim=dim)
 
 
 class KData(Coefficients):

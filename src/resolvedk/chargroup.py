@@ -172,6 +172,10 @@ class SubgroupDatum:
         return f"SubgroupDatum({self.ambient} -> {self.target})"
 
 
+# `SectionSystem` flag value: decide additivity of the table on first read
+_ADDITIVE_IF_TABULATED = object()
+
+
 class SectionSystem:
     """A tabulated set-theoretic section of a subgroup restriction.
 
@@ -179,7 +183,7 @@ class SectionSystem:
     splitting (True), provably did not (False), or was not checked (None).
     """
 
-    __slots__ = ("datum", "table", "homomorphic")
+    __slots__ = ("datum", "table", "_homomorphic")
 
     def __init__(
         self,
@@ -194,7 +198,13 @@ class SectionSystem:
                 raise ValueError(f"table entry for {b!r} is not a lift (got {ghat!r})")
         self.datum = datum
         self.table = dict(table)
-        self.homomorphic = homomorphic
+        self._homomorphic = homomorphic
+
+    @property
+    def homomorphic(self) -> Optional[bool]:
+        if self._homomorphic is _ADDITIVE_IF_TABULATED:
+            self._homomorphic = _table_additive(self.table)
+        return self._homomorphic
 
     @property
     def support(self) -> Tuple[Character, ...]:
@@ -256,7 +266,8 @@ def section(datum: SubgroupDatum, support: Iterable) -> SectionSystem:
 
     The `homomorphic` flag is False when no homomorphic splitting exists at
     all (that absence is decided exactly), and otherwise records whether the
-    tabulated entries are additive wherever sums stay inside the support.
+    tabulated entries are additive wherever sums stay inside the support;
+    that quadratic check runs on the first read of the flag, not here.
     """
     table: Dict[Character, Character] = {}
     for b in support:
@@ -264,7 +275,7 @@ def section(datum: SubgroupDatum, support: Iterable) -> SectionSystem:
             b = Character(datum.target, b)
         table[b] = datum.canonical_representative(b)
     split = datum.restriction.try_split()
-    homomorphic = False if split is None else _table_additive(table)
+    homomorphic = False if split is None else _ADDITIVE_IF_TABULATED
     return SectionSystem(datum, table, homomorphic)
 
 

@@ -27,8 +27,10 @@ from .chargroup import Character, SectionSystem, SubgroupDatum, fiber_support, l
 from .itspace import Pruning, prune_step
 from .ktheory import SixTermInstance, hexagon_check
 from .ratmat import (
+    Exact,
     QuotientSpace,
     RationalMatrix,
+    exact,
     nullspace_basis,
     rank,
     rref,
@@ -53,8 +55,8 @@ def _select(vec: Sequence, idx: Sequence[int]) -> Tuple:
     return tuple(vec[i] for i in idx)
 
 
-def _scatter(vec: Sequence[Fraction], idx: Sequence[int], total: int) -> Tuple[Fraction, ...]:
-    out = [Fraction(0)] * total
+def _scatter(vec: Sequence[Exact], idx: Sequence[int], total: int) -> Tuple[Exact, ...]:
+    out = [0] * total
     for x, i in zip(vec, idx):
         out[i] = x
     return tuple(out)
@@ -659,7 +661,7 @@ class ChernCocycle:
         self.name = name
         self.vectors = vectors
 
-    def node_value(self, label: str, khat: Character) -> Tuple[Fraction, ...]:
+    def node_value(self, label: str, khat: Character) -> Tuple[Exact, ...]:
         chi = self.assembled.action.tree.root_image(label, khat)
         s0, s1 = self.assembled.sectors[chi].spans[(label, khat)]
         return self.vectors[chi][s0:s1]
@@ -697,7 +699,7 @@ def chern_character(
 
     vectors = {}
     for chi, sec in assembled.sectors.items():
-        vec = [Fraction(0)] * sec.total
+        vec = [0] * sec.total
         for label, khat, s0, s1 in sec.blocks:
             cls = bundles[label].table.get(assembled.lift(label, khat))
             if cls is None:
@@ -706,7 +708,7 @@ def chern_character(
             for coeff, representative in zip(cls, reps):
                 if coeff:
                     for i, x in enumerate(representative):
-                        vec[s0 + i] += coeff * Fraction(x)
+                        vec[s0 + i] += coeff * x
         if any(sec.diff.apply(vec)):
             raise ValueError(
                 f"Chern cocycle of {name!r} is not closed in sector {chi.coords}"
@@ -717,7 +719,7 @@ def chern_character(
                 f"Chern cocycle of {name!r} breaks compatibility in sector "
                 f"{chi.coords}: {bad}"
             )
-        vectors[chi] = tuple(vec)
+        vectors[chi] = tuple(map(exact, vec))
     return ChernCocycle(assembled, name, vectors)
 
 

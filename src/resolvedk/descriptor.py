@@ -38,7 +38,7 @@ from .basespace import (
 from .chargroup import SubgroupDatum
 from .fgab import AbHom, FgAbGroup, IntegerMatrix
 from .itspace import IsotropyTree
-from .ratmat import RationalMatrix
+from .ratmat import Exact, RationalMatrix, exact
 
 SCHEMA_FORMAT = "resolvedk-action"
 SCHEMA_VERSION = "1"
@@ -131,16 +131,16 @@ class _Node:
             raise self.fail(f"not a canonical decimal integer: {text!r}")
         return int(text)
 
-    def rational(self) -> Fraction:
+    def rational(self) -> Exact:
         text = self.string()
         num, slash, den = text.partition("/")
         if not _INT_RE.match(num) or num == "-0":
             raise self.fail(f"not a canonical rational: {text!r}")
         if not slash:
-            return Fraction(int(num))
+            return int(num)
         if not _INT_RE.match(den) or int(den) <= 0:
             raise self.fail(f"denominator must be a positive integer: {text!r}")
-        return Fraction(int(num), int(den))
+        return exact(Fraction(int(num), int(den)))
 
     def build(self, fn, *args, **kwargs):
         """Run a constructor, converting its ValueError into a located error."""

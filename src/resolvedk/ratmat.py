@@ -1,4 +1,12 @@
-"""Exact rational linear algebra over `fractions.Fraction`.
+"""Exact rational linear algebra over `int` and `fractions.Fraction`.
+
+An entry is an `int` when it is integral and a `Fraction` only when it is
+not: never a `float`, and never a `Fraction` with denominator 1.  The
+matrices the assembly builds are integral, so their kernels run on plain
+ints and make no `Fraction` at all; since an int and the equal Fraction
+compare and hash equal, matrices built either way are equal.  Every public
+accessor (`row`, `columns`, `entries`, `apply`, `solve`, indexing) returns
+entries in that form.
 
 Storage is sparse: a matrix keeps each row as a tuple of `(column, value)`
 pairs sorted by column, with no zero values.  That form is canonical, so
@@ -7,46 +15,73 @@ produces are nearly all zeros, and every kernel visits only nonzero entries:
 a product builds each row from the nonzeros of the left row times the rows
 they select on the right, `apply` sums over nonzero pairs, and Gauss-Jordan
 elimination runs on `{column: value}` rows, touching only the nonzero
-columns of a pivot row and the rows with a nonzero in the pivot column.  On
-that elimination: `rref`, rank, nullspaces, `solve`, which eliminates once
-for a whole batch of right-hand sides, and `QuotientSpace`, coordinates on a
-quotient of two column spans from one elimination with the identity riding
-along.
+columns of a pivot row and, through a column-to-rows index, only the rows
+with a nonzero in the pivot column.  On that elimination: `rref`, rank,
+nullspaces, `solve`, which eliminates once for a whole batch of right-hand
+sides, and `QuotientSpace`, coordinates on a quotient of two column spans
+from one elimination with the identity riding along.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import is_not
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from operator import is_not, itemgetter
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .fgab import IntegerMatrix
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Exact = Union[int, Fraction]
+Row = Tuple[Tuple[int, Exact], ...]
 
-Row = Tuple[Tuple[int, Fraction], ...]
+_ZERO = 0
+_ONE = 1
+_INT = frozenset((int,))
+_value = itemgetter(1)
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def exact(x) -> Exact:
+    """`x` as an exact entry: an int when integral, else a Fraction.
+
+    Raises TypeError on anything but an int or a Fraction (floats included).
+    """
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _fracs(values: Iterable) -> Tuple[Fraction, ...]:
-    """The values as a tuple of Fractions, every one type-checked."""
+def _exacts(values: Iterable) -> Tuple[Exact, ...]:
+    """The values as a tuple of exact entries, every one type-checked.
+
+    A tuple of plain ints is recognised at C speed and returned as it is.
+    """
     values = tuple(values)
-    if all(map(isinstance, values, repeat(Fraction))):
+    if _INT.issuperset(map(type, values)):
         return values
-    return tuple(_frac(x) for x in values)
+    return tuple(map(exact, values))
 
 
-def _nonzero(values: Sequence[Fraction]) -> Iterator[Tuple[int, Fraction]]:
-    """(index, value) of each nonzero entry of a Fraction sequence.
+def _exact_map(row: Dict[int, Exact]) -> Dict[int, Exact]:
+    """A `{column: value}` row with any integral Fraction turned into an int."""
+    if _INT.issuperset(map(type, row.values())):
+        return row
+    return {j: exact(x) for j, x in row.items()}
+
+
+def _quotient(x: Exact, y: Exact) -> Exact:
+    """x / y as an exact entry; an int when y divides x."""
+    if type(x) is int and type(y) is int:
+        q, rem = divmod(x, y)
+        return Fraction(x, y) if rem else q
+    return exact(x / y)
+
+
+def _nonzero(values: Sequence[Exact]) -> Iterator[Tuple[int, Exact]]:
+    """(index, value) of each nonzero entry of a sequence of exact entries.
 
     Entries that are the shared zero are skipped by identity, at C speed;
     only the others are tested.
@@ -55,18 +90,18 @@ def _nonzero(values: Sequence[Fraction]) -> Iterator[Tuple[int, Fraction]]:
     return ((j, x) for j, x in candidates if x)
 
 
-def _canon(row: Mapping[int, Fraction]) -> Row:
+def _canon(row: Dict[int, Exact]) -> Row:
     """The canonical row of a `{column: value}` map: sorted, zeros dropped."""
-    return tuple(sorted((j, x) for j, x in row.items() if x))
+    return tuple(sorted(filter(_value, _exact_map(row).items())))
 
 
 class RationalMatrix:
-    """Immutable matrix of Fractions, stored as sparse rows."""
+    """Immutable matrix of exact entries, stored as sparse rows."""
 
     __slots__ = ("nrows", "ncols", "_data")
 
     def __init__(self, rows: Iterable[Iterable], *, ncols: Optional[int] = None):
-        dense = [_fracs(row) for row in rows]
+        dense = [_exacts(row) for row in rows]
         if dense:
             width = len(dense[0])
             if any(len(r) != width for r in dense):
@@ -104,14 +139,14 @@ class RationalMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], nrows: Optional[int] = None) -> "RationalMatrix":
-        cols = [_fracs(c) for c in columns]
+        cols = [_exacts(c) for c in columns]
         if cols:
             nrows = len(cols[0])
             if any(len(c) != nrows for c in cols):
                 raise ValueError("ragged columns")
         elif nrows is None:
             raise ValueError("empty column list needs nrows")
-        rows: List[List[Tuple[int, Fraction]]] = [[] for _ in range(nrows)]
+        rows: List[List[Tuple[int, Exact]]] = [[] for _ in range(nrows)]
         for j, col in enumerate(cols):
             for i, x in _nonzero(col):
                 rows[i].append((j, x))
@@ -127,7 +162,7 @@ class RationalMatrix:
         for row in rows:
             if any(not 0 <= j < ncols for j in row):
                 raise ValueError("column index out of range")
-            data.append(_canon({j: _frac(x) for j, x in row.items()}))
+            data.append(_canon({j: exact(x) for j, x in row.items()}))
         return cls._of(tuple(data), ncols)
 
     @property
@@ -135,7 +170,7 @@ class RationalMatrix:
         return (self.nrows, self.ncols)
 
     @property
-    def _rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
+    def _rows(self) -> Tuple[Tuple[Exact, ...], ...]:
         """Dense rows, built on every access (perfbench's tracer reads them)."""
         return tuple(self.row(i) for i in range(self.nrows))
 
@@ -144,7 +179,7 @@ class RationalMatrix:
             raise IndexError("column index out of range")
         return j % self.ncols
 
-    def __getitem__(self, key: Tuple[int, int]) -> Fraction:
+    def __getitem__(self, key: Tuple[int, int]) -> Exact:
         row = self._data[key[0]]
         j = self._column_index(key[1])
         for c, x in row:
@@ -152,24 +187,24 @@ class RationalMatrix:
                 return x if c == j else _ZERO
         return _ZERO
 
-    def row(self, i: int) -> Tuple[Fraction, ...]:
+    def row(self, i: int) -> Tuple[Exact, ...]:
         out = [_ZERO] * self.ncols
         for j, x in self._data[i]:
             out[j] = x
         return tuple(out)
 
-    def column(self, j: int) -> Tuple[Fraction, ...]:
+    def column(self, j: int) -> Tuple[Exact, ...]:
         j = self._column_index(j)
         return tuple(self[i, j] for i in range(self.nrows))
 
-    def columns(self) -> Tuple[Tuple[Fraction, ...], ...]:
+    def columns(self) -> Tuple[Tuple[Exact, ...], ...]:
         cols = [[_ZERO] * self.nrows for _ in range(self.ncols)]
         for i, row in enumerate(self._data):
             for j, x in row:
                 cols[j][i] = x
         return tuple(map(tuple, cols))
 
-    def entries(self) -> Iterator[Tuple[int, int, Fraction]]:
+    def entries(self) -> Iterator[Tuple[int, int, Exact]]:
         """The nonzero entries as (row, column, value), in row-major order."""
         for i, row in enumerate(self._data):
             for j, x in row:
@@ -200,11 +235,11 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return not any(self._data)
 
-    def apply(self, vec: Sequence) -> Tuple[Fraction, ...]:
+    def apply(self, vec: Sequence) -> Tuple[Exact, ...]:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        v = _fracs(vec)
-        return tuple(sum([x * v[j] for j, x in row if v[j]], _ZERO) for row in self._data)
+        v = _exacts(vec)
+        return _exacts(sum([x * v[j] for j, x in row if v[j]], _ZERO) for row in self._data)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
@@ -212,7 +247,7 @@ class RationalMatrix:
         right = other._data
         out = []
         for row in self._data:
-            acc: Dict[int, Fraction] = {}
+            acc: Dict[int, Exact] = {}
             for k, a in row:
                 for j, b in right[k]:
                     acc[j] = acc.get(j, _ZERO) + a * b
@@ -242,17 +277,17 @@ class RationalMatrix:
         )
 
     def __mul__(self, scalar) -> "RationalMatrix":
-        s = _frac(scalar)
+        s = exact(scalar)
         if not s:
             return RationalMatrix.zeros(self.nrows, self.ncols)
         return RationalMatrix._of(
-            tuple(tuple((j, s * x) for j, x in row) for row in self._data), self.ncols
+            tuple(tuple((j, exact(s * x)) for j, x in row) for row in self._data), self.ncols
         )
 
     __rmul__ = __mul__
 
     def transpose(self) -> "RationalMatrix":
-        cols: List[List[Tuple[int, Fraction]]] = [[] for _ in range(self.ncols)]
+        cols: List[List[Tuple[int, Exact]]] = [[] for _ in range(self.ncols)]
         for i, row in enumerate(self._data):
             for j, x in row:
                 cols[j].append((i, x))
@@ -272,49 +307,70 @@ class RationalMatrix:
         return f"RationalMatrix({[[str(x) for x in r] for r in self.to_lists()]!r})"
 
 
-def _eliminate(rows: List[Dict[int, Fraction]], width: int) -> List[int]:
+def _eliminate(rows: List[Dict[int, Exact]], width: int) -> List[int]:
     """Gauss-Jordan elimination in place on `{column: value}` rows.
 
     Pivots lie among the first `width` columns, and the pivot of a column is
     the first row from the current one down with a nonzero there.  The
     columns after `width` ride along: they undergo the same row operations
     but never hold a pivot.  A column that starts out zero in every row stays
-    zero, so only the columns that occur are scanned.  Returns the pivot
-    columns; pivot row `r` holds a one in column `pivots[r]` and every other
-    row nothing there.
+    zero, so only the columns that occur are scanned.  Each column keeps the
+    set of rows with a nonzero in it, in step with every swap, fill-in and
+    cancellation, so the pivot search and the clearing of a column visit
+    only those rows.  Dividing by a unit pivot makes no Fraction.  Returns
+    the pivot columns; pivot row `r` holds a one in column `pivots[r]` and
+    every other row nothing there.
     """
     m = len(rows)
+    where: Dict[int, Set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            where.setdefault(j, set()).add(i)
     pivots: List[int] = []
     r = 0
-    for c in sorted({j for row in rows for j in row if j < width}):
+    for c in sorted(j for j in where if j < width):
         if r == m:
             break
-        pivot_row = next((i for i in range(r, m) if c in rows[i]), None)
+        holders = where[c]
+        pivot_row = min((i for i in holders if i >= r), default=None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        if pivot_row != r:
+            above, below = rows[r], rows[pivot_row]
+            for j in above.keys() ^ below.keys():
+                moved = where[j]
+                if j in above:
+                    moved.discard(r)
+                    moved.add(pivot_row)
+                else:
+                    moved.discard(pivot_row)
+                    moved.add(r)
+            rows[r], rows[pivot_row] = below, above
         prow = rows[r]
         pv = prow[c]
         if pv != 1:
-            for j in prow:
-                prow[j] /= pv
+            for j, x in prow.items():
+                prow[j] = _quotient(x, pv)
         # entries left of c are zero in every row from r on
-        nz = list(prow.items())
-        for i in range(m):
-            row = rows[i]
-            f = row.get(c)
-            if f is None or i == r:
+        nz = [(j, x, where[j]) for j, x in prow.items() if j != c]
+        for i in holders:
+            if i == r:
                 continue
-            for j, x in nz:
+            row = rows[i]
+            f = row.pop(c)
+            for j, x, held in nz:
                 y = row.get(j)
                 if y is None:
                     row[j] = -f * x
+                    held.add(i)
                 else:
                     y -= f * x
                     if y:
                         row[j] = y
                     else:
                         del row[j]
+                        held.discard(i)
+        where[c] = {r}
         pivots.append(c)
         r += 1
     return pivots
@@ -349,7 +405,7 @@ def nullspace_basis(mat: RationalMatrix) -> RationalMatrix:
     return RationalMatrix._of(tuple(rows), len(free))
 
 
-def solve(mat: RationalMatrix, rhs: Sequence[Sequence]) -> List[Optional[Tuple[Fraction, ...]]]:
+def solve(mat: RationalMatrix, rhs: Sequence[Sequence]) -> List[Optional[Tuple[Exact, ...]]]:
     """One solution of mat @ x = b for each column b of the batch `rhs`.
 
     Eliminates `[mat | rhs...]` once.  A column with no solution gets None;
@@ -357,9 +413,9 @@ def solve(mat: RationalMatrix, rhs: Sequence[Sequence]) -> List[Optional[Tuple[F
     same one it gets when solved alone.
 
     >>> solve(RationalMatrix([[1, 0], [1, 0]]), [[3, 3], [1, 2]])
-    [(Fraction(3, 1), Fraction(0, 1)), None]
+    [(3, 0), None]
     """
-    cols = [tuple(_frac(x) for x in b) for b in rhs]
+    cols = [_exacts(b) for b in rhs]
     if any(len(b) != mat.nrows for b in cols):
         raise ValueError("rhs length mismatch")
     n = mat.ncols
@@ -373,7 +429,7 @@ def solve(mat: RationalMatrix, rhs: Sequence[Sequence]) -> List[Optional[Tuple[F
     pivots = _eliminate(rows, n)
     # below the rank only ride-along columns are left: the inconsistent ones
     inconsistent = {j for row in rows[len(pivots):] for j in row}
-    out: List[Optional[Tuple[Fraction, ...]]] = []
+    out: List[Optional[Tuple[Exact, ...]]] = []
     for j in range(n, n + len(cols)):
         if j in inconsistent:
             out.append(None)
@@ -381,13 +437,13 @@ def solve(mat: RationalMatrix, rhs: Sequence[Sequence]) -> List[Optional[Tuple[F
         x = [_ZERO] * n
         for row, pc in zip(rows, pivots):
             x[pc] = row.get(j, _ZERO)
-        out.append(tuple(x))
+        out.append(_exacts(x))
     return out
 
 
-def _ride_along(row: Mapping[int, Fraction], width: int) -> Row:
+def _ride_along(row: Dict[int, Exact], width: int) -> Row:
     """The entries of a row from column `width` on, shifted to start at 0."""
-    return tuple(sorted((j - width, x) for j, x in row.items() if j >= width))
+    return tuple(sorted((j - width, x) for j, x in _exact_map(row).items() if j >= width))
 
 
 class QuotientSpace:
@@ -433,7 +489,7 @@ class QuotientSpace:
             tuple(_ride_along(row, width) for row in rows[len(pivots):]), n
         )
 
-    def coords(self, vecs: Sequence[Sequence]) -> List[Tuple[Fraction, ...]]:
+    def coords(self, vecs: Sequence[Sequence]) -> List[Tuple[Exact, ...]]:
         """Class coordinates of each vector in `vecs`; each must lie in the span."""
         out = []
         for v in vecs:

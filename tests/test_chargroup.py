@@ -120,6 +120,21 @@ def test_canonical_section_slope_breaks_additivity_on_larger_support():
     assert sec.homomorphic is False
 
 
+def test_section_checks_additivity_on_first_read_only(monkeypatch):
+    from resolvedk import chargroup
+
+    calls = []
+    check = chargroup._table_additive
+    monkeypatch.setattr(chargroup, "_table_additive", lambda table: calls.append(1) or check(table))
+    sec = section(slope_datum(), [Character(Z, (k,)) for k in range(3)])
+    assert calls == []
+    assert sec.homomorphic is False and sec.homomorphic is False
+    assert calls == [1]
+    # without a splitting nothing is tabulated-checked at all
+    assert section(mod2_datum(), [(0,), (1,)]).homomorphic is False
+    assert calls == [1]
+
+
 def test_offset_and_compare_sections():
     datum = mod2_datum()
     base = section(datum, [(0,), (1,)])

@@ -284,3 +284,35 @@ def test_input_error_exit_codes(tmp_path):
     assert code == 2 and "resolvedk:" in err
 
     assert run_cli("deloc", "stray-name", "--input", "fixture:sphere_rotation")[0] == 2
+
+
+@pytest.mark.parametrize("spec", [
+    "sphere_rotation", "sphere_rotation_speed:n=3", "projective_plane", "product_trivial:torsion=2",
+])
+def test_compare_builds_only_integral_matrices(spec, monkeypatch):
+    # the fixtures' matrices are integral, so every matrix a verification run
+    # builds stores plain ints: no Fraction object reaches the kernels
+    from argparse import Namespace
+
+    from resolvedk import cli
+    from resolvedk.ratmat import RationalMatrix
+
+    built = []
+    original_of = RationalMatrix._of.__func__
+    original_init = RationalMatrix.__init__
+
+    def of(cls, data, ncols):
+        mat = original_of(cls, data, ncols)
+        built.append(sum(type(x) is not int for _, _, x in mat.entries()))
+        return mat
+
+    def init(self, rows, *, ncols=None):
+        original_init(self, rows, ncols=ncols)
+        built.append(sum(type(x) is not int for _, _, x in self.entries()))
+
+    text = serialize_descriptor(cli._fixture_from_spec(spec))
+    monkeypatch.setattr(RationalMatrix, "_of", classmethod(of))
+    monkeypatch.setattr(RationalMatrix, "__init__", init)
+    result = cli.run("compare", parse_descriptor(text), Namespace(window=3, prune=[], relative=[]))
+    assert result.status == cli.OK
+    assert len(built) > 100 and sum(built) == 0

@@ -131,6 +131,22 @@ def test_sparse_rows_are_canonical():
             assert all(x for _, _, x in mat.entries())
     cancel = RationalMatrix([[1, 1]]) @ RationalMatrix([[1], [-1]])
     assert cancel == RationalMatrix.zeros(1, 1) and cancel.is_zero()
+    # built from ints or from the equal Fractions, a matrix is the same one,
+    # and an integral entry is stored as an int however it was reached
+    ints = [[2, 0, -1], [0, 3, 0]]
+    fracs = [[Fraction(x) for x in row] for row in ints]
+    for a, b in [
+        (RationalMatrix(ints), RationalMatrix(fracs)),
+        (RationalMatrix.from_columns(list(zip(*ints))), RationalMatrix.from_columns(list(zip(*fracs)))),
+        (RationalMatrix([[1]]), RationalMatrix([[Fraction(1, 2)]]) @ RationalMatrix([[2]])),
+        (RationalMatrix([[1, 3]]), RationalMatrix([[Fraction(1, 2), Fraction(5, 2)]])
+         + RationalMatrix([[Fraction(1, 2), Fraction(1, 2)]])),
+        (RationalMatrix([[2, 1]]), RationalMatrix([[Fraction(2, 3), Fraction(1, 3)]]) * 3),
+        (RationalMatrix.identity(2), RationalMatrix([[2, 0], [0, 4]]) * Fraction(1, 2)
+         @ RationalMatrix([[1, 0], [0, Fraction(1, 2)]])),
+    ]:
+        assert a == b and hash(a) == hash(b)
+        assert all(type(x) is int for _, _, x in b.entries())
     assert RationalMatrix([[1, 2]]) - RationalMatrix([[1, 2]]) == RationalMatrix.zeros(1, 2)
 
 
