@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .fgab import AbHom, FgAbGroup, IntegerMatrix, Lattice, row_hermite_form, smith_normal_form
+from .fgab import AbHom, FgAbGroup, Lattice, row_hermite_form, smith_normal_form
+from .ratmat import RationalMatrix
 
 DualGroup = FgAbGroup
 
@@ -130,7 +131,7 @@ class SubgroupDatum:
         self.kernel_basis = tuple(Character(ambient, b) for b in basis)
         self.lattice = lattice
         self._kernel_dec = smith_normal_form(
-            IntegerMatrix.from_columns([list(b.coords) for b in self.kernel_basis], nrows=ambient.ngens)
+            RationalMatrix.from_columns([b.coords for b in self.kernel_basis], nrows=ambient.ngens)
         )
 
     @property

@@ -513,11 +513,13 @@ def pruning_walk(sub: AssembledComplex, total: AssembledComplex) -> Iterator[Pru
 
     Both are restrictions of one assembled complex.  The nodes `total`
     keeps beyond `sub` are added one at a time in depth-then-label order,
-    so every step is a pruning step and the last one ends at `total`.
+    so every step is a pruning step and the last one is `total` itself,
+    which reuses whatever cohomology `total` has already computed.
     """
     added = total.kept - sub.kept
     for alpha in (n for n in total.action.tree.labels_by_depth() if n in added):
-        step = sub.full.restrict(sub.kept | {alpha})
+        kept = sub.kept | {alpha}
+        step = total if kept == total.kept else sub.full.restrict(kept)
         yield les_of_pruning(sub, step)
         sub = step
 
@@ -640,8 +642,7 @@ def validate_chern_data(action: ResolvedAction) -> ValidationReport:
         bad_twists = []
         for i, (sigma, shift) in enumerate(zip(kdata.sigma0, space.shifts)):
             e = _exp_nilpotent(shift.matrix)
-            lhs = c @ RationalMatrix.from_integer(sigma.matrix)
-            if lhs != e @ c:
+            if c @ sigma.matrix != e @ c:
                 bad_twists.append(i)
         rep.add(
             f"node {label}: shift automorphisms match exponential twists",

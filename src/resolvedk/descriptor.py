@@ -36,7 +36,7 @@ from .basespace import (
     NodeSpaceData,
 )
 from .chargroup import SubgroupDatum
-from .fgab import AbHom, FgAbGroup, IntegerMatrix
+from .fgab import AbHom, FgAbGroup
 from .itspace import IsotropyTree
 from .ratmat import Exact, RationalMatrix, exact
 
@@ -154,13 +154,6 @@ def _int_vector(node: _Node, length: Optional[int] = None) -> Tuple[int, ...]:
     return tuple(e.integer() for e in node.array(length))
 
 
-def _int_matrix(node: _Node, nrows: int, ncols: int) -> IntegerMatrix:
-    rows = [  # noqa: shape errors surface with the row's own path
-        [e.integer() for e in row.array(ncols)] for row in node.array(nrows)
-    ]
-    return IntegerMatrix(rows, ncols=ncols)
-
-
 def _rat_matrix(node: _Node, nrows: int, ncols: int) -> RationalMatrix:
     rows = [[e.rational() for e in row.array(ncols)] for row in node.array(nrows)]
     return RationalMatrix(rows, ncols=ncols)
@@ -174,8 +167,10 @@ def _group(node: _Node) -> FgAbGroup:
 
 
 def _hom(node: _Node, domain: FgAbGroup, codomain: FgAbGroup) -> AbHom:
-    matrix = _int_matrix(node, codomain.ngens, domain.ngens)
-    return node.build(AbHom, domain, codomain, matrix)
+    rows = [  # noqa: shape errors surface with the row's own path
+        [e.integer() for e in row.array(domain.ngens)] for row in node.array(codomain.ngens)
+    ]
+    return node.build(AbHom, domain, codomain, rows)
 
 
 def _complex(node: _Node) -> CochainComplex:
@@ -524,11 +519,7 @@ def _group_json(g: FgAbGroup) -> Dict:
     return {"free_rank": _int_str(g.free_rank), "torsion": [_int_str(d) for d in g.torsion]}
 
 
-def _int_matrix_json(m: IntegerMatrix) -> List[List[str]]:
-    return [[_int_str(m[i, j]) for j in range(m.ncols)] for i in range(m.nrows)]
-
-
-def _rat_matrix_json(m: RationalMatrix) -> List[List[str]]:
+def _matrix_json(m: RationalMatrix) -> List[List[str]]:
     return [[_rat_str(x) for x in row] for row in m.to_lists()]
 
 
@@ -536,7 +527,7 @@ def _complex_json(cx: CochainComplex) -> Dict:
     return {
         "dims": [_int_str(n) for n in cx.dims],
         "differentials": [
-            _rat_matrix_json(cx.differential_block(k)) for k in range(len(cx.dims) - 1)
+            _matrix_json(cx.differential_block(k)) for k in range(len(cx.dims) - 1)
         ],
     }
 
@@ -545,16 +536,16 @@ def _kdata_json(k: KData) -> Dict:
     return {
         "k0": _group_json(k.k0),
         "k1": _group_json(k.k1),
-        "sigma0": [_int_matrix_json(a.matrix) for a in k.sigma0],
-        "sigma1": [_int_matrix_json(a.matrix) for a in k.sigma1],
-        "dim_hom": _int_matrix_json(k.dim_hom.matrix),
+        "sigma0": [_matrix_json(a.matrix) for a in k.sigma0],
+        "sigma1": [_matrix_json(a.matrix) for a in k.sigma1],
+        "dim_hom": _matrix_json(k.dim_hom.matrix),
     }
 
 
 def _space_json(space: NodeSpaceData) -> Dict:
     return {
         "complex": _complex_json(space.complex),
-        "shifts": [_rat_matrix_json(s.matrix) for s in space.shifts],
+        "shifts": [_matrix_json(s.matrix) for s in space.shifts],
         "k": _kdata_json(space.kdata),
     }
 
@@ -562,15 +553,15 @@ def _space_json(space: NodeSpaceData) -> Dict:
 def _face_json(fm: FaceMaps) -> Dict:
     return {
         "space": _space_json(fm.face),
-        "restriction": _rat_matrix_json(fm.rho.matrix),
-        "pullback": _rat_matrix_json(fm.pullback.matrix),
+        "restriction": _matrix_json(fm.rho.matrix),
+        "pullback": _matrix_json(fm.pullback.matrix),
         "k_restriction": {
-            "even": _int_matrix_json(fm.rho_k.even.matrix),
-            "odd": _int_matrix_json(fm.rho_k.odd.matrix),
+            "even": _matrix_json(fm.rho_k.even.matrix),
+            "odd": _matrix_json(fm.rho_k.odd.matrix),
         },
         "k_pullback": {
-            "even": _int_matrix_json(fm.pullback_k.even.matrix),
-            "odd": _int_matrix_json(fm.pullback_k.odd.matrix),
+            "even": _matrix_json(fm.pullback_k.even.matrix),
+            "odd": _matrix_json(fm.pullback_k.odd.matrix),
         },
     }
 
@@ -578,17 +569,17 @@ def _face_json(fm: FaceMaps) -> Dict:
 def _corner_json(c: CornerData) -> Dict:
     out = {
         "complex": _complex_json(c.corner),
-        "shifts": [_rat_matrix_json(s.matrix) for s in c.shifts],
-        "into_ab": _rat_matrix_json(c.into_ab.matrix),
-        "into_ag": _rat_matrix_json(c.into_ag.matrix),
-        "pull_bg": _rat_matrix_json(c.pull_bg.matrix),
+        "shifts": [_matrix_json(s.matrix) for s in c.shifts],
+        "into_ab": _matrix_json(c.into_ab.matrix),
+        "into_ag": _matrix_json(c.into_ag.matrix),
+        "pull_bg": _matrix_json(c.pull_bg.matrix),
     }
     if c.has_k_level:
         out["k0"] = _group_json(c.k0)
-        out["sigma0"] = [_int_matrix_json(a.matrix) for a in c.sigma0]
-        out["into_ab_k"] = _int_matrix_json(c.into_ab_k.matrix)
-        out["into_ag_k"] = _int_matrix_json(c.into_ag_k.matrix)
-        out["pull_bg_k"] = _int_matrix_json(c.pull_bg_k.matrix)
+        out["sigma0"] = [_matrix_json(a.matrix) for a in c.sigma0]
+        out["into_ab_k"] = _matrix_json(c.into_ab_k.matrix)
+        out["into_ag_k"] = _matrix_json(c.into_ag_k.matrix)
+        out["pull_bg_k"] = _matrix_json(c.pull_bg_k.matrix)
     return out
 
 
@@ -618,7 +609,7 @@ def serialize_descriptor(obj) -> str:
             "nodes": {
                 label: {
                     "target": _group_json(datum.target),
-                    "restriction": _int_matrix_json(datum.restriction.matrix),
+                    "restriction": _matrix_json(datum.restriction.matrix),
                     "kernel_basis": [
                         [_int_str(x) for x in ch.coords] for ch in datum.kernel_basis
                     ],

@@ -1,13 +1,15 @@
 """Exact integer linear algebra and finitely generated abelian groups.
 
-Everything here is arbitrary-precision: matrices are tuples of Python ints,
-Smith/Hermite reductions carry their unimodular transforms, and group
-homomorphisms are integer matrices acting on chosen generators.  Groups are
-kept in invariant-factor form (free rank plus a divisibility chain of torsion
-factors); subgroups, kernels, images and cokernels are computed through
-integer lattices.  A hom decomposes its graph [matrix | relations] once, the
-first time a preimage, kernel or section asks for it, and computes its
-inverse once; both are kept on the (immutable) hom.
+Everything here is arbitrary-precision.  A matrix is a
+`ratmat.RationalMatrix` whose entries are all Python ints; Smith reduction
+carries its unimodular transforms as such matrices, Hermite reduction and
+lattices work on plain lists of ints, and group homomorphisms are integer
+matrices acting on chosen generators.  Groups are kept in invariant-factor
+form (free rank plus a divisibility chain of torsion factors); subgroups,
+kernels, images and cokernels are computed through integer lattices.  A hom
+decomposes its graph [matrix | relations] once, the first time a preimage,
+kernel or section asks for it, and computes its inverse once; both are kept
+on the (immutable) hom.
 
 Coordinate convention: a group with free rank f and torsion factors
 (d_1 | d_2 | ... | d_t) has f + t generators, free generators first.  An
@@ -18,6 +20,8 @@ element is a coordinate tuple with the torsion coordinates reduced into
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, Tuple
+
+from .ratmat import RationalMatrix
 
 
 def xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -43,144 +47,20 @@ def xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-class IntegerMatrix:
-    """Immutable integer matrix.
-
-    >>> a = IntegerMatrix([[2, 4], [6, 8]])
-    >>> a.shape
-    (2, 2)
-    >>> (a @ IntegerMatrix.identity(2)) == a
-    True
-    """
-
-    __slots__ = ("nrows", "ncols", "_rows")
-
-    def __init__(self, rows: Iterable[Iterable[int]], *, ncols: Optional[int] = None):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise ValueError("ragged rows in integer matrix")
-            if ncols is not None and ncols != width:
-                raise ValueError("ncols disagrees with row length")
-        else:
-            if ncols is None:
-                raise ValueError("empty matrix needs an explicit ncols")
-            width = ncols
-        self.nrows = len(data)
-        self.ncols = width
-        self._rows = data
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "IntegerMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], nrows: Optional[int] = None) -> "IntegerMatrix":
-        cols = [tuple(int(x) for x in c) for c in columns]
-        if cols:
-            nrows = len(cols[0])
-            if any(len(c) != nrows for c in cols):
-                raise ValueError("ragged columns")
-        elif nrows is None:
-            raise ValueError("empty column list needs nrows")
-        return cls([[c[i] for c in cols] for i in range(nrows)], ncols=len(cols))
-
-    # -- access ------------------------------------------------------------
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (self.nrows, self.ncols)
-
-    def __getitem__(self, key: Tuple[int, int]) -> int:
-        i, j = key
-        return self._rows[i][j]
-
-    def row(self, i: int) -> Tuple[int, ...]:
-        return self._rows[i]
-
-    def column(self, j: int) -> Tuple[int, ...]:
-        return tuple(r[j] for r in self._rows)
-
-    def columns(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(self.column(j) for j in range(self.ncols))
-
-    def to_lists(self) -> list:
-        return [list(r) for r in self._rows]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self._rows for x in row)
-
-    # -- algebra -----------------------------------------------------------
-
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        ocols = other.columns()
-        return IntegerMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ocols] for row in self._rows],
-            ncols=other.ncols,
-        )
-
-    def apply(self, vec: Sequence[int]) -> Tuple[int, ...]:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self._rows)
-
-    def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return IntegerMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)],
-            ncols=self.ncols,
-        )
-
-    def __sub__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "IntegerMatrix":
-        return IntegerMatrix([[-x for x in r] for r in self._rows], ncols=self.ncols)
-
-    def __mul__(self, scalar: int) -> "IntegerMatrix":
-        return IntegerMatrix([[scalar * x for x in r] for r in self._rows], ncols=self.ncols)
-
-    __rmul__ = __mul__
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.columns(), ncols=self.nrows)
-
-    def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch")
-        return IntegerMatrix(
-            [r1 + r2 for r1, r2 in zip(self._rows, other._rows)],
-            ncols=self.ncols + other.ncols,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IntegerMatrix)
-            and self.ncols == other.ncols
-            and self._rows == other._rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ncols, self._rows))
-
-    def __repr__(self) -> str:
-        return f"IntegerMatrix({[list(r) for r in self._rows]!r}, ncols={self.ncols})"
+def _require_integral(mat: RationalMatrix) -> None:
+    if any(type(x) is not int for _, _, x in mat.entries()):
+        raise ValueError("integer matrix has a non-integral entry")
 
 
-def det_int(mat: IntegerMatrix) -> int:
+def _hstack(left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
+    """The columns of `left` followed by those of `right`."""
+    return RationalMatrix.from_columns(left.columns() + right.columns(), nrows=left.nrows)
+
+
+def det_int(mat: RationalMatrix) -> int:
     """Determinant by fraction-free (Bareiss) elimination.
 
-    >>> det_int(IntegerMatrix([[2, 4], [6, 8]]))
+    >>> det_int(RationalMatrix([[2, 4], [6, 8]]))
     -8
     """
     if mat.nrows != mat.ncols:
@@ -215,21 +95,22 @@ class SmithDecomposition:
     chain d_1 | d_2 | ..., and `u`, `v` are unimodular.
     """
 
-    __slots__ = ("u", "s", "v")
+    __slots__ = ("u", "s", "v", "_diagonal")
 
-    def __init__(self, u: IntegerMatrix, s: IntegerMatrix, v: IntegerMatrix):
+    def __init__(self, u: RationalMatrix, s: RationalMatrix, v: RationalMatrix):
         self.u = u
         self.s = s
         self.v = v
+        self._diagonal = tuple(s[i, i] for i in range(min(s.nrows, s.ncols)))
 
     def diagonal(self) -> Tuple[int, ...]:
-        return tuple(self.s[i, i] for i in range(min(self.s.nrows, self.s.ncols)))
+        return self._diagonal
 
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
 
-    def verify(self, a: IntegerMatrix) -> bool:
+    def verify(self, a: RationalMatrix) -> bool:
         if self.u @ a @ self.v != self.s:
             return False
         if abs(det_int(self.u)) != 1 or abs(det_int(self.v)) != 1:
@@ -253,9 +134,9 @@ class SmithDecomposition:
     def solve(self, rhs: Sequence[int]) -> Optional[Tuple[int, ...]]:
         """One integer solution x of a @ x = rhs for the decomposed a, or None.
 
-        >>> smith_normal_form(IntegerMatrix([[2, 3]])).solve([1])
+        >>> smith_normal_form(RationalMatrix([[2, 3]])).solve([1])
         (-1, 1)
-        >>> smith_normal_form(IntegerMatrix([[2]])).solve([3]) is None
+        >>> smith_normal_form(RationalMatrix([[2]])).solve([3]) is None
         True
         """
         if len(rhs) != self.s.nrows:
@@ -275,22 +156,25 @@ class SmithDecomposition:
 
     def kernel_basis(self) -> list:
         """Basis of the integer kernel of the decomposed matrix: v's last columns."""
-        return [self.v.column(j) for j in range(self.rank, self.v.ncols)]
+        return list(self.v.columns()[self.rank:])
 
 
-def smith_normal_form(mat: IntegerMatrix) -> SmithDecomposition:
+def smith_normal_form(mat: RationalMatrix) -> SmithDecomposition:
     """Smith normal form over the integers, with unimodular transforms.
 
-    >>> d = smith_normal_form(IntegerMatrix([[2, 4], [6, 8]]))
+    Raises ValueError on a matrix with a non-integral entry.
+
+    >>> d = smith_normal_form(RationalMatrix([[2, 4], [6, 8]]))
     >>> d.diagonal()
     (2, 4)
-    >>> d.verify(IntegerMatrix([[2, 4], [6, 8]]))
+    >>> d.verify(RationalMatrix([[2, 4], [6, 8]]))
     True
     """
+    _require_integral(mat)
     m, n = mat.shape
     s = mat.to_lists()
-    u = IntegerMatrix.identity(m).to_lists()
-    v = IntegerMatrix.identity(n).to_lists()
+    u = RationalMatrix.identity(m).to_lists()
+    v = RationalMatrix.identity(n).to_lists()
 
     def swap_rows(i: int, j: int) -> None:
         s[i], s[j] = s[j], s[i]
@@ -387,16 +271,16 @@ def smith_normal_form(mat: IntegerMatrix) -> SmithDecomposition:
         i = max(i - 1, 0)
 
     return SmithDecomposition(
-        IntegerMatrix(u, ncols=m),
-        IntegerMatrix(s, ncols=n),
-        IntegerMatrix(v, ncols=n),
+        RationalMatrix(u, ncols=m),
+        RationalMatrix(s, ncols=n),
+        RationalMatrix(v, ncols=n),
     )
 
 
-def kernel_basis(mat: IntegerMatrix) -> list:
+def kernel_basis(mat: RationalMatrix) -> list:
     """Basis (list of coordinate tuples) of the integer kernel lattice.
 
-    >>> kernel_basis(IntegerMatrix([[2, 3]]))
+    >>> kernel_basis(RationalMatrix([[2, 3]]))
     [(3, -2)]
     """
     return smith_normal_form(mat).kernel_basis()
@@ -582,14 +466,14 @@ class FgAbGroup:
     def generators(self) -> list:
         return [tuple(1 if i == j else 0 for j in range(self.ngens)) for i in range(self.ngens)]
 
-    def relation_matrix(self) -> IntegerMatrix:
+    def relation_matrix(self) -> RationalMatrix:
         """Columns generate the relation lattice of the presentation."""
         cols = []
         for i, d in enumerate(self.torsion):
             col = [0] * self.ngens
             col[self.free_rank + i] = d
             cols.append(col)
-        return IntegerMatrix.from_columns(cols, nrows=self.ngens)
+        return RationalMatrix.from_columns(cols, nrows=self.ngens)
 
     def elements(self) -> Iterable[Tuple[int, ...]]:
         if not self.is_finite:
@@ -628,22 +512,16 @@ class FgAbGroup:
 _UNKNOWN = object()   # an inverse or split not yet computed; None means "none exists"
 
 
-def _normalize_matrix(domain: FgAbGroup, codomain: FgAbGroup, matrix: IntegerMatrix) -> IntegerMatrix:
-    return IntegerMatrix.from_columns(
-        [codomain.reduce(matrix.column(j)) for j in range(matrix.ncols)],
-        nrows=codomain.ngens,
-    )
-
-
 class AbHom:
     """Homomorphism of finitely generated abelian groups.
 
     The matrix has shape (codomain.ngens, domain.ngens) and acts on
     coordinate columns: h(x) = M @ x, reduced in the codomain.  The
-    constructor checks that torsion relations are respected.
+    constructor checks that the entries are integers (ValueError otherwise)
+    and that torsion relations are respected.
 
     >>> z = FgAbGroup.free(1); z2 = FgAbGroup(0, (2,))
-    >>> mod2 = AbHom(z, z2, IntegerMatrix([[1]]))
+    >>> mod2 = AbHom(z, z2, RationalMatrix([[1]]))
     >>> mod2.apply((5,))
     (1,)
     """
@@ -651,16 +529,20 @@ class AbHom:
     __slots__ = ("domain", "codomain", "matrix", "_graph", "_inverse", "_split")
 
     def __init__(self, domain: FgAbGroup, codomain: FgAbGroup, matrix):
-        if not isinstance(matrix, IntegerMatrix):
-            matrix = IntegerMatrix(matrix, ncols=domain.ngens)
+        if not isinstance(matrix, RationalMatrix):
+            matrix = RationalMatrix(matrix, ncols=domain.ngens)
         if matrix.shape != (codomain.ngens, domain.ngens):
             raise ValueError(
                 f"matrix shape {matrix.shape} != ({codomain.ngens}, {domain.ngens})"
             )
-        matrix = _normalize_matrix(domain, codomain, matrix)
+        _require_integral(matrix)
+        cols = matrix.columns()
+        # reduction into the codomain is the identity on ints without torsion
+        if codomain.torsion:
+            cols = [codomain.reduce(c) for c in cols]
+            matrix = RationalMatrix.from_columns(cols, nrows=codomain.ngens)
         for j, d in enumerate(domain.torsion):
-            col = matrix.column(domain.free_rank + j)
-            scaled = [d * x for x in col]
+            scaled = [d * x for x in cols[domain.free_rank + j]]
             if any(codomain.reduce(scaled)):
                 raise ValueError(
                     f"matrix does not respect torsion relation {d} on generator "
@@ -675,15 +557,15 @@ class AbHom:
 
     @classmethod
     def identity(cls, group: FgAbGroup) -> "AbHom":
-        return cls(group, group, IntegerMatrix.identity(group.ngens))
+        return cls(group, group, RationalMatrix.identity(group.ngens))
 
     @classmethod
     def zero(cls, domain: FgAbGroup, codomain: FgAbGroup) -> "AbHom":
-        return cls(domain, codomain, IntegerMatrix.zeros(codomain.ngens, domain.ngens))
+        return cls(domain, codomain, RationalMatrix.zeros(codomain.ngens, domain.ngens))
 
     @classmethod
     def from_columns(cls, domain: FgAbGroup, codomain: FgAbGroup, columns: Sequence[Sequence[int]]) -> "AbHom":
-        return cls(domain, codomain, IntegerMatrix.from_columns(columns, nrows=codomain.ngens))
+        return cls(domain, codomain, RationalMatrix.from_columns(columns, nrows=codomain.ngens))
 
     def apply(self, vec: Sequence[int]) -> Tuple[int, ...]:
         return self.codomain.reduce(self.matrix.apply(self.domain.reduce(vec)))
@@ -735,9 +617,7 @@ class AbHom:
         lattice is the one it spans.
         """
         if self._graph is None:
-            rel = self.codomain.relation_matrix()
-            stacked = self.matrix.hstack(rel) if rel.ncols else self.matrix
-            dec = smith_normal_form(stacked)
+            dec = smith_normal_form(_hstack(self.matrix, self.codomain.relation_matrix()))
             n = self.domain.ngens
             basis = tuple(k[:n] for k in dec.kernel_basis())
             self._graph = (dec, basis, Lattice(n, basis))
@@ -821,7 +701,7 @@ class AbHom:
         pivots taken from the last coordinate upward.
 
         >>> z2 = FgAbGroup.free(2); z = FgAbGroup.free(1)
-        >>> h = AbHom(z2, z, IntegerMatrix([[2, 3]]))
+        >>> h = AbHom(z2, z, RationalMatrix([[2, 3]]))
         >>> h.preimage_representative((1,))
         (-1, 1)
         """
@@ -839,9 +719,9 @@ class AbHom:
         condition.  Absence is definitive.
 
         >>> z = FgAbGroup.free(1); z2t = FgAbGroup(0, (2,))
-        >>> AbHom(z, z2t, IntegerMatrix([[1]])).try_split() is None
+        >>> AbHom(z, z2t, RationalMatrix([[1]])).try_split() is None
         True
-        >>> h = AbHom(FgAbGroup.free(2), z, IntegerMatrix([[2, 3]]))
+        >>> h = AbHom(FgAbGroup.free(2), z, RationalMatrix([[2, 3]]))
         >>> h.try_split().matrix.to_lists()
         [[-1], [1]]
         """
@@ -863,9 +743,8 @@ class AbHom:
                 d = cod.torsion[i - cod.free_rank]
                 # Need x' = x + (graph combo) with d * x' in the domain
                 # relation lattice.
-                gmat = IntegerMatrix.from_columns([list(g) for g in graph], nrows=n)
-                blocks = (d * gmat).hstack(rel_dom) if rel_dom.ncols else d * gmat
-                block_dec = smith_normal_form(blocks)
+                gmat = RationalMatrix.from_columns(graph, nrows=n)
+                block_dec = smith_normal_form(_hstack(d * gmat, rel_dom))
                 sol = block_dec.solve([-d * xi for xi in x])
                 if sol is None:
                     return None
@@ -893,7 +772,7 @@ def _lattice_quotient(ambient: int, big_gens: Sequence[Sequence[int]], small_gen
     big_rows = row_hermite_form([list(g) for g in big_gens], ambient)
     k = len(big_rows)
     basis_dec = smith_normal_form(
-        IntegerMatrix.from_columns([list(r) for r in big_rows], nrows=ambient)
+        RationalMatrix.from_columns(big_rows, nrows=ambient)
     )
 
     def in_basis(vec: Sequence[int]) -> Tuple[int, ...]:
@@ -903,7 +782,7 @@ def _lattice_quotient(ambient: int, big_gens: Sequence[Sequence[int]], small_gen
         return sol
 
     small_in_b = [in_basis(sg) for sg in small_gens]
-    cmat = IntegerMatrix.from_columns([list(c) for c in small_in_b], nrows=k)
+    cmat = RationalMatrix.from_columns(small_in_b, nrows=k)
     dec = smith_normal_form(cmat)
     diag = dec.diagonal()
     u_dec = smith_normal_form(dec.u)
@@ -936,8 +815,8 @@ def is_exact_at(f: AbHom, g: AbHom) -> bool:
     """Whether im(f) = ker(g) as subgroups of the shared middle group.
 
     >>> z = FgAbGroup.free(1); z2 = FgAbGroup(0, (2,))
-    >>> is_exact_at(AbHom(z, z, IntegerMatrix([[2]])),
-    ...             AbHom(z, z2, IntegerMatrix([[1]])))
+    >>> is_exact_at(AbHom(z, z, RationalMatrix([[2]])),
+    ...             AbHom(z, z2, RationalMatrix([[1]])))
     True
     """
     if f.codomain != g.domain:

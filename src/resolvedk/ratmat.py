@@ -6,7 +6,9 @@ matrices the assembly builds are integral, so their kernels run on plain
 ints and make no `Fraction` at all; since an int and the equal Fraction
 compare and hash equal, matrices built either way are equal.  Every public
 accessor (`row`, `columns`, `entries`, `apply`, `solve`, indexing) returns
-entries in that form.
+entries in that form.  The same type carries the integer matrices of `fgab`
+(hom matrices, relation matrices, Smith transforms): an integer matrix is
+one whose entries are all ints.
 
 Storage is sparse: a matrix keeps each row as a tuple of `(column, value)`
 pairs sorted by column, with no zero values.  That form is canonical, so
@@ -28,8 +30,6 @@ from fractions import Fraction
 from itertools import compress, repeat
 from operator import is_not, itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
-
-from .fgab import IntegerMatrix
 
 Exact = Union[int, Fraction]
 Row = Tuple[Tuple[int, Exact], ...]
@@ -132,10 +132,6 @@ class RationalMatrix:
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
         return cls._of(((),) * nrows, ncols)
-
-    @classmethod
-    def from_integer(cls, mat: IntegerMatrix) -> "RationalMatrix":
-        return cls(mat.to_lists(), ncols=mat.ncols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], nrows: Optional[int] = None) -> "RationalMatrix":

@@ -20,13 +20,14 @@ from resolvedk.deloc import (
     node_parity_dims,
     validate_chern_data,
 )
-from resolvedk.fgab import FgAbGroup, IntegerMatrix, smith_normal_form
+from resolvedk.fgab import FgAbGroup, smith_normal_form
 from resolvedk.itspace import pruning_sequence
 from resolvedk.ktheory import (
     action_node_k,
     product_with_trivial_factor,
     rational_global_k,
 )
+from resolvedk.ratmat import RationalMatrix
 from resolvedk.redbun import canonical_bundle, canonicalize
 
 
@@ -41,7 +42,7 @@ def test_criterion_1_exact_algebra_suite():
     for trial in range(1000):
         m = rng.randint(1, 8)
         n = rng.randint(1, 8)
-        mat = IntegerMatrix(
+        mat = RationalMatrix(
             [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
         )
         dec = smith_normal_form(mat)

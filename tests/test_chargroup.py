@@ -14,7 +14,8 @@ from resolvedk.chargroup import (
     offset_section,
     section,
 )
-from resolvedk.fgab import AbHom, FgAbGroup, IntegerMatrix, Lattice
+from resolvedk.fgab import AbHom, FgAbGroup, Lattice
+from resolvedk.ratmat import RationalMatrix
 
 
 Z = FgAbGroup.free(1)
@@ -229,7 +230,7 @@ def _surjection_with_torsion(seed):
             for i in range(len(torsion)):
                 rows[cod.free_rank + i] = [int(j == dom.free_rank + i) for j in range(dom.ngens)]
         try:
-            hom = AbHom(dom, cod, IntegerMatrix(rows, ncols=dom.ngens))
+            hom = AbHom(dom, cod, RationalMatrix(rows, ncols=dom.ngens))
         except ValueError:
             continue  # does not respect the torsion relations
         if hom.is_surjective():

@@ -703,6 +703,25 @@ def test_relative_global_k_checks_the_hexagons_of_its_own_complex():
     assert rational_global_k(sphere, prune=("0", "N", "S"), radius=1).checks.checks == []
 
 
+@pytest.mark.parametrize("prune, computed", [(("p2",), 14), (("p1", "p3"), 10)])
+def test_relative_global_k_computes_the_kept_cocycles_once(monkeypatch, prune, computed):
+    # The walk's last step is the kept complex itself, whose cohomology is
+    # already computed; a fresh restriction of it would add 2 computations.
+    calls = []
+    original = deloc.TwoPeriodicComplex.cocycles
+
+    def counting(self, parity):
+        if self._cocycles[parity % 2] is None:
+            calls.append(parity)
+        return original(self, parity)
+
+    monkeypatch.setattr(deloc.TwoPeriodicComplex, "cocycles", counting)
+    plane = projective_plane()
+    glob = rational_global_k(plane, prune=prune, radius=1)
+    assert len(calls) == computed
+    assert glob.checks.ok
+
+
 # -- Chern characters -----------------------------------------------------------------
 
 

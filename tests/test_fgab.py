@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from resolvedk.fgab import (
     AbHom,
     FgAbGroup,
-    IntegerMatrix,
     Lattice,
     det_int,
     is_exact_at,
@@ -15,17 +15,18 @@ from resolvedk.fgab import (
     row_hermite_form,
     smith_normal_form,
 )
+from resolvedk.ratmat import RationalMatrix
 
 
-def _random_matrix(rng: random.Random, max_dim: int = 8, max_entry: int = 20) -> IntegerMatrix:
+def _random_matrix(rng: random.Random, max_dim: int = 8, max_entry: int = 20) -> RationalMatrix:
     m = rng.randint(1, max_dim)
     n = rng.randint(1, max_dim)
-    return IntegerMatrix(
+    return RationalMatrix(
         [[rng.randint(-max_entry, max_entry) for _ in range(n)] for _ in range(m)]
     )
 
 
-def _gcd_all(mat: IntegerMatrix) -> int:
+def _gcd_all(mat: RationalMatrix) -> int:
     from math import gcd
 
     g = 0
@@ -37,18 +38,24 @@ def _gcd_all(mat: IntegerMatrix) -> int:
 
 class TestSmithNormalForm:
     def test_spec_example(self):
-        dec = smith_normal_form(IntegerMatrix([[2, 4], [6, 8]]))
+        dec = smith_normal_form(RationalMatrix([[2, 4], [6, 8]]))
         assert dec.diagonal() == (2, 4)
-        assert dec.verify(IntegerMatrix([[2, 4], [6, 8]]))
+        assert dec.verify(RationalMatrix([[2, 4], [6, 8]]))
 
     def test_zero_matrix(self):
-        dec = smith_normal_form(IntegerMatrix.zeros(3, 2))
+        dec = smith_normal_form(RationalMatrix.zeros(3, 2))
         assert dec.diagonal() == (0, 0)
-        assert dec.verify(IntegerMatrix.zeros(3, 2))
+        assert dec.verify(RationalMatrix.zeros(3, 2))
+
+    def test_non_integral_matrix_rejected(self):
+        with pytest.raises(ValueError):
+            smith_normal_form(RationalMatrix([[2, Fraction(1, 2)]]))
+        with pytest.raises(ValueError):
+            kernel_basis(RationalMatrix([[Fraction(1, 3)]]))
 
     def test_empty_shapes(self):
         for shape in [(0, 3), (3, 0), (0, 0)]:
-            mat = IntegerMatrix.zeros(*shape)
+            mat = RationalMatrix.zeros(*shape)
             dec = smith_normal_form(mat)
             assert dec.verify(mat)
 
@@ -72,7 +79,7 @@ class TestSmithNormalForm:
         rng = random.Random(8128)
         for _ in range(100):
             n = rng.randint(1, 6)
-            mat = IntegerMatrix(
+            mat = RationalMatrix(
                 [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             )
             dec = smith_normal_form(mat)
@@ -90,17 +97,17 @@ class TestSmithNormalForm:
     )
     @settings(max_examples=60, deadline=None)
     def test_property_transforms(self, rows):
-        mat = IntegerMatrix(rows)
+        mat = RationalMatrix(rows)
         dec = smith_normal_form(mat)
         assert dec.verify(mat)
 
 
 class TestSolveAndKernel:
     def test_solve_simple(self):
-        assert smith_normal_form(IntegerMatrix([[2, 3]])).solve([1]) == (-1, 1)
-        assert smith_normal_form(IntegerMatrix([[2]])).solve([3]) is None
+        assert smith_normal_form(RationalMatrix([[2, 3]])).solve([1]) == (-1, 1)
+        assert smith_normal_form(RationalMatrix([[2]])).solve([3]) is None
         with pytest.raises(ValueError):
-            smith_normal_form(IntegerMatrix([[2]])).solve([1, 2])
+            smith_normal_form(RationalMatrix([[2]])).solve([1, 2])
 
     def test_solve_random_consistency(self):
         rng = random.Random(44100)
@@ -175,19 +182,29 @@ class TestAbHom:
         z2 = FgAbGroup(0, (2,))
         z = FgAbGroup.free(1)
         with pytest.raises(ValueError):
-            AbHom(z2, z, IntegerMatrix([[1]]))  # no nonzero map Z/2 -> Z
-        AbHom(z2, z2, IntegerMatrix([[1]]))
+            AbHom(z2, z, RationalMatrix([[1]]))  # no nonzero map Z/2 -> Z
+        AbHom(z2, z2, RationalMatrix([[1]]))
+
+    def test_non_integral_entries_rejected(self):
+        z = FgAbGroup.free(1)
+        with pytest.raises(ValueError):
+            AbHom(z, z, [[Fraction(1, 2)]])
+        with pytest.raises(ValueError):
+            AbHom(z, FgAbGroup(0, (2,)), RationalMatrix([[Fraction(3, 2)]]))
+        with pytest.raises(TypeError):
+            AbHom(z, z, [[2.7]])
+        assert AbHom(z, z, [[Fraction(4, 2)]]).matrix == RationalMatrix([[2]])
 
     def test_cokernel_of_doubling(self):
         z = FgAbGroup.free(1)
-        coker, proj = AbHom(z, z, IntegerMatrix([[2]])).cokernel()
+        coker, proj = AbHom(z, z, RationalMatrix([[2]])).cokernel()
         assert coker == FgAbGroup(0, (2,))
         assert proj.apply((3,)) == (1,)
 
     def test_kernel_of_projection(self):
         z = FgAbGroup.free(1)
         z2 = FgAbGroup(0, (2,))
-        h = AbHom(z, z2, IntegerMatrix([[1]]))
+        h = AbHom(z, z2, RationalMatrix([[1]]))
         ker, incl = h.kernel()
         assert ker == FgAbGroup.free(1)
         assert (h @ incl).is_zero()
@@ -196,39 +213,39 @@ class TestAbHom:
 
     def test_image(self):
         z = FgAbGroup.free(1)
-        img, incl = AbHom(z, z, IntegerMatrix([[2]])).image()
+        img, incl = AbHom(z, z, RationalMatrix([[2]])).image()
         assert img == FgAbGroup.free(1)
         assert incl.matrix.column(0)[0] in (2, -2)
 
     def test_exactness(self):
         z = FgAbGroup.free(1)
         z2 = FgAbGroup(0, (2,))
-        double = AbHom(z, z, IntegerMatrix([[2]]))
-        mod2 = AbHom(z, z2, IntegerMatrix([[1]]))
+        double = AbHom(z, z, RationalMatrix([[2]]))
+        mod2 = AbHom(z, z2, RationalMatrix([[1]]))
         assert is_exact_at(double, mod2)
-        triple = AbHom(z, z, IntegerMatrix([[3]]))
+        triple = AbHom(z, z, RationalMatrix([[3]]))
         assert not is_exact_at(triple, mod2)
 
     def test_exactness_with_torsion_middle(self):
         # Z -x2-> Z/4 -x2-> Z/4 is exact at the middle.
         z = FgAbGroup.free(1)
         z4 = FgAbGroup(0, (4,))
-        f = AbHom(z, z4, IntegerMatrix([[2]]))
-        g = AbHom(z4, z4, IntegerMatrix([[2]]))
+        f = AbHom(z, z4, RationalMatrix([[2]]))
+        g = AbHom(z4, z4, RationalMatrix([[2]]))
         assert is_exact_at(f, g)
 
     def test_preimage_representative(self):
-        h = AbHom(FgAbGroup.free(2), FgAbGroup.free(1), IntegerMatrix([[2, 3]]))
+        h = AbHom(FgAbGroup.free(2), FgAbGroup.free(1), RationalMatrix([[2, 3]]))
         assert h.preimage_representative((1,)) == (-1, 1)
         assert h.preimage_representative((0,)) == (0, 0)
-        doubling = AbHom(FgAbGroup.free(1), FgAbGroup.free(1), IntegerMatrix([[2]]))
+        doubling = AbHom(FgAbGroup.free(1), FgAbGroup.free(1), RationalMatrix([[2]]))
         with pytest.raises(ValueError):
             doubling.preimage_representative((1,))
 
     def test_preimage_deterministic_across_presentations(self):
         z2g = FgAbGroup.free(2)
         z = FgAbGroup.free(1)
-        h = AbHom(z2g, z, IntegerMatrix([[2, 3]]))
+        h = AbHom(z2g, z, RationalMatrix([[2, 3]]))
         rng = random.Random(11)
         rep = h.preimage_representative((5,))
         for _ in range(10):
@@ -242,10 +259,10 @@ class TestAbHom:
     def test_try_split_absent_for_mod2(self):
         z = FgAbGroup.free(1)
         z2 = FgAbGroup(0, (2,))
-        assert AbHom(z, z2, IntegerMatrix([[1]])).try_split() is None
+        assert AbHom(z, z2, RationalMatrix([[1]])).try_split() is None
 
     def test_try_split_present(self):
-        h = AbHom(FgAbGroup.free(2), FgAbGroup.free(1), IntegerMatrix([[2, 3]]))
+        h = AbHom(FgAbGroup.free(2), FgAbGroup.free(1), RationalMatrix([[2, 3]]))
         s = h.try_split()
         assert s is not None
         assert s.matrix.to_lists() == [[-1], [1]]
@@ -258,11 +275,11 @@ class TestAbHom:
         # but has order 4.  No splitting exists.
         g = FgAbGroup(1, (4,))
         z2 = FgAbGroup(0, (2,))
-        h = AbHom(g, z2, IntegerMatrix([[0, 1]]))
+        h = AbHom(g, z2, RationalMatrix([[0, 1]]))
         assert h.try_split() is None
         # Z + Z/2 -> Z/2 does split.
         g2 = FgAbGroup(1, (2,))
-        h2 = AbHom(g2, z2, IntegerMatrix([[0, 1]]))
+        h2 = AbHom(g2, z2, RationalMatrix([[0, 1]]))
         s = h2.try_split()
         assert s is not None
         assert (h2 @ s) == AbHom.identity(z2)
@@ -270,22 +287,22 @@ class TestAbHom:
     def test_try_split_requires_surjective(self):
         z = FgAbGroup.free(1)
         with pytest.raises(ValueError):
-            AbHom(z, z, IntegerMatrix([[2]])).try_split()
+            AbHom(z, z, RationalMatrix([[2]])).try_split()
 
     def test_inverse(self):
         g = FgAbGroup(1, (2,))
-        sigma = AbHom(g, g, IntegerMatrix([[1, 0], [1, 1]]))
+        sigma = AbHom(g, g, RationalMatrix([[1, 0], [1, 1]]))
         inv = sigma.inverse()
         assert inv is not None
         assert inv @ sigma == AbHom.identity(g)
-        not_iso = AbHom(FgAbGroup.free(1), FgAbGroup.free(1), IntegerMatrix([[2]]))
+        not_iso = AbHom(FgAbGroup.free(1), FgAbGroup.free(1), RationalMatrix([[2]]))
         assert not_iso.inverse() is None
 
     @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30))
     @settings(max_examples=50, deadline=None)
     def test_hom_additivity(self, a, b, x):
         z = FgAbGroup.free(1)
-        h = AbHom(z, z, IntegerMatrix([[3]]))
+        h = AbHom(z, z, RationalMatrix([[3]]))
         assert h.apply((a + b,)) == tuple(
             u + v for u, v in zip(h.apply((a,)), h.apply((b,)))
         )
@@ -304,8 +321,10 @@ class TestRankFormulas:
 def test_hom_decomposes_its_graph_once(monkeypatch):
     from resolvedk import fgab
 
-    h = AbHom(FgAbGroup(2, (6,)), FgAbGroup(1, (6,)), IntegerMatrix([[1, 2, 0], [0, 3, 1]]))
-    graph = h.matrix.hstack(h.codomain.relation_matrix())
+    h = AbHom(FgAbGroup(2, (6,)), FgAbGroup(1, (6,)), RationalMatrix([[1, 2, 0], [0, 3, 1]]))
+    graph = RationalMatrix.from_columns(
+        h.matrix.columns() + h.codomain.relation_matrix().columns(), nrows=2
+    )
     seen = []
     original = fgab.smith_normal_form
 

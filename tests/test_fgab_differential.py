@@ -20,11 +20,11 @@ from resolvedk.basespace import sigma_for_character  # noqa: E402
 from resolvedk.fgab import (  # noqa: E402
     AbHom,
     FgAbGroup,
-    IntegerMatrix,
     Lattice,
     kernel_basis,
     smith_normal_form,
 )
+from resolvedk.ratmat import RationalMatrix  # noqa: E402
 from resolvedk.fixtures import (  # noqa: E402
     product_trivial,
     projective_plane,
@@ -43,7 +43,7 @@ def _matrix(rng):
         [0 if i in zero_rows or j in zero_cols else rng.randint(-9, 9) for j in range(n)]
         for i in range(m)
     ]
-    return IntegerMatrix(rows, ncols=n)
+    return RationalMatrix(rows, ncols=n)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -94,12 +94,13 @@ def _automorphism(rng, group):
         rows[f + k][f + k] = rng.choice(units)
         for j in range(f):
             rows[f + k][j] = rng.randint(0, t - 1)
-    return AbHom(group, group, IntegerMatrix(rows, ncols=group.ngens))
+    return AbHom(group, group, RationalMatrix(rows, ncols=group.ngens))
 
 
 def _uncached_preimage(h, y):
-    rel = h.codomain.relation_matrix()
-    stacked = h.matrix.hstack(rel) if rel.ncols else h.matrix
+    stacked = RationalMatrix.from_columns(
+        h.matrix.columns() + h.codomain.relation_matrix().columns(), nrows=h.codomain.ngens
+    )
     n = h.domain.ngens
     lat = Lattice(n, [k[:n] for k in kernel_basis(stacked)])
     sol = smith_normal_form(stacked).solve(h.codomain.reduce(y))
