@@ -11,6 +11,7 @@ of the choice of section.
 
 from __future__ import annotations
 
+from operator import add, neg, sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .fgab import AbHom, FgAbGroup, Lattice, row_hermite_form, smith_normal_form
@@ -20,7 +21,13 @@ DualGroup = FgAbGroup
 
 
 class Character:
-    """Element of a dual group, stored in canonical coordinates."""
+    """Element of a dual group, stored in canonical coordinates.
+
+    The coordinates are a tuple of ints that `group.reduce` has checked and
+    reduced once.  A character hashes by its coordinates alone and compares
+    them before the group, so equal coordinates in different groups collide
+    in a hash but stay unequal.
+    """
 
     __slots__ = ("group", "coords")
 
@@ -28,16 +35,32 @@ class Character:
         self.group = group
         self.coords = group.reduce(coords)
 
+    @classmethod
+    def _of(cls, group: FgAbGroup, coords: Tuple[int, ...]) -> "Character":
+        """Wrap coordinates that are already canonical in `group` (a hom image)."""
+        ch = object.__new__(cls)
+        ch.group = group
+        ch.coords = coords
+        return ch
+
+    def _wrapped(self, coords: Tuple[int, ...]) -> "Character":
+        """The character with these coordinates, ints whose torsion is not yet wrapped.
+
+        Sums and negatives of canonical coordinates are such ints, so they
+        skip the type check of `reduce`.
+        """
+        return Character._of(self.group, self.group._wrap(coords))
+
     def __add__(self, other: "Character") -> "Character":
         self._check(other)
-        return Character(self.group, [a + b for a, b in zip(self.coords, other.coords)])
+        return self._wrapped(tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "Character") -> "Character":
         self._check(other)
-        return Character(self.group, [a - b for a, b in zip(self.coords, other.coords)])
+        return self._wrapped(tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "Character":
-        return Character(self.group, [-a for a in self.coords])
+        return self._wrapped(tuple(map(neg, self.coords)))
 
     def scale(self, n: int) -> "Character":
         return Character(self.group, [n * a for a in self.coords])
@@ -52,12 +75,12 @@ class Character:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Character)
-            and self.group == other.group
             and self.coords == other.coords
+            and self.group == other.group
         )
 
     def __hash__(self) -> int:
-        return hash((self.group, self.coords))
+        return hash(self.coords)
 
     def __lt__(self, other: "Character") -> bool:
         self._check(other)
@@ -143,14 +166,14 @@ class SubgroupDatum:
         return len(self.kernel_basis)
 
     def restrict(self, ghat: Character) -> Character:
-        return Character(self.target, self.restriction.apply(ghat.coords))
+        return Character._of(self.target, self.restriction.apply(ghat.coords))
 
     def in_kernel(self, ghat: Character) -> bool:
         return self.lattice.contains(ghat.coords)
 
     def kernel_coordinates(self, ghat: Character) -> Tuple[int, ...]:
         """Integer coordinates of a kernel element in the stored basis."""
-        sol = self._kernel_dec.solve(list(ghat.coords))
+        sol = self._kernel_dec.solve(ghat.coords)
         if sol is None:
             raise ValueError(f"{ghat!r} is not in the kernel lattice")
         return sol
@@ -167,7 +190,7 @@ class SubgroupDatum:
         """The canonical lift of a target character to the ambient dual."""
         if b.group != self.target:
             raise ValueError("character is not in the subgroup dual")
-        return Character(self.ambient, self.restriction.preimage_representative(b.coords))
+        return Character._of(self.ambient, self.restriction.preimage_representative(b.coords))
 
     def __repr__(self) -> str:
         return f"SubgroupDatum({self.ambient} -> {self.target})"
@@ -247,7 +270,7 @@ def lift_offset(
 
 def edge_image(edge: AbHom, b: Character) -> Character:
     """Image of a deep subgroup character under an edge restriction."""
-    return Character(edge.codomain, edge.apply(b.coords))
+    return Character._of(edge.codomain, edge.apply(b.coords))
 
 
 def _table_additive(table: Mapping[Character, Character]) -> bool:

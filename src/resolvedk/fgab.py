@@ -13,15 +13,19 @@ on the (immutable) hom.
 
 Coordinate convention: a group with free rank f and torsion factors
 (d_1 | d_2 | ... | d_t) has f + t generators, free generators first.  An
-element is a coordinate tuple with the torsion coordinates reduced into
-[0, d_i).
+element is a tuple of plain ints with the torsion coordinates reduced into
+[0, d_i).  `FgAbGroup.reduce` is the boundary: it type-checks its input once
+(an integral Fraction becomes an int; a float or a non-integral Fraction is
+refused), and everything past it, hom applies and solves included, is
+integer arithmetic over the sparse rows of integer matrices.
 """
 
 from __future__ import annotations
 
+from operator import mod
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .ratmat import RationalMatrix
+from .ratmat import _INT, RationalMatrix, Row, exact
 
 
 def xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -45,6 +49,37 @@ def xgcd(a: int, b: int) -> Tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def _integer(x) -> int:
+    """`x` as an int; TypeError on a float, ValueError on a non-integral rational."""
+    x = exact(x)
+    if type(x) is not int:
+        raise ValueError(f"coordinate {x} is not an integer")
+    return x
+
+
+def _ints(vec: Iterable) -> Tuple[int, ...]:
+    """The values as a tuple of ints; a tuple of ints is recognised at C speed."""
+    vec = tuple(vec)
+    if _INT.issuperset(map(type, vec)):
+        return vec
+    return tuple(map(_integer, vec))
+
+
+def _int_apply(rows: Tuple[Row, ...], x: Sequence[int]) -> Tuple[int, ...]:
+    """The integer matrix with these sparse rows applied to an int vector.
+
+    Plain loops: the rows are short, and a comprehension per row costs
+    more than its sum.
+    """
+    out = []
+    for row in rows:
+        acc = 0
+        for j, a in row:
+            acc += a * x[j]
+        out.append(acc)
+    return tuple(out)
 
 
 def _require_integral(mat: RationalMatrix) -> None:
@@ -141,18 +176,19 @@ class SmithDecomposition:
         """
         if len(rhs) != self.s.nrows:
             raise ValueError("rhs length mismatch")
-        c = self.u.apply(rhs)
-        diag = self.diagonal()
+        c = _int_apply(self.u.sparse_rows(), _ints(rhs))
+        diag = self._diagonal
+        if any(c[len(diag):]):
+            return None
         y = [0] * self.s.ncols
-        for i in range(self.s.nrows):
-            d = diag[i] if i < len(diag) else 0
-            if d != 0:
-                if c[i] % d != 0:
+        for i, d in enumerate(diag):
+            if d:
+                y[i], rem = divmod(c[i], d)
+                if rem:
                     return None
-                y[i] = c[i] // d
-            elif c[i] != 0:
+            elif c[i]:
                 return None
-        return self.v.apply(y)
+        return _int_apply(self.v.sparse_rows(), y)
 
     def kernel_basis(self) -> list:
         """Basis of the integer kernel of the decomposed matrix: v's last columns."""
@@ -403,11 +439,22 @@ class FgAbGroup:
     2
     >>> g.reduce((3, 5))
     (3, 1)
+    >>> from fractions import Fraction
+    >>> g.reduce((Fraction(6, 2), 5))
+    (3, 1)
+    >>> g.reduce((2.5, 0))
+    Traceback (most recent call last):
+    ...
+    TypeError: not an exact rational: 2.5
+    >>> g.reduce((Fraction(1, 2), 0))
+    Traceback (most recent call last):
+    ...
+    ValueError: coordinate 1/2 is not an integer
     >>> str(FgAbGroup(2)), str(FgAbGroup(0, (2, 4))), str(FgAbGroup(0))
     ('Z^2', 'Z/2 + Z/4', '0')
     """
 
-    __slots__ = ("free_rank", "torsion")
+    __slots__ = ("free_rank", "torsion", "ngens")
 
     def __init__(self, free_rank: int, torsion: Sequence[int] = ()):
         if free_rank < 0:
@@ -421,6 +468,7 @@ class FgAbGroup:
                 raise ValueError(f"invariant factors {tor} violate divisibility")
         self.free_rank = free_rank
         self.torsion = tor
+        self.ngens = free_rank + len(tor)
 
     @classmethod
     def free(cls, rank: int) -> "FgAbGroup":
@@ -429,10 +477,6 @@ class FgAbGroup:
     @classmethod
     def trivial(cls) -> "FgAbGroup":
         return cls(0, ())
-
-    @property
-    def ngens(self) -> int:
-        return self.free_rank + len(self.torsion)
 
     @property
     def is_trivial(self) -> bool:
@@ -454,11 +498,22 @@ class FgAbGroup:
         return (0,) * self.ngens
 
     def reduce(self, vec: Sequence[int]) -> Tuple[int, ...]:
+        """Canonical coordinates: ints, torsion coordinates in [0, d_i).
+
+        Raises TypeError on a float and ValueError on a non-integral
+        Fraction or a wrong length.
+        """
+        vec = _ints(vec)
         if len(vec) != self.ngens:
             raise ValueError(f"coordinate length {len(vec)} != {self.ngens}")
-        free = tuple(int(x) for x in vec[: self.free_rank])
-        tor = tuple(int(x) % d for x, d in zip(vec[self.free_rank:], self.torsion))
-        return free + tor
+        return self._wrap(vec)
+
+    def _wrap(self, vec: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Canonical coordinates of a tuple of ints of the right length."""
+        if not self.torsion:
+            return vec
+        f = self.free_rank
+        return vec[:f] + tuple(map(mod, vec[f:], self.torsion))
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
         return self.reduce([x + y for x, y in zip(a, b)])
@@ -487,7 +542,7 @@ class FgAbGroup:
         yield from rec(0, ())
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, FgAbGroup)
             and self.free_rank == other.free_rank
             and self.torsion == other.torsion
@@ -568,7 +623,7 @@ class AbHom:
         return cls(domain, codomain, RationalMatrix.from_columns(columns, nrows=codomain.ngens))
 
     def apply(self, vec: Sequence[int]) -> Tuple[int, ...]:
-        return self.codomain.reduce(self.matrix.apply(self.domain.reduce(vec)))
+        return self.codomain._wrap(_int_apply(self.matrix.sparse_rows(), self.domain.reduce(vec)))
 
     def compose(self, inner: "AbHom") -> "AbHom":
         """self o inner."""
@@ -748,11 +803,12 @@ class AbHom:
                 sol = block_dec.solve([-d * xi for xi in x])
                 if sol is None:
                     return None
-                corr = gmat.apply(sol[: len(graph)])
+                g_rows = gmat.sparse_rows()
+                corr = _int_apply(g_rows, sol[: len(graph)])
                 x = [xi + ci for xi, ci in zip(x, corr)]
                 # Deterministic representative: reduce modulo the lattice of
                 # valid corrections {v in graph-lattice : d*v in relations}.
-                cond_rows = [gmat.apply(k[: len(graph)]) for k in block_dec.kernel_basis()]
+                cond_rows = [_int_apply(g_rows, k[: len(graph)]) for k in block_dec.kernel_basis()]
                 x = list(Lattice(n, cond_rows).reduce(x))
             cols.append(self.domain.reduce(x))
         sec = AbHom.from_columns(cod, self.domain, cols)
@@ -801,7 +857,7 @@ def _lattice_quotient(ambient: int, big_gens: Sequence[Sequence[int]], small_gen
 
     def project(vec: Sequence[int]) -> Tuple[int, ...]:
         xb = in_basis(vec)
-        y = dec.u.apply(xb)
+        y = _int_apply(dec.u.sparse_rows(), xb)
         coords = [y[i] for i in free_idx] + [y[i] for i in tors_idx]
         return group.reduce(coords)
 

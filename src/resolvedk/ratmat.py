@@ -5,10 +5,11 @@ not: never a `float`, and never a `Fraction` with denominator 1.  The
 matrices the assembly builds are integral, so their kernels run on plain
 ints and make no `Fraction` at all; since an int and the equal Fraction
 compare and hash equal, matrices built either way are equal.  Every public
-accessor (`row`, `columns`, `entries`, `apply`, `solve`, indexing) returns
-entries in that form.  The same type carries the integer matrices of `fgab`
-(hom matrices, relation matrices, Smith transforms): an integer matrix is
-one whose entries are all ints.
+accessor (`row`, `columns`, `entries`, `sparse_rows`, `apply`, `solve`,
+indexing) returns entries in that form.  The same type carries the integer
+matrices of `fgab` (hom matrices, relation matrices, Smith transforms): an
+integer matrix is one whose entries are all ints, and `fgab` applies it to
+int vectors over its `sparse_rows` itself.
 
 Storage is sparse: a matrix keeps each row as a tuple of `(column, value)`
 pairs sorted by column, with no zero values.  That form is canonical, so
@@ -199,6 +200,10 @@ class RationalMatrix:
             for j, x in row:
                 cols[j][i] = x
         return tuple(map(tuple, cols))
+
+    def sparse_rows(self) -> Tuple[Row, ...]:
+        """The stored rows: per row, its nonzero `(column, value)` pairs by column."""
+        return self._data
 
     def entries(self) -> Iterator[Tuple[int, int, Exact]]:
         """The nonzero entries as (row, column, value), in row-major order."""

@@ -170,6 +170,29 @@ class TestFgAbGroup:
         g = FgAbGroup(1, (2, 6))
         assert g.reduce((5, 3, -1)) == (5, 1, 5)
 
+    @pytest.mark.parametrize(
+        "bad, error", [(2.7, TypeError), (Fraction(1, 2), ValueError)], ids=["float", "half"]
+    )
+    @pytest.mark.parametrize("entry", ["reduce", "character", "scale", "apply"])
+    def test_non_integral_coordinates_rejected(self, entry, bad, error):
+        # these used to truncate: Character(Z, (2.7,)).coords == (2,)
+        from resolvedk.chargroup import Character
+
+        z = FgAbGroup.free(1)
+        calls = {
+            "reduce": lambda: z.reduce((bad,)),
+            "character": lambda: Character(z, (bad,)),
+            "scale": lambda: Character(z, (1,)).scale(bad),
+            "apply": lambda: AbHom(z, FgAbGroup(0, (2,)), [[1]]).apply((bad,)),
+        }
+        with pytest.raises(error):
+            calls[entry]()
+
+    def test_integral_fractions_become_ints(self):
+        g = FgAbGroup(1, (2,))
+        out = g.reduce((Fraction(6, 2), Fraction(-3, 1)))
+        assert out == (3, 1) and all(type(x) is int for x in out)
+
     def test_elements(self):
         g = FgAbGroup(0, (2, 6))
         assert len(list(g.elements())) == 12
