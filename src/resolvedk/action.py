@@ -31,7 +31,7 @@ from .basespace import (
     validate_node,
 )
 from .chargroup import Character, SectionSystem, edge_image, section
-from .fgab import FgAbGroup
+from .fgab import FgAbGroup, _integer, _ints
 from .itspace import IsotropyTree
 from .report import ValidationReport
 
@@ -58,14 +58,17 @@ class WindowRule:
             raise ValueError(f"unknown window kind {kind!r}")
         if kind == "explicit" and not chars and chars != ():
             raise ValueError("explicit window needs characters")
+        chars = tuple(_ints(c) for c in chars)
+        radius = _integer(radius, "window radius")
+        modulus = _integer(modulus, "window modulus")
         if kind in ("ball", "residue_ball") and radius < 0:
             raise ValueError("window radius must be nonnegative")
         if kind == "residue_ball" and modulus < 1:
             raise ValueError("residue window needs a positive modulus")
         self.kind = kind
-        self.chars = tuple(tuple(int(x) for x in c) for c in chars)
-        self.radius = int(radius)
-        self.modulus = int(modulus)
+        self.chars = chars
+        self.radius = radius
+        self.modulus = modulus
 
     @classmethod
     def explicit(cls, chars: Sequence[Sequence[int]]) -> "WindowRule":
@@ -97,7 +100,7 @@ class WindowRule:
             if not group.is_finite:
                 raise WindowError("full window requested on an infinite dual")
             return [Character(group, c) for c in group.elements()]
-        r = self.radius if radius is None else int(radius)
+        r = self.radius if radius is None else _integer(radius, "window radius")
         if r < 0:
             raise WindowError("window radius must be nonnegative")
         if self.kind == "ball":

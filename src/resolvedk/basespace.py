@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .fgab import AbHom, FgAbGroup
+from .fgab import AbHom, FgAbGroup, _ints
 from .ratmat import Exact, RationalMatrix, exact, rank
 from .report import ValidationReport
 
@@ -52,7 +52,7 @@ class CochainComplex:
     __slots__ = ("dims", "slot_degrees", "d", "_offsets")
 
     def __init__(self, dims: Sequence[int], differentials: Sequence = ()):
-        dims = tuple(int(n) for n in dims)
+        dims = _ints(dims, "dimension")
         if not dims or any(n < 0 for n in dims):
             raise ValueError("dimension vector must be nonempty and nonnegative")
         blocks = list(differentials)

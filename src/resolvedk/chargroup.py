@@ -14,7 +14,7 @@ from __future__ import annotations
 from operator import add, neg, sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .fgab import AbHom, FgAbGroup, Lattice, row_hermite_form, smith_normal_form
+from .fgab import AbHom, FgAbGroup, Lattice, _ints, row_hermite_form, smith_normal_form
 from .ratmat import RationalMatrix
 
 DualGroup = FgAbGroup
@@ -142,7 +142,7 @@ class SubgroupDatum:
         if kernel_basis is None:
             basis = lattice.basis()
         else:
-            basis = [tuple(int(x) for x in b) for b in kernel_basis]
+            basis = [_ints(b) for b in kernel_basis]
             if len(basis) != lattice.rank:
                 raise ValueError(
                     f"kernel basis has {len(basis)} elements, kernel rank is {lattice.rank}"

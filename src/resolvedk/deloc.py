@@ -14,6 +14,13 @@ each deep block of the fiber.  All linear algebra is exact and rational;
 the character twists are exponentials of the nilpotent shift operators, so
 every exponential is a finite sum, and each node space builds each one
 once.
+
+Sectors whose window characters are translates often carry equal
+constraint and differential matrices.  The sectors of one assembled complex
+(with every restriction and radius selection made from it) share one table
+keyed by content, so each distinct sector's cohomology and each distinct
+sector six-term sequence of a pruning step is computed once per assembled
+complex.  The table lives in the sectors and is freed with them.
 """
 
 from __future__ import annotations
@@ -55,11 +62,16 @@ def _select(vec: Sequence, idx: Sequence[int]) -> Tuple:
     return tuple(vec[i] for i in idx)
 
 
-def _scatter(vec: Sequence[Exact], idx: Sequence[int], total: int) -> Tuple[Exact, ...]:
-    out = [0] * total
-    for x, i in zip(vec, idx):
-        out[i] = x
-    return tuple(out)
+def _shared(table: Dict, key: Tuple, build: Callable):
+    """The value of `key` in a sharing table, built by `build()` on first use.
+
+    A value is a deterministic function of its key; a `build` that raises
+    stores nothing.
+    """
+    value = table.get(key)
+    if value is None:
+        value = table[key] = build()
+    return value
 
 
 def _placed_rows(mat: RationalMatrix, idx: Sequence[int], total: int) -> RationalMatrix:
@@ -91,7 +103,7 @@ def ch_of_character(hhat, datum: SubgroupDatum, space: NodeSpaceData) -> Rationa
 class TwoPeriodicComplex:
     """A two-periodic subcomplex: parity subspace bases and a differential."""
 
-    __slots__ = ("d", "_bases", "_cocycles", "_boundaries", "_class")
+    __slots__ = ("d", "_bases", "_cocycles", "_boundaries", "_class", "__weakref__")
 
     def __init__(self, d: RationalMatrix, basis_even: RationalMatrix, basis_odd: RationalMatrix):
         self.d = d
@@ -145,11 +157,11 @@ class SectorComplex:
 
     __slots__ = (
         "chi", "blocks", "spans", "total", "constraint", "row_origins",
-        "row_chars", "diff", "even_idx", "odd_idx", "_two",
+        "row_chars", "diff", "even_idx", "odd_idx", "shared", "_two",
     )
 
     def __init__(self, chi, blocks, spans, total, constraint, row_origins,
-                 row_chars, diff, even_idx, odd_idx):
+                 row_chars, diff, even_idx, odd_idx, shared):
         self.chi = chi
         self.blocks = blocks        # (label, window char, start, stop)
         self.spans = spans
@@ -158,11 +170,12 @@ class SectorComplex:
         self.row_origins = row_origins  # (description, shallow node, start, stop)
         self.row_chars = row_chars  # the shallow window character of each row block
         self.diff = diff
-        self.even_idx = even_idx
+        self.even_idx = even_idx    # tuples of column indices
         self.odd_idx = odd_idx
+        self.shared = shared        # the sharing table of the assembled complex
         self._two: Optional[TwoPeriodicComplex] = None
 
-    def parity_indices(self, parity: int) -> List[int]:
+    def parity_indices(self, parity: int) -> Tuple[int, ...]:
         return self.even_idx if parity % 2 == 0 else self.odd_idx
 
     def basis(self, parity: int) -> RationalMatrix:
@@ -173,8 +186,13 @@ class SectorComplex:
 
     @property
     def two_periodic(self) -> TwoPeriodicComplex:
+        """The sector's two-periodic complex, one per distinct sector content."""
         if self._two is None:
-            self._two = TwoPeriodicComplex(self.diff, self.basis(0), self.basis(1))
+            key = ("two", self.constraint, self.diff, self.even_idx, self.odd_idx)
+            self._two = _shared(
+                self.shared, key,
+                lambda: TwoPeriodicComplex(self.diff, self.basis(0), self.basis(1)),
+            )
         return self._two
 
     def membership_failure(self, vec: Sequence) -> Optional[str]:
@@ -218,8 +236,9 @@ class SectorComplex:
             self.chi, tuple(blocks), spans, len(cols),
             self.constraint.submatrix(rows, cols), tuple(row_origins), tuple(row_chars),
             self.diff.submatrix(cols, cols),
-            [position[i] for i in self.even_idx if i in position],
-            [position[i] for i in self.odd_idx if i in position],
+            tuple(position[i] for i in self.even_idx if i in position),
+            tuple(position[i] for i in self.odd_idx if i in position),
+            self.shared,
         )
 
 
@@ -268,7 +287,9 @@ class AssembledComplex:
         every resizable rule: ball windows grow with the radius and full
         windows ignore it.  Lifts are per character, so the selection equals
         a fresh assembly at `radius` with the same sections, kept set and
-        block and row order.
+        block and row order.  The selected sectors keep this complex's sharing
+        table, so a sector content already met at another radius reuses its
+        cohomology.
         """
         tree = self.action.tree
         inside = {label: frozenset(windows[label]) for label in tree.nodes}
@@ -360,8 +381,9 @@ def assemble_complex(
             chi = khat if label == tree.root else tree.root_image(label, khat)
             if chi in members:
                 members[chi].append((label, khat))
+    shared: Dict = {}
     sectors = {
-        chi: _build_sector(action, chi, members[chi], lifts, faces)
+        chi: _build_sector(action, chi, members[chi], lifts, faces, shared)
         for chi in windows[tree.root]
     }
     full = AssembledComplex(
@@ -370,7 +392,7 @@ def assemble_complex(
     return full.restrict(kept)
 
 
-def _build_sector(action, chi, members, lifts, faces) -> SectorComplex:
+def _build_sector(action, chi, members, lifts, faces, shared) -> SectorComplex:
     """One root sector: its blocks, face constraints, differential and parities.
 
     `members` lists the sector's (label, window character) pairs in block
@@ -431,7 +453,7 @@ def _build_sector(action, chi, members, lifts, faces) -> SectorComplex:
 
     return SectorComplex(
         chi, tuple(blocks), spans, total, constraint, tuple(row_origins),
-        tuple(row_chars), diff, even_idx, odd_idx,
+        tuple(row_chars), diff, tuple(even_idx), tuple(odd_idx), shared,
     )
 
 
@@ -514,7 +536,9 @@ def pruning_walk(sub: AssembledComplex, total: AssembledComplex) -> Iterator[Pru
     Both are restrictions of one assembled complex.  The nodes `total`
     keeps beyond `sub` are added one at a time in depth-then-label order,
     so every step is a pruning step and the last one is `total` itself,
-    which reuses whatever cohomology `total` has already computed.
+    which reuses whatever cohomology `total` has already computed.  Sectors
+    of one step, or of different steps, with equal content share one
+    cohomology and one six-term sequence.
     """
     added = total.kept - sub.kept
     for alpha in (n for n in total.action.tree.labels_by_depth() if n in added):
@@ -525,6 +549,11 @@ def pruning_walk(sub: AssembledComplex, total: AssembledComplex) -> Iterator[Pru
 
 
 def _sector_les(sa: SectorComplex, sb: SectorComplex, alpha: str):
+    """(six-term instance, report) of one sector of the step adding `alpha`.
+
+    Computed once per distinct (sub complex, total complex, embedding,
+    quotient indices) in the sectors' sharing table.
+    """
     # embedding of the sub sector into the total sector, as an index map
     emb: List[int] = []
     for label, khat, s0, s1 in sa.blocks:
@@ -535,35 +564,40 @@ def _sector_les(sa: SectorComplex, sb: SectorComplex, alpha: str):
     for label, khat, s0, s1 in sb.blocks:
         if label == alpha:
             q_idx.extend(range(s0, s1))
-    d_alpha = sb.diff.submatrix(q_idx, q_idx)
-
     two_a, two_b = sa.two_periodic, sb.two_periodic
-    q_images = []
-    for p in (0, 1):
-        vb = two_b.basis(p)
-        q_images.append(_column_space_basis(vb.submatrix(q_idx)))
-    two_q = TwoPeriodicComplex(d_alpha, q_images[0], q_images[1])
+    key = ("les", two_a, two_b, tuple(emb), tuple(q_idx))
+    return _shared(sb.shared, key, lambda: _les_of(two_a, two_b, emb, q_idx, sb.shared))
+
+
+def _les_of(two_a: TwoPeriodicComplex, two_b: TwoPeriodicComplex, emb, q_idx, shared):
+    """The (instance, report) `_sector_les` shares; the quotient complex is shared too."""
+    d_alpha = two_b.d.submatrix(q_idx, q_idx)
+    q_images = [_column_space_basis(two_b.basis(p).submatrix(q_idx)) for p in (0, 1)]
+    two_q = _shared(
+        shared, ("quotient", d_alpha, *q_images),
+        lambda: TwoPeriodicComplex(d_alpha, *q_images),
+    )
+    total = two_b.d.nrows
 
     maps = {}
     for p in (0, 1):
         # induced inclusion on cohomology
-        ra = two_a.class_representatives(p)
-        cols = two_b.class_coords([_scatter(col, emb, sb.total) for col in ra.columns()], p)
+        ra = _placed_rows(two_a.class_representatives(p), emb, total)
+        cols = two_b.class_coords(ra.columns(), p)
         maps[("incl", p)] = RationalMatrix.from_columns(cols, nrows=two_b.h_dim(p))
         # induced projection on cohomology
-        rb = two_b.class_representatives(p)
-        cols = two_q.class_coords([_select(col, q_idx) for col in rb.columns()], p)
+        rb = two_b.class_representatives(p).submatrix(q_idx)
+        cols = two_q.class_coords(rb.columns(), p)
         maps[("proj", p)] = RationalMatrix.from_columns(cols, nrows=two_q.h_dim(p))
         # connecting map: lift each quotient cocycle, apply the differential,
         # pull the result back into the sub sector
-        rq = two_q.class_representatives(p)
         vb = two_b.basis(p)
-        lifts = solve(vb.submatrix(q_idx), rq.columns())
+        lifts = solve(vb.submatrix(q_idx), two_q.class_representatives(p).columns())
         if None in lifts:
             raise ArithmeticError("quotient cocycle has no total-space lift")
         backs = []
         for x in lifts:
-            image = sb.diff.apply(vb.apply(x))
+            image = two_b.d.apply(vb.apply(x))
             if any(image[i] != 0 for i in q_idx):
                 raise ArithmeticError("connecting image does not vanish on the quotient")
             backs.append(_select(image, emb))

@@ -51,20 +51,23 @@ def xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _integer(x) -> int:
-    """`x` as an int; TypeError on a float, ValueError on a non-integral rational."""
+def _integer(x, what: str = "coordinate") -> int:
+    """`x` as an int; TypeError on a float, ValueError on a non-integral rational.
+
+    `what` names the value in the error message.
+    """
     x = exact(x)
     if type(x) is not int:
-        raise ValueError(f"coordinate {x} is not an integer")
+        raise ValueError(f"{what} {x} is not an integer")
     return x
 
 
-def _ints(vec: Iterable) -> Tuple[int, ...]:
+def _ints(vec: Iterable, what: str = "coordinate") -> Tuple[int, ...]:
     """The values as a tuple of ints; a tuple of ints is recognised at C speed."""
     vec = tuple(vec)
     if _INT.issuperset(map(type, vec)):
         return vec
-    return tuple(map(_integer, vec))
+    return tuple(_integer(x, what) for x in vec)
 
 
 def _int_apply(rows: Tuple[Row, ...], x: Sequence[int]) -> Tuple[int, ...]:
@@ -457,9 +460,10 @@ class FgAbGroup:
     __slots__ = ("free_rank", "torsion", "ngens")
 
     def __init__(self, free_rank: int, torsion: Sequence[int] = ()):
+        free_rank = _integer(free_rank, "free rank")
         if free_rank < 0:
             raise ValueError("negative free rank")
-        tor = tuple(int(d) for d in torsion)
+        tor = _ints(torsion, "invariant factor")
         for d in tor:
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")

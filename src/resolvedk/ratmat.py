@@ -491,10 +491,12 @@ class QuotientSpace:
         )
 
     def coords(self, vecs: Sequence[Sequence]) -> List[Tuple[Exact, ...]]:
-        """Class coordinates of each vector in `vecs`; each must lie in the span."""
-        out = []
-        for v in vecs:
-            if any(self._outside.apply(v)):
-                raise ValueError("vector is not in the span")
-            out.append(self._proj.apply(v))
-        return out
+        """Class coordinates of each vector in `vecs`; each must lie in the span.
+
+        The vectors are stacked as the columns of one matrix, so the check and
+        the coordinates are two sparse products for the whole batch.
+        """
+        stacked = RationalMatrix.from_columns(vecs, nrows=self._proj.ncols)
+        if not (self._outside @ stacked).is_zero():
+            raise ValueError("vector is not in the span")
+        return list((self._proj @ stacked).columns())

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from resolvedk.action import WindowError, WindowRule
@@ -34,6 +36,31 @@ def test_window_ball():
     mixed = FgAbGroup(1, (2,))
     chars = rule.materialize(mixed, radius=1)
     assert len(chars) == 3 * 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: WindowRule.ball(2.7),
+        lambda: WindowRule.residue_ball(3.5, 1),
+        lambda: WindowRule.explicit([(0.5, 1.2)]),
+        lambda: WindowRule.ball(2).materialize(Z, radius=1.5),
+    ],
+    ids=["ball-radius", "modulus", "explicit-chars", "materialize-radius"],
+)
+def test_window_rule_refuses_floats(make):
+    # WindowRule.ball(2.7).radius used to be 2, and (0.5, 1.2) the character (0, 1)
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_window_rule_refuses_non_integral_rationals():
+    with pytest.raises(ValueError, match="window radius 5/2"):
+        WindowRule.ball(Fraction(5, 2))
+    with pytest.raises(ValueError):
+        WindowRule.explicit([(Fraction(1, 2),)])
+    rule = WindowRule.explicit([(Fraction(4, 2),)])
+    assert rule.chars == ((2,),) and type(rule.chars[0][0]) is int
 
 
 def test_window_residue_ball():

@@ -56,6 +56,15 @@ def test_complex_shape_errors():
         CochainComplex((2, 1), [[[1, 2], [3, 4]]])
 
 
+def test_complex_dimensions_must_be_integral():
+    # (2.9, 1) used to give dims (2, 1)
+    with pytest.raises(TypeError):
+        CochainComplex((2.9, 1), [[[-1, 1]]])
+    with pytest.raises(ValueError, match="dimension 5/2"):
+        CochainComplex((Fraction(5, 2), 1), [[[-1, 1]]])
+    assert CochainComplex((Fraction(2), 1), [[[-1, 1]]]).dims == (2, 1)
+
+
 def test_slot_bookkeeping():
     c = CochainComplex((1, 0, 1), [RationalMatrix.zeros(0, 1), RationalMatrix.zeros(1, 0)])
     assert c.total_dim == 2

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from collections import Counter
 
 import pytest
@@ -89,6 +90,16 @@ def test_supplied_kernel_basis_checked():
         SubgroupDatum(r, kernel_basis=[(6, -4)])
     with pytest.raises(ValueError, match="kernel rank"):
         SubgroupDatum(r, kernel_basis=[(-3, 2), (3, -2)])
+
+
+@pytest.mark.parametrize(
+    "basis, error", [([(0.5, 1.9)], TypeError), ([(0, Fraction(3, 2))], ValueError)],
+    ids=["float", "half"],
+)
+def test_supplied_kernel_basis_must_be_integral(basis, error):
+    # [(0.5, 1.9)] used to be accepted as the basis Character(0, 1)
+    with pytest.raises(error):
+        SubgroupDatum(AbHom(Z2, Z, [[1, 0]]), kernel_basis=basis)
 
 
 def test_canonical_section_mod2():

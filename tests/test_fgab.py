@@ -188,6 +188,26 @@ class TestFgAbGroup:
         with pytest.raises(error):
             calls[entry]()
 
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (lambda: FgAbGroup(0, (2.7,)), TypeError),
+            (lambda: FgAbGroup(0, (Fraction(7, 2),)), ValueError),
+            (lambda: FgAbGroup(1.5), TypeError),
+            (lambda: FgAbGroup(Fraction(3, 2)), ValueError),
+        ],
+        ids=["float-factor", "half-factor", "float-rank", "half-rank"],
+    )
+    def test_non_integral_group_data_rejected(self, make, error):
+        # these used to truncate: FgAbGroup(0, (2.7,)) was Z/2
+        with pytest.raises(error):
+            make()
+
+    def test_integral_group_data_become_ints(self):
+        g = FgAbGroup(Fraction(2, 1), (Fraction(4, 2),))
+        assert (g.free_rank, g.torsion) == (2, (2,))
+        assert type(g.free_rank) is int and type(g.torsion[0]) is int
+
     def test_integral_fractions_become_ints(self):
         g = FgAbGroup(1, (2,))
         out = g.reduce((Fraction(6, 2), Fraction(-3, 1)))

@@ -80,6 +80,27 @@ def test_quotient_space():
         q.coords([[0, 0, 1]])
 
 
+def test_quotient_coords_are_one_product_per_batch(monkeypatch):
+    # the batch is stacked into one matrix: no per-vector apply, and one
+    # product each for the span check and the coordinates
+    applied, products = [], []
+    original_matmul = RationalMatrix.__matmul__
+
+    def counting_matmul(a, b):
+        products.append(b.ncols)
+        return original_matmul(a, b)
+
+    monkeypatch.setattr(RationalMatrix, "apply", lambda *args: applied.append(args))
+    monkeypatch.setattr(RationalMatrix, "__matmul__", counting_matmul)
+    sub = RationalMatrix.from_columns([[1, 1, 0]], nrows=3)
+    span = RationalMatrix.from_columns([[1, 0, 0], [1, 1, 0]], nrows=3)
+    q = QuotientSpace(sub, span)
+    assert q.coords([[1, 0, 0], [2, 2, 0], [3, 1, 0]]) == [(1,), (0,), (2,)]
+    assert applied == [] and products == [3, 3]
+    with pytest.raises(ValueError, match="not in the span"):
+        q.coords([[1, 0, 0], [0, 0, 1]])
+
+
 def test_quotient_space_rejects_dependent_sub_basis():
     span = RationalMatrix.from_columns([[1, 0, 0], [0, 1, 0]], nrows=3)
     with pytest.raises(ValueError, match="dependent"):
