@@ -228,12 +228,13 @@ def shift_for_character(
     generator operators.  `dim` is the total dimension of the complex they
     act on; an empty family gives the zero operator.
     """
+    coeffs = _ints(coeffs, "shift coefficient")
     if len(shifts) != len(coeffs):
         raise ValueError("one coefficient per shift operator required")
     acc = RationalMatrix.zeros(dim, dim)
     for c, op in zip(coeffs, shifts):
         if c:
-            acc = acc + op.matrix * int(c)
+            acc = acc + op.matrix * c
     return acc
 
 
@@ -245,11 +246,11 @@ def sigma_for_character(
     `group` is the K-group the automorphisms act on; an empty family gives
     the identity.
     """
+    coeffs = _ints(coeffs, "shift coefficient")
     if len(sigmas) != len(coeffs):
         raise ValueError("one coefficient per shift automorphism required")
     acc = AbHom.identity(group)
     for c, auto in zip(coeffs, sigmas):
-        c = int(c)
         if c < 0:
             inv = auto.inverse()
             if inv is None:
@@ -303,7 +304,7 @@ class Coefficients:
         self._twists: Dict[Tuple[int, ...], object] = {}
 
     def twist(self, coords: Sequence[int]):
-        key = tuple(int(c) for c in coords)
+        key = _ints(coords, "kernel coordinate")
         op = self._twists.get(key)
         if op is None:
             op = self._twists[key] = self._build(key)

@@ -1,23 +1,29 @@
 """Exact integer linear algebra and finitely generated abelian groups.
 
 Everything here is arbitrary-precision.  A matrix is a
-`ratmat.RationalMatrix` whose entries are all Python ints; Smith reduction
-carries its unimodular transforms as such matrices, Hermite reduction and
-lattices work on plain lists of ints, and group homomorphisms are integer
-matrices acting on chosen generators.  Groups are kept in invariant-factor
-form (free rank plus a divisibility chain of torsion factors); subgroups,
-kernels, images and cokernels are computed through integer lattices.  A hom
-decomposes its graph [matrix | relations] once, the first time a preimage,
-kernel or section asks for it, and computes its inverse once; both are kept
-on the (immutable) hom.
+`ratmat.RationalMatrix` whose entries are all Python ints.  There is one
+integer elimination, the row Hermite form: entries past the reduced width
+ride along with every row operation, so reducing the rows of [a | I] gives
+[h | u] with u @ a = h.  The Smith normal form alternates the row Hermite
+forms of [s | u] and [s^T | v^T] until s is diagonal (Kannan and Bachem);
+a lattice reduces vectors against its Hermite basis and reads their
+coordinates off the same reduction; and the inverse of a unimodular u is
+the transform that takes [u | I] to [I | u^-1].  Group homomorphisms are
+integer matrices acting on chosen generators.  Groups are kept in
+invariant-factor form (free rank plus a divisibility chain of torsion
+factors); subgroups, kernels, images and cokernels are computed through
+integer lattices.  A hom decomposes its graph [matrix | relations] once,
+the first time a preimage, kernel or section asks for it, and computes its
+inverse once; both are kept on the (immutable) hom.
 
 Coordinate convention: a group with free rank f and torsion factors
 (d_1 | d_2 | ... | d_t) has f + t generators, free generators first.  An
 element is a tuple of plain ints with the torsion coordinates reduced into
-[0, d_i).  `FgAbGroup.reduce` is the boundary: it type-checks its input once
-(an integral Fraction becomes an int; a float or a non-integral Fraction is
-refused), and everything past it, hom applies and solves included, is
-integer arithmetic over the sparse rows of integer matrices.
+[0, d_i).  `FgAbGroup.reduce` and `Lattice` are the boundary: they
+type-check their input once (an integral Fraction becomes an int; a float
+or a non-integral Fraction is refused), and everything past it, hom applies
+and solves included, is integer arithmetic over the sparse rows of integer
+matrices.
 """
 
 from __future__ import annotations
@@ -26,29 +32,6 @@ from operator import mod
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .ratmat import _INT, RationalMatrix, Row, exact
-
-
-def xgcd(a: int, b: int) -> Tuple[int, int, int]:
-    """Extended gcd: return (g, s, t) with g = s*a + t*b and g >= 0.
-
-    >>> xgcd(12, 18)
-    (6, -1, 1)
-    >>> xgcd(0, 0)
-    (0, 0, 0)
-    """
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r == 0:
-        return 0, 0, 0
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def _integer(x, what: str = "coordinate") -> int:
@@ -198,8 +181,31 @@ class SmithDecomposition:
         return list(self.v.columns()[self.rank:])
 
 
+def _identity(n: int) -> list:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _transpose(rows: list, ncols: int) -> list:
+    """The columns of dense rows of length `ncols`, as lists."""
+    return [list(c) for c in zip(*rows)] if rows else [[] for _ in range(ncols)]
+
+
+def _int_matrix(rows: Sequence[Sequence[int]], ncols: int) -> RationalMatrix:
+    """The matrix with these dense rows of ints, wrapped without re-checking them."""
+    return RationalMatrix._of(
+        tuple([tuple([(j, x) for j, x in enumerate(row) if x]) for row in rows]), ncols
+    )
+
+
 def smith_normal_form(mat: RationalMatrix) -> SmithDecomposition:
     """Smith normal form over the integers, with unimodular transforms.
+
+    Alternating Hermite forms (Kannan and Bachem, SIAM J. Comput. 8, 1979):
+    the row Hermite form of [s | u] is a row step with its transform riding
+    along, and the row Hermite form of [s^T | v^T] a column step.  The two
+    alternate until s is diagonal; where d_i does not divide d_(i+1), column
+    i+1 is added to column i and the row steps resume, which replaces d_i by
+    gcd(d_i, d_(i+1)).
 
     Raises ValueError on a matrix with a non-integral entry.
 
@@ -211,108 +217,26 @@ def smith_normal_form(mat: RationalMatrix) -> SmithDecomposition:
     """
     _require_integral(mat)
     m, n = mat.shape
-    s = mat.to_lists()
-    u = RationalMatrix.identity(m).to_lists()
-    v = RationalMatrix.identity(n).to_lists()
-
-    def swap_rows(i: int, j: int) -> None:
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_sub(i: int, j: int, q: int) -> None:
-        # row_i -= q * row_j
-        s[i] = [a - q * b for a, b in zip(s[i], s[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
-
-    def col_sub(i: int, j: int, q: int) -> None:
-        # col_i -= q * col_j
-        for row in s:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def negate_row(i: int) -> None:
-        s[i] = [-a for a in s[i]]
-        u[i] = [-a for a in u[i]]
-
-    t = 0
-    bound = min(m, n)
-    while t < bound:
-        # Bring a smallest-magnitude nonzero entry of the trailing block to (t, t).
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                val = s[i][j]
-                if val != 0 and (pivot is None or abs(val) < abs(pivot[2])):
-                    pivot = (i, j, val)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
-        while True:
-            restart = False
-            for i in range(t + 1, m):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    row_sub(i, t, q)
-                    if s[i][t] != 0:
-                        # Remainder is smaller than the pivot; promote it.
-                        swap_rows(i, t)
-                        restart = True
-            if restart:
-                continue
-            for j in range(t + 1, n):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    col_sub(j, t, q)
-                    if s[t][j] != 0:
-                        swap_cols(j, t)
-                        restart = True
-            if restart:
-                continue
-            break
-        t += 1
-
-    rank = t
-    for i in range(rank):
-        if s[i][i] < 0:
-            negate_row(i)
-
-    # Enforce the divisibility chain d_i | d_{i+1} with local 2x2 repairs.
-    i = 0
-    while i < rank - 1:
-        a, b = s[i][i], s[i + 1][i + 1]
-        if b % a == 0:
-            i += 1
+    # left @ (mat, or its transpose once flipped) @ right^T == s throughout
+    s, left, right = mat.to_lists(), _identity(m), _identity(n)
+    width, flipped = n, False
+    while True:
+        rows = row_hermite_form([a + b for a, b in zip(s, left)], width)
+        s, left = [r[:width] for r in rows], [r[width:] for r in rows]
+        if all(not any(row[:i]) and not any(row[i + 1:]) for i, row in enumerate(s)):
+            diag = [s[i][i] for i in range(min(len(s), width))]
+            i = next((i for i, d in enumerate(diag[:-1]) if d and diag[i + 1] % d), None)
+            if i is None:
+                break
+            s[i + 1][i] = diag[i + 1]
+            right[i] = [a + b for a, b in zip(right[i], right[i + 1])]
             continue
-        # Put b next to a, then use column combinations to leave (gcd, lcm).
-        row_sub(i, i + 1, -1)  # row_i += row_{i+1}; now s[i][i+1] == b
-        g, sc, tc = xgcd(a, b)
-        bg, ag = b // g, a // g
-        for row in (s, v):
-            for r in row:
-                ci, cj = r[i], r[i + 1]
-                r[i] = sc * ci + tc * cj
-                r[i + 1] = -bg * ci + ag * cj
-        # Clear the leftover below-diagonal entry; it is divisible by g.
-        if s[i + 1][i] != 0:
-            row_sub(i + 1, i, s[i + 1][i] // s[i][i])
-        if s[i + 1][i + 1] < 0:
-            negate_row(i + 1)
-        i = max(i - 1, 0)
-
+        s, left, right = _transpose(s, width), right, left
+        width, flipped = len(right), not flipped
+    if flipped:
+        s, left, right = _transpose(s, width), right, left
     return SmithDecomposition(
-        RationalMatrix(u, ncols=m),
-        RationalMatrix(s, ncols=n),
-        RationalMatrix(v, ncols=n),
+        _int_matrix(left, m), _int_matrix(s, n), _int_matrix(_transpose(right, n), n)
     )
 
 
@@ -326,61 +250,71 @@ def kernel_basis(mat: RationalMatrix) -> list:
 
 
 def row_hermite_form(rows: Iterable[Sequence[int]], width: int) -> list:
-    """Row-style Hermite normal form of the lattice spanned by `rows`.
+    """Row-style Hermite normal form of the rows on their first `width` entries.
 
-    The result is a list of rows in echelon form: pivot columns strictly
+    The Hermite rows come first, in echelon form: pivot columns strictly
     increase, each pivot is positive, and entries above a pivot are reduced
-    into [0, pivot).  The output is the unique such basis of the lattice.
+    into [0, pivot).  They are the unique such basis of the lattice the rows
+    span.  Entries past `width` ride along with every row operation, so the
+    Hermite rows are followed by the rows that vanish on the first `width`
+    entries but not past them: reducing the rows of [a | I] gives [h | u]
+    with u @ a equal to h stacked over zero rows, u unimodular.  Rows that
+    vanish entirely are dropped.
+
+    Each column pivots on its smallest entry and subtracts multiples of it
+    from the other rows; a pivot of +-1 clears the column in one pass.
     """
     work = [list(r) for r in rows if any(r)]
     hnf: list = []
-    pivots: list = []
     for col in range(width):
-        pivot_row = None
-        rest = []
-        for r in work:
-            if r[col] == 0:
-                rest.append(r)
-                continue
-            if pivot_row is None:
-                pivot_row = r
-                continue
-            g, sc, tc = xgcd(pivot_row[col], r[col])
-            a, b = pivot_row[col] // g, r[col] // g
-            pivot_row, r = (
-                [sc * x + tc * y for x, y in zip(pivot_row, r)],
-                [a * y - b * x for x, y in zip(pivot_row, r)],
-            )
-            if any(r):
-                rest.append(r)
-        if pivot_row is not None:
-            if pivot_row[col] < 0:
-                pivot_row = [-x for x in pivot_row]
-            for h in hnf:
-                q = h[col] // pivot_row[col]
-                if q:
-                    for j in range(width):
-                        h[j] -= q * pivot_row[j]
-            hnf.append(pivot_row)
-            pivots.append(col)
-        work = rest
-    return hnf
+        if not work:
+            break
+        hit = [r for r in work if r[col]]
+        if not hit:
+            continue
+        work = [r for r in work if not r[col]]
+        while len(hit) > 1:
+            pivot = min(hit, key=lambda r: abs(r[col]))
+            p = pivot[col]
+            remainders = [pivot]
+            for r in hit:
+                if r is not pivot:
+                    q = r[col] // p
+                    r = [x - q * y for x, y in zip(r, pivot)]
+                    if r[col]:
+                        remainders.append(r)
+                    elif any(r):
+                        work.append(r)
+            hit = remainders
+        (pivot,) = hit
+        if pivot[col] < 0:
+            pivot = [-x for x in pivot]
+        p = pivot[col]
+        for i, h in enumerate(hnf):
+            q = h[col] // p
+            if q:
+                hnf[i] = [x - q * y for x, y in zip(h, pivot)]
+        hnf.append(pivot)
+    return hnf + work
 
 
-def lattice_reduce(hnf_rows: Sequence[Sequence[int]], vec: Sequence[int]) -> list:
+def lattice_reduce(hnf_rows: Sequence[Sequence[int]], vec: Sequence[int]) -> Tuple[list, list]:
     """Reduce `vec` into the Hermite fundamental domain of the lattice.
 
-    `hnf_rows` must come from :func:`row_hermite_form`.  Two vectors in the
-    same coset reduce to the same representative.
+    `hnf_rows` must come from :func:`row_hermite_form`.  Returns
+    (coefficients, remainder) with vec = sum of coefficient * row plus the
+    remainder; two vectors in the same coset have the same remainder, and a
+    lattice vector has remainder zero and its coordinates as coefficients.
     """
     v = list(vec)
+    coeffs = []
     for row in hnf_rows:
-        col = next(j for j, x in enumerate(row) if x != 0)
+        col = next(j for j, x in enumerate(row) if x)
         q = v[col] // row[col]
         if q:
-            for j in range(len(v)):
-                v[j] -= q * row[j]
-    return v
+            v = [a - q * b for a, b in zip(v, row)]
+        coeffs.append(q)
+    return coeffs, v
 
 
 class Lattice:
@@ -396,7 +330,7 @@ class Lattice:
     __slots__ = ("ambient_dim", "_rev_hnf")
 
     def __init__(self, ambient_dim: int, generators: Iterable[Sequence[int]]):
-        gens = [list(g) for g in generators]
+        gens = [_ints(g, "generator entry") for g in generators]
         if any(len(g) != ambient_dim for g in gens):
             raise ValueError("generator length mismatch")
         self.ambient_dim = ambient_dim
@@ -412,9 +346,10 @@ class Lattice:
         return rows[::-1]
 
     def reduce(self, vec: Sequence[int]) -> Tuple[int, ...]:
+        vec = _ints(vec)
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        red = lattice_reduce(self._rev_hnf, list(vec)[::-1])
+        _, red = lattice_reduce(self._rev_hnf, vec[::-1])
         return tuple(red[::-1])
 
     def contains(self, vec: Sequence[int]) -> bool:
@@ -829,24 +764,24 @@ def _lattice_quotient(ambient: int, big_gens: Sequence[Sequence[int]], small_gen
     and project maps an ambient vector of the big lattice to canonical group
     coordinates.
     """
-    big_rows = row_hermite_form([list(g) for g in big_gens], ambient)
+    big_rows = row_hermite_form(big_gens, ambient)
     k = len(big_rows)
-    basis_dec = smith_normal_form(
-        RationalMatrix.from_columns(big_rows, nrows=ambient)
-    )
 
-    def in_basis(vec: Sequence[int]) -> Tuple[int, ...]:
-        sol = basis_dec.solve(list(vec))
-        if sol is None:
+    def in_basis(vec: Sequence[int]) -> list:
+        coeffs, rem = lattice_reduce(big_rows, vec)
+        if any(rem):
             raise ValueError("vector not in the big lattice")
-        return sol
+        return coeffs
 
-    small_in_b = [in_basis(sg) for sg in small_gens]
-    cmat = RationalMatrix.from_columns(small_in_b, nrows=k)
-    dec = smith_normal_form(cmat)
+    dec = smith_normal_form(
+        RationalMatrix.from_columns([in_basis(sg) for sg in small_gens], nrows=k)
+    )
     diag = dec.diagonal()
-    u_dec = smith_normal_form(dec.u)
-    uinv_cols = [u_dec.solve([1 if i == j else 0 for i in range(k)]) for j in range(k)]
+    # u is unimodular, so the Hermite form of [u | I] is [I | u^-1]
+    u_rows = dec.u.to_lists()
+    uinv_cols = _transpose(
+        [r[k:] for r in row_hermite_form([a + b for a, b in zip(u_rows, _identity(k))], k)], k
+    )
 
     free_idx = [i for i in range(k) if (i >= len(diag) or diag[i] == 0)]
     tors_idx = [i for i in range(k) if i < len(diag) and diag[i] >= 2]

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from .action import ResolvedAction
 from .basespace import Coefficients, TwistedMaps
 from .chargroup import Character, SectionSystem, SubgroupDatum, edge_image, lift_offset
-from .fgab import AbHom
+from .fgab import AbHom, _integer
 from .report import ValidationReport
 
 
@@ -154,7 +154,7 @@ def tensor_with_representation(
     raw: Dict[Character, tuple] = {}
     for ghat, mult in rep_table.items():
         ghat = _as_character(w.datum.ambient, ghat)
-        mult = int(mult)
+        mult = _integer(mult, "multiplicity")
         for g, v in w.table.items():
             key = ghat + g
             scaled = coefficients.normalize([mult * x for x in v])

@@ -122,6 +122,48 @@ def test_sigma_for_character_powers_and_inverses():
         sigma_for_character([AbHom(Z, Z, [[2]])], (-1,), Z)
 
 
+@pytest.mark.parametrize(
+    "bad, error", [(2.5, TypeError), (Fraction(3, 2), ValueError)], ids=["float", "half"]
+)
+def test_shift_coefficients_must_be_integral(bad, error):
+    # these used to truncate: (2.5,) acted as (2,)
+    c = CochainComplex((1, 0, 1))
+    cup = ChainMap.from_blocks(c, c, {0: [[1]]}, degree=2)
+    with pytest.raises(error):
+        shift_for_character([cup], (bad,), 2)
+    assert shift_for_character([cup], (Fraction(4, 2),), 2) == cup.matrix * 2
+
+
+@pytest.mark.parametrize(
+    "bad, error", [(1.7, TypeError), (Fraction(3, 2), ValueError)], ids=["float", "half"]
+)
+def test_sigma_coefficients_must_be_integral(bad, error):
+    # these used to truncate: (1.7,) acted as (1,)
+    z2 = FgAbGroup.free(2)
+    s = AbHom(z2, z2, [[1, 0], [1, 1]])
+    with pytest.raises(error):
+        sigma_for_character([s], (bad,), z2)
+    assert sigma_for_character([s], (Fraction(2, 2),), z2) == s
+
+
+@pytest.mark.parametrize(
+    "bad, error", [(1.9, TypeError), (Fraction(3, 2), ValueError)], ids=["float", "half"]
+)
+def test_twist_coordinates_must_be_integral(bad, error):
+    # these used to truncate: twist((1.9,)) was the cached twist((1,))
+    z2 = FgAbGroup.free(2)
+    kdata = KData(z2, ZERO, [AbHom(z2, z2, [[1, 0], [1, 1]])], [AbHom.identity(ZERO)],
+                  AbHom(z2, Z, [[1, 0]]))
+    c = CochainComplex((1, 0, 1))
+    space = NodeSpaceData(c, [ChainMap.from_blocks(c, c, {0: [[1]]}, degree=2)], kdata)
+    kdata.twist((1,))
+    space.twist((1,))
+    for coefficients in (kdata, kdata.odd, space):
+        with pytest.raises(error):
+            coefficients.twist((bad,))
+    assert kdata.twist((Fraction(2, 2),)) is kdata.twist((1,))
+
+
 def kdata_trivial(k0=Z, k1=ZERO, count=1):
     dim = AbHom(k0, Z, [[1] + [0] * (k0.ngens - 1)]) if k0.ngens else AbHom(k0, Z, [[]])
     return KData.trivial_shifts(k0, k1, dim, count)

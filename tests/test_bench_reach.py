@@ -1,0 +1,55 @@
+"""The benchmark's reduced workloads still reach every layer they must.
+
+`perfbench/run.py --trace 1` fails a workload whose traced pass records no
+call to one of the layers in `run.MUST_REACH`.  This builds the reduced
+operations of `verify_fixtures` and `random_sections`, runs one traced pass
+of each, and checks that every operation is correct and every required
+layer is called, so a change that takes a layer (`fgab.smith_normal_form`,
+`chargroup.kernel_coordinates`, `RationalMatrix.apply`, ...) off the
+production path fails the test suite, not only the benchmark run.
+
+`window_scan` is left out: its reduced build has no `stabilize` operation,
+so it never reaches `deloc.cocycles`, which its full build does.
+The perfbench modules are imported as they are and not changed.
+"""
+
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SEED = 1
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    # the perfbench modules import each other by plain name; sys.path is
+    # restored when the test ends
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import oracle
+    import run
+    import tracer
+    import workloads
+
+    return run, workloads, oracle, tracer
+
+
+@pytest.mark.parametrize("workload", ["verify_fixtures", "random_sections"])
+def test_reduced_workload_reaches_every_layer(bench, workload, tmp_path):
+    run, workloads, oracle, tracer_module = bench
+    rk = run.load_program()
+    record = oracle.load_digests()
+    ops = workloads.build(rk, workload, SEED, tmp_path, record["random_pool"], reduced=True)
+    tally = run.Tally()
+    tracer = tracer_module.Tracer(rk.package)
+    tracer.reset()
+    tracer.install()
+    try:
+        run.run_pass(rk, ops, record["outputs"], tally, tracer)
+    finally:
+        tracer.uninstall()
+    assert tally.attempted == len(ops) > 0
+    assert tally.failed == 0, tally.problems
+    summary = tracer.summary()
+    missing = [name for name in run.MUST_REACH[workload] if summary[name]["calls"] == 0]
+    assert not missing, f"{workload} recorded no call to {missing}"

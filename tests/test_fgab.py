@@ -134,6 +134,21 @@ class TestHermiteAndLattice:
         b = row_hermite_form([[2, 3], [2, 0], [4, 3]], 2)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "bad, error", [(1.5, TypeError), (Fraction(3, 2), ValueError)], ids=["float", "half"]
+    )
+    def test_lattice_input_must_be_integral(self, bad, error):
+        # these used to pass through: Lattice(1, [(1.5,)]).contains((3,)) was True
+        # and Lattice(2, [(2, 0)]).reduce((2.5, 1)) was (0.5, 1.0)
+        with pytest.raises(error):
+            Lattice(1, [(bad,)])
+        lat = Lattice(2, [(2, 0)])
+        with pytest.raises(error):
+            lat.reduce((bad, 1))
+        with pytest.raises(error):
+            lat.contains((bad, 0))
+        assert lat.reduce((Fraction(6, 2), 1)) == (1, 1)
+
     def test_reduction_is_coset_invariant(self):
         lat = Lattice(2, [(3, -2)])
         r1 = lat.reduce((-1, 1))

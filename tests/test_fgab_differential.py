@@ -1,5 +1,7 @@
-"""Differential tests: the Smith normal form of `fgab` against sympy, and
-the decompose-once paths of homs and shifts against the direct formulas.
+"""Differential tests: the Smith normal form of `fgab` and the kernels,
+images and cokernels of homs against sympy, the Hermite form's ride-along
+transform against its contract, and the decompose-once paths of homs and
+shifts against the direct formulas.
 
 Inputs are seeded integer matrices up to 6x6 with entries in -9..9, with
 zero rows and zero columns mixed in, and seeded homs into groups with
@@ -21,7 +23,10 @@ from resolvedk.fgab import (  # noqa: E402
     AbHom,
     FgAbGroup,
     Lattice,
+    det_int,
+    is_exact_at,
     kernel_basis,
+    row_hermite_form,
     smith_normal_form,
 )
 from resolvedk.ratmat import RationalMatrix  # noqa: E402
@@ -58,6 +63,22 @@ def test_smith_normal_form_matches_sympy(seed):
         x = [rng.randint(-5, 5) for _ in range(a.ncols)]
         y = dec.solve(a.apply(x))
         assert y is not None and a.apply(y) == a.apply(x)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_hermite_transform_rides_along(seed):
+    a = _matrix(random.Random(seed))
+    m, n = a.shape
+    eye = RationalMatrix.identity(m).to_lists()
+    rows = row_hermite_form([r + e for r, e in zip(a.to_lists(), eye)], n)
+    assert len(rows) == m
+    h = [r[:n] for r in rows]
+    u = RationalMatrix([r[n:] for r in rows], ncols=m)
+    assert u @ a == RationalMatrix(h, ncols=n)
+    assert abs(det_int(u)) == 1
+    rank = sum(1 for r in h if any(r))
+    assert not any(any(r) for r in h[rank:])
+    assert h[:rank] == row_hermite_form(a.to_lists(), n)
 
 
 TORSION = [(2,), (3,), (4,), (6,), (2, 4), (2, 6), (3, 6)]
@@ -129,6 +150,57 @@ def test_preimage_representative_is_canonical(seed):
     assert AbHom(auto.domain, auto.codomain, auto.matrix).inverse() == inv
     assert auto @ inv == AbHom.identity(auto.codomain)
     assert inv @ auto == AbHom.identity(auto.codomain)
+
+
+def _sympy(mat):
+    return sympy.Matrix(mat.nrows, mat.ncols, [x for row in mat.to_lists() for x in row])
+
+
+def _graph(h):
+    return RationalMatrix.from_columns(
+        h.matrix.columns() + h.codomain.relation_matrix().columns(), nrows=h.codomain.ngens
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cokernel_matches_sympy(seed):
+    h = _hom_into_torsion(random.Random(seed))
+    factors = [int(d) for d in invariant_factors(_sympy(_graph(h)), domain=sympy.ZZ)]
+    nonzero = [d for d in factors if d]
+    group, proj = h.cokernel()
+    assert group.torsion == tuple(d for d in nonzero if d > 1)
+    assert group.free_rank == h.codomain.ngens - len(nonzero)
+    assert proj.is_surjective()
+    assert all(not any(proj.apply(c)) for c in h.matrix.columns())
+    assert is_exact_at(h, proj)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_kernel_matches_sympy(seed):
+    h = _hom_into_torsion(random.Random(seed))
+    group, incl = h.kernel()
+    assert (h @ incl).is_zero()
+    assert incl.is_injective()
+    n = h.domain.ngens
+    relations = h.domain.relation_matrix().columns()
+    assert Lattice(n, incl.matrix.columns() + relations) == h.kernel_lattice()
+    # over Q the kernel has the nullity of the free block of M
+    f = h.codomain.free_rank
+    free_block = _sympy(h.matrix)[:f, : h.domain.free_rank]
+    assert group.free_rank == h.domain.free_rank - free_block.rank()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_image_matches_sympy(seed):
+    h = _hom_into_torsion(random.Random(seed))
+    group, incl = h.image()
+    assert incl.is_injective()
+    m = h.codomain.ngens
+    relations = h.codomain.relation_matrix().columns()
+    assert Lattice(m, incl.matrix.columns() + relations) == h.image_lattice()
+    free_block = _sympy(h.matrix)[: h.codomain.free_rank, :]
+    assert group.free_rank == free_block.rank()
+    assert is_exact_at(incl, h.cokernel()[1])
 
 
 @pytest.mark.parametrize(

@@ -116,6 +116,18 @@ def test_tensor_with_representation():
     assert doubled.table == {Character(Z, (0,)): (2,)}
 
 
+@pytest.mark.parametrize(
+    "bad, error", [(1.5, TypeError), (Fraction(3, 2), ValueError)], ids=["float", "half"]
+)
+def test_tensor_multiplicity_must_be_integral(bad, error):
+    # these used to truncate: multiplicity 1.5 acted as 1
+    datum, kdata = free_orbit_node()
+    w = canonicalize({2: (1,)}, datum, kdata)
+    with pytest.raises(error):
+        tensor_with_representation({0: bad}, w)
+    assert tensor_with_representation({0: Fraction(4, 2)}, w).table == {Character(Z, (0,)): (2,)}
+
+
 def test_tensor_composition_is_convolution():
     datum, kdata = mod2_node()
     w = canonicalize({0: (1, 0), 1: (0, 1)}, datum, kdata)
