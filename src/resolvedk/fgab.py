@@ -1,20 +1,22 @@
 """Exact integer linear algebra and finitely generated abelian groups.
 
 Everything here is arbitrary-precision.  A matrix is a
-`ratmat.RationalMatrix` whose entries are all Python ints.  There is one
-integer elimination, the row Hermite form: entries past the reduced width
-ride along with every row operation, so reducing the rows of [a | I] gives
-[h | u] with u @ a = h.  The Smith normal form alternates the row Hermite
-forms of [s | u] and [s^T | v^T] until s is diagonal (Kannan and Bachem);
-a lattice reduces vectors against its Hermite basis and reads their
-coordinates off the same reduction; and the inverse of a unimodular u is
-the transform that takes [u | I] to [I | u^-1].  Group homomorphisms are
-integer matrices acting on chosen generators.  Groups are kept in
-invariant-factor form (free rank plus a divisibility chain of torsion
-factors); subgroups, kernels, images and cokernels are computed through
-integer lattices.  A hom decomposes its graph [matrix | relations] once,
-the first time a preimage, kernel or section asks for it, and computes its
-inverse once; both are kept on the (immutable) hom.
+`ratmat.RationalMatrix` whose entries are all Python ints.  Nothing here
+eliminates: the row Hermite form is `ratmat._eliminate` over Z, the sparse
+elimination that also serves Q, under the same pivot rule.  Entries past
+the reduced width ride along with every row operation, so reducing the
+rows of [a | I] gives [h | u] with u @ a = h.  The Smith normal form
+alternates the row Hermite forms of [s | u] and [s^T | v^T] on sparse
+rows until s is diagonal (Kannan and Bachem); a lattice reduces vectors
+against its Hermite basis and reads their coordinates off the same
+reduction; and the inverse of a unimodular u is the transform that takes
+[u | I] to [I | u^-1].  Group homomorphisms are integer matrices acting
+on chosen generators.  Groups are kept in invariant-factor form (free
+rank plus a divisibility chain of torsion factors); subgroups, kernels,
+images and cokernels are computed through integer lattices.  A hom
+decomposes its graph [matrix | relations] once, the first time a preimage,
+kernel or section asks for it, and computes its inverse once; both are
+kept on the (immutable) hom.
 
 Coordinate convention: a group with free rank f and torsion factors
 (d_1 | d_2 | ... | d_t) has f + t generators, free generators first.  An
@@ -31,7 +33,7 @@ from __future__ import annotations
 from operator import mod
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .ratmat import _INT, RationalMatrix, Row, exact
+from .ratmat import _INT, RationalMatrix, Row, _eliminate, exact
 
 
 def _integer(x, what: str = "coordinate") -> int:
@@ -137,10 +139,8 @@ class SmithDecomposition:
         if abs(det_int(self.u)) != 1 or abs(det_int(self.v)) != 1:
             return False
         diag = self.diagonal()
-        for i in range(self.s.nrows):
-            for j in range(self.s.ncols):
-                if i != j and self.s[i, j] != 0:
-                    return False
+        if any(i != j for i, j, _ in self.s.entries()):
+            return False
         for i, d in enumerate(diag):
             if d < 0:
                 return False
@@ -181,20 +181,18 @@ class SmithDecomposition:
         return list(self.v.columns()[self.rank:])
 
 
-def _identity(n: int) -> list:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _transposed(rows: list, ncols: int) -> list:
+    """The columns of `{column: value}` rows of width `ncols`, as such rows."""
+    cols: list = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
 
 
-def _transpose(rows: list, ncols: int) -> list:
-    """The columns of dense rows of length `ncols`, as lists."""
-    return [list(c) for c in zip(*rows)] if rows else [[] for _ in range(ncols)]
-
-
-def _int_matrix(rows: Sequence[Sequence[int]], ncols: int) -> RationalMatrix:
-    """The matrix with these dense rows of ints, wrapped without re-checking them."""
-    return RationalMatrix._of(
-        tuple([tuple([(j, x) for j, x in enumerate(row) if x]) for row in rows]), ncols
-    )
+def _of_maps(rows: list, ncols: int) -> RationalMatrix:
+    """The matrix with these `{column: value}` rows of nonzero ints, unchecked."""
+    return RationalMatrix._of(tuple([tuple(sorted(row.items())) for row in rows]), ncols)
 
 
 def smith_normal_form(mat: RationalMatrix) -> SmithDecomposition:
@@ -217,27 +215,34 @@ def smith_normal_form(mat: RationalMatrix) -> SmithDecomposition:
     """
     _require_integral(mat)
     m, n = mat.shape
-    # left @ (mat, or its transpose once flipped) @ right^T == s throughout
-    s, left, right = mat.to_lists(), _identity(m), _identity(n)
+    # the sparse rows of the block matrix [[s, u], [v, 0]], transposed as a
+    # whole while flipped: a row step reduces the top rows with u riding
+    # along, a column step is a row step of the transpose, u @ mat @ v == s
+    top = [dict(row) for row in mat.sparse_rows()]
+    for i, row in enumerate(top):
+        row[n + i] = 1
+    bottom = [{j: 1} for j in range(n)]
     width, flipped = n, False
     while True:
-        rows = row_hermite_form([a + b for a, b in zip(s, left)], width)
-        s, left = [r[:width] for r in rows], [r[width:] for r in rows]
-        if all(not any(row[:i]) and not any(row[i + 1:]) for i, row in enumerate(s)):
-            diag = [s[i][i] for i in range(min(len(s), width))]
+        _eliminate(top, width, integral=True)
+        if all(j == i or j >= width for i, row in enumerate(top) for j in row):
+            diag = [top[i].get(i, 0) for i in range(min(len(top), width))]
             i = next((i for i, d in enumerate(diag[:-1]) if d and diag[i + 1] % d), None)
-            if i is None:
+            if i is None and not flipped:
                 break
-            s[i + 1][i] = diag[i + 1]
-            right[i] = [a + b for a, b in zip(right[i], right[i + 1])]
-            continue
-        s, left, right = _transpose(s, width), right, left
-        width, flipped = len(right), not flipped
-    if flipped:
-        s, left, right = _transpose(s, width), right, left
-    return SmithDecomposition(
-        _int_matrix(left, m), _int_matrix(s, n), _int_matrix(_transpose(right, n), n)
-    )
+            if i is not None:
+                for row in top + bottom:  # column i + 1 added to column i
+                    if i + 1 in row:
+                        row[i] = row.get(i, 0) + row[i + 1]
+                        if not row[i]:
+                            del row[i]
+                continue
+        # flip for a column step, or to turn a finished s back
+        rows = _transposed(top + bottom, len(top) + width)
+        top, bottom, width, flipped = rows[:width], rows[width:], len(top), not flipped
+    s = [{j: x for j, x in row.items() if j < n} for row in top]
+    u = [{j - n: x for j, x in row.items() if j >= n} for row in top]
+    return SmithDecomposition(_of_maps(u, m), _of_maps(s, n), _of_maps(bottom, n))
 
 
 def kernel_basis(mat: RationalMatrix) -> list:
@@ -261,41 +266,13 @@ def row_hermite_form(rows: Iterable[Sequence[int]], width: int) -> list:
     with u @ a equal to h stacked over zero rows, u unimodular.  Rows that
     vanish entirely are dropped.
 
-    Each column pivots on its smallest entry and subtracts multiples of it
-    from the other rows; a pivot of +-1 clears the column in one pass.
+    This is `ratmat._eliminate` over Z on the rows' nonzero entries.
     """
-    work = [list(r) for r in rows if any(r)]
-    hnf: list = []
-    for col in range(width):
-        if not work:
-            break
-        hit = [r for r in work if r[col]]
-        if not hit:
-            continue
-        work = [r for r in work if not r[col]]
-        while len(hit) > 1:
-            pivot = min(hit, key=lambda r: abs(r[col]))
-            p = pivot[col]
-            remainders = [pivot]
-            for r in hit:
-                if r is not pivot:
-                    q = r[col] // p
-                    r = [x - q * y for x, y in zip(r, pivot)]
-                    if r[col]:
-                        remainders.append(r)
-                    elif any(r):
-                        work.append(r)
-            hit = remainders
-        (pivot,) = hit
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        p = pivot[col]
-        for i, h in enumerate(hnf):
-            q = h[col] // p
-            if q:
-                hnf[i] = [x - q * y for x, y in zip(h, pivot)]
-        hnf.append(pivot)
-    return hnf + work
+    rows = [tuple(r) for r in rows]
+    work = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    _eliminate(work, width, integral=True)
+    length = range(len(rows[0]) if rows else 0)
+    return [[row.get(j, 0) for j in length] for row in work if row]
 
 
 def lattice_reduce(hnf_rows: Sequence[Sequence[int]], vec: Sequence[int]) -> Tuple[list, list]:
@@ -777,22 +754,18 @@ def _lattice_quotient(ambient: int, big_gens: Sequence[Sequence[int]], small_gen
         RationalMatrix.from_columns([in_basis(sg) for sg in small_gens], nrows=k)
     )
     diag = dec.diagonal()
-    # u is unimodular, so the Hermite form of [u | I] is [I | u^-1]
-    u_rows = dec.u.to_lists()
-    uinv_cols = _transpose(
-        [r[k:] for r in row_hermite_form([a + b for a, b in zip(u_rows, _identity(k))], k)], k
-    )
+    # u is unimodular, so the Hermite form of [u | I] is [I | u^-1]; group
+    # generator i is column i of u^-1 in the basis big_rows
+    inverse = row_hermite_form(_hstack(dec.u, RationalMatrix.identity(k)).to_lists(), k)
+    uinv = RationalMatrix([r[k:] for r in inverse], ncols=k)
+    gens = uinv.transpose() @ RationalMatrix(big_rows, ncols=ambient)
 
     free_idx = [i for i in range(k) if (i >= len(diag) or diag[i] == 0)]
     tors_idx = [i for i in range(k) if i < len(diag) and diag[i] >= 2]
     invariants = [diag[i] for i in tors_idx]
     group = FgAbGroup(len(free_idx), invariants)
 
-    gen_vectors = []
-    for i in free_idx + tors_idx:
-        coeffs = uinv_cols[i]
-        vec = [sum(c * b[j] for c, b in zip(coeffs, big_rows)) for j in range(ambient)]
-        gen_vectors.append(tuple(vec))
+    gen_vectors = [gens.row(i) for i in free_idx + tors_idx]
 
     def project(vec: Sequence[int]) -> Tuple[int, ...]:
         xb = in_basis(vec)

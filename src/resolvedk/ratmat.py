@@ -16,13 +16,17 @@ pairs sorted by column, with no zero values.  That form is canonical, so
 equality and hashing compare it directly.  The matrices the assembly
 produces are nearly all zeros, and every kernel visits only nonzero entries:
 a product builds each row from the nonzeros of the left row times the rows
-they select on the right, `apply` sums over nonzero pairs, and Gauss-Jordan
-elimination runs on `{column: value}` rows, touching only the nonzero
-columns of a pivot row and, through a column-to-rows index, only the rows
-with a nonzero in the pivot column.  On that elimination: `rref`, rank,
-nullspaces, `solve`, which eliminates once for a whole batch of right-hand
-sides, and `QuotientSpace`, coordinates on a quotient of two column spans
-from one elimination with the identity riding along.
+they select on the right, and `apply` sums over nonzero pairs.
+
+There is one elimination, `_eliminate`, for both rings.  It runs on
+`{column: value}` rows, touching only the nonzero columns of a pivot row
+and, through a column-to-rows index, only the rows with a nonzero in the
+pivot column, and it picks pivots by one rule: the smallest |pivot|, then
+the fewest nonzeros, then the lowest row.  Over Q it is Gauss-Jordan, for
+`rref`, rank, nullspaces, `solve`, which eliminates once for a whole batch
+of right-hand sides, and `QuotientSpace`, coordinates on a quotient of two
+column spans from one elimination with the identity riding along.  Over Z
+it is the row Hermite form, for `fgab`'s Hermite and Smith forms.
 """
 
 from __future__ import annotations
@@ -138,9 +142,12 @@ class RationalMatrix:
     def from_columns(cls, columns: Sequence[Sequence], nrows: Optional[int] = None) -> "RationalMatrix":
         cols = [_exacts(c) for c in columns]
         if cols:
-            nrows = len(cols[0])
-            if any(len(c) != nrows for c in cols):
+            height = len(cols[0])
+            if any(len(c) != height for c in cols):
                 raise ValueError("ragged columns")
+            if nrows is not None and nrows != height:
+                raise ValueError("nrows disagrees with columns")
+            nrows = height
         elif nrows is None:
             raise ValueError("empty column list needs nrows")
         rows: List[List[Tuple[int, Exact]]] = [[] for _ in range(nrows)]
@@ -308,58 +315,42 @@ class RationalMatrix:
         return f"RationalMatrix({[[str(x) for x in r] for r in self.to_lists()]!r})"
 
 
-def _eliminate(rows: List[Dict[int, Exact]], width: int) -> List[int]:
-    """Gauss-Jordan elimination in place on `{column: value}` rows.
+def _eliminate(rows: List[Dict[int, Exact]], width: int, integral: bool = False) -> List[int]:
+    """Exact elimination in place on `{column: value}` rows, over Q or over Z.
 
-    Pivots lie among the first `width` columns, and the pivot of a column is
-    the first row from the current one down with a nonzero there.  The
-    columns after `width` ride along: they undergo the same row operations
-    but never hold a pivot.  A column that starts out zero in every row stays
-    zero, so only the columns that occur are scanned.  Each column keeps the
-    set of rows with a nonzero in it, in step with every swap, fill-in and
-    cancellation, so the pivot search and the clearing of a column visit
-    only those rows.  Dividing by a unit pivot makes no Fraction.  Returns
-    the pivot columns; pivot row `r` holds a one in column `pivots[r]` and
-    every other row nothing there.
+    Pivots lie among the first `width` columns; the later columns ride
+    along.  The pivot of a column is, among the rows from the current one
+    down with a nonzero there, the smallest |value| (over Z: the fewest
+    Euclid steps), then the fewest nonzeros (the least fill-in), then the
+    lowest index.  Over Q the pivot row is divided by its pivot and the
+    column cleared in every other row: pivot row `r` holds a one in column
+    `pivots[r]` and every other row nothing there.  With `integral` the rows
+    hold ints: the rows below subtract floor multiples of the pivot row
+    until one is left, its pivot is made positive and the rows above are
+    reduced into [0, pivot), the row Hermite form.  A column keeps the set
+    of rows with a nonzero in it, in step with every swap, fill-in and
+    cancellation.  Returns the pivot columns; the rows past their count
+    vanish on the first `width` columns.
     """
     m = len(rows)
     where: Dict[int, Set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
             where.setdefault(j, set()).add(i)
-    pivots: List[int] = []
-    r = 0
-    for c in sorted(j for j in where if j < width):
-        if r == m:
-            break
-        holders = where[c]
-        pivot_row = min((i for i in holders if i >= r), default=None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            above, below = rows[r], rows[pivot_row]
-            for j in above.keys() ^ below.keys():
-                moved = where[j]
-                if j in above:
-                    moved.discard(r)
-                    moved.add(pivot_row)
-                else:
-                    moved.discard(pivot_row)
-                    moved.add(r)
-            rows[r], rows[pivot_row] = below, above
-        prow = rows[r]
+
+    def reduce_by(p: int, others: List[int]) -> None:
+        """Subtract from every other row its quotient multiple of row p in column c."""
+        prow = rows[p]
         pv = prow[c]
-        if pv != 1:
-            for j, x in prow.items():
-                prow[j] = _quotient(x, pv)
-        # entries left of c are zero in every row from r on
-        nz = [(j, x, where[j]) for j, x in prow.items() if j != c]
-        for i in holders:
-            if i == r:
+        pairs = [(j, x, where[j]) for j, x in prow.items()]
+        for i in others:
+            if i == p:
                 continue
             row = rows[i]
-            f = row.pop(c)
-            for j, x, held in nz:
+            f = row[c] // pv if integral else row[c]
+            if not f:
+                continue
+            for j, x, held in pairs:
                 y = row.get(j)
                 if y is None:
                     row[j] = -f * x
@@ -371,7 +362,40 @@ def _eliminate(rows: List[Dict[int, Exact]], width: int) -> List[int]:
                     else:
                         del row[j]
                         held.discard(i)
-        where[c] = {r}
+
+    pivots: List[int] = []
+    r = 0
+    for c in sorted(j for j in where if j < width):
+        if r == m:
+            break
+        below = [i for i in where[c] if i >= r]
+        if not below:
+            continue
+        while True:
+            pivot_row = below[0] if len(below) == 1 else min(
+                below, key=lambda i: (abs(rows[i][c]), len(rows[i]), i)
+            )
+            if len(below) == 1 or not integral:
+                break
+            reduce_by(pivot_row, below)  # Euclid: the others keep their remainders
+            below = [i for i in below if c in rows[i]]
+        if pivot_row != r:
+            upper, lower = rows[r], rows[pivot_row]
+            for j in upper.keys() ^ lower.keys():
+                where[j] ^= {r, pivot_row}
+            rows[r], rows[pivot_row] = lower, upper
+        prow = rows[r]
+        pv = prow[c]
+        if integral and pv < 0:
+            for j, x in prow.items():
+                prow[j] = -x
+        elif not integral and pv != 1:
+            for j, x in prow.items():
+                prow[j] = _quotient(x, pv)
+        # entries left of c are zero in every row from r on, so this leaves
+        # the earlier pivot columns alone
+        if len(where[c]) > 1:
+            reduce_by(r, list(where[c]))
         pivots.append(c)
         r += 1
     return pivots

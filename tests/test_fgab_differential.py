@@ -1,11 +1,14 @@
 """Differential tests: the Smith normal form of `fgab` and the kernels,
 images and cokernels of homs against sympy, the Hermite form's ride-along
-transform against its contract, and the decompose-once paths of homs and
-shifts against the direct formulas.
+transform and echelon shape against their definitions, and the
+decompose-once paths of homs and shifts against the direct formulas.
 
 Inputs are seeded integer matrices up to 6x6 with entries in -9..9, with
-zero rows and zero columns mixed in, and seeded homs into groups with
-torsion.
+zero rows and zero columns mixed in; seeded sparse matrices of 20x30 and
+40x60 with three nonzeros per row from {-2, -1, 1, 2, 3}, where the pivot
+rule's tie-breaks and the fill-in of the Euclid steps show; one 400x600
++-1 matrix the size of a sector constraint; and seeded homs into groups
+with torsion.
 """
 
 import itertools
@@ -29,7 +32,7 @@ from resolvedk.fgab import (  # noqa: E402
     row_hermite_form,
     smith_normal_form,
 )
-from resolvedk.ratmat import RationalMatrix  # noqa: E402
+from resolvedk.ratmat import RationalMatrix, rank  # noqa: E402
 from resolvedk.fixtures import (  # noqa: E402
     product_trivial,
     projective_plane,
@@ -79,6 +82,72 @@ def test_hermite_transform_rides_along(seed):
     rank = sum(1 for r in h if any(r))
     assert not any(any(r) for r in h[rank:])
     assert h[:rank] == row_hermite_form(a.to_lists(), n)
+    _assert_hermite_shape(h[:rank])
+
+
+def _assert_hermite_shape(h):
+    """Rows in Hermite form by the definition: pivot columns strictly
+    increase, each pivot is positive, and every entry above a pivot lies in
+    [0, pivot)."""
+    leads = [next(j for j, x in enumerate(row) if x) for row in h]
+    assert all(a < b for a, b in zip(leads, leads[1:]))
+    for k, (row, c) in enumerate(zip(h, leads)):
+        assert row[c] > 0
+        assert all(0 <= above[c] < row[c] for above in h[:k])
+
+
+SPARSE_SEEDS = range(6)
+SPARSE_SHAPES = [(20, 30), (40, 60)]
+
+
+def _sparse(rng, m, n, values=(-2, -1, 1, 2, 3)):
+    """An m x n integer matrix with three nonzeros per row drawn from `values`."""
+    rows = [[0] * n for _ in range(m)]
+    for row in rows:
+        for j in rng.sample(range(n), 3):
+            row[j] = rng.choice(values)
+    return RationalMatrix(rows, ncols=n)
+
+
+@pytest.mark.parametrize("shape", SPARSE_SHAPES, ids=["20x30", "40x60"])
+@pytest.mark.parametrize("seed", SPARSE_SEEDS)
+def test_sparse_smith_and_hermite(seed, shape):
+    rng = random.Random(seed)
+    wide = _sparse(rng, *shape)
+    for a in (wide, wide.transpose()):
+        dec = smith_normal_form(a)
+        assert dec.verify(a)
+        assert dec.diagonal() == tuple(int(d) for d in invariant_factors(_sympy(a), domain=sympy.ZZ))
+        m, n = a.shape
+        eye = RationalMatrix.identity(m).to_lists()
+        rows = row_hermite_form([r + e for r, e in zip(a.to_lists(), eye)], n)
+        h = [r[:n] for r in rows]
+        u = RationalMatrix([r[n:] for r in rows], ncols=m)
+        assert u @ a == RationalMatrix(h, ncols=n)
+        rk = sum(1 for r in h if any(r))
+        assert rk == dec.rank
+        _assert_hermite_shape(h[:rk])
+
+
+@pytest.mark.parametrize("seed", SPARSE_SEEDS)
+def test_hermite_and_smith_do_not_depend_on_row_order(seed):
+    rng = random.Random(seed)
+    wide = _sparse(rng, 20, 30)
+    # appended combinations of the rows make the rank deficient
+    a = RationalMatrix(wide.to_lists() + (_sparse(rng, 10, 20) @ wide).to_lists(), ncols=30)
+    perm = rng.sample(range(a.nrows), a.nrows)
+    pa = a.submatrix(perm)
+    assert row_hermite_form(pa.to_lists(), a.ncols) == row_hermite_form(a.to_lists(), a.ncols)
+    assert smith_normal_form(pa).diagonal() == smith_normal_form(a).diagonal()
+
+
+def test_smith_of_a_sector_sized_matrix():
+    # a sparse +-1 matrix of the shape of a sector constraint
+    a = _sparse(random.Random(0), 400, 600, values=(-1, 1))
+    dec = smith_normal_form(a)
+    r = rank(a)
+    assert dec.diagonal() == (1,) * r + (0,) * (400 - r)
+    assert dec.u @ a @ dec.v == dec.s
 
 
 TORSION = [(2,), (3,), (4,), (6,), (2, 4), (2, 6), (3, 6)]

@@ -184,6 +184,18 @@ def test_every_entry_is_type_checked():
         RationalMatrix.from_row_maps([{2: 1}], 2)
 
 
+def test_from_columns_rejects_a_disagreeing_nrows():
+    # an nrows that disagrees with the columns is refused, not overridden
+    with pytest.raises(ValueError, match="nrows disagrees"):
+        RationalMatrix.from_columns([[1, 2]], nrows=3)
+    assert RationalMatrix.from_columns([[1, 2]], nrows=2).shape == (2, 1)
+    assert RationalMatrix.from_columns([], nrows=3).shape == (3, 0)
+    # a vector of the wrong length is a length error, not a product mismatch
+    q = QuotientSpace(RationalMatrix.zeros(3, 0), RationalMatrix.identity(3))
+    with pytest.raises(ValueError, match="nrows disagrees"):
+        q.coords([[1, 2]])
+
+
 def test_entry_access_on_sparse_rows():
     mat = RationalMatrix([[0, 2, 0], [0, 0, 0], [Fraction(1, 2), 0, 3]])
     assert mat[0, 1] == 2 and mat[0, 0] == 0 and mat[2, -1] == 3 and mat[1, 2] == 0

@@ -2,7 +2,9 @@
 
 Inputs are seeded random sparse matrices (5-50% nonzeros, shapes up to
 12x12, zero-row and zero-column shapes included), the regime the assembly
-produces.
+produces, and seeded integer matrices of 20x30 and 40x60 with three
+nonzeros per row from {-2, -1, 1, 2, 3}, where the pivot rule's tie-breaks
+and fill-in show.  Results must not depend on the order of the rows.
 """
 
 import random
@@ -154,3 +156,84 @@ def test_batched_solve_matches_sympy_and_single_columns(seed):
         if x is not None:
             assert mat.apply(x) == b
         assert solve(mat, [b]) == [x]
+
+
+SPARSE_SEEDS = range(6)
+SPARSE_SHAPES = [(20, 30), (40, 60)]
+
+
+def _sparse_ints(rng, m, n):
+    """An m x n integer matrix with three nonzeros per row from {-2, -1, 1, 2, 3}."""
+    rows = [[0] * n for _ in range(m)]
+    for row in rows:
+        for j in rng.sample(range(n), 3):
+            row[j] = rng.choice((-2, -1, 1, 2, 3))
+    return RationalMatrix(rows, ncols=n)
+
+
+def _deficient(rng, m, n):
+    """m sparse rows followed by m // 2 sparse combinations of them."""
+    wide = _sparse_ints(rng, m, n)
+    return RationalMatrix(wide.to_lists() + (_sparse_ints(rng, m // 2, m) @ wide).to_lists(), ncols=n)
+
+
+def _sub_and_span(rng, m, n):
+    """A basis of a span of m sparse vectors in Q^n, and of a subspace of it."""
+    z = RationalMatrix.from_columns(_column_basis(_sparse_ints(rng, m, n).transpose()), nrows=n)
+    combos = _sparse_ints(rng, m // 2, z.ncols).transpose()
+    return RationalMatrix.from_columns(_column_basis(z @ combos), nrows=n), z
+
+
+@pytest.mark.parametrize("shape", SPARSE_SHAPES, ids=["20x30", "40x60"])
+@pytest.mark.parametrize("seed", SPARSE_SEEDS)
+def test_sparse_elimination_matches_sympy(seed, shape):
+    rng = random.Random(seed)
+    wide = _sparse_ints(rng, *shape)
+    for mat in (wide, wide.transpose(), _deficient(rng, *shape)):
+        red, pivots = rref(mat)
+        sym_red, sym_pivots = _sym(mat).rref()
+        assert red.to_lists() == _back(sym_red)
+        assert pivots == tuple(sym_pivots)
+        assert rank(mat) == len(sym_pivots)
+        null = nullspace_basis(mat).columns()
+        assert null == tuple(tuple(v) for v in _sym(mat).nullspace())
+
+
+@pytest.mark.parametrize("shape", SPARSE_SHAPES, ids=["20x30", "40x60"])
+@pytest.mark.parametrize("seed", SPARSE_SEEDS)
+def test_sparse_quotient_space_matches_sympy(seed, shape):
+    rng = random.Random(seed)
+    m, n = shape
+    b, z = _sub_and_span(rng, m, n)
+    q = QuotientSpace(b, z)
+    assert q.dim == len(_sym(z).rref()[1]) - len(_sym(b).rref()[1]) == q.representatives.ncols
+    assert all(not any(c) for c in q.coords(b.columns()))
+    assert q.coords(q.representatives.columns()) == list(RationalMatrix.identity(q.dim).columns())
+    # coordinates in the basis [b | representatives], solved by sympy
+    basis = _sym(b).row_join(_sym(q.representatives))
+    vecs = [z.apply(_vec(rng, z.ncols)) for _ in range(3)]
+    for v, got in zip(vecs, q.coords(vecs)):
+        sol, params = basis.gauss_jordan_solve(_sym(RationalMatrix.from_columns([v])))
+        assert params.rows == 0
+        assert list(got) == [row[0] for row in _back(sol)][b.ncols:]
+    outside = next(e for e in RationalMatrix.identity(n).columns()
+                   if _sym(z).row_join(sympy.Matrix(n, 1, list(e))).rank() > z.ncols)
+    with pytest.raises(ValueError):
+        q.coords([outside])
+
+
+@pytest.mark.parametrize("seed", SPARSE_SEEDS)
+def test_results_do_not_depend_on_row_order(seed):
+    rng = random.Random(seed)
+    a = _deficient(rng, 20, 30)
+    perm = rng.sample(range(a.nrows), a.nrows)
+    pa = a.submatrix(perm)
+    assert rref(pa) == rref(a)
+    batch = [a.apply(_vec(rng, a.ncols)), _vec(rng, a.nrows)]  # consistent, then most likely not
+    assert solve(pa, [[b[i] for i in perm] for b in batch]) == solve(a, batch)
+    # permuting the ambient coordinates permutes the rows of the elimination
+    sub, span = _sub_and_span(rng, 20, 30)
+    amb = rng.sample(range(30), 30)
+    moved = QuotientSpace(sub.submatrix(amb), span.submatrix(amb))
+    vecs = [span.apply(_vec(rng, span.ncols)) for _ in range(3)]
+    assert moved.coords([[v[i] for i in amb] for v in vecs]) == QuotientSpace(sub, span).coords(vecs)
