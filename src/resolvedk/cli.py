@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .action import ResolvedAction, WindowError
 from .deloc import (
-    LES_LABELS,
     assemble_complex,
     chern_character,
     compare_ranks,
@@ -49,7 +48,7 @@ from .descriptor import (
     serialize_descriptor,
 )
 from .itspace import Pruning
-from .ktheory import action_node_k, rational_global_k
+from .ktheory import LES_LABELS, action_node_k, rational_global_k
 
 COMMANDS = ("validate", "kred", "deloc", "ch", "compare", "les", "stabilize", "example")
 

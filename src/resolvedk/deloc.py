@@ -32,7 +32,7 @@ from .action import ResolvedAction, WindowError
 from .basespace import NodeSpaceData, _exp_nilpotent
 from .chargroup import Character, SectionSystem, SubgroupDatum, fiber_support, lift, lift_offset
 from .itspace import Pruning, prune_step
-from .ktheory import SixTermInstance, hexagon_check
+from .ktheory import LES_LABELS, SixTermInstance, hexagon_check  # noqa: F401 (LES_LABELS re-exported)
 from .ratmat import (
     Exact,
     QuotientSpace,
@@ -44,15 +44,6 @@ from .ratmat import (
     solve,
 )
 from .report import ValidationReport
-
-LES_LABELS = (
-    "even relative",
-    "even total",
-    "even quotient",
-    "odd relative",
-    "odd total",
-    "odd quotient",
-)
 
 
 # -- small exact-linear-algebra helpers and character exponentials --------------
@@ -526,7 +517,7 @@ def les_of_pruning(sub: AssembledComplex, total: AssembledComplex) -> PruningLES
     insts = list(sector_instances.values())
     dims = tuple(sum(i.dims[k] for i in insts) for k in range(6))
     ranks = tuple(sum(i.ranks[k] for i in insts) for k in range(6))
-    instance = SixTermInstance(dims, ranks, labels=LES_LABELS)
+    instance = SixTermInstance(dims, ranks)
     return PruningLES(sub.kept, alpha, sector_instances, instance, report)
 
 
@@ -614,7 +605,7 @@ def _les_of(two_a: TwoPeriodicComplex, two_b: TwoPeriodicComplex, emb, q_idx, sh
         rank(maps[("incl", 0)]), rank(maps[("proj", 0)]), rank(maps[("conn", 0)]),
         rank(maps[("incl", 1)]), rank(maps[("proj", 1)]), rank(maps[("conn", 1)]),
     )
-    instance = SixTermInstance(dims, ranks, labels=LES_LABELS)
+    instance = SixTermInstance(dims, ranks)
 
     rep = hexagon_check(instance)
     composites = [

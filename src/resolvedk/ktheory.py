@@ -3,9 +3,10 @@
 At a fixed-isotropy node the graded K-group is one copy of the node's
 integral (K0, K1) pair per window character, with the ambient dual acting
 by grading translation composed with the kernel shift automorphisms.
-Globally only rational dimensions are emitted; the six-term sequences
-coming from pruning are checked (and solved) at the level of dimensions
-and ranks, never by guessing an unproved integral extension.
+Globally only rational dimensions are emitted; the six-term sequence of
+each pruning step comes with all six dimensions and map ranks computed,
+and is checked at that level, never by guessing an unproved integral
+extension.
 """
 
 from __future__ import annotations
@@ -84,17 +85,6 @@ class GradedKGroup:
                 raise WindowExceeded(b)
             if len(ev) != self.kdata.k0.ngens or len(od) != self.kdata.k1.ngens:
                 raise ValueError(f"element coordinates at {b.coords} have wrong shape")
-
-
-def node_equivariant_k(
-    datum: SubgroupDatum,
-    kdata: KData,
-    window: Sequence,
-    section: Optional[SectionSystem] = None,
-    label: str = "",
-) -> GradedKGroup:
-    """Graded K-group of a single node over a finite window."""
-    return GradedKGroup(datum, kdata, window, section=section, label=label)
 
 
 def action_node_k(action, label: str, radius: Optional[int] = None) -> GradedKGroup:
@@ -214,171 +204,54 @@ def product_with_trivial_factor(a_dual: FgAbGroup, k: GradedKGroup) -> GradedKGr
 # -- six-term sequences --------------------------------------------------------
 
 
-class SixTermInstance:
-    """Dimensions and map ranks around a six-periodic exact sequence.
+LES_LABELS = (
+    "even relative",
+    "even total",
+    "even quotient",
+    "odd relative",
+    "odd total",
+    "odd quotient",
+)
 
-    Position i carries a dimension `dims[i]`; `ranks[i]` is the rank of the
-    map from position i to position i+1 (indices mod 6).  `None` marks an
-    unknown.  Exactness at position i reads dims[i] = ranks[i-1] + ranks[i].
+
+class SixTermInstance:
+    """Dimensions and map ranks around the six-term sequence of a pruning step.
+
+    Position i, labelled `LES_LABELS[i]`, carries a dimension `dims[i]`;
+    `ranks[i]` is the rank of the map from position i to position i+1
+    (indices mod 6).  Both are computed, so all twelve are nonnegative ints.
+    Exactness at position i reads dims[i] = ranks[i-1] + ranks[i].
     """
 
-    __slots__ = ("dims", "ranks", "labels")
+    __slots__ = ("dims", "ranks")
 
-    def __init__(
-        self,
-        dims: Sequence[Optional[int]],
-        ranks: Optional[Sequence[Optional[int]]] = None,
-        labels: Optional[Sequence[str]] = None,
-    ):
-        dims = tuple(dims)
+    labels = LES_LABELS
+
+    def __init__(self, dims: Sequence[int], ranks: Sequence[int]):
+        dims, ranks = tuple(dims), tuple(ranks)
         if len(dims) != 6:
             raise ValueError("a six-term instance needs exactly six dimensions")
-        ranks = tuple(ranks) if ranks is not None else (None,) * 6
         if len(ranks) != 6:
             raise ValueError("a six-term instance needs exactly six map ranks")
         for v in dims + ranks:
-            if v is not None and (not isinstance(v, int) or v < 0):
+            if not isinstance(v, int) or v < 0:
                 raise ValueError(f"dimensions and ranks must be nonnegative ints, got {v!r}")
-        labels = tuple(labels) if labels is not None else tuple(
-            f"position {i + 1}" for i in range(6)
-        )
-        if len(labels) != 6:
-            raise ValueError("six labels required")
         self.dims = dims
         self.ranks = ranks
-        self.labels = labels
 
-    def alternating_sum(self) -> Optional[int]:
-        if any(d is None for d in self.dims):
-            return None
+    def alternating_sum(self) -> int:
         return sum(d if i % 2 == 0 else -d for i, d in enumerate(self.dims))
 
     def __repr__(self) -> str:
         return f"SixTermInstance(dims={self.dims}, ranks={self.ranks})"
 
 
-class HexagonSolution:
-    """Outcome of propagating exactness constraints over a hexagon."""
-
-    __slots__ = ("status", "dims", "ranks", "bounds", "notes")
-
-    def __init__(self, status, dims, ranks, bounds, notes):
-        self.status = status  # "determined" | "underdetermined" | "infeasible"
-        self.dims = dims
-        self.ranks = ranks
-        self.bounds = bounds  # name -> (lo, hi or None)
-        self.notes = notes
-
-    def __repr__(self) -> str:
-        return f"HexagonSolution({self.status}, dims={self.dims}, ranks={self.ranks})"
-
-
-_INF = None  # open upper bound
-
-
-def _meet(iv: Tuple[int, Optional[int]], lo=None, hi=None):
-    a, b = iv
-    if lo is not None and lo > a:
-        a = lo
-    if hi is not None and (b is None or hi < b):
-        b = hi
-    return (a, b)
-
-
-def hexagon_solve(h: SixTermInstance) -> HexagonSolution:
-    """Propagate exactness through a hexagon with unknowns.
-
-    Interval arithmetic over dims[i] = ranks[i-1] + ranks[i] and
-    ranks[i] <= min(dims[i], dims[i+1]); values are only reported when
-    forced, and contradictory constraints yield a refutation.
-    """
-    dim_iv = [
-        (d, d) if d is not None else (0, _INF) for d in h.dims
-    ]
-    rank_iv = [
-        (r, r) if r is not None else (0, _INF) for r in h.ranks
-    ]
-    notes = ["alternating dimension sum must vanish"]
-    refuted: Optional[str] = None
-
-    def empty(iv):
-        return iv[1] is not None and iv[0] > iv[1]
-
-    def min_hi(*vals):
-        known = [v for v in vals if v is not None]
-        return min(known) if known else None
-
-    # a position whose dimension exceeds what its neighbourhood can carry is
-    # inexact on its own, before any global propagation
-    for i in range(6):
-        in_hi = min_hi(dim_iv[i - 1][1], dim_iv[i][1], rank_iv[i - 1][1])
-        out_hi = min_hi(dim_iv[i][1], dim_iv[(i + 1) % 6][1], rank_iv[i][1])
-        if in_hi is not None and out_hi is not None and dim_iv[i][0] > in_hi + out_hi:
-            refuted = (
-                f"exactness cannot hold at {h.labels[i]}: dimension at least "
-                f"{dim_iv[i][0]} but adjoining ranks at most {in_hi} + {out_hi}"
-            )
-            return HexagonSolution("infeasible", None, None, {}, notes + [refuted])
-    if all(d is not None for d in h.dims):
-        alt = h.alternating_sum()
-        if alt != 0:
-            return HexagonSolution(
-                "infeasible", None, None, {},
-                notes + [f"alternating dimension sum is {alt}, not zero"],
-            )
-
-    changed = True
-    while changed and refuted is None:
-        changed = False
-        for i in range(6):
-            before = (dim_iv[i], rank_iv[i], rank_iv[i - 1])
-            # rank bounds from neighbouring dimensions
-            if dim_iv[i][1] is not None:
-                rank_iv[i] = _meet(rank_iv[i], hi=dim_iv[i][1])
-                rank_iv[i - 1] = _meet(rank_iv[i - 1], hi=dim_iv[i][1])
-            # exactness: dim_i = rank_{i-1} + rank_i
-            rin, rout = rank_iv[i - 1], rank_iv[i]
-            lo = rin[0] + rout[0]
-            hi = None if rin[1] is None or rout[1] is None else rin[1] + rout[1]
-            dim_iv[i] = _meet(dim_iv[i], lo=lo, hi=hi)
-            # back-propagate: rank = dim - other rank
-            if dim_iv[i][1] is not None:
-                if rout[1] is not None:
-                    rank_iv[i - 1] = _meet(rank_iv[i - 1], lo=dim_iv[i][0] - rout[1])
-                rank_iv[i - 1] = _meet(rank_iv[i - 1], hi=dim_iv[i][1] - rout[0])
-                if rin[1] is not None:
-                    rank_iv[i] = _meet(rank_iv[i], lo=dim_iv[i][0] - rin[1])
-                rank_iv[i] = _meet(rank_iv[i], hi=dim_iv[i][1] - rin[0])
-            if empty(dim_iv[i]) or empty(rank_iv[i]) or empty(rank_iv[i - 1]):
-                refuted = (
-                    f"exactness cannot hold at {h.labels[i]}: "
-                    f"dim in {dim_iv[i]}, incoming rank in {rank_iv[i - 1]}, "
-                    f"outgoing rank in {rank_iv[i]}"
-                )
-                break
-            if before != (dim_iv[i], rank_iv[i], rank_iv[i - 1]):
-                changed = True
-
-    if refuted is not None:
-        return HexagonSolution("infeasible", None, None, {}, notes + [refuted])
-
-    dims = tuple(iv[0] if iv[0] == iv[1] else None for iv in dim_iv)
-    ranks = tuple(iv[0] if iv[0] == iv[1] else None for iv in rank_iv)
-    bounds = {}
-    for i, iv in enumerate(dim_iv):
-        if iv[0] != iv[1]:
-            bounds[f"dim {h.labels[i]}"] = iv
-    for i, iv in enumerate(rank_iv):
-        if iv[0] != iv[1]:
-            bounds[f"rank {h.labels[i]}->{h.labels[(i + 1) % 6]}"] = iv
-    status = "determined" if not bounds else "underdetermined"
-    return HexagonSolution(status, dims, ranks, bounds, notes)
-
-
 def hexagon_check(h: SixTermInstance) -> ValidationReport:
-    """Exactness verdict for a hexagon whose dimensions are all known."""
-    if any(d is None for d in h.dims):
-        raise ValueError("dimension unknowns present; use hexagon_solve")
+    """Exactness verdict for a hexagon of known dimensions and ranks.
+
+    One row for the alternating dimension sum, then one row per position i
+    for dims[i] = ranks[i-1] + ranks[i] with ranks[i] <= min(dims[i], dims[i+1]).
+    """
     rep = ValidationReport()
     alt = h.alternating_sum()
     rep.add(
@@ -386,26 +259,14 @@ def hexagon_check(h: SixTermInstance) -> ValidationReport:
         alt == 0,
         "" if alt == 0 else f"sum = {alt}",
     )
-    if all(r is not None for r in h.ranks):
-        for i in range(6):
-            need = h.ranks[i - 1] + h.ranks[i]
-            ok = need == h.dims[i] and h.ranks[i] <= min(h.dims[i], h.dims[(i + 1) % 6])
-            rep.add(
-                f"exact at {h.labels[i]}",
-                ok,
-                "" if ok else
-                f"dim {h.dims[i]} != rank-in {h.ranks[i - 1]} + rank-out {h.ranks[i]}",
-            )
-        return rep
-    sol = hexagon_solve(h)
-    if sol.status == "infeasible":
-        rep.add("an exact rank assignment exists", False, sol.notes[-1])
-    else:
+    for i in range(6):
+        need = h.ranks[i - 1] + h.ranks[i]
+        ok = need == h.dims[i] and h.ranks[i] <= min(h.dims[i], h.dims[(i + 1) % 6])
         rep.add(
-            "an exact rank assignment exists",
-            True,
-            "ranks " + ("forced" if sol.status == "determined" else "not unique")
-            + f": {sol.ranks}",
+            f"exact at {h.labels[i]}",
+            ok,
+            "" if ok else
+            f"dim {h.dims[i]} != rank-in {h.ranks[i - 1]} + rank-out {h.ranks[i]}",
         )
     return rep
 

@@ -42,7 +42,7 @@ from resolvedk.fixtures import (
     sphere_rotation_speed,
 )
 from resolvedk.itspace import IsotropyTree, pruning_sequence
-from resolvedk.ktheory import rational_global_k
+from resolvedk.ktheory import LES_LABELS, rational_global_k
 from resolvedk.ratmat import RationalMatrix
 from resolvedk.redbun import (
     TwistedTable,
@@ -720,6 +720,33 @@ def test_relative_global_k_computes_the_kept_cocycles_once(monkeypatch, prune, c
     glob = rational_global_k(plane, prune=prune, radius=1)
     assert len(calls) == computed
     assert glob.checks.ok
+
+
+@pytest.mark.parametrize(
+    "build, radius",
+    [
+        pytest.param(sphere_rotation, 2, id="sphere"),
+        pytest.param(lambda: sphere_rotation_speed(3), 2, id="speed3"),
+        pytest.param(projective_plane, 2, id="plane"),
+        pytest.param(lambda: product_trivial((2,)), 2, id="product2"),
+    ]
+    + [pytest.param(lambda seed=seed: random_action(seed), 1, id=f"random{seed}")
+       for seed in range(12)],
+)
+def test_every_pruning_hexagon_carries_its_ranks(build, radius):
+    action = build()
+    full = assemble_complex(action, radius=radius)
+    walk = list(pruning_walk(full.restrict({action.tree.root}), full))
+    for les in walk:
+        for inst in (les.instance, *les.sector_instances.values()):
+            assert len(inst.ranks) == 6
+            assert all(type(r) is int for r in inst.ranks), inst
+    checks = rational_global_k(action, radius=radius).checks
+    rows = [name.split(": ", 1)[1] for name, _, _ in checks.checks]
+    assert len(rows) == 7 * len(walk)
+    assert set(rows) <= {"alternating dimension sum vanishes"} | {
+        f"exact at {label}" for label in LES_LABELS
+    }
 
 
 # -- Chern characters -----------------------------------------------------------------

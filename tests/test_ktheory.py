@@ -9,13 +9,12 @@ from resolvedk.chargroup import Character, SubgroupDatum
 from resolvedk.fgab import AbHom, FgAbGroup
 from resolvedk.fixtures import sphere_rotation
 from resolvedk.ktheory import (
+    LES_LABELS,
     GradedKGroup,
     SixTermInstance,
     WindowExceeded,
     action_node_k,
     hexagon_check,
-    hexagon_solve,
-    node_equivariant_k,
     product_with_trivial_factor,
     rg_action,
 )
@@ -52,7 +51,7 @@ def free_orbit_node():
 
 def test_pole_node_window_table():
     datum, kdata = pole_node()
-    k = node_equivariant_k(datum, kdata, [(-1,), (0,), (1,)])
+    k = GradedKGroup(datum, kdata, [(-1,), (0,), (1,)])
     assert k.total_ranks() == (3, 0)
     assert k.table() == [
         ((-1,), (1, ()), (0, ())),
@@ -64,32 +63,32 @@ def test_pole_node_window_table():
 
 def test_window_is_deduplicated_and_sorted():
     datum, kdata = pole_node()
-    k = node_equivariant_k(datum, kdata, [(1,), (0,), (1,), (0,)])
+    k = GradedKGroup(datum, kdata, [(1,), (0,), (1,), (0,)])
     assert [b.coords for b in k.window] == [(0,), (1,)]
 
 
 def test_empty_window_is_zero():
     datum, kdata = pole_node()
-    k = node_equivariant_k(datum, kdata, [])
+    k = GradedKGroup(datum, kdata, [])
     assert k.total_ranks() == (0, 0)
     assert k.table() == []
 
 
 def test_free_orbit_single_sector():
     datum, kdata = free_orbit_node()
-    k = node_equivariant_k(datum, kdata, [()])
+    k = GradedKGroup(datum, kdata, [()])
     assert k.total_ranks() == (1, 0)
 
 
 def test_foreign_window_character_rejected():
     datum, kdata = pole_node()
     with pytest.raises(ValueError, match="node dual"):
-        node_equivariant_k(datum, kdata, [Character(C2, (1,))])
+        GradedKGroup(datum, kdata, [Character(C2, (1,))])
 
 
 def test_sector_outside_window_names_character():
     datum, kdata = pole_node()
-    k = node_equivariant_k(datum, kdata, [(0,)])
+    k = GradedKGroup(datum, kdata, [(0,)])
     with pytest.raises(WindowExceeded, match=r"\(7,\)") as err:
         k.sector(Character(Z, (7,)))
     assert err.value.char.coords == (7,)
@@ -107,14 +106,14 @@ def test_action_node_k_reads_fixture_windows():
 
 def test_rg_action_by_zero_is_identity():
     datum, kdata = mod2_node()
-    k = node_equivariant_k(datum, kdata, [(0,), (1,)])
+    k = GradedKGroup(datum, kdata, [(0,), (1,)])
     x = {Character(C2, (0,)): ((1, 2), ()), Character(C2, (1,)): ((0, 1), ())}
     assert rg_action(0, x, k) == x
 
 
 def test_rg_action_translates_grading():
     datum, kdata = mod2_node()
-    k = node_equivariant_k(datum, kdata, [(0,), (1,)])
+    k = GradedKGroup(datum, kdata, [(0,), (1,)])
     x = {Character(C2, (0,)): ((1, 0), ())}
     moved = rg_action(1, x, k)
     # lifts are 0 and 1, so the connecting kernel element is 1 + 0 - 1 = 0
@@ -123,7 +122,7 @@ def test_rg_action_translates_grading():
 
 def test_rg_action_by_kernel_character_twists():
     datum, kdata = mod2_node()
-    k = node_equivariant_k(datum, kdata, [(0,), (1,)])
+    k = GradedKGroup(datum, kdata, [(0,), (1,)])
     x = {Character(C2, (0,)): ((0, 1), ())}
     moved = rg_action(2, x, k)
     assert moved == {Character(C2, (0,)): ((1, 1), ())}
@@ -131,7 +130,7 @@ def test_rg_action_by_kernel_character_twists():
 
 def test_rg_action_is_a_group_action():
     datum, kdata = mod2_node()
-    k = node_equivariant_k(datum, kdata, [(0,), (1,)])
+    k = GradedKGroup(datum, kdata, [(0,), (1,)])
     x = {Character(C2, (1,)): ((2, -1), ())}
     one_step = rg_action(3, rg_action(2, x, k), k)
     assert one_step == rg_action(5, x, k)
@@ -139,7 +138,7 @@ def test_rg_action_is_a_group_action():
 
 def test_rg_action_window_escape():
     datum, kdata = pole_node()
-    k = node_equivariant_k(datum, kdata, [(-1,), (0,), (1,)])
+    k = GradedKGroup(datum, kdata, [(-1,), (0,), (1,)])
     x = {Character(Z, (1,)): ((1,), ())}
     with pytest.raises(WindowExceeded) as err:
         rg_action(1, x, k)
@@ -150,7 +149,7 @@ def test_rg_action_window_escape():
 @given(g1=st.integers(-3, 3), g2=st.integers(-3, 3), ev=st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
 def test_rg_action_composition_property(g1, g2, ev):
     datum, kdata = mod2_node()
-    k = node_equivariant_k(datum, kdata, [(0,), (1,)])
+    k = GradedKGroup(datum, kdata, [(0,), (1,)])
     x = {Character(C2, (0,)): (ev, ())}
     assert rg_action(g1, rg_action(g2, x, k), k) == rg_action(g1 + g2, x, k)
 
@@ -160,7 +159,7 @@ def test_rg_action_composition_property(g1, g2, ev):
 
 def test_product_with_trivial_group_keeps_ranks():
     datum, kdata = mod2_node()
-    k = node_equivariant_k(datum, kdata, [(0,), (1,)])
+    k = GradedKGroup(datum, kdata, [(0,), (1,)])
     p = product_with_trivial_factor(TRIV, k)
     assert p.total_ranks() == k.total_ranks()
     assert len(p.window) == len(k.window)
@@ -169,7 +168,7 @@ def test_product_with_trivial_group_keeps_ranks():
 @pytest.mark.parametrize("torsion,factor", [((2,), 2), ((3,), 3)])
 def test_product_multiplies_sector_count(torsion, factor):
     datum, kdata = mod2_node()
-    k = node_equivariant_k(datum, kdata, [(0,), (1,)])
+    k = GradedKGroup(datum, kdata, [(0,), (1,)])
     p = product_with_trivial_factor(FgAbGroup(0, torsion), k)
     assert len(p.window) == factor * len(k.window)
     assert p.total_ranks() == (factor * k.total_ranks()[0], factor * k.total_ranks()[1])
@@ -180,7 +179,7 @@ def test_product_multiplies_sector_count(torsion, factor):
 
 def test_product_requires_finite_factor():
     datum, kdata = pole_node()
-    k = node_equivariant_k(datum, kdata, [(0,)])
+    k = GradedKGroup(datum, kdata, [(0,)])
     with pytest.raises(ValueError, match="finite"):
         product_with_trivial_factor(Z, k)
 
@@ -189,7 +188,7 @@ def test_product_canonicalizes_mixed_torsion():
     # Z/2 target with a Z/3 factor: the product is a cyclic Z/6
     datum = SubgroupDatum(AbHom.identity(C2))
     kdata = KData.trivial_shifts(Z, TRIV, AbHom.identity(Z), 0)
-    k = node_equivariant_k(datum, kdata, [(0,), (1,)])
+    k = GradedKGroup(datum, kdata, [(0,), (1,)])
     p = product_with_trivial_factor(FgAbGroup(0, (3,)), k)
     assert p.datum.target == FgAbGroup(0, (6,))
     assert len(p.window) == 6
@@ -198,7 +197,7 @@ def test_product_canonicalizes_mixed_torsion():
 
 def test_product_action_twists_by_kernel_characters():
     datum, kdata = mod2_node()
-    k = node_equivariant_k(datum, kdata, [(0,), (1,)])
+    k = GradedKGroup(datum, kdata, [(0,), (1,)])
     p = product_with_trivial_factor(FgAbGroup(0, (2,)), k)
     hhat = p.datum.kernel_basis[0]
     x = {b: ((0, 1), ()) for b in p.window}
@@ -210,15 +209,31 @@ def test_product_action_twists_by_kernel_characters():
 
 
 def test_instance_validation():
+    zeros = (0,) * 6
     with pytest.raises(ValueError, match="six"):
-        SixTermInstance((1, 2, 3))
+        SixTermInstance((1, 2, 3), zeros)
     with pytest.raises(ValueError, match="nonnegative"):
-        SixTermInstance((1, 0, 0, 0, 0, -1))
+        SixTermInstance((1, 0, 0, 0, 0, -1), zeros)
     with pytest.raises(ValueError, match="six"):
-        SixTermInstance((0,) * 6, ranks=(0, 0))
-    inst = SixTermInstance((1, 0, None, 0, 0, 0))
-    assert inst.alternating_sum() is None
-    assert SixTermInstance((2, 1, 1, 0, 0, 0)).alternating_sum() == 2
+        SixTermInstance(zeros, ranks=(0, 0))
+    assert SixTermInstance((2, 1, 1, 0, 0, 0), zeros).alternating_sum() == 2
+
+
+@pytest.mark.parametrize("dims,ranks", [
+    pytest.param((1, 0, None, 0, 0, 0), (0,) * 6, id="dim"),
+    pytest.param((0,) * 6, (0, None, 0, 0, 0, 0), id="rank"),
+    pytest.param((0,) * 6, (None,) * 6, id="all-ranks"),
+])
+def test_instance_refuses_unknowns(dims, ranks):
+    with pytest.raises(ValueError, match="nonnegative ints"):
+        SixTermInstance(dims, ranks)
+
+
+def test_instance_requires_ranks():
+    with pytest.raises(TypeError):
+        SixTermInstance((0,) * 6)
+    with pytest.raises(TypeError):
+        SixTermInstance((0,) * 6, ranks=None)
 
 
 def test_hexagon_check_all_zero():
@@ -239,53 +254,36 @@ def test_hexagon_check_detects_rank_failure():
     assert any("exact at" in name for name, _ in rep.failures())
 
 
-def test_hexagon_check_without_ranks_refutes_impossible_dims():
-    rep = hexagon_check(SixTermInstance((1, 0, 1, 0, 0, 0)))
+def test_hexagon_check_refutes_impossible_dims():
+    # alternating sum 1 - 0 + 1 = 2, and the zero neighbours of the first
+    # position force both of its ranks to 0
+    rep = hexagon_check(SixTermInstance((1, 0, 1, 0, 0, 0), ranks=(0, 0, 1, 0, 0, 0)))
     assert not rep.ok
     details = dict(rep.failures())
-    assert "position 1" in details["an exact rank assignment exists"]
+    assert details["alternating dimension sum vanishes"] == "sum = 2"
+    assert "dim 1 != rank-in 0 + rank-out 0" in details["exact at even relative"]
 
 
 def test_hexagon_check_odd_alternating_sum_fails():
-    rep = hexagon_check(SixTermInstance((1, 0, 0, 0, 0, 0)))
+    rep = hexagon_check(SixTermInstance((1, 0, 0, 0, 0, 0), ranks=(0,) * 6))
     assert not rep.ok
     assert any("alternating" in name for name, _ in rep.failures())
 
 
-def test_hexagon_solve_determines_missing_dimension():
-    sol = hexagon_solve(SixTermInstance((1, 1, None, 0, 0, 0)))
-    assert sol.status == "determined"
-    assert sol.dims == (1, 1, 0, 0, 0, 0)
-    assert sol.ranks == (1, 0, 0, 0, 0, 0)
-
-
-def test_hexagon_solve_underdetermined():
-    sol = hexagon_solve(SixTermInstance((None,) * 6))
-    assert sol.status == "underdetermined"
-    assert "alternating dimension sum must vanish" in sol.notes
-
-
-def test_hexagon_solve_reports_infeasibility():
-    sol = hexagon_solve(SixTermInstance((1, 0, 1, 0, 0, 0)))
-    assert sol.status == "infeasible"
-    assert "position 1" in sol.notes[-1]
-
-
-def test_hexagon_solve_respects_given_ranks():
-    inst = SixTermInstance((2, 2, None, 0, 0, 0), ranks=(2, None, None, None, None, None))
-    sol = hexagon_solve(inst)
-    assert sol.status == "determined"
-    assert sol.dims[2] == 0
+def test_hexagon_check_rows_are_fixed():
+    rep = hexagon_check(SixTermInstance((1, 1, 0, 0, 0, 0), ranks=(1, 0, 0, 0, 0, 0)))
+    assert [name for name, _, _ in rep.checks] == [
+        "alternating dimension sum vanishes",
+        *(f"exact at {label}" for label in LES_LABELS),
+    ]
 
 
 @settings(max_examples=30)
 @given(r=st.lists(st.integers(0, 3), min_size=6, max_size=6))
-def test_hexagon_solve_accepts_every_exact_hexagon(r):
+def test_hexagon_check_accepts_every_exact_hexagon(r):
     dims = tuple(r[i - 1] + r[i] for i in range(6))
     inst = SixTermInstance(dims, ranks=tuple(r))
     assert hexagon_check(inst).ok
-    sol = hexagon_solve(SixTermInstance(dims))
-    assert sol.status != "infeasible"
 
 
 def test_window_growth_is_monotone():
@@ -293,5 +291,5 @@ def test_window_growth_is_monotone():
     sizes = []
     for m in range(4):
         window = [(i,) for i in range(-m, m + 1)]
-        sizes.append(node_equivariant_k(datum, kdata, window).total_ranks()[0])
+        sizes.append(GradedKGroup(datum, kdata, window).total_ranks()[0])
     assert sizes == sorted(sizes)
