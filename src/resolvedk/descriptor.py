@@ -8,9 +8,15 @@ Chern tables.  Design points:
 - Every number is a string: integers in canonical decimal ("-3", "0", never
   "+3" or "007"), rationals as "p/q" with positive denominator.  JSON
   numbers are rejected outright so nothing ever passes through a float.
-- Unknown object keys are rejected, everywhere.
+- Unknown object keys are rejected, everywhere, and so is an object that
+  repeats a key.
 - Errors carry the JSON path of the offending value
   ("spaces.0.shifts[0][2][1]: ...").
+- Content-equal sub-objects of one descriptor (groups, homomorphisms,
+  complexes, chain maps, K-data, spaces) become one object, built and
+  checked at their first occurrence, so an error still names the first
+  offending path.  Object key order is part of the content.  Nothing is
+  shared between two parses.
 - Matrices are row-major; shapes are implied by context (a face restriction
   is node-complex -> face-complex) and checked during parsing.
 - `serialize_descriptor(parse_descriptor(text))` is a fixed point:
@@ -19,9 +25,11 @@ Chern tables.  Design points:
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
+from marshal import dumps as _marshal
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import fixtures
@@ -92,11 +100,32 @@ class ActionDescriptor:
 
 
 class _Node:
-    __slots__ = ("value", "path")
+    """A JSON value, where it sits, and the parse's table of built sub-objects.
 
-    def __init__(self, value, path: Tuple = ()):
+    `table` holds the sub-objects built so far in this parse (see
+    `_interned`); children share their parent's table.
+    The path is assembled from the parent chain only when an error needs it.
+    """
+
+    __slots__ = ("value", "parent", "key", "table")
+
+    def __init__(self, value, parent: Optional["_Node"], key, table: Dict[tuple, tuple]):
         self.value = value
-        self.path = path
+        self.parent = parent
+        self.key = key
+        self.table = table
+
+    @property
+    def path(self) -> Tuple:
+        parts = []
+        node = self
+        while node.parent is not None:
+            parts.append(node.key)
+            node = node.parent
+        return tuple(reversed(parts))
+
+    def child(self, key) -> "_Node":
+        return _Node(self.value[key], self, key, self.table)
 
     def fail(self, message: str) -> DescriptorError:
         return DescriptorError(self.path, message)
@@ -104,21 +133,24 @@ class _Node:
     def object(self, required: Sequence[str] = (), optional: Sequence[str] = ()) -> Dict[str, "_Node"]:
         if not isinstance(self.value, dict):
             raise self.fail(f"expected an object, got {type(self.value).__name__}")
-        allowed = set(required) | set(optional)
-        unknown = sorted(set(self.value) - allowed)
-        if unknown:
-            raise self.fail("unknown field(s) " + ", ".join(repr(k) for k in unknown))
-        missing = sorted(set(required) - set(self.value))
-        if missing:
-            raise self.fail("missing field(s) " + ", ".join(repr(k) for k in missing))
-        return {k: _Node(v, self.path + (k,)) for k, v in self.value.items()}
+        if self.value.keys() != set(required):
+            allowed = set(required) | set(optional)
+            unknown = sorted(set(self.value) - allowed)
+            if unknown:
+                raise self.fail("unknown field(s) " + ", ".join(repr(k) for k in unknown))
+            missing = sorted(set(required) - set(self.value))
+            if missing:
+                raise self.fail("missing field(s) " + ", ".join(repr(k) for k in missing))
+        table = self.table
+        return {k: _Node(v, self, k, table) for k, v in self.value.items()}
 
     def array(self, length: Optional[int] = None) -> List["_Node"]:
         if not isinstance(self.value, list):
             raise self.fail(f"expected an array, got {type(self.value).__name__}")
         if length is not None and len(self.value) != length:
             raise self.fail(f"expected {length} entries, got {len(self.value)}")
-        return [_Node(v, self.path + (i,)) for i, v in enumerate(self.value)]
+        table = self.table
+        return [_Node(v, self, i, table) for i, v in enumerate(self.value)]
 
     def string(self) -> str:
         if not isinstance(self.value, str):
@@ -150,32 +182,96 @@ class _Node:
             raise self.fail(str(exc)) from exc
 
 
+def _interned(builder):
+    """Run `builder(node)` once per distinct content of `node` in one parse.
+
+    Later content-equal entries of the same parse share the first one's
+    object, which passed every check that a rebuild would repeat.  The
+    content key is the value's marshal format 2 bytes: that format writes
+    no back-references, so the bytes depend on the content alone, object
+    key order included.
+    """
+
+    @functools.wraps(builder)
+    def build(node: _Node):
+        table = node.table
+        key = (builder, _marshal(node.value, 2))
+        entry = table.get(key)
+        if entry is None:
+            entry = table[key] = (builder(node),)
+        return entry[0]
+
+    return build
+
+
+def _interned_map(builder):
+    """`_interned` for a map `builder(node, source, target)`.
+
+    The key adds the identities of `source` and `target`, and the entry
+    keeps both alive so that neither id is reused while the table lives.
+    (Fixed arguments rather than `*context`: a parse whose table never
+    hits spends measurably less in this wrapper.)
+    """
+
+    @functools.wraps(builder)
+    def build(node: _Node, source, target):
+        table = node.table
+        key = (builder, _marshal(node.value, 2), id(source), id(target))
+        entry = table.get(key)
+        if entry is None:
+            entry = table[key] = (builder(node, source, target), source, target)
+        return entry[0]
+
+    return build
+
+
+def _canonical_ints(value, length: Optional[int]) -> bool:
+    """Whether `value` is an array of `length` canonical integers, checked at C speed."""
+    try:
+        return (
+            type(value) is list
+            and (length is None or len(value) == length)
+            and all(map(_INT_RE.match, value))
+            and "-0" not in value
+        )
+    except TypeError:  # an entry that is not a string
+        return False
+
+
+def _numbers(node: _Node, length: Optional[int] = None, read=_Node.integer) -> List[Exact]:
+    """An array of numbers; entries are read one by one only to locate an error."""
+    if _canonical_ints(node.value, length):
+        return list(map(int, node.value))
+    return [read(e) for e in node.array(length)]
+
+
 def _int_vector(node: _Node, length: Optional[int] = None) -> Tuple[int, ...]:
-    return tuple(e.integer() for e in node.array(length))
+    return tuple(_numbers(node, length))
 
 
 def _rat_matrix(node: _Node, nrows: int, ncols: int) -> RationalMatrix:
-    rows = [[e.rational() for e in row.array(ncols)] for row in node.array(nrows)]
+    rows = [_numbers(row, ncols, _Node.rational) for row in node.array(nrows)]
     return RationalMatrix(rows, ncols=ncols)
 
 
+@_interned
 def _group(node: _Node) -> FgAbGroup:
     fields = node.object(required=("free_rank", "torsion"))
     rank = fields["free_rank"].integer()
-    torsion = [e.integer() for e in fields["torsion"].array()]
+    torsion = _numbers(fields["torsion"])
     return fields["torsion"].build(FgAbGroup, rank, torsion)
 
 
+@_interned_map
 def _hom(node: _Node, domain: FgAbGroup, codomain: FgAbGroup) -> AbHom:
-    rows = [  # noqa: shape errors surface with the row's own path
-        [e.integer() for e in row.array(domain.ngens)] for row in node.array(codomain.ngens)
-    ]
+    rows = [_numbers(row, domain.ngens) for row in node.array(codomain.ngens)]
     return node.build(AbHom, domain, codomain, rows)
 
 
+@_interned
 def _complex(node: _Node) -> CochainComplex:
     fields = node.object(required=("dims", "differentials"))
-    dims = [e.integer() for e in fields["dims"].array()]
+    dims = _numbers(fields["dims"])
     if not dims:
         raise fields["dims"].fail("dimension vector is empty")
     blocks_node = fields["differentials"].array(max(len(dims) - 1, 0))
@@ -185,11 +281,23 @@ def _complex(node: _Node) -> CochainComplex:
     return node.build(CochainComplex, dims, blocks)
 
 
-def _chain_map(node: _Node, source: CochainComplex, target: CochainComplex, degree: int = 0) -> ChainMap:
+def _graded_map(node: _Node, source: CochainComplex, target: CochainComplex, degree: int) -> ChainMap:
     matrix = _rat_matrix(node, target.total_dim, source.total_dim)
     return node.build(ChainMap, source, target, matrix, degree)
 
 
+@_interned_map
+def _chain_map(node: _Node, source: CochainComplex, target: CochainComplex) -> ChainMap:
+    return _graded_map(node, source, target, 0)
+
+
+@_interned_map
+def _shift(node: _Node, source: CochainComplex, target: CochainComplex) -> ChainMap:
+    """A shift operator: a degree-two chain endomorphism."""
+    return _graded_map(node, source, target, 2)
+
+
+@_interned
 def _kdata(node: _Node) -> KData:
     fields = node.object(required=("k0", "k1", "sigma0", "sigma1", "dim_hom"))
     k0 = _group(fields["k0"])
@@ -200,10 +308,11 @@ def _kdata(node: _Node) -> KData:
     return node.build(KData, k0, k1, sigma0, sigma1, dim_hom)
 
 
+@_interned
 def _space(node: _Node) -> NodeSpaceData:
     fields = node.object(required=("complex", "shifts", "k"))
     cx = _complex(fields["complex"])
-    shifts = [_chain_map(e, cx, cx, degree=2) for e in fields["shifts"].array()]
+    shifts = [_shift(e, cx, cx) for e in fields["shifts"].array()]
     kdata = _kdata(fields["k"])
     return node.build(NodeSpaceData, cx, shifts, kdata)
 
@@ -234,7 +343,7 @@ def _corner(node: _Node, face_ab: FaceMaps, face_ag: FaceMaps, face_bg: FaceMaps
         optional=("k0", "sigma0", "into_ab_k", "into_ag_k", "pull_bg_k"),
     )
     cx = _complex(fields["complex"])
-    shifts = [_chain_map(e, cx, cx, degree=2) for e in fields["shifts"].array()]
+    shifts = [_shift(e, cx, cx) for e in fields["shifts"].array()]
     into_ab = _chain_map(fields["into_ab"], face_ab.face.complex, cx)
     into_ag = _chain_map(fields["into_ag"], face_ag.face.complex, cx)
     pull_bg = _chain_map(fields["pull_bg"], face_bg.face.complex, cx)
@@ -323,10 +432,10 @@ def _expected(node: _Node) -> Dict:
             raise table.fail("expected an object keyed by window radius")
         dims = {}
         for key in table.value:
-            entry = _Node(table.value[key], table.path + (key,))
+            entry = table.child(key)
             if not _INT_RE.match(key) or key.startswith("-"):
                 raise entry.fail(f"radius key must be a nonnegative integer, got {key!r}")
-            dims[key] = [e.integer() for e in entry.array(2)]
+            dims[key] = _numbers(entry, 2)
         out[_EXPECTED_DIM_KEY] = dims
     for key in _EXPECTED_TEXT_KEYS:
         if key in fields:
@@ -337,13 +446,47 @@ def _expected(node: _Node) -> Dict:
     return out
 
 
-def parse_descriptor(text: str) -> ActionDescriptor:
-    """Parse and structurally validate a descriptor file."""
+def _load_json(text: str):
+    """Decode JSON, rejecting any object that repeats a key, at that object's path."""
+    repeated: Dict[int, str] = {}
+
+    def make_object(pairs: List[Tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            seen: set = set()
+            repeated[id(obj)] = next(k for k, _ in pairs if k in seen or seen.add(k))
+        return obj
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=make_object)
     except json.JSONDecodeError as exc:
         raise DescriptorError((), f"not valid JSON: {exc}") from exc
-    root = _Node(raw)
+    if repeated:
+        path, key = _first_repeat(raw, (), repeated)
+        raise DescriptorError(path, f"duplicate key {key!r}")
+    return raw
+
+
+def _first_repeat(value, path: Tuple, repeated: Mapping[int, str]):
+    """Path and key of the first object, in document order, that repeats a key."""
+    if isinstance(value, dict):
+        if id(value) in repeated:
+            return path, repeated[id(value)]
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return None
+    for key, child in children:
+        found = _first_repeat(child, path + (key,), repeated)
+        if found is not None:
+            return found
+    return None
+
+
+def parse_descriptor(text: str) -> ActionDescriptor:
+    """Parse and structurally validate a descriptor file."""
+    root = _Node(_load_json(text), None, None, {})
     fields = root.object(
         required=("format", "version", "group", "tree", "windows", "spaces", "faces"),
         optional=("corners", "bundles", "chern", "notes", "expected"),
@@ -363,8 +506,8 @@ def parse_descriptor(text: str) -> ActionDescriptor:
         raise nodes_node.fail("expected an object of node data")
     datums: Dict[str, SubgroupDatum] = {}
     for raw_label in nodes_node.value:
-        entry = _Node(nodes_node.value[raw_label], nodes_node.path + (raw_label,))
-        label = _label(_Node(raw_label, entry.path))
+        entry = nodes_node.child(raw_label)
+        label = _label(_Node(raw_label, entry.parent, entry.key, entry.table))
         node_fields = entry.object(required=("target", "restriction", "kernel_basis"))
         target = _group(node_fields["target"])
         restriction = _hom(node_fields["restriction"], ambient, target)
@@ -384,7 +527,7 @@ def parse_descriptor(text: str) -> ActionDescriptor:
         raise face_ids_node.fail("expected an object of face names")
     face_ids = {}
     for raw_key in face_ids_node.value:
-        entry = _Node(face_ids_node.value[raw_key], face_ids_node.path + (raw_key,))
+        entry = face_ids_node.child(raw_key)
         face_ids[_pair_key(entry, raw_key)] = entry.string()
 
     corner_chains = []
@@ -406,7 +549,7 @@ def parse_descriptor(text: str) -> ActionDescriptor:
             raise node.fail(f"expected an object of per-node {what}")
         out = {}
         for raw_label in node.value:
-            entry = _Node(node.value[raw_label], node.path + (raw_label,))
+            entry = node.child(raw_label)
             if raw_label not in datums:
                 raise entry.fail(f"unknown node {raw_label!r}")
             out[raw_label] = entry
@@ -429,7 +572,7 @@ def parse_descriptor(text: str) -> ActionDescriptor:
         raise faces_node.fail("expected an object of face data")
     faces: Dict[Tuple[str, str], FaceMaps] = {}
     for raw_key in faces_node.value:
-        entry = _Node(faces_node.value[raw_key], faces_node.path + (raw_key,))
+        entry = faces_node.child(raw_key)
         pair = _pair_key(entry, raw_key)
         if pair not in tree.order:
             raise entry.fail(f"nodes {pair[0]!r}, {pair[1]!r} are not comparable")
@@ -446,7 +589,7 @@ def parse_descriptor(text: str) -> ActionDescriptor:
         if not isinstance(corners_node.value, dict):
             raise corners_node.fail("expected an object of corner data")
         for raw_key in corners_node.value:
-            entry = _Node(corners_node.value[raw_key], corners_node.path + (raw_key,))
+            entry = corners_node.child(raw_key)
             chain = _chain_key(entry, raw_key)
             if chain not in tree.corner_chains:
                 raise entry.fail(f"chain {raw_key!r} is not declared in the tree")
@@ -459,12 +602,12 @@ def parse_descriptor(text: str) -> ActionDescriptor:
         if not isinstance(bundles_node.value, dict):
             raise bundles_node.fail("expected an object of bundles")
         for name in bundles_node.value:
-            per_node = _Node(bundles_node.value[name], bundles_node.path + (name,))
+            per_node = bundles_node.child(name)
             if not isinstance(per_node.value, dict):
                 raise per_node.fail("expected an object keyed by node label")
             table: Dict[str, Dict[Tuple[int, ...], Tuple[int, ...]]] = {}
             for label in per_node.value:
-                entry = _Node(per_node.value[label], per_node.path + (label,))
+                entry = per_node.child(label)
                 if label not in datums:
                     raise entry.fail(f"unknown node {label!r}")
                 k0 = spaces[label].kdata.k0
@@ -485,7 +628,7 @@ def parse_descriptor(text: str) -> ActionDescriptor:
         for label, entry in per_node_objects(fields["chern"], "Chern data").items():
             total = spaces[label].complex.total_dim
             reps[label] = [
-                tuple(e.rational() for e in vec.array(total))
+                tuple(_numbers(vec, total, _Node.rational))
                 for vec in entry.array()
             ]
         chern = ChernData(reps)

@@ -250,7 +250,8 @@ def hexagon_check(h: SixTermInstance) -> ValidationReport:
     """Exactness verdict for a hexagon of known dimensions and ranks.
 
     One row for the alternating dimension sum, then one row per position i
-    for dims[i] = ranks[i-1] + ranks[i] with ranks[i] <= min(dims[i], dims[i+1]).
+    for dims[i] = ranks[i-1] + ranks[i] with ranks[i] <= min(dims[i], dims[i+1]);
+    a failing row's detail names each of the two conditions that fails.
     """
     rep = ValidationReport()
     alt = h.alternating_sum()
@@ -260,14 +261,14 @@ def hexagon_check(h: SixTermInstance) -> ValidationReport:
         "" if alt == 0 else f"sum = {alt}",
     )
     for i in range(6):
-        need = h.ranks[i - 1] + h.ranks[i]
-        ok = need == h.dims[i] and h.ranks[i] <= min(h.dims[i], h.dims[(i + 1) % 6])
-        rep.add(
-            f"exact at {h.labels[i]}",
-            ok,
-            "" if ok else
-            f"dim {h.dims[i]} != rank-in {h.ranks[i - 1]} + rank-out {h.ranks[i]}",
-        )
+        dim, rank_in, rank_out = h.dims[i], h.ranks[i - 1], h.ranks[i]
+        next_dim = h.dims[(i + 1) % 6]
+        faults = []
+        if rank_in + rank_out != dim:
+            faults.append(f"dim {dim} != rank-in {rank_in} + rank-out {rank_out}")
+        if rank_out > min(dim, next_dim):
+            faults.append(f"rank-out {rank_out} > min(dim {dim}, next dim {next_dim})")
+        rep.add(f"exact at {h.labels[i]}", not faults, "; ".join(faults))
     return rep
 
 

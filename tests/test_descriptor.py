@@ -1,10 +1,12 @@
 """Descriptor schema: exact round-trips, strictness, path-precise errors."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
-from resolvedk import fixtures
+from resolvedk import descriptor, fixtures
 from resolvedk.deloc import assemble_complex, deloc_cohomology
 from resolvedk.descriptor import (
     DescriptorError,
@@ -278,3 +280,132 @@ def test_product_fixture_matches_speed_two_dimensions():
     a = deloc_cohomology(assemble_complex(prod, radius=1))
     b = deloc_cohomology(assemble_complex(speed, radius=1))
     assert (a.even, a.odd) == (b.even, b.odd) == (10, 0)
+
+
+# -- one object per distinct content within a parse ---------------------------------
+
+
+def _fixture_texts():
+    return [
+        serialize_descriptor(generate_fixture(name, params))
+        for name, params in (
+            ("sphere_rotation", None),
+            ("sphere_rotation_speed", {"n": 3}),
+            ("product_trivial", {"torsion": [2]}),
+            ("projective_plane", None),
+        )
+    ]
+
+
+def _space_entries(doc, action):
+    """(JSON, parsed object) for every node space and face space."""
+    out = [(doc["spaces"][label], action.spaces[label]) for label in action.spaces]
+    for (a, b), face in action.faces.items():
+        out.append((doc["faces"][f"{a}<{b}"]["space"], face.face))
+    return out
+
+
+@pytest.mark.parametrize("text", _fixture_texts())
+def test_content_equal_spaces_are_one_object(text):
+    desc = parse_descriptor(text)
+    assert serialize_descriptor(desc) == text
+    entries = _space_entries(json.loads(text), desc.action)
+    by_content = {}
+    for doc, space in entries:
+        by_content.setdefault(json.dumps(doc), set()).add(id(space))
+    assert all(len(ids) == 1 for ids in by_content.values())
+    assert len({id(space) for _, space in entries}) == len(by_content) < len(entries)
+
+
+def test_equal_matrices_under_different_groups_are_distinct_homs():
+    doc = json.loads(MINIMAL)
+    z2 = {"free_rank": "0", "torsion": ["2"]}
+    doc["group"] = z2
+    doc["tree"]["nodes"]["n"]["target"] = dict(z2)
+    desc = parse_doc(doc)
+    restriction = desc.action.tree.nodes["n"].restriction
+    dim_hom = desc.action.spaces["n"].kdata.dim_hom
+    assert restriction.matrix == dim_hom.matrix
+    assert restriction is not dim_hom
+    assert restriction.domain.torsion == (2,) and dim_hom.domain.torsion == ()
+
+
+def test_broken_copy_of_a_repeated_space_fails_at_its_own_path():
+    doc = sphere_doc()
+    # space entries in the order the parser reads them
+    paths = [("spaces", label) for label in doc["spaces"]]
+    paths += [("faces", key, "space") for key in doc["faces"]]
+
+    def at(d, path):
+        for part in path:
+            d = d[part]
+        return d
+
+    first, second = next(
+        (p, q) for i, p in enumerate(paths) for q in paths[i + 1:] if at(doc, p) == at(doc, q)
+    )
+    for path in (second, first):
+        broken = json.loads(json.dumps(doc))
+        at(broken, path)["complex"]["dims"][0] = "01"
+        with pytest.raises(DescriptorError) as err:
+            parse_doc(broken)
+        assert err.value.path == path + ("complex", "dims", 0)
+
+
+def test_parses_share_nothing_and_release_their_objects(monkeypatch):
+    class Tracked(descriptor.NodeSpaceData):
+        __slots__ = ("__weakref__",)
+
+    monkeypatch.setattr(descriptor, "NodeSpaceData", Tracked)
+    text = serialize_descriptor(fixtures.projective_plane())
+    first, second = parse_descriptor(text), parse_descriptor(text)
+
+    def parts(action):
+        spaces = [s for _, s in _space_entries(json.loads(text), action)]
+        kdata = [s.kdata for s in spaces]
+        homs = [k.dim_hom for k in kdata] + [h for k in kdata for h in k.sigma0]
+        return {id(x) for x in spaces + kdata + homs + [s.complex for s in spaces]}
+
+    assert not parts(first.action) & parts(second.action)
+    refs = [weakref.ref(s) for s in first.action.spaces.values()]
+    del first
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert second.action.validate(1).ok
+
+
+def test_plane_builds_one_space_and_one_hom_per_distinct_content(monkeypatch):
+    spaces, homs, hom_entries = [], [], []
+
+    def counting(record, cls):
+        def build(*args, **kwargs):
+            obj = cls(*args, **kwargs)
+            record.append(obj)
+            return obj
+        return build
+
+    monkeypatch.setattr(descriptor, "NodeSpaceData", counting(spaces, descriptor.NodeSpaceData))
+    monkeypatch.setattr(descriptor, "AbHom", counting(homs, descriptor.AbHom))
+    monkeypatch.setattr(descriptor, "_hom", counting(hom_entries, descriptor._hom))
+    text = serialize_descriptor(fixtures.projective_plane())
+    action = parse_descriptor(text).action
+    assert len(spaces) == 4 < len(_space_entries(json.loads(text), action)) == 11
+    # a hom's context is the identity of its groups, themselves one object
+    # per content
+    assert len({(id(h.domain), id(h.codomain), h.matrix) for h in homs}) == len(homs)
+    assert len(homs) < len(hom_entries)
+
+
+# -- duplicate object keys -----------------------------------------------------------
+
+
+def test_rejects_duplicate_keys_with_path():
+    text = MINIMAL.replace('"format": "resolvedk-action"', '"format": "12345", "format": "resolvedk-action"')
+    with pytest.raises(DescriptorError, match="^duplicate key 'format'$"):
+        parse_descriptor(text)
+
+    text = MINIMAL.replace('"shifts": []', '"shifts": [], "shifts": []')
+    with pytest.raises(DescriptorError) as err:
+        parse_descriptor(text)
+    assert err.value.path == ("spaces", "n")
+    assert str(err.value) == "spaces.n: duplicate key 'shifts'"

@@ -264,6 +264,18 @@ def test_hexagon_check_refutes_impossible_dims():
     assert "dim 1 != rank-in 0 + rank-out 0" in details["exact at even relative"]
 
 
+def test_hexagon_check_names_the_condition_that_fails():
+    rep = hexagon_check(SixTermInstance((1, 0, 1, 0, 0, 0), ranks=(0, 0, 1, 0, 0, 0)))
+    details = dict(rep.failures())
+    # the sum holds at the even quotient; only the rank bound fails there
+    assert details["exact at even quotient"] == "rank-out 1 > min(dim 1, next dim 0)"
+    assert details["exact at even relative"] == "dim 1 != rank-in 0 + rank-out 0"
+    rep = hexagon_check(SixTermInstance((0,) * 6, ranks=(1, 0, 0, 0, 0, 0)))
+    assert dict(rep.failures())["exact at even relative"] == (
+        "dim 0 != rank-in 0 + rank-out 1; rank-out 1 > min(dim 0, next dim 0)"
+    )
+
+
 def test_hexagon_check_odd_alternating_sum_fails():
     rep = hexagon_check(SixTermInstance((1, 0, 0, 0, 0, 0), ranks=(0,) * 6))
     assert not rep.ok
