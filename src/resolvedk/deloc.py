@@ -21,6 +21,12 @@ constraint and differential matrices.  The sectors of one assembled complex
 keyed by content, so each distinct sector's cohomology and each distinct
 sector six-term sequence of a pruning step is computed once per assembled
 complex.  The table lives in the sectors and is freed with them.
+
+A batch of vectors is a `RationalMatrix` whose columns are the vectors:
+class coordinates, the maps of a six-term sequence, membership checks and
+Chern cocycles are matrices, and `RationalMatrix.apply` is the one
+single-vector operation (kept for the connecting map's lifts and the Chern
+data check).
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from .ratmat import (
     Exact,
     QuotientSpace,
     RationalMatrix,
-    exact,
     nullspace_basis,
     rank,
     rref,
@@ -47,10 +52,6 @@ from .report import ValidationReport
 
 
 # -- small exact-linear-algebra helpers and character exponentials --------------
-
-
-def _select(vec: Sequence, idx: Sequence[int]) -> Tuple:
-    return tuple(vec[i] for i in idx)
 
 
 def _shared(table: Dict, key: Tuple, build: Callable):
@@ -131,8 +132,8 @@ class TwoPeriodicComplex:
                 raise ArithmeticError("boundary escaped the cocycle space") from exc
         return self._class[p]
 
-    def class_coords(self, vecs: Sequence[Sequence], parity: int) -> List[Tuple[Fraction, ...]]:
-        """Cohomology-class coordinates of each cocycle in `vecs`."""
+    def class_coords(self, vecs: RationalMatrix, parity: int) -> RationalMatrix:
+        """Cohomology-class coordinates of each cocycle column of `vecs`, as columns."""
         try:
             return self._class_space(parity).coords(vecs)
         except ValueError as exc:
@@ -186,16 +187,16 @@ class SectorComplex:
             )
         return self._two
 
-    def membership_failure(self, vec: Sequence) -> Optional[str]:
-        """None if the vector satisfies every constraint, else a diagnostic."""
-        res = self.constraint.apply(vec)
-        for i, x in enumerate(res):
-            if x != 0:
-                for desc, _, start, stop in self.row_origins:
-                    if start <= i < stop:
-                        return desc
-                return f"constraint row {i}"
-        return None
+    def membership_failure(self, cols: RationalMatrix) -> Optional[str]:
+        """None if every column meets every constraint, else the face of the first failing row."""
+        failing = (i for i, row in enumerate((self.constraint @ cols).sparse_rows()) if row)
+        i = next(failing, None)
+        if i is None:
+            return None
+        for desc, _, start, stop in self.row_origins:
+            if start <= i < stop:
+                return desc
+        return f"constraint row {i}"
 
     def select(self, keep: Callable[[str, Character], bool]) -> "SectorComplex":
         """The sector on the blocks whose (node, window character) passes `keep`.
@@ -572,30 +573,23 @@ def _les_of(two_a: TwoPeriodicComplex, two_b: TwoPeriodicComplex, emb, q_idx, sh
 
     maps = {}
     for p in (0, 1):
-        # induced inclusion on cohomology
+        # induced inclusion and projection on cohomology
         ra = _placed_rows(two_a.class_representatives(p), emb, total)
-        cols = two_b.class_coords(ra.columns(), p)
-        maps[("incl", p)] = RationalMatrix.from_columns(cols, nrows=two_b.h_dim(p))
-        # induced projection on cohomology
+        maps[("incl", p)] = two_b.class_coords(ra, p)
         rb = two_b.class_representatives(p).submatrix(q_idx)
-        cols = two_q.class_coords(rb.columns(), p)
-        maps[("proj", p)] = RationalMatrix.from_columns(cols, nrows=two_q.h_dim(p))
+        maps[("proj", p)] = two_q.class_coords(rb, p)
         # connecting map: lift each quotient cocycle, apply the differential,
-        # pull the result back into the sub sector
+        # pull the images back into the sub sector
         vb = two_b.basis(p)
         lifts = solve(vb.submatrix(q_idx), two_q.class_representatives(p).columns())
         if None in lifts:
             raise ArithmeticError("quotient cocycle has no total-space lift")
-        backs = []
-        for x in lifts:
-            image = two_b.d.apply(vb.apply(x))
-            if any(image[i] != 0 for i in q_idx):
-                raise ArithmeticError("connecting image does not vanish on the quotient")
-            backs.append(_select(image, emb))
-        cols = two_a.class_coords(backs, (p + 1) % 2)
-        maps[("conn", p)] = RationalMatrix.from_columns(
-            cols, nrows=two_a.h_dim((p + 1) % 2)
+        images = RationalMatrix.from_columns(
+            [two_b.d.apply(vb.apply(x)) for x in lifts], nrows=total
         )
+        if not images.submatrix(q_idx).is_zero():
+            raise ArithmeticError("connecting image does not vanish on the quotient")
+        maps[("conn", p)] = two_a.class_coords(images.submatrix(emb), (p + 1) % 2)
 
     dims = (
         two_a.h_dim(0), two_b.h_dim(0), two_q.h_dim(0),
@@ -725,7 +719,7 @@ def chern_character(
 
     vectors = {}
     for chi, sec in assembled.sectors.items():
-        vec = [0] * sec.total
+        entries: Dict[int, Exact] = {}
         for label, khat, s0, s1 in sec.blocks:
             cls = bundles[label].table.get(assembled.lift(label, khat))
             if cls is None:
@@ -734,18 +728,20 @@ def chern_character(
             for coeff, representative in zip(cls, reps):
                 if coeff:
                     for i, x in enumerate(representative):
-                        vec[s0 + i] += coeff * x
-        if any(sec.diff.apply(vec)):
+                        if x:
+                            entries[s0 + i] = entries.get(s0 + i, 0) + coeff * x
+        col = RationalMatrix.from_row_maps([entries], sec.total).transpose()
+        if not (sec.diff @ col).is_zero():
             raise ValueError(
                 f"Chern cocycle of {name!r} is not closed in sector {chi.coords}"
             )
-        bad = sec.membership_failure(vec)
+        bad = sec.membership_failure(col)
         if bad is not None:
             raise ValueError(
                 f"Chern cocycle of {name!r} breaks compatibility in sector "
                 f"{chi.coords}: {bad}"
             )
-        vectors[chi] = tuple(map(exact, vec))
+        vectors[chi] = col.column(0)
     return ChernCocycle(assembled, name, vectors)
 
 
@@ -815,11 +811,10 @@ def compare_ranks(
 class WindowScan:
     """Dimensions across a sequence of window radii."""
 
-    __slots__ = ("rows", "support_bound", "stabilized")
+    __slots__ = ("rows", "stabilized")
 
-    def __init__(self, rows, support_bound, stabilized):
+    def __init__(self, rows, stabilized):
         self.rows = rows            # (radius, even, odd)
-        self.support_bound = support_bound
         self.stabilized = stabilized
 
     def __repr__(self) -> str:
@@ -830,7 +825,6 @@ def window_stabilization(
     action: ResolvedAction,
     radii: Sequence[int],
     prune: Sequence[str] = (),
-    support_bound: Optional[int] = None,
 ) -> WindowScan:
     """Scan dimensions over growing windows and flag stabilization.
 
@@ -838,9 +832,8 @@ def window_stabilization(
     reads its complex from that one by selection (`AssembledComplex.at_radius`);
     the checks a fresh assembly makes run for each radius in the given order
     first, so a failing input raises the error its first failing radius
-    would.  With a declared support bound, stabilization means all
-    dimensions for radii at or past the bound agree; otherwise the last two
-    rows are compared.
+    would.  Stabilization compares the last two rows; with fewer rows it
+    is None.
     """
     radii = list(radii)
     rows = []
@@ -856,10 +849,5 @@ def window_stabilization(
         for r in radii:
             dims = deloc_cohomology(top.at_radius(r, windows[r]))
             rows.append((r, dims.even, dims.odd))
-    stabilized: Optional[bool] = None
-    if support_bound is not None:
-        tail = [(e, o) for r, e, o in rows if r >= support_bound]
-        stabilized = len(tail) >= 1 and len(set(tail)) == 1
-    elif len(rows) >= 2:
-        stabilized = rows[-1][1:] == rows[-2][1:]
-    return WindowScan(tuple(rows), support_bound, stabilized)
+    stabilized = rows[-1][1:] == rows[-2][1:] if len(rows) >= 2 else None
+    return WindowScan(tuple(rows), stabilized)

@@ -304,7 +304,8 @@ def _kdata(node: _Node) -> KData:
     k1 = _group(fields["k1"])
     sigma0 = [_hom(e, k0, k0) for e in fields["sigma0"].array()]
     sigma1 = [_hom(e, k1, k1) for e in fields["sigma1"].array()]
-    dim_hom = _hom(fields["dim_hom"], k0, FgAbGroup.free(1))
+    # one codomain object, so content-equal dimension homs are interned as one
+    dim_hom = _hom(fields["dim_hom"], k0, fixtures.Z)
     return node.build(KData, k0, k1, sigma0, sigma1, dim_hom)
 
 

@@ -5,8 +5,12 @@ not: never a `float`, and never a `Fraction` with denominator 1.  The
 matrices the assembly builds are integral, so their kernels run on plain
 ints and make no `Fraction` at all; since an int and the equal Fraction
 compare and hash equal, matrices built either way are equal.  Every public
-accessor (`row`, `columns`, `entries`, `sparse_rows`, `apply`, `solve`,
-indexing) returns entries in that form.  The same type carries the integer
+accessor (`row`, `column`, `columns`, `entries`, `sparse_rows`, indexing)
+and every result (`apply`, `solve`, products) holds entries in that form.
+A batch of vectors is a matrix whose columns are the vectors: products,
+`submatrix`, `is_zero` and `QuotientSpace.coords` act on the whole batch,
+and `apply` is the one single-vector operation (`solve` still takes and
+returns its right-hand sides as a list).  The same type carries the integer
 matrices of `fgab` (hom matrices, relation matrices, Smith transforms): an
 integer matrix is one whose entries are all ints, and `fgab` applies it to
 int vectors over its `sparse_rows` itself.
@@ -480,8 +484,8 @@ class QuotientSpace:
     sub-basis is independent) and the pivot count must be `span.ncols` (the
     span columns are a basis containing span(sub)).  The representatives are
     the `span` columns whose pivots come after `sub`, chosen greedily in
-    column order; `coords` gives the representative part of a vector written
-    in the basis `[sub | representatives]`.
+    column order; `coords` gives the representative part of each column of
+    a matrix written in the basis `[sub | representatives]`.
     """
 
     __slots__ = ("dim", "representatives", "_proj", "_outside")
@@ -514,13 +518,14 @@ class QuotientSpace:
             tuple(_ride_along(row, width) for row in rows[len(pivots):]), n
         )
 
-    def coords(self, vecs: Sequence[Sequence]) -> List[Tuple[Exact, ...]]:
-        """Class coordinates of each vector in `vecs`; each must lie in the span.
+    def coords(self, vecs: RationalMatrix) -> RationalMatrix:
+        """Class coordinates of the columns of `vecs`, as the columns of a `dim`-row matrix.
 
-        The vectors are stacked as the columns of one matrix, so the check and
-        the coordinates are two sparse products for the whole batch.
+        Every column must lie in the span.  The check and the coordinates are
+        two sparse products for the whole batch.
         """
-        stacked = RationalMatrix.from_columns(vecs, nrows=self._proj.ncols)
-        if not (self._outside @ stacked).is_zero():
+        if vecs.nrows != self._proj.ncols:
+            raise ValueError(f"batch nrows disagrees: {vecs.nrows} != {self._proj.ncols}")
+        if not (self._outside @ vecs).is_zero():
             raise ValueError("vector is not in the span")
-        return list((self._proj @ stacked).columns())
+        return self._proj @ vecs

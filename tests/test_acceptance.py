@@ -212,7 +212,7 @@ def test_criterion_7_chern_compatibility():
             for chi, vec in cocycle.vectors.items():
                 sec = cocycle.assembled.sectors[chi]
                 assert (sec.diff @ sec.diff.from_columns([list(vec)])).is_zero()
-                assert sec.membership_failure(list(vec)) is None
+                assert sec.membership_failure(sec.diff.from_columns([list(vec)])) is None
             bundles_checked += 1
     assert bundles_checked >= 5
     _passed(7, "Chern compatibility", f"{bundles_checked} bundles closed and compatible")

@@ -8,8 +8,11 @@ layer is called, so a change that takes a layer (`fgab.smith_normal_form`,
 `chargroup.kernel_coordinates`, `RationalMatrix.apply`, ...) off the
 production path fails the test suite, not only the benchmark run.
 
-`window_scan` is left out: its reduced build has no `stabilize` operation,
-so it never reaches `deloc.cocycles`, which its full build does.
+`window_scan`'s reduced build has no `stabilize` operation, so it never
+reaches `deloc.cocycles`, which its full build does; its traced pass is
+checked for `RationalMatrix.apply` only, the layer `run._derived` needs
+called to give it a `useful_ratio`, so a change that drops the last apply
+call fails here instead of crashing `--trace 1`.
 The perfbench modules are imported as they are and not changed.
 """
 
@@ -34,8 +37,8 @@ def bench(monkeypatch):
     return run, workloads, oracle, tracer
 
 
-@pytest.mark.parametrize("workload", ["verify_fixtures", "random_sections"])
-def test_reduced_workload_reaches_every_layer(bench, workload, tmp_path):
+def _traced_summary(bench, workload, tmp_path):
+    """The derived tracer summary of one correct traced pass of the reduced workload."""
     run, workloads, oracle, tracer_module = bench
     rk = run.load_program()
     record = oracle.load_digests()
@@ -50,6 +53,19 @@ def test_reduced_workload_reaches_every_layer(bench, workload, tmp_path):
         tracer.uninstall()
     assert tally.attempted == len(ops) > 0
     assert tally.failed == 0, tally.problems
-    summary = tracer.summary()
+    return run._derived(tracer.summary())
+
+
+@pytest.mark.parametrize("workload", ["verify_fixtures", "random_sections"])
+def test_reduced_workload_reaches_every_layer(bench, workload, tmp_path):
+    run = bench[0]
+    summary = _traced_summary(bench, workload, tmp_path)
     missing = [name for name in run.MUST_REACH[workload] if summary[name]["calls"] == 0]
     assert not missing, f"{workload} recorded no call to {missing}"
+
+
+def test_reduced_window_scan_calls_apply(bench, tmp_path):
+    summary = _traced_summary(bench, "window_scan", tmp_path)
+    apply = summary["ratmat.apply"]
+    assert apply["calls"] > 0
+    assert "useful_ratio" in apply

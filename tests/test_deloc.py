@@ -452,8 +452,42 @@ def test_membership_failure_names_the_face():
     vec = [0] * sec.total
     s0, _ = sec.spans[("0", Character(TRIV, ()))]
     vec[s0] = 1
-    assert "face 0<N" in sec.membership_failure(vec)
-    assert sec.membership_failure([0] * sec.total) is None
+    assert "face 0<N" in sec.membership_failure(RationalMatrix.from_columns([vec]))
+    assert sec.membership_failure(RationalMatrix.zeros(sec.total, 1)) is None
+
+
+def test_membership_failure_of_a_batch_names_the_first_failing_row():
+    # radius 0 on the sphere: row 0 is face 0<N (x0 = xN), row 1 is face 0<S
+    sphere = sphere_rotation()
+    (sec,) = assemble_complex(sphere, radius=0).sectors.values()
+    n0, _ = sec.spans[("N", Character(Z, (0,)))]
+    s0, _ = sec.spans[("S", Character(Z, (0,)))]
+    eye = RationalMatrix.identity(sec.total)
+    # the first failing column breaks face 0<S, but face 0<N is the earlier row
+    assert "face 0<N" in sec.membership_failure(eye.submatrix(range(sec.total), [s0, n0]))
+    assert "face 0<S" in sec.membership_failure(eye.submatrix(range(sec.total), [s0]))
+    for p in (0, 1):
+        assert sec.membership_failure(sec.basis(p)) is None
+
+
+def test_class_coords_refuses_a_non_cocycle():
+    asm = assemble_complex(sphere_rotation_speed(3), radius=1)
+    found = 0
+    for sec in asm.sectors.values():
+        two = sec.two_periodic
+        for p in (0, 1):
+            basis = two.basis(p)
+            image = two.d @ basis
+            for j in range(basis.ncols):
+                if any(image.column(j)):
+                    # a cocycle column first, then one the differential moves
+                    batch = RationalMatrix.from_columns(
+                        [two.cocycles(p).column(0), basis.column(j)], nrows=basis.nrows
+                    )
+                    with pytest.raises(ArithmeticError, match="^vector is not a cocycle of the subcomplex$"):
+                        two.class_coords(batch, p)
+                    found += 1
+    assert found > 0
 
 
 def test_assembly_dimensions_independent_of_sections():
@@ -665,10 +699,9 @@ def test_class_space_is_one_elimination(monkeypatch):
             z, bnd = two.cocycles(p), two.boundaries(p)
             calls.clear()
             reps = two.class_representatives(p)
-            assert two.class_coords(reps.columns(), p) == \
-                list(RationalMatrix.identity(two.h_dim(p)).columns())
-            assert all(not any(c) for c in two.class_coords(bnd.columns(), p))
-            assert len(two.class_coords(z.columns(), p)) == z.ncols
+            assert two.class_coords(reps, p) == RationalMatrix.identity(two.h_dim(p))
+            assert two.class_coords(bnd, p).is_zero()
+            assert two.class_coords(z, p).ncols == z.ncols
             assert len(calls) == 1
             spaces += reps.ncols > 0
     assert spaces > 0
@@ -908,7 +941,7 @@ def test_window_scan_shows_linear_growth_without_stabilization():
 
 def test_window_scan_stabilizes_on_finite_duals():
     act = free_circle_action()
-    scan = window_stabilization(act, radii=(0, 1, 2), support_bound=0)
+    scan = window_stabilization(act, radii=(0, 1, 2))
     assert scan.rows == ((0, 1, 1), (1, 1, 1), (2, 1, 1))
     assert scan.stabilized is True
 

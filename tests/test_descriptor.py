@@ -396,6 +396,18 @@ def test_plane_builds_one_space_and_one_hom_per_distinct_content(monkeypatch):
     assert len(homs) < len(hom_entries)
 
 
+def test_plane_shares_dimension_homs_of_equal_content():
+    # every K-data's dimension hom has one codomain object, so two with the
+    # same K0 object and the same matrix are one interned hom
+    text = serialize_descriptor(fixtures.projective_plane())
+    action = parse_descriptor(text).action
+    dim_homs = {}
+    for _, space in _space_entries(json.loads(text), action):
+        hom = space.kdata.dim_hom
+        dim_homs.setdefault((id(hom.domain), hom.matrix), set()).add(id(hom))
+    assert [len(ids) for ids in dim_homs.values()] == [1, 1]
+
+
 # -- duplicate object keys -----------------------------------------------------------
 
 

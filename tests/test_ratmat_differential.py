@@ -107,7 +107,7 @@ def test_inverse_matches_sympy(seed):
         return
     q = QuotientSpace(RationalMatrix.zeros(n, 0), mat)
     assert q.representatives == mat
-    inv = RationalMatrix.from_columns(q.coords(RationalMatrix.identity(n).columns()), nrows=n)
+    inv = q.coords(RationalMatrix.identity(n))
     assert inv.to_lists() == _back(_sym(mat).inv())
 
 
@@ -122,17 +122,19 @@ def test_quotient_space_matches_sympy(seed):
     b = RationalMatrix.from_columns(_column_basis(z @ combos), nrows=n)
     q = QuotientSpace(b, z)
     assert q.dim == _sym(z).rank() - _sym(b).rank() == q.representatives.ncols
-    assert all(not any(c) for c in q.coords(b.columns()))
-    assert q.coords(q.representatives.columns()) == list(RationalMatrix.identity(q.dim).columns())
+    assert q.coords(b).is_zero()
+    assert q.coords(q.representatives) == RationalMatrix.identity(q.dim)
     u, v = (z.apply(_vec(rng, z.ncols)) for _ in range(2))
     s = _entry(rng)
-    cu, cv, cw = q.coords([u, v, tuple(x + s * y for x, y in zip(u, v))])
+    cu, cv, cw = q.coords(
+        RationalMatrix.from_columns([u, v, tuple(x + s * y for x, y in zip(u, v))], nrows=n)
+    ).columns()
     assert cw == tuple(x + s * y for x, y in zip(cu, cv))
     if z.ncols < n:
         outside = next(e for e in RationalMatrix.identity(n).columns()
                        if _sym(z).row_join(sympy.Matrix(n, 1, list(e))).rank() > z.ncols)
         with pytest.raises(ValueError):
-            q.coords([outside])
+            q.coords(RationalMatrix.from_columns([outside]))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -207,19 +209,19 @@ def test_sparse_quotient_space_matches_sympy(seed, shape):
     b, z = _sub_and_span(rng, m, n)
     q = QuotientSpace(b, z)
     assert q.dim == len(_sym(z).rref()[1]) - len(_sym(b).rref()[1]) == q.representatives.ncols
-    assert all(not any(c) for c in q.coords(b.columns()))
-    assert q.coords(q.representatives.columns()) == list(RationalMatrix.identity(q.dim).columns())
+    assert q.coords(b).is_zero()
+    assert q.coords(q.representatives) == RationalMatrix.identity(q.dim)
     # coordinates in the basis [b | representatives], solved by sympy
     basis = _sym(b).row_join(_sym(q.representatives))
     vecs = [z.apply(_vec(rng, z.ncols)) for _ in range(3)]
-    for v, got in zip(vecs, q.coords(vecs)):
+    for v, got in zip(vecs, q.coords(RationalMatrix.from_columns(vecs)).columns()):
         sol, params = basis.gauss_jordan_solve(_sym(RationalMatrix.from_columns([v])))
         assert params.rows == 0
         assert list(got) == [row[0] for row in _back(sol)][b.ncols:]
     outside = next(e for e in RationalMatrix.identity(n).columns()
                    if _sym(z).row_join(sympy.Matrix(n, 1, list(e))).rank() > z.ncols)
     with pytest.raises(ValueError):
-        q.coords([outside])
+        q.coords(RationalMatrix.from_columns([outside]))
 
 
 @pytest.mark.parametrize("seed", SPARSE_SEEDS)
@@ -235,5 +237,5 @@ def test_results_do_not_depend_on_row_order(seed):
     sub, span = _sub_and_span(rng, 20, 30)
     amb = rng.sample(range(30), 30)
     moved = QuotientSpace(sub.submatrix(amb), span.submatrix(amb))
-    vecs = [span.apply(_vec(rng, span.ncols)) for _ in range(3)]
-    assert moved.coords([[v[i] for i in amb] for v in vecs]) == QuotientSpace(sub, span).coords(vecs)
+    vecs = RationalMatrix.from_columns([span.apply(_vec(rng, span.ncols)) for _ in range(3)])
+    assert moved.coords(vecs.submatrix(amb)) == QuotientSpace(sub, span).coords(vecs)

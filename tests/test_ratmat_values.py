@@ -139,7 +139,7 @@ def test_quotient_space_matches_sympy(data):
     basis = _sym(sub).row_join(_sym(q.representatives))
     coeffs = data.draw(st.lists(ENTRIES, min_size=span.ncols, max_size=span.ncols))
     vecs = [span.apply(coeffs)] + list(span.columns())
-    for v, got in zip(vecs, q.coords(vecs)):
+    for v, got in zip(vecs, q.coords(RationalMatrix.from_columns(vecs)).columns()):
         assert all(map(_exact, got))
         sol, params = basis.gauss_jordan_solve(_sym_vec(v))
         assert params.shape[0] == 0
