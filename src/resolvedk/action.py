@@ -164,6 +164,7 @@ class ResolvedAction:
         "chern",
         "notes",
         "expected",
+        "shared",
     )
 
     def __init__(
@@ -187,6 +188,8 @@ class ResolvedAction:
         self.chern = chern
         self.notes = tuple(notes)
         self.expected = dict(expected) if expected else {}
+        # the sector sharing table of every complex assembled from this action
+        self.shared: Dict = {}
 
     @property
     def group(self) -> FgAbGroup:

@@ -143,10 +143,10 @@ class ChainMap:
     The matrix acts on total coordinates; a nonzero entry must connect a
     source slot of degree k to a target slot of degree k + `degree`.
     Commutation with the differentials is a separate check so that
-    validators can report rather than raise.
+    validators can report rather than raise; it runs once per map.
     """
 
-    __slots__ = ("source", "target", "matrix", "degree")
+    __slots__ = ("source", "target", "matrix", "degree", "_commutes")
 
     def __init__(self, source: CochainComplex, target: CochainComplex, matrix, degree: int = 0):
         matrix = _as_rational(matrix, target.total_dim, source.total_dim)
@@ -160,6 +160,7 @@ class ChainMap:
         self.target = target
         self.matrix = matrix
         self.degree = degree
+        self._commutes: Optional[bool] = None
 
     @classmethod
     def identity(cls, complex_: CochainComplex) -> "ChainMap":
@@ -188,7 +189,9 @@ class ChainMap:
         return cls(source, target, RationalMatrix.from_row_maps(rows, source.total_dim), degree)
 
     def commutes_with_differentials(self) -> bool:
-        return self.target.d @ self.matrix == self.matrix @ self.source.d
+        if self._commutes is None:
+            self._commutes = self.target.d @ self.matrix == self.matrix @ self.source.d
+        return self._commutes
 
     def apply(self, vec: Sequence) -> Tuple[Fraction, ...]:
         return self.matrix.apply(vec)
@@ -333,6 +336,11 @@ def _cochains(complex_: CochainComplex, shifts: Sequence[ChainMap]) -> tuple:
     return (0,) * dim, normalize, add, partial(ch_operator, tuple(shifts), dim=dim)
 
 
+# the codomain of every dimension homomorphism: one object, so that homs of
+# equal content into it are equal objects wherever they are interned
+Z = FgAbGroup.free(1)
+
+
 class KData(Coefficients):
     """Integral K-groups of a node with shift automorphisms.
 
@@ -360,7 +368,7 @@ class KData(Coefficients):
                 raise ValueError("sigma1 entries must be endomorphisms of K1")
         if len(sigma0) != len(sigma1):
             raise ValueError("sigma0 and sigma1 need one entry per kernel generator")
-        if dim_hom.domain != k0 or dim_hom.codomain != FgAbGroup.free(1):
+        if dim_hom.domain != k0 or dim_hom.codomain != Z:
             raise ValueError("dimension homomorphism must map K0 to Z")
         self.k0 = k0
         self.k1 = k1

@@ -129,10 +129,14 @@ class SubgroupDatum:
     ambient dual (torsion kernel directions carry no shift bookkeeping and
     are rejected).  The stored kernel basis fixes the order that shift
     operators refer to; if none is supplied, the canonical Hermite basis is
-    used.
+    used.  Canonical lifts and kernel coordinates are kept per datum, keyed
+    by character, once the character's group is checked; a failure is not
+    kept.
     """
 
-    __slots__ = ("ambient", "restriction", "kernel_basis", "lattice", "_kernel_dec")
+    __slots__ = (
+        "ambient", "restriction", "kernel_basis", "lattice", "_kernel_dec", "_lifts", "_kernel",
+    )
 
     def __init__(self, restriction: AbHom, kernel_basis: Optional[Sequence[Sequence[int]]] = None):
         ambient = restriction.domain
@@ -156,6 +160,8 @@ class SubgroupDatum:
         self._kernel_dec = smith_normal_form(
             RationalMatrix.from_columns([b.coords for b in self.kernel_basis], nrows=ambient.ngens)
         )
+        self._lifts: Dict[Character, Character] = {}
+        self._kernel: Dict[Character, Tuple[int, ...]] = {}
 
     @property
     def target(self) -> FgAbGroup:
@@ -166,16 +172,22 @@ class SubgroupDatum:
         return len(self.kernel_basis)
 
     def restrict(self, ghat: Character) -> Character:
-        return Character._of(self.target, self.restriction.apply(ghat.coords))
+        """The image of an ambient character, kept in the restriction's table."""
+        return edge_image(self.restriction, ghat)
 
     def in_kernel(self, ghat: Character) -> bool:
         return self.lattice.contains(ghat.coords)
 
     def kernel_coordinates(self, ghat: Character) -> Tuple[int, ...]:
-        """Integer coordinates of a kernel element in the stored basis."""
-        sol = self._kernel_dec.solve(ghat.coords)
+        """Integer coordinates of a kernel element in the stored basis, kept per datum."""
+        if ghat.group != self.ambient:
+            raise ValueError("character is not in the ambient dual")
+        sol = self._kernel.get(ghat)
         if sol is None:
-            raise ValueError(f"{ghat!r} is not in the kernel lattice")
+            sol = self._kernel_dec.solve(ghat.coords)
+            if sol is None:
+                raise ValueError(f"{ghat!r} is not in the kernel lattice")
+            self._kernel[ghat] = sol
         return sol
 
     def kernel_element(self, coeffs: Sequence[int]) -> Character:
@@ -187,10 +199,15 @@ class SubgroupDatum:
         return acc
 
     def canonical_representative(self, b: Character) -> Character:
-        """The canonical lift of a target character to the ambient dual."""
+        """The canonical lift of a target character to the ambient dual, kept per datum."""
         if b.group != self.target:
             raise ValueError("character is not in the subgroup dual")
-        return Character._of(self.ambient, self.restriction.preimage_representative(b.coords))
+        rep = self._lifts.get(b)
+        if rep is None:
+            rep = self._lifts[b] = Character._of(
+                self.ambient, self.restriction.preimage_representative(b.coords)
+            )
+        return rep
 
     def __repr__(self) -> str:
         return f"SubgroupDatum({self.ambient} -> {self.target})"
@@ -269,8 +286,17 @@ def lift_offset(
 
 
 def edge_image(edge: AbHom, b: Character) -> Character:
-    """Image of a deep subgroup character under an edge restriction."""
-    return Character._of(edge.codomain, edge.apply(b.coords))
+    """Image of a character under a hom (an edge or a subgroup restriction).
+
+    Kept in the hom's own table, keyed by character, once the character is
+    checked to lie in the hom's domain.
+    """
+    if b.group != edge.domain:
+        raise ValueError("character not in the domain of the restriction")
+    image = edge.images.get(b)
+    if image is None:
+        image = edge.images[b] = Character._of(edge.codomain, edge.apply(b.coords))
+    return image
 
 
 def _table_additive(table: Mapping[Character, Character]) -> bool:
@@ -329,8 +355,6 @@ def fiber_support(
     """
     fibers: Dict[Character, List[Character]] = {}
     for b in support:
-        if b.group != edge.domain:
-            raise ValueError("support character not in the edge domain")
         fibers.setdefault(edge_image(edge, b), []).append(b)
     return {k: tuple(fibers[k]) for k in sorted(fibers, key=lambda c: c.coords)}
 

@@ -17,7 +17,9 @@ Commands:
 ``--input`` takes a descriptor file, or ``fixture:NAME`` /
 ``fixture:NAME:key=value,...`` for a built-in fixture.  ``--relative``
 removes nodes from the assembled complex (relative cohomology); ``--prune``
-names the nodes whose pruning sequences ``les`` reports.
+names the nodes whose pruning sequences ``les`` reports.  A flag the
+command does not read (``--prune`` outside ``les``, ``--relative`` with
+``validate`` or ``les``) is an input error.
 
 Exit status: 0 on success, 1 on mathematical failure (a failed check or an
 inexact sequence), 2 on input errors.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,7 +44,6 @@ from .deloc import (
 )
 from .descriptor import (
     ActionDescriptor,
-    DescriptorError,
     FIXTURE_NAMES,
     generate_fixture,
     parse_descriptor,
@@ -94,6 +96,10 @@ def run(command: str, desc: ActionDescriptor, flags: argparse.Namespace) -> Comm
     """Execute one descriptor command.  May raise input-level ValueErrors."""
     action = desc.action
     removed = tuple(flags.relative)
+    if flags.prune and command != "les":
+        raise ValueError(f"{command} does not take --prune; only les does")
+    if removed and command in ("validate", "les"):
+        raise ValueError(f"{command} does not take --relative")
     payload: Dict = {"command": command}
     if flags.window is not None:
         payload["window"] = flags.window
@@ -299,12 +305,10 @@ def _load_descriptor(value: Optional[str]) -> ActionDescriptor:
     return parse_descriptor(text)
 
 
-def _emit(fmt: str, result: CommandResult, out) -> None:
+def _rendered(fmt: str, result: CommandResult) -> str:
     if fmt == "json":
-        print(json.dumps(result.payload, indent=2, sort_keys=True), file=out)
-    else:
-        for line in result.lines:
-            print(line, file=out)
+        return json.dumps(result.payload, indent=2, sort_keys=True) + "\n"
+    return "".join(line + "\n" for line in result.lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,50 +341,44 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    args = build_parser().parse_args(argv)
-
-    if args.command == "example":
-        if args.name is None:
-            result = CommandResult(
-                OK,
-                {"command": "example", "fixtures": list(FIXTURE_NAMES)},
-                list(FIXTURE_NAMES),
-            )
-            _emit(args.fmt, result, out)
-            return OK
-        try:
-            desc = _fixture_from_spec(args.name)
-        except ValueError as exc:
-            print(f"resolvedk: {exc}", file=err)
-            return INPUT_ERROR
-        print(serialize_descriptor(desc), file=out, end="")
-        return OK
-
-    if args.name is not None:
-        print("resolvedk: only the example command takes a positional name", file=err)
-        return INPUT_ERROR
-
     try:
-        desc = _load_descriptor(args.input)
-    except (DescriptorError, ValueError) as exc:
-        print(f"resolvedk: {exc}", file=err)
-        return INPUT_ERROR
-
-    try:
-        result = run(args.command, desc, args)
+        status, text = _execute(build_parser().parse_args(argv))
     except ArithmeticError as exc:
         # an inexact sequence or failed cross-check detected mid-computation
         print(f"resolvedk: {exc}", file=err)
         return MATH_FAILURE
-    except (WindowError, DescriptorError) as exc:
+    except ValueError as exc:  # WindowError and DescriptorError included
         print(f"resolvedk: {exc}", file=err)
         return INPUT_ERROR
-    except ValueError as exc:
-        print(f"resolvedk: {exc}", file=err)
-        return INPUT_ERROR
+    try:
+        out.write(text)
+        out.flush()
+    except BrokenPipeError:
+        # the reader has gone (`| head`): the rest of the output is dropped,
+        # and stdout points at os.devnull so that the flush at exit cannot
+        # fail again
+        if out is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+    return status
 
-    _emit(args.fmt, result, out)
-    return result.status
+
+def _execute(args: argparse.Namespace) -> Tuple[int, str]:
+    """(exit status, standard output) of one command line.
+
+    Raises ValueError on an input error and ArithmeticError on a failure
+    detected mid-computation.
+    """
+    if args.command == "example":
+        if args.name is None:
+            names = list(FIXTURE_NAMES)
+            return OK, _rendered(args.fmt, CommandResult(OK, {"command": "example", "fixtures": names}, names))
+        return OK, serialize_descriptor(_fixture_from_spec(args.name))
+    if args.name is not None:
+        raise ValueError("only the example command takes a positional name")
+    result = run(args.command, _load_descriptor(args.input), args)
+    return result.status, _rendered(args.fmt, result)
 
 
 if __name__ == "__main__":

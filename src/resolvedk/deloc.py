@@ -16,11 +16,12 @@ every exponential is a finite sum, and each node space builds each one
 once.
 
 Sectors whose window characters are translates often carry equal
-constraint and differential matrices.  The sectors of one assembled complex
-(with every restriction and radius selection made from it) share one table
-keyed by content, so each distinct sector's cohomology and each distinct
-sector six-term sequence of a pruning step is computed once per assembled
-complex.  The table lives in the sectors and is freed with them.
+constraint and differential matrices.  Every complex assembled from one
+parsed action (with every restriction and radius selection made from it)
+shares one table keyed by the full sector content, so each distinct
+sector's cohomology and each distinct sector six-term sequence of a pruning
+step is computed once per action, across section systems and repeated
+assemblies: one table per parsed action, freed with it.
 
 A batch of vectors is a `RationalMatrix` whose columns are the vectors:
 class coordinates, the maps of a six-term sequence, membership checks and
@@ -45,6 +46,7 @@ from .ratmat import (
     RationalMatrix,
     nullspace_basis,
     rank,
+    reduced_nullspace,
     rref,
     solve,
 )
@@ -93,13 +95,19 @@ def ch_of_character(hhat, datum: SubgroupDatum, space: NodeSpaceData) -> Rationa
 
 
 class TwoPeriodicComplex:
-    """A two-periodic subcomplex: parity subspace bases and a differential."""
+    """A two-periodic subcomplex: parity subspace bases and a differential.
 
-    __slots__ = ("d", "_bases", "_cocycles", "_boundaries", "_class", "__weakref__")
+    One product d @ basis(p) and one elimination per parity give both the
+    cocycles of parity p (its nullspace) and the boundaries of parity 1 - p
+    (its pivot columns).
+    """
+
+    __slots__ = ("d", "_bases", "_kernels", "_cocycles", "_boundaries", "_class", "__weakref__")
 
     def __init__(self, d: RationalMatrix, basis_even: RationalMatrix, basis_odd: RationalMatrix):
         self.d = d
         self._bases = (basis_even, basis_odd)
+        self._kernels: List[Optional[RationalMatrix]] = [None, None]
         self._cocycles: List[Optional[RationalMatrix]] = [None, None]
         self._boundaries: List[Optional[RationalMatrix]] = [None, None]
         self._class: List[Optional[QuotientSpace]] = [None, None]
@@ -107,17 +115,26 @@ class TwoPeriodicComplex:
     def basis(self, parity: int) -> RationalMatrix:
         return self._bases[parity % 2]
 
+    def _eliminate(self, p: int) -> None:
+        """Fill the boundaries of parity 1 - p; keep the nullspace `cocycles(p)` takes."""
+        image = self.d @ self.basis(p)
+        red, pivots = rref(image)
+        self._boundaries[1 - p] = image.submatrix(range(image.nrows), pivots)
+        self._kernels[p] = reduced_nullspace(red, pivots)
+
     def cocycles(self, parity: int) -> RationalMatrix:
         p = parity % 2
         if self._cocycles[p] is None:
-            b = self.basis(p)
-            self._cocycles[p] = b @ nullspace_basis(self.d @ b)
+            if self._kernels[p] is None:
+                self._eliminate(p)
+            self._cocycles[p] = self.basis(p) @ self._kernels[p]
+            self._kernels[p] = None
         return self._cocycles[p]
 
     def boundaries(self, parity: int) -> RationalMatrix:
         p = parity % 2
         if self._boundaries[p] is None:
-            self._boundaries[p] = _column_space_basis(self.d @ self.basis(1 - p))
+            self._eliminate(1 - p)
         return self._boundaries[p]
 
     def h_dim(self, parity: int) -> int:
@@ -164,7 +181,7 @@ class SectorComplex:
         self.diff = diff
         self.even_idx = even_idx    # tuples of column indices
         self.odd_idx = odd_idx
-        self.shared = shared        # the sharing table of the assembled complex
+        self.shared = shared        # the sharing table of the action
         self._two: Optional[TwoPeriodicComplex] = None
 
     def parity_indices(self, parity: int) -> Tuple[int, ...]:
@@ -373,9 +390,8 @@ def assemble_complex(
             chi = khat if label == tree.root else tree.root_image(label, khat)
             if chi in members:
                 members[chi].append((label, khat))
-    shared: Dict = {}
     sectors = {
-        chi: _build_sector(action, chi, members[chi], lifts, faces, shared)
+        chi: _build_sector(action, chi, members[chi], lifts, faces)
         for chi in windows[tree.root]
     }
     full = AssembledComplex(
@@ -384,7 +400,7 @@ def assemble_complex(
     return full.restrict(kept)
 
 
-def _build_sector(action, chi, members, lifts, faces, shared) -> SectorComplex:
+def _build_sector(action, chi, members, lifts, faces) -> SectorComplex:
     """One root sector: its blocks, face constraints, differential and parities.
 
     `members` lists the sector's (label, window character) pairs in block
@@ -445,7 +461,7 @@ def _build_sector(action, chi, members, lifts, faces, shared) -> SectorComplex:
 
     return SectorComplex(
         chi, tuple(blocks), spans, total, constraint, tuple(row_origins),
-        tuple(row_chars), diff, tuple(even_idx), tuple(odd_idx), shared,
+        tuple(row_chars), diff, tuple(even_idx), tuple(odd_idx), action.shared,
     )
 
 

@@ -32,7 +32,6 @@ from fractions import Fraction
 from marshal import dumps as _marshal
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from . import fixtures
 from .action import ChernData, ResolvedAction, WindowRule
 from .basespace import (
     ChainMap,
@@ -42,6 +41,7 @@ from .basespace import (
     KData,
     KPair,
     NodeSpaceData,
+    Z,
 )
 from .chargroup import SubgroupDatum
 from .fgab import AbHom, FgAbGroup
@@ -305,7 +305,7 @@ def _kdata(node: _Node) -> KData:
     sigma0 = [_hom(e, k0, k0) for e in fields["sigma0"].array()]
     sigma1 = [_hom(e, k1, k1) for e in fields["sigma1"].array()]
     # one codomain object, so content-equal dimension homs are interned as one
-    dim_hom = _hom(fields["dim_hom"], k0, fixtures.Z)
+    dim_hom = _hom(fields["dim_hom"], k0, Z)
     return node.build(KData, k0, k1, sigma0, sigma1, dim_hom)
 
 
@@ -828,6 +828,8 @@ def generate_fixture(name: str, params: Optional[Mapping] = None) -> ActionDescr
     takes {"torsion": [d, ...]} for the invariant factors of the extra
     finite group.  The other fixtures take no parameters.
     """
+    from . import fixtures  # imported on use: a descriptor file never needs it
+
     params = dict(params or {})
     if name == "sphere_rotation":
         _no_params(name, params)

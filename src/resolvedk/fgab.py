@@ -489,7 +489,8 @@ class AbHom:
     The matrix has shape (codomain.ngens, domain.ngens) and acts on
     coordinate columns: h(x) = M @ x, reduced in the codomain.  The
     constructor checks that the entries are integers (ValueError otherwise)
-    and that torsion relations are respected.
+    and that torsion relations are respected.  `images` is the table of
+    character images that `chargroup.edge_image` keeps for this hom.
 
     >>> z = FgAbGroup.free(1); z2 = FgAbGroup(0, (2,))
     >>> mod2 = AbHom(z, z2, RationalMatrix([[1]]))
@@ -497,7 +498,7 @@ class AbHom:
     (1,)
     """
 
-    __slots__ = ("domain", "codomain", "matrix", "_graph", "_inverse", "_split")
+    __slots__ = ("domain", "codomain", "matrix", "images", "_graph", "_inverse", "_split")
 
     def __init__(self, domain: FgAbGroup, codomain: FgAbGroup, matrix):
         if not isinstance(matrix, RationalMatrix):
@@ -522,6 +523,7 @@ class AbHom:
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
+        self.images: dict = {}
         self._graph = None
         self._inverse = _UNKNOWN
         self._split = _UNKNOWN

@@ -25,12 +25,12 @@ from .basespace import (
     KData,
     KPair,
     NodeSpaceData,
+    Z,
 )
 from .chargroup import SubgroupDatum
 from .fgab import AbHom, FgAbGroup
 from .itspace import IsotropyTree
 
-Z = FgAbGroup.free(1)
 TRIV = FgAbGroup.free(0)
 
 

@@ -423,10 +423,14 @@ def nullspace_basis(mat: RationalMatrix) -> RationalMatrix:
     row f, and in the row of each pivot column minus that pivot row's entry
     at f.  The rows are read straight off the sparse pivot rows.
     """
-    red, pivots = rref(mat)
+    return reduced_nullspace(*rref(mat))
+
+
+def reduced_nullspace(red: RationalMatrix, pivots: Sequence[int]) -> RationalMatrix:
+    """`nullspace_basis` of a matrix, read off its `rref` (reduced form and pivots)."""
     pivot_set = set(pivots)
-    free = {j: k for k, j in enumerate(j for j in range(mat.ncols) if j not in pivot_set)}
-    rows: List[Row] = [()] * mat.ncols
+    free = {j: k for k, j in enumerate(j for j in range(red.ncols) if j not in pivot_set)}
+    rows: List[Row] = [()] * red.ncols
     for j, k in free.items():
         rows[j] = ((k, _ONE),)
     for row, pc in zip(red._data, pivots):

@@ -10,9 +10,12 @@ production path fails the test suite, not only the benchmark run.
 
 `window_scan`'s reduced build has no `stabilize` operation, so it never
 reaches `deloc.cocycles`, which its full build does; its traced pass is
-checked for `RationalMatrix.apply` only, the layer `run._derived` needs
-called to give it a `useful_ratio`, so a change that drops the last apply
-call fails here instead of crashing `--trace 1`.
+checked for `RationalMatrix.apply`, the layer `run._derived` needs called
+to give it a `useful_ratio`, so a change that drops the last apply call
+fails here instead of crashing `--trace 1`.  The same pass with the full
+build's `stabilize` operation on the plane added must reach every layer of
+`run.MUST_REACH["window_scan"]` and give `ratmat.rref` its `cells`, so a
+change that computes the dimensions without `rref` also fails here.
 The perfbench modules are imported as they are and not changed.
 """
 
@@ -37,12 +40,16 @@ def bench(monkeypatch):
     return run, workloads, oracle, tracer
 
 
-def _traced_summary(bench, workload, tmp_path):
-    """The derived tracer summary of one correct traced pass of the reduced workload."""
+def _traced_summary(bench, workload, tmp_path, extra=None):
+    """The derived tracer summary of one correct traced pass of the reduced workload.
+
+    `extra(workloads, ops)` gives operations appended to the reduced ones.
+    """
     run, workloads, oracle, tracer_module = bench
     rk = run.load_program()
     record = oracle.load_digests()
     ops = workloads.build(rk, workload, SEED, tmp_path, record["random_pool"], reduced=True)
+    ops += extra(workloads, ops) if extra else []
     tally = run.Tally()
     tracer = tracer_module.Tracer(rk.package)
     tracer.reset()
@@ -69,3 +76,17 @@ def test_reduced_window_scan_calls_apply(bench, tmp_path):
     apply = summary["ratmat.apply"]
     assert apply["calls"] > 0
     assert "useful_ratio" in apply
+
+
+def test_window_scan_with_one_stabilize_reaches_every_layer(bench, tmp_path):
+    run = bench[0]
+
+    def stabilize(workloads, ops):
+        # the full build's scan of the plane (the window its digest is recorded at)
+        (plane,) = [op for op in ops if op.name == "projective_plane"]
+        return [workloads.CliOp("stabilize", plane.name, plane.path, 7, fixture=plane.fixture)]
+
+    summary = _traced_summary(bench, "window_scan", tmp_path, stabilize)
+    missing = [name for name in run.MUST_REACH["window_scan"] if summary[name]["calls"] == 0]
+    assert not missing, f"window_scan recorded no call to {missing}"
+    assert summary["ratmat.rref"]["cells"] > 0

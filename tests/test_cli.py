@@ -316,3 +316,59 @@ def test_compare_builds_only_integral_matrices(spec, monkeypatch):
     result = cli.run("compare", parse_descriptor(text), Namespace(window=3, prune=[], relative=[]))
     assert result.status == cli.OK
     assert len(built) > 100 and sum(built) == 0
+
+
+# -- flags a command does not read ---------------------------------------------
+
+
+PLANE = ("--input", "fixture:projective_plane", "--window", "1")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("les", *PLANE, "--prune", "p1", "--relative", "p3"), "les does not take --relative"),
+    (("validate", *PLANE, "--relative", "p3"), "validate does not take --relative"),
+] + [
+    ((command, *PLANE, "--prune", "p3"), f"{command} does not take --prune; only les does")
+    for command in ("validate", "kred", "deloc", "ch", "compare", "stabilize")
+])
+def test_a_flag_the_command_ignores_is_an_input_error(argv, message):
+    code, out, err = run_cli(*argv)
+    assert (code, out, err) == (2, "", f"resolvedk: {message}\n")
+
+
+# -- a reader that goes away ---------------------------------------------------
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ("stabilize", "--input", "fixture:sphere_rotation", "--format", "json"),
+    ("example", "projective_plane"),
+    ("les", *PLANE, "--prune", "p1", "--prune", "p2"),
+])
+def test_a_closed_pipe_ends_with_the_command_status_and_no_traceback(argv):
+    err = io.StringIO()
+    assert main(list(argv), out=_ClosedPipe(), err=err) == run_cli(*argv)[0] == 0
+    assert err.getvalue() == ""
+
+
+def test_a_closed_stdout_pipe_exits_quietly():
+    # no process reads the pipe, so every write to it fails; the flush at
+    # interpreter exit must not fail again
+    src = os.path.dirname(os.path.dirname(resolvedk.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "resolvedk.cli", "stabilize",
+             "--input", "fixture:sphere_rotation", "--format", "json"],
+            env=dict(os.environ, PYTHONPATH=path),
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")

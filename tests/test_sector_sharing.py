@@ -1,9 +1,10 @@
 """Sector sharing: one cohomology and one six-term sequence per distinct sector.
 
-The sectors of one assembled complex, and of every restriction and radius
-selection made from it, share one table keyed by content.  These tests pin
-what the table shares, what it must keep apart, that its results equal
-those of sectors that each compute alone, and that it dies with its complex.
+The sectors of every complex assembled from one parsed action, and of
+every restriction and radius selection made from them, share one table
+keyed by content.  These tests pin what the table shares, what it must keep
+apart, that its results equal those of sectors that each compute alone, and
+that it dies with its action.
 """
 
 import weakref
@@ -96,17 +97,18 @@ def test_translated_sectors_share_their_cohomology():
     assert len(full.sectors) == 3 and len(twos) == 1
 
 
-def test_tables_are_per_assembly_and_pass_to_selections():
+def test_tables_are_per_action_and_pass_to_selections():
     action = projective_plane()
     top = assemble_complex(action, radius=2)
     tables = {id(sec.shared) for sec in top.sectors.values()}
     assert len(tables) == 1
     derived = [top.restrict({"0", "p2"}), top.at_radius(1, action.windows(1))]
     derived.append(derived[1].restrict({"0"}))
+    derived.append(assemble_complex(action, radius=2))
     for cx in derived:
         assert {id(sec.shared) for sec in cx.sectors.values()} == tables
-    again = assemble_complex(action, radius=2)
-    assert {id(sec.shared) for sec in again.sectors.values()}.isdisjoint(tables)
+    other = assemble_complex(projective_plane(), radius=2)
+    assert {id(sec.shared) for sec in other.sectors.values()}.isdisjoint(tables)
 
 
 def test_window_scan_reuses_sectors_met_at_smaller_radii(monkeypatch):
