@@ -213,8 +213,9 @@ class SubgroupDatum:
         return f"SubgroupDatum({self.ambient} -> {self.target})"
 
 
-# `SectionSystem` flag value: decide additivity of the table on first read
-_ADDITIVE_IF_TABULATED = object()
+# `SectionSystem` flag value: decide the splitting, then additivity of the
+# table, on first read
+_DECIDE_ON_READ = object()
 
 
 class SectionSystem:
@@ -243,8 +244,9 @@ class SectionSystem:
 
     @property
     def homomorphic(self) -> Optional[bool]:
-        if self._homomorphic is _ADDITIVE_IF_TABULATED:
-            self._homomorphic = _table_additive(self.table)
+        if self._homomorphic is _DECIDE_ON_READ:
+            split = self.datum.restriction.try_split()
+            self._homomorphic = split is not None and _table_additive(self.table)
         return self._homomorphic
 
     @property
@@ -317,16 +319,14 @@ def section(datum: SubgroupDatum, support: Iterable) -> SectionSystem:
     The `homomorphic` flag is False when no homomorphic splitting exists at
     all (that absence is decided exactly), and otherwise records whether the
     tabulated entries are additive wherever sums stay inside the support;
-    that quadratic check runs on the first read of the flag, not here.
+    both are decided on the first read of the flag, not here.
     """
     table: Dict[Character, Character] = {}
     for b in support:
         if not isinstance(b, Character):
             b = Character(datum.target, b)
         table[b] = datum.canonical_representative(b)
-    split = datum.restriction.try_split()
-    homomorphic = False if split is None else _ADDITIVE_IF_TABULATED
-    return SectionSystem(datum, table, homomorphic)
+    return SectionSystem(datum, table, _DECIDE_ON_READ)
 
 
 def offset_section(base: SectionSystem, offsets: Mapping[Character, Sequence[int]]) -> SectionSystem:

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .action import ResolvedAction, WindowError
-from .basespace import NodeSpaceData, _exp_nilpotent
+from .basespace import NodeSpaceData
 from .chargroup import Character, SectionSystem, SubgroupDatum, fiber_support, lift, lift_offset
 from .itspace import Pruning, prune_step
 from .ktheory import LES_LABELS, SixTermInstance, hexagon_check  # noqa: F401 (LES_LABELS re-exported)
@@ -674,10 +674,12 @@ def validate_chern_data(action: ResolvedAction) -> ValidationReport:
         dim = space.complex.total_dim
         c = RationalMatrix.from_columns([list(v) for v in reps], nrows=dim) \
             if reps else RationalMatrix.zeros(dim, 0)
+        # the twisting laws at kernel generator i: sigma_i on K0, exp(L_i) on cochains
+        n_k, n_c = kdata.generator_count, len(space.shifts)
         bad_twists = []
-        for i, (sigma, shift) in enumerate(zip(kdata.sigma0, space.shifts)):
-            e = _exp_nilpotent(shift.matrix)
-            if c @ sigma.matrix != e @ c:
+        for i in range(min(n_k, n_c)):
+            sigma = kdata.twist([int(j == i) for j in range(n_k)]).matrix
+            if c @ sigma != space.twist([int(j == i) for j in range(n_c)]) @ c:
                 bad_twists.append(i)
         rep.add(
             f"node {label}: shift automorphisms match exponential twists",

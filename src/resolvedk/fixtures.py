@@ -9,12 +9,18 @@ and are frozen here so the engine can be checked against them.
 
 `random_action(seed)` generates small valid synthetic actions for
 property-style exercises of the pruning sequences.
+
+Two builders write out the models, and the named examples and the random
+families share them: `_poles_over_a_path` is the interval with its poles
+blown up (`sphere_rotation` is the speed-1 case of
+`sphere_rotation_speed`), and `_seamed_sphere` is the two-sphere base with
+an optional Z/2 seam (`projective_plane`).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .action import ChernData, ResolvedAction, WindowRule
 from .basespace import (
@@ -51,8 +57,49 @@ def _identity_kpair(k0: FgAbGroup, k1: FgAbGroup) -> KPair:
 
 
 # ---------------------------------------------------------------------------
-# rotation sphere
+# interval with poles: the rotation sphere
 # ---------------------------------------------------------------------------
+
+def _poles_over_a_path(n: int, labels: Sequence[str]):
+    """(tree, spaces, faces, windows) of a path-graph root with fixed poles.
+
+    The root "0" has isotropy Z/n (trivial for n = 1); its base is the path
+    graph on one vertex per label, and each vertex is blown up into a pole
+    node with full isotropy.  Pole windows are balls of radius 1, residue
+    balls when n > 1.
+    """
+    p = len(labels)
+    generic = SubgroupDatum(AbHom(Z, TRIV, []) if n == 1 else AbHom(Z, FgAbGroup(0, (n,)), [[1]]))
+    whole = SubgroupDatum(AbHom(Z, Z, [[1]]))
+    tree = IsotropyTree(
+        {"0": generic, **{lab: whole for lab in labels}},
+        [("0", lab) for lab in labels],
+    )
+
+    # path graph on p vertices: C^0 = Q^p, C^1 = Q^(p-1), d = incidence
+    d0 = [[0] * p for _ in range(p - 1)]
+    for e in range(p - 1):
+        d0[e][e] = -1
+        d0[e][e + 1] = 1
+    base = CochainComplex((p, p - 1), [d0])
+    root = NodeSpaceData(base, [ChainMap.zero(base, base, degree=2)], _rank_kdata(Z, TRIV, 1))
+    pole = _point_node(0)
+    face_node = _point_node(1)
+    pt = face_node.complex
+    kid = _identity_kpair(Z, TRIV)
+
+    faces = {}
+    for i, lab in enumerate(labels):
+        # the face over a pole evaluates the base at its vertex
+        row = [0] * (2 * p - 1)
+        row[i] = 1
+        faces[("0", lab)] = FaceMaps(
+            face_node, ChainMap(base, pt, [row]), ChainMap.identity(pt), kid, kid
+        )
+    pole_rule = WindowRule.ball(1) if n == 1 else WindowRule.residue_ball(n, 1)
+    windows = {"0": WindowRule.full(), **{lab: pole_rule for lab in labels}}
+    return tree, {"0": root, **{lab: pole for lab in labels}}, faces, windows
+
 
 _SPHERE_NOTES = (
     "Quotient model: the sphere with a circle rotation resolves to an "
@@ -72,67 +119,9 @@ def sphere_rotation() -> ResolvedAction:
     Expected delocalized dimensions for ball windows of radius m: even
     4m+1, odd 0 (counting oracle: a pair of integer tables on the two pole
     windows with equal total sums, minus the shared interval constant).
+    This is `sphere_rotation_speed(1)`.
     """
-    trivial = SubgroupDatum(AbHom(Z, TRIV, []))
-    whole = SubgroupDatum(AbHom(Z, Z, [[1]]))
-    tree = IsotropyTree(
-        {"0": trivial, "N": whole, "S": whole},
-        [("0", "N"), ("0", "S")],
-    )
-
-    interval = CochainComplex((2, 1), [[[-1, 1]]])
-    root = NodeSpaceData(
-        interval,
-        [ChainMap.zero(interval, interval, degree=2)],
-        _rank_kdata(Z, TRIV, 1),
-    )
-    pole = _point_node(0)
-
-    pt = CochainComplex.point()
-    face_node = NodeSpaceData(pt, [ChainMap.zero(pt, pt, degree=2)], _rank_kdata(Z, TRIV, 1))
-    kid = _identity_kpair(Z, TRIV)
-
-    def pole_face(evaluation_row: Sequence[int]) -> FaceMaps:
-        return FaceMaps(
-            face_node,
-            ChainMap(interval, pt, [list(evaluation_row)]),
-            ChainMap.identity(pt),
-            kid,
-            kid,
-        )
-
-    faces = {
-        ("0", "N"): pole_face([1, 0, 0]),
-        ("0", "S"): pole_face([0, 1, 0]),
-    }
-    windows = {
-        "0": WindowRule.full(),
-        "N": WindowRule.ball(1),
-        "S": WindowRule.ball(1),
-    }
-    bundles = {
-        "poles": {
-            "0": {(0,): (3,)},
-            "N": {(0,): (2,), (3,): (1,)},
-            "S": {(0,): (3,)},
-        }
-    }
-    chern = ChernData({"0": [(1, 1, 0)], "N": [(1,)], "S": [(1,)]})
-    expected = {
-        "deloc_dims_by_radius": {"0": [1, 0], "1": [5, 0], "2": [9, 0]},
-        "even_formula": "4*m + 1",
-        "odd_formula": "0",
-    }
-    return ResolvedAction(
-        tree,
-        {"0": root, "N": pole, "S": pole},
-        faces,
-        windows,
-        bundles=bundles,
-        chern=chern,
-        notes=_SPHERE_NOTES,
-        expected=expected,
-    )
+    return sphere_rotation_speed(1)
 
 
 def sphere_rotation_speed(n: int) -> ResolvedAction:
@@ -145,68 +134,29 @@ def sphere_rotation_speed(n: int) -> ResolvedAction:
     """
     if n < 1:
         raise ValueError("speed must be a positive integer")
-    if n == 1:
-        return sphere_rotation()
-    cn = FgAbGroup(0, (n,))
-    generic = SubgroupDatum(AbHom(Z, cn, [[1]]))
-    whole = SubgroupDatum(AbHom(Z, Z, [[1]]))
-    tree = IsotropyTree(
-        {"0": generic, "N": whole, "S": whole},
-        [("0", "N"), ("0", "S")],
-    )
-
-    interval = CochainComplex((2, 1), [[[-1, 1]]])
-    root = NodeSpaceData(
-        interval,
-        [ChainMap.zero(interval, interval, degree=2)],
-        _rank_kdata(Z, TRIV, 1),
-    )
-    pole = _point_node(0)
-    pt = CochainComplex.point()
-    face_node = NodeSpaceData(pt, [ChainMap.zero(pt, pt, degree=2)], _rank_kdata(Z, TRIV, 1))
-    kid = _identity_kpair(Z, TRIV)
-    faces = {
-        ("0", "N"): FaceMaps(face_node, ChainMap(interval, pt, [[1, 0, 0]]),
-                             ChainMap.identity(pt), kid, kid),
-        ("0", "S"): FaceMaps(face_node, ChainMap(interval, pt, [[0, 1, 0]]),
-                             ChainMap.identity(pt), kid, kid),
-    }
-    windows = {
-        "0": WindowRule.full(),
-        "N": WindowRule.residue_ball(n, 1),
-        "S": WindowRule.residue_ball(n, 1),
-    }
+    tree, spaces, faces, windows = _poles_over_a_path(n, ("N", "S"))
     bundles = {
         "poles": {
             "0": {(0,): (3,)},
-            "N": {(0,): (2,), (n,): (1,)},
+            "N": {(0,): (2,), (3 if n == 1 else n,): (1,)},
             "S": {(0,): (3,)},
         }
     }
     chern = ChernData({"0": [(1, 1, 0)], "N": [(1,)], "S": [(1,)]})
     expected = {
-        "deloc_dims_by_radius": {
-            "0": [n, 0],
-            "1": [5 * n, 0],
-            "2": [9 * n, 0],
-        },
-        "even_formula": f"{n}*(4*m + 1)",
+        "deloc_dims_by_radius": {"0": [n, 0], "1": [5 * n, 0], "2": [9 * n, 0]},
+        "even_formula": "4*m + 1" if n == 1 else f"{n}*(4*m + 1)",
         "odd_formula": "0",
-        "per_sector_even_formula": "4*m + 1",
     }
-    notes = (
-        f"Speed-{n} rotation: every point of the open orbit has isotropy "
-        f"Z/{n}; the dual data grades everything over Z/{n} sectors.",
-    ) + _SPHERE_NOTES[1:]
+    notes = _SPHERE_NOTES
+    if n > 1:
+        expected["per_sector_even_formula"] = "4*m + 1"
+        notes = (
+            f"Speed-{n} rotation: every point of the open orbit has isotropy "
+            f"Z/{n}; the dual data grades everything over Z/{n} sectors.",
+        ) + _SPHERE_NOTES[1:]
     return ResolvedAction(
-        tree,
-        {"0": root, "N": pole, "S": pole},
-        faces,
-        windows,
-        bundles=bundles,
-        chern=chern,
-        notes=notes,
-        expected=expected,
+        tree, spaces, faces, windows, bundles=bundles, chern=chern, notes=notes, expected=expected
     )
 
 
@@ -309,8 +259,115 @@ def product_trivial(torsion: Sequence[int], inner: Optional[ResolvedAction] = No
 
 
 # ---------------------------------------------------------------------------
-# projective plane
+# seamed sphere: the projective plane
 # ---------------------------------------------------------------------------
+
+def _seamed_sphere(
+    k: int,
+    sphere_poles: Sequence[str],
+    seam: bool,
+    seam_poles: Sequence[str],
+    corner_k: bool,
+):
+    """(tree, spaces, faces, windows, corners) over a two-sphere root.
+
+    The root "0" has trivial isotropy and the sphere model with shift k:
+    cupping with k*omega, with K0 = Z^2 twisted by [[1,0],[k,1]].  Each of
+    `sphere_poles` is a fixed pole whose face over the root is a copy of
+    the root model.  `seam` adds a Z/2 seam "s" with a circle face over the
+    root; each of `seam_poles` sits above the seam too, with a disk face
+    over the root, a point face over the seam and a corner where they
+    meet.  `corner_k` gives those corners their K0 block.  Every
+    comparable pair is a direct edge with a face.
+    """
+    z2 = FgAbGroup.free(2)
+    sphere_model = CochainComplex((1, 0, 1))
+    cup = ChainMap.from_blocks(sphere_model, sphere_model, {0: [[k]]}, degree=2)
+    twist = AbHom(z2, z2, [[1, 0], [k, 1]])
+    root_k = KData(z2, TRIV, [twist], [AbHom.identity(TRIV)], AbHom(z2, Z, [[1, 0]]))
+    root = NodeSpaceData(sphere_model, [cup], root_k)
+    pole = _point_node(0)
+    whole = SubgroupDatum(AbHom(Z, Z, [[1]]))
+    pt = CochainComplex.point()
+    kid = _identity_kpair(Z, TRIV)
+
+    poles = sorted([*sphere_poles, *seam_poles])
+    nodes = {"0": SubgroupDatum(AbHom(Z, TRIV, []))}
+    spaces = {"0": root}
+    windows = {"0": WindowRule.full()}
+    faces = {}
+    if seam:
+        seam_complex = CochainComplex((1,))
+        nodes["s"] = SubgroupDatum(AbHom(Z, FgAbGroup(0, (2,)), [[1]]))
+        spaces["s"] = NodeSpaceData(
+            seam_complex,
+            [ChainMap.zero(seam_complex, seam_complex, degree=2)],
+            _rank_kdata(Z, TRIV, 1),
+        )
+        windows["s"] = WindowRule.full()
+        # face over the seam: a circle, with K1 = Z; the restriction to it
+        # kills omega whatever the shift
+        circle = CochainComplex((1, 1))
+        circle_face = NodeSpaceData(
+            circle,
+            [ChainMap.zero(circle, circle, degree=2)],
+            KData.trivial_shifts(Z, Z, AbHom.identity(Z), 1),
+        )
+        faces[("0", "s")] = FaceMaps(
+            circle_face,
+            ChainMap(sphere_model, circle, [[1, 0], [0, 0]]),
+            ChainMap(seam_complex, circle, [[1], [0]]),
+            KPair(AbHom(z2, Z, [[1, 0]]), AbHom(TRIV, Z, [[]])),
+            KPair(AbHom.identity(Z), AbHom(TRIV, Z, [[]])),
+        )
+    nodes.update({lab: whole for lab in poles})
+    spaces.update({lab: pole for lab in poles})
+    windows.update({lab: WindowRule.ball(1) for lab in poles})
+
+    # a free-orbit pole's face: a copy of the root sphere model
+    sphere_face = NodeSpaceData(sphere_model, [cup], root_k)
+    # a seam pole's face over the root: a disk, so that its corner closes
+    disk = CochainComplex((1,))
+    disk_face = NodeSpaceData(disk, [ChainMap.zero(disk, disk, degree=2)], _rank_kdata(Z, TRIV, 1))
+    for lab in poles:
+        if lab in seam_poles:
+            faces[("0", lab)] = FaceMaps(
+                disk_face,
+                ChainMap(sphere_model, disk, [[1, 0]]),
+                ChainMap.identity(pt),
+                KPair(AbHom(z2, Z, [[1, 0]]), AbHom.identity(TRIV)),
+                kid,
+            )
+        else:
+            faces[("0", lab)] = FaceMaps(
+                sphere_face,
+                ChainMap.identity(sphere_model),
+                ChainMap(pt, sphere_model, [[1], [0]]),
+                KPair(AbHom.identity(z2), AbHom.identity(TRIV)),
+                KPair(AbHom(Z, z2, [[1], [0]]), AbHom.identity(TRIV)),
+            )
+
+    # faces between the seam and its poles: points, meeting the root at corners
+    pt_face = _point_node(1)
+    one = AbHom.identity(Z)
+    k_block = dict(k0=Z, sigma0=[one], into_ab_k=one, into_ag_k=one, pull_bg_k=one) if corner_k else {}
+    corners = {}
+    for lab in seam_poles:
+        faces[("s", lab)] = FaceMaps(
+            pt_face, ChainMap(seam_complex, pt, [[1]]), ChainMap.identity(pt), kid, kid
+        )
+        corners[("0", "s", lab)] = CornerData(
+            circle,
+            [ChainMap.zero(circle, circle, degree=2)],
+            into_ab=ChainMap.identity(circle),
+            into_ag=ChainMap(disk, circle, [[1], [0]]),
+            pull_bg=ChainMap(pt, circle, [[1], [0]]),
+            **k_block,
+        )
+
+    tree = IsotropyTree(nodes, list(faces), corner_chains=list(corners))
+    return tree, spaces, faces, windows, corners
+
 
 _PLANE_NOTES = (
     "Complex projective plane with the diagonal-weight circle action: the "
@@ -331,138 +388,14 @@ def projective_plane() -> ResolvedAction:
     at m=0 and 6m for m >= 1, odd 0 throughout (constraint counting on
     the assembled complex; see docs/projective-plane-model.md).
     """
-    c2 = FgAbGroup(0, (2,))
-    trivial = SubgroupDatum(AbHom(Z, TRIV, []))
-    half = SubgroupDatum(AbHom(Z, c2, [[1]]))
-    whole = SubgroupDatum(AbHom(Z, Z, [[1]]))
-    tree = IsotropyTree(
-        {"0": trivial, "s": half, "p1": whole, "p2": whole, "p3": whole},
-        [("0", "s"), ("0", "p1"), ("0", "p2"), ("0", "p3"), ("s", "p1"), ("s", "p3")],
-        corner_chains=[("0", "s", "p1"), ("0", "s", "p3")],
+    tree, spaces, faces, windows, corners = _seamed_sphere(
+        1, ("p2",), True, ("p1", "p3"), corner_k=True
     )
-
-    z2 = FgAbGroup.free(2)
-    sphere_model = CochainComplex((1, 0, 1))
-    cup = ChainMap.from_blocks(sphere_model, sphere_model, {0: [[1]]}, degree=2)
-    unipotent = AbHom(z2, z2, [[1, 0], [1, 1]])
-    root_k = KData(z2, TRIV, [unipotent], [AbHom.identity(TRIV)], AbHom(z2, Z, [[1, 0]]))
-    root = NodeSpaceData(sphere_model, [cup], root_k)
-
-    seam_complex = CochainComplex((1,))
-    seam = NodeSpaceData(
-        seam_complex,
-        [ChainMap.zero(seam_complex, seam_complex, degree=2)],
-        _rank_kdata(Z, TRIV, 1),
-    )
-    pole = _point_node(0)
-
-    circle = CochainComplex((1, 1))
-    disk = CochainComplex((1,))
-    pt = CochainComplex.point()
-    kid = _identity_kpair(Z, TRIV)
-    rank_rk = KPair(AbHom(z2, Z, [[1, 0]]), AbHom.identity(TRIV))
-
-    # face over the seam: a circle, with K1 = Z
-    circle_face = NodeSpaceData(
-        circle,
-        [ChainMap.zero(circle, circle, degree=2)],
-        KData.trivial_shifts(Z, Z, AbHom.identity(Z), 1),
-    )
-    face_0s = FaceMaps(
-        circle_face,
-        ChainMap(sphere_model, circle, [[1, 0], [0, 0]]),
-        ChainMap(seam_complex, circle, [[1], [0]]),
-        KPair(AbHom(z2, Z, [[1, 0]]), AbHom(TRIV, Z, [[]])),
-        KPair(AbHom.identity(Z), AbHom(TRIV, Z, [[]])),
-    )
-
-    # face over the free-orbit pole p2: a copy of the root sphere model
-    sphere_face = NodeSpaceData(sphere_model, [cup], root_k)
-    face_0p2 = FaceMaps(
-        sphere_face,
-        ChainMap.identity(sphere_model),
-        ChainMap(pt, sphere_model, [[1], [0]]),
-        KPair(AbHom.identity(z2), AbHom.identity(TRIV)),
-        KPair(AbHom(Z, z2, [[1], [0]]), AbHom.identity(TRIV)),
-    )
-
-    # faces over the seam-adjacent poles p1, p3: disks
-    disk_face = NodeSpaceData(
-        disk,
-        [ChainMap.zero(disk, disk, degree=2)],
-        _rank_kdata(Z, TRIV, 1),
-    )
-
-    def disk_face_maps() -> FaceMaps:
-        return FaceMaps(
-            disk_face,
-            ChainMap(sphere_model, disk, [[1, 0]]),
-            ChainMap.identity(pt),
-            rank_rk,
-            kid,
-        )
-
-    # faces between the seam and its poles: points
-    pt_face = NodeSpaceData(pt, [ChainMap.zero(pt, pt, degree=2)], _rank_kdata(Z, TRIV, 1))
-
-    def seam_pole_face() -> FaceMaps:
-        return FaceMaps(
-            pt_face,
-            ChainMap(seam_complex, pt, [[1]]),
-            ChainMap.identity(pt),
-            kid,
-            kid,
-        )
-
-    faces = {
-        ("0", "s"): face_0s,
-        ("0", "p1"): disk_face_maps(),
-        ("0", "p2"): face_0p2,
-        ("0", "p3"): disk_face_maps(),
-        ("s", "p1"): seam_pole_face(),
-        ("s", "p3"): seam_pole_face(),
-    }
-
-    def corner() -> CornerData:
-        return CornerData(
-            circle,
-            [ChainMap.zero(circle, circle, degree=2)],
-            into_ab=ChainMap.identity(circle),
-            into_ag=ChainMap(disk, circle, [[1], [0]]),
-            pull_bg=ChainMap(pt, circle, [[1], [0]]),
-            k0=Z,
-            sigma0=[AbHom.identity(Z)],
-            into_ab_k=AbHom.identity(Z),
-            into_ag_k=AbHom.identity(Z),
-            pull_bg_k=AbHom.identity(Z),
-        )
-
-    corners = {("0", "s", "p1"): corner(), ("0", "s", "p3"): corner()}
-
-    windows = {
-        "0": WindowRule.full(),
-        "s": WindowRule.full(),
-        "p1": WindowRule.ball(1),
-        "p2": WindowRule.ball(1),
-        "p3": WindowRule.ball(1),
-    }
-    bundles = {
-        "tautological": {
-            "0": {(0,): (2, 1)},
-            "s": {(0,): (1,), (1,): (1,)},
-            "p1": {(0,): (1,), (1,): (1,)},
-            "p2": {(0,): (1,), (1,): (1,)},
-            "p3": {(0,): (1,), (1,): (1,)},
-        }
-    }
+    bundles = {"tautological": {
+        "0": {(0,): (2, 1)}, **{lab: {(0,): (1,), (1,): (1,)} for lab in ("s", "p1", "p2", "p3")}
+    }}
     chern = ChernData(
-        {
-            "0": [(1, 0), (0, 1)],
-            "s": [(1,)],
-            "p1": [(1,)],
-            "p2": [(1,)],
-            "p3": [(1,)],
-        }
+        {"0": [(1, 0), (0, 1)], "s": [(1,)], "p1": [(1,)], "p2": [(1,)], "p3": [(1,)]}
     )
     expected = {
         "deloc_dims_by_radius": {"0": [1, 0], "1": [6, 0], "2": [12, 0]},
@@ -471,7 +404,7 @@ def projective_plane() -> ResolvedAction:
     }
     return ResolvedAction(
         tree,
-        {"0": root, "s": seam, "p1": pole, "p2": pole, "p3": pole},
+        spaces,
         faces,
         windows,
         corners=corners,
@@ -490,52 +423,8 @@ def _multipole(rng: random.Random) -> ResolvedAction:
     """Path-graph base with several fully fixed poles; root isotropy Z/n."""
     n = rng.choice([1, 2, 3])
     p = rng.choice([2, 4])
-    if n == 1:
-        generic = SubgroupDatum(AbHom(Z, TRIV, []))
-    else:
-        generic = SubgroupDatum(AbHom(Z, FgAbGroup(0, (n,)), [[1]]))
-    whole = SubgroupDatum(AbHom(Z, Z, [[1]]))
-
-    labels = [f"p{i}" for i in range(p)]
-    nodes = {"0": generic}
-    nodes.update({lab: whole for lab in labels})
-    tree = IsotropyTree(nodes, [("0", lab) for lab in labels])
-
-    # path graph on p vertices: C^0 = Q^p, C^1 = Q^(p-1), d = incidence
-    d0 = [[0] * p for _ in range(p - 1)]
-    for e in range(p - 1):
-        d0[e][e] = -1
-        d0[e][e + 1] = 1
-    base = CochainComplex((p, p - 1), [d0])
-    root = NodeSpaceData(
-        base,
-        [ChainMap.zero(base, base, degree=2)],
-        _rank_kdata(Z, TRIV, 1),
-    )
-    pole = _point_node(0)
-    pt = CochainComplex.point()
-    face_node = NodeSpaceData(pt, [ChainMap.zero(pt, pt, degree=2)], _rank_kdata(Z, TRIV, 1))
-    kid = _identity_kpair(Z, TRIV)
-
-    faces = {}
-    for i, lab in enumerate(labels):
-        row = [0] * (2 * p - 1)
-        row[i] = 1
-        faces[("0", lab)] = FaceMaps(
-            face_node,
-            ChainMap(base, pt, [row]),
-            ChainMap.identity(pt),
-            kid,
-            kid,
-        )
-    pole_rule = (
-        WindowRule.ball(1) if n == 1 else WindowRule.residue_ball(n, 1)
-    )
-    windows = {"0": WindowRule.full()}
-    windows.update({lab: pole_rule for lab in labels})
-    return ResolvedAction(tree, {"0": root, **{lab: pole for lab in labels}},
-                          faces, windows,
-                          notes=(f"synthetic multipole base, n={n}, p={p}",))
+    parts = _poles_over_a_path(n, [f"p{i}" for i in range(p)])
+    return ResolvedAction(*parts, notes=(f"synthetic multipole base, n={n}, p={p}",))
 
 
 def _twisted(rng: random.Random) -> ResolvedAction:
@@ -543,107 +432,12 @@ def _twisted(rng: random.Random) -> ResolvedAction:
     k = rng.randint(0, 2)
     q = rng.choice([1, 3])
     with_seam = rng.random() < 0.5
-    c2 = FgAbGroup(0, (2,))
-    trivial = SubgroupDatum(AbHom(Z, TRIV, []))
-    half = SubgroupDatum(AbHom(Z, c2, [[1]]))
-    whole = SubgroupDatum(AbHom(Z, Z, [[1]]))
-
-    z2 = FgAbGroup.free(2)
-    sphere_model = CochainComplex((1, 0, 1))
-    cup = ChainMap.from_blocks(sphere_model, sphere_model, {0: [[k]]}, degree=2)
-    twist = AbHom(z2, z2, [[1, 0], [k, 1]])
-    root_k = KData(z2, TRIV, [twist], [AbHom.identity(TRIV)], AbHom(z2, Z, [[1, 0]]))
-    root = NodeSpaceData(sphere_model, [cup], root_k)
-
-    pole = _point_node(0)
-    pt = CochainComplex.point()
     labels = [f"q{i}" for i in range(q)]
-    nodes = {"0": trivial}
-    nodes.update({lab: whole for lab in labels})
-    relations = [("0", lab) for lab in labels]
-    spaces = {"0": root, **{lab: pole for lab in labels}}
-
-    sphere_face = NodeSpaceData(sphere_model, [cup], root_k)
-    faces = {
-        ("0", lab): FaceMaps(
-            sphere_face,
-            ChainMap.identity(sphere_model),
-            ChainMap(pt, sphere_model, [[1], [0]]),
-            KPair(AbHom.identity(z2), AbHom.identity(TRIV)),
-            KPair(AbHom(Z, z2, [[1], [0]]), AbHom.identity(TRIV)),
-        )
-        for lab in labels
-    }
-    windows = {"0": WindowRule.full()}
-    windows.update({lab: WindowRule.ball(1) for lab in labels})
-    corner_chains: List[Tuple[str, ...]] = []
-    corners: Dict[Tuple[str, ...], CornerData] = {}
-
-    if with_seam:
-        seam_complex = CochainComplex((1,))
-        seam = NodeSpaceData(
-            seam_complex,
-            [ChainMap.zero(seam_complex, seam_complex, degree=2)],
-            _rank_kdata(Z, TRIV, 1),
-        )
-        circle = CochainComplex((1, 1))
-        circle_face = NodeSpaceData(
-            circle,
-            [ChainMap.zero(circle, circle, degree=2)],
-            KData.trivial_shifts(Z, Z, AbHom.identity(Z), 1),
-        )
-        nodes["s"] = half
-        spaces["s"] = seam
-        relations.append(("0", "s"))
-        # the seam face forgets the twist, so it only attaches when k = 0
-        # restricted to the circle -- the restriction kills omega always.
-        faces[("0", "s")] = FaceMaps(
-            circle_face,
-            ChainMap(sphere_model, circle, [[1, 0], [0, 0]]),
-            ChainMap(seam_complex, circle, [[1], [0]]),
-            KPair(AbHom(z2, Z, [[1, 0]]), AbHom(TRIV, Z, [[]])),
-            KPair(AbHom.identity(Z), AbHom(TRIV, Z, [[]])),
-        )
-        windows["s"] = WindowRule.full()
-        if labels and rng.random() < 0.5:
-            # attach the first pole above the seam as well, with a corner
-            lab = labels[0]
-            relations.append(("s", lab))
-            pt_face = NodeSpaceData(
-                pt, [ChainMap.zero(pt, pt, degree=2)], _rank_kdata(Z, TRIV, 1)
-            )
-            faces[("s", lab)] = FaceMaps(
-                pt_face,
-                ChainMap(seam_complex, pt, [[1]]),
-                ChainMap.identity(pt),
-                _identity_kpair(Z, TRIV),
-                _identity_kpair(Z, TRIV),
-            )
-            # the pole face over the root must restrict to the corner circle
-            # compatibly; replace it with a disk model so the corner closes.
-            disk = CochainComplex((1,))
-            disk_face = NodeSpaceData(
-                disk,
-                [ChainMap.zero(disk, disk, degree=2)],
-                _rank_kdata(Z, TRIV, 1),
-            )
-            faces[("0", lab)] = FaceMaps(
-                disk_face,
-                ChainMap(sphere_model, disk, [[1, 0]]),
-                ChainMap.identity(pt),
-                KPair(AbHom(z2, Z, [[1, 0]]), AbHom.identity(TRIV)),
-                _identity_kpair(Z, TRIV),
-            )
-            corner_chains.append(("0", "s", lab))
-            corners[("0", "s", lab)] = CornerData(
-                circle,
-                [ChainMap.zero(circle, circle, degree=2)],
-                into_ab=ChainMap.identity(circle),
-                into_ag=ChainMap(disk, circle, [[1], [0]]),
-                pull_bg=ChainMap(pt, circle, [[1], [0]]),
-            )
-
-    tree = IsotropyTree(nodes, relations, corner_chains=corner_chains)
+    # with a seam, the first pole may attach above it as well, with a corner
+    seam_poles = labels[:1] if with_seam and rng.random() < 0.5 else []
+    tree, spaces, faces, windows, corners = _seamed_sphere(
+        k, labels[len(seam_poles):], with_seam, seam_poles, corner_k=False
+    )
     return ResolvedAction(
         tree, spaces, faces, windows, corners=corners,
         notes=(f"synthetic twisted base, k={k}, q={q}, seam={with_seam}",),

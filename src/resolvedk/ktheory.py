@@ -296,8 +296,8 @@ def rational_global_k(
 
     The dimensions are those of the delocalized cohomology of the kept
     complex.  Every step of the pruning sequence that builds that complex
-    from its root must yield an exact six-term sequence, otherwise the
-    computation aborts with the failing hexagon.
+    from its root must yield an exact six-term sequence, in every sector
+    and summed, otherwise the computation aborts with the failing rows.
     """
     from . import deloc
 
@@ -307,6 +307,11 @@ def rational_global_k(
     checks = ValidationReport()
     start = assembled.full.restrict(assembled.kept & {action.tree.root})
     for les in deloc.pruning_walk(start, assembled):
+        if not les.report.ok:
+            raise ArithmeticError(
+                f"pruning step +{les.alpha} is not exact:\n"
+                + "\n".join(f"{n}: {d}" if d else n for n, d in les.report.failures())
+            )
         checks.merge(hexagon_check(les.instance), prefix=f"step +{les.alpha}: ")
     if not checks.ok:
         raise ArithmeticError(

@@ -138,13 +138,18 @@ def test_section_checks_additivity_on_first_read_only(monkeypatch):
     calls = []
     check = chargroup._table_additive
     monkeypatch.setattr(chargroup, "_table_additive", lambda table: calls.append(1) or check(table))
+    splits = []
+    try_split = AbHom.try_split
+    monkeypatch.setattr(AbHom, "try_split", lambda hom: splits.append(1) or try_split(hom))
     sec = section(slope_datum(), [Character(Z, (k,)) for k in range(3)])
-    assert calls == []
+    assert calls == [] and splits == []
     assert sec.homomorphic is False and sec.homomorphic is False
-    assert calls == [1]
+    assert calls == [1] and splits == [1]
     # without a splitting nothing is tabulated-checked at all
-    assert section(mod2_datum(), [(0,), (1,)]).homomorphic is False
-    assert calls == [1]
+    no_split = section(mod2_datum(), [(0,), (1,)])
+    assert splits == [1]
+    assert no_split.homomorphic is False
+    assert calls == [1] and splits == [1, 1]
 
 
 def test_offset_and_compare_sections():

@@ -15,6 +15,7 @@ from resolvedk import deloc, fixtures
 from resolvedk.action import ResolvedAction
 from resolvedk.cli import main
 from resolvedk.descriptor import parse_descriptor, serialize_descriptor
+from resolvedk.report import ValidationReport
 
 
 def run_cli(*argv):
@@ -199,6 +200,46 @@ def test_compare_and_kred_assemble_once(monkeypatch):
         code, _, _ = run_cli(command, "--input", "fixture:projective_plane", "--window", "2")
         assert code == 0
         assert len(calls) == 1, (command, calls)
+
+
+def test_kred_and_compare_fail_on_a_failed_pruning_step(monkeypatch):
+    # a step whose summed hexagon is exact but whose own report is not
+    original = deloc._les_of
+
+    def broken(*args):
+        instance, rep = original(*args)
+        failed = ValidationReport()
+        failed.merge(rep)
+        failed.add("consecutive maps compose to zero", False, "nonzero: planted")
+        return instance, failed
+
+    monkeypatch.setattr(deloc, "_les_of", broken)
+    spec = ("--input", "fixture:sphere_rotation", "--window", "1")
+    assert run_cli("les", "--prune", "N", *spec)[0] == 1
+    code, _, err = run_cli("kred", *spec)
+    assert code == 1 and "planted" in err
+    code, out, _ = run_cli("compare", *spec)
+    assert code == 1
+    assert "FAIL pruning hexagons consistent" in out and "ranks agree" not in out
+
+
+def test_a_descriptor_command_imports_no_fixture_or_bundle_module(sphere_file):
+    # import time is most of a command's setup; fixtures and reduced
+    # bundles are imported on use only
+    src = os.path.dirname(os.path.dirname(resolvedk.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from resolvedk import cli\n"
+        f"cli._load_descriptor({sphere_file!r})\n"
+        "print([m for m in ('resolvedk.fixtures', 'resolvedk.redbun') if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize(
