@@ -368,6 +368,3 @@ class ResolvedAction:
                 "" if not bad_shape else "bad " + ", ".join(bad_shape),
             )
         return rep
-
-    def require_valid(self, radius: Optional[int] = None) -> None:
-        self.validate(radius).raise_if_failed("resolved action validation")

@@ -249,10 +249,6 @@ class SectionSystem:
             self._homomorphic = split is not None and _table_additive(self.table)
         return self._homomorphic
 
-    @property
-    def support(self) -> Tuple[Character, ...]:
-        return tuple(sorted(self.table, key=lambda c: c.coords))
-
     def __call__(self, b: Character) -> Character:
         try:
             return self.table[b]

@@ -37,9 +37,9 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 
 from .action import ResolvedAction, WindowError
 from .basespace import NodeSpaceData
-from .chargroup import Character, SectionSystem, SubgroupDatum, fiber_support, lift, lift_offset
+from .chargroup import Character, SectionSystem, fiber_support, lift, lift_offset
 from .itspace import Pruning, prune_step
-from .ktheory import LES_LABELS, SixTermInstance, hexagon_check  # noqa: F401 (LES_LABELS re-exported)
+from .ktheory import SixTermInstance, hexagon_check
 from .ratmat import (
     Exact,
     QuotientSpace,
@@ -80,15 +80,6 @@ def _column_space_basis(mat: RationalMatrix) -> RationalMatrix:
     """Independent columns of `mat` spanning its column space."""
     _, pivots = rref(mat)
     return mat.submatrix(range(mat.nrows), pivots)
-
-
-def ch_of_character(hhat, datum: SubgroupDatum, space: NodeSpaceData) -> RationalMatrix:
-    """Even chain operator of a kernel character: exponential of its shift."""
-    if not isinstance(hhat, Character):
-        if isinstance(hhat, int):
-            hhat = (hhat,)
-        hhat = Character(datum.ambient, hhat)
-    return space.twist(datum.kernel_coordinates(hhat))
 
 
 # -- the assembled global complex ----------------------------------------------
@@ -674,17 +665,24 @@ def validate_chern_data(action: ResolvedAction) -> ValidationReport:
         dim = space.complex.total_dim
         c = RationalMatrix.from_columns([list(v) for v in reps], nrows=dim) \
             if reps else RationalMatrix.zeros(dim, 0)
-        # the twisting laws at kernel generator i: sigma_i on K0, exp(L_i) on cochains
+        # the twisting laws at kernel generator i: sigma_i on K0, exp(L_i) on
+        # cochains; with one of each per generator they hold for every kernel
+        # element (docs/representation-ring.md)
+        n = action.tree.nodes[label].kernel_rank
         n_k, n_c = kdata.generator_count, len(space.shifts)
-        bad_twists = []
-        for i in range(min(n_k, n_c)):
-            sigma = kdata.twist([int(j == i) for j in range(n_k)]).matrix
-            if c @ sigma != space.twist([int(j == i) for j in range(n_c)]) @ c:
-                bad_twists.append(i)
+        if n_k != n or n_c != n:
+            detail = f"kernel rank {n}, {n_c} chain shifts, {n_k} K shifts"
+        else:
+            bad_twists = []
+            for i in range(n):
+                unit = [int(j == i) for j in range(n)]
+                if c @ kdata.twist(unit).matrix != space.twist(unit) @ c:
+                    bad_twists.append(i)
+            detail = f"kernel generators {bad_twists}" if bad_twists else ""
         rep.add(
             f"node {label}: shift automorphisms match exponential twists",
-            not bad_twists,
-            "" if not bad_twists else f"kernel generators {bad_twists}",
+            not detail,
+            detail,
         )
     return rep
 

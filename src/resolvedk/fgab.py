@@ -390,10 +390,6 @@ class FgAbGroup:
     def free(cls, rank: int) -> "FgAbGroup":
         return cls(rank, ())
 
-    @classmethod
-    def trivial(cls) -> "FgAbGroup":
-        return cls(0, ())
-
     @property
     def is_trivial(self) -> bool:
         return self.ngens == 0
@@ -531,10 +527,6 @@ class AbHom:
     @classmethod
     def identity(cls, group: FgAbGroup) -> "AbHom":
         return cls(group, group, RationalMatrix.identity(group.ngens))
-
-    @classmethod
-    def zero(cls, domain: FgAbGroup, codomain: FgAbGroup) -> "AbHom":
-        return cls(domain, codomain, RationalMatrix.zeros(codomain.ngens, domain.ngens))
 
     @classmethod
     def from_columns(cls, domain: FgAbGroup, codomain: FgAbGroup, columns: Sequence[Sequence[int]]) -> "AbHom":

@@ -1,8 +1,11 @@
 """Character-graded equivariant K-groups and six-term rank arithmetic.
 
 At a fixed-isotropy node the graded K-group is one copy of the node's
-integral (K0, K1) pair per window character, with the ambient dual acting
-by grading translation composed with the kernel shift automorphisms.
+integral (K0, K1) pair per window character, so its rank as a module over
+the representation ring is the window size times the free ranks
+(`GradedKGroup.total_ranks`).  How an ambient character acts on it, and
+why the Chern character commutes with that action, is derived in
+`docs/representation-ring.md`; nothing here computes the action.
 Globally only rational dimensions are emitted; the six-term sequence of
 each pruning step comes with all six dimensions and map ranks computed,
 and is checked at that level, never by guessing an unproved integral
@@ -11,37 +14,20 @@ extension.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .basespace import KData
-from .chargroup import Character, SectionSystem, SubgroupDatum, lift, lift_offset
+from .chargroup import Character, SubgroupDatum
 from .fgab import AbHom, FgAbGroup
 from .report import ValidationReport
-
-
-class WindowExceeded(ValueError):
-    """Raised when an action translates a sector outside the window."""
-
-    def __init__(self, char: Character):
-        super().__init__(
-            f"translated sector {char.coords} leaves the window; enlarge it"
-        )
-        self.char = char
 
 
 class GradedKGroup:
     """One (K0, K1) sector per window character of a node."""
 
-    __slots__ = ("label", "datum", "kdata", "window", "section", "_window_set")
+    __slots__ = ("label", "datum", "kdata", "window")
 
-    def __init__(
-        self,
-        datum: SubgroupDatum,
-        kdata: KData,
-        window: Sequence,
-        section: Optional[SectionSystem] = None,
-        label: str = "",
-    ):
+    def __init__(self, datum: SubgroupDatum, kdata: KData, window: Sequence, label: str = ""):
         chars = []
         for b in window:
             if not isinstance(b, Character):
@@ -52,39 +38,12 @@ class GradedKGroup:
         self.datum = datum
         self.kdata = kdata
         self.window = tuple(sorted(set(chars), key=lambda c: c.coords))
-        self.section = section
         self.label = label
-        self._window_set = frozenset(self.window)
-
-    # -- structure ------------------------------------------------------------
-
-    def __contains__(self, b: Character) -> bool:
-        return b in self._window_set
-
-    def sector(self, b: Character) -> Tuple[FgAbGroup, FgAbGroup]:
-        if b not in self._window_set:
-            raise WindowExceeded(b)
-        return self.kdata.k0, self.kdata.k1
 
     def total_ranks(self) -> Tuple[int, int]:
         even = len(self.window) * self.kdata.k0.free_rank
         odd = len(self.window) * self.kdata.k1.free_rank
         return even, odd
-
-    def table(self) -> List[Tuple[Tuple[int, ...], Tuple[int, Tuple[int, ...]], Tuple[int, Tuple[int, ...]]]]:
-        """Rows (character coords, (even rank, even torsion), (odd ...))."""
-        k0, k1 = self.kdata.k0, self.kdata.k1
-        return [
-            (b.coords, (k0.free_rank, k0.torsion), (k1.free_rank, k1.torsion))
-            for b in self.window
-        ]
-
-    def validate_element(self, x: Mapping) -> None:
-        for b, (ev, od) in x.items():
-            if b not in self._window_set:
-                raise WindowExceeded(b)
-            if len(ev) != self.kdata.k0.ngens or len(od) != self.kdata.k1.ngens:
-                raise ValueError(f"element coordinates at {b.coords} have wrong shape")
 
 
 def action_node_k(action, label: str, radius: Optional[int] = None) -> GradedKGroup:
@@ -96,39 +55,6 @@ def action_node_k(action, label: str, radius: Optional[int] = None) -> GradedKGr
         windows[label],
         label=label,
     )
-
-
-def rg_action(
-    ghat,
-    x: Mapping[Character, Tuple[Sequence[int], Sequence[int]]],
-    k: GradedKGroup,
-) -> Dict[Character, Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Representation-ring action of an ambient character on an element.
-
-    The grading translates by the restriction of the character; the classes
-    are twisted by the kernel element connecting the translated lifts.
-    """
-    if not isinstance(ghat, Character):
-        if isinstance(ghat, int):
-            ghat = (ghat,)
-        ghat = Character(k.datum.ambient, ghat)
-    k.validate_element(x)
-    shift = k.datum.restrict(ghat)
-    out: Dict[Character, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-    for b, (ev, od) in x.items():
-        b2 = b + shift
-        if b2 not in k._window_set:
-            raise WindowExceeded(b2)
-        # the entry at b sits at ghat + lift(b) over b2 once translated
-        _, coords = lift_offset(k.datum, k.section, b2, ghat + lift(k.datum, k.section, b))
-        ev2 = k.kdata.twist(coords).apply(ev)
-        od2 = k.kdata.odd.twist(coords).apply(od)
-        if b2 in out:
-            prev = out[b2]
-            ev2 = k.kdata.k0.add(prev[0], ev2)
-            od2 = k.kdata.k1.add(prev[1], od2)
-        out[b2] = (ev2, od2)
-    return out
 
 
 def _product_group(old: FgAbGroup, extra: FgAbGroup) -> Tuple[FgAbGroup, AbHom]:
@@ -190,15 +116,7 @@ def product_with_trivial_factor(a_dual: FgAbGroup, k: GradedKGroup) -> GradedKGr
         for extra in a_dual.elements()
         for b in k.window
     ]
-    section = None
-    if k.section is not None:
-        table = {}
-        for extra in a_dual.elements():
-            for b, lift in k.section.table.items():
-                nb = Character(new_tgt, pair_tgt(b.coords, extra))
-                table[nb] = Character(new_amb, pair_amb(lift.coords, extra))
-        section = SectionSystem(new_datum, table, None)
-    return GradedKGroup(new_datum, k.kdata, window, section=section, label=k.label)
+    return GradedKGroup(new_datum, k.kdata, window, label=k.label)
 
 
 # -- six-term sequences --------------------------------------------------------

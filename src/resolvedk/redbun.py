@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from .action import ResolvedAction
 from .basespace import Coefficients, TwistedMaps
 from .chargroup import Character, SectionSystem, SubgroupDatum, edge_image, lift_offset
-from .fgab import AbHom, _integer
+from .fgab import AbHom
 from .report import ValidationReport
 
 
@@ -133,47 +133,6 @@ def canonicalize(
 
     table = twisted_sum(coefficients, coefficients.twist, entries(), datum, section)
     return TwistedTable(label, datum, coefficients, table)
-
-
-def direct_sum(w1: TwistedTable, w2: TwistedTable) -> TwistedTable:
-    if w1.datum is not w2.datum and w1.datum.restriction != w2.datum.restriction:
-        raise ValueError("direct sum needs tables over the same node")
-    table = dict(w1.table)
-    for g, v in w2.table.items():
-        table[g] = w1.coefficients.add(table[g], v) if g in table else v
-    return TwistedTable(w1.label, w1.datum, w1.coefficients, table)
-
-
-def tensor_with_representation(
-    rep_table: Mapping,
-    w: TwistedTable,
-    section: Optional[SectionSystem] = None,
-) -> TwistedTable:
-    """Convolve a finitely supported character table into the table."""
-    coefficients = w.coefficients
-    raw: Dict[Character, tuple] = {}
-    for ghat, mult in rep_table.items():
-        ghat = _as_character(w.datum.ambient, ghat)
-        mult = _integer(mult, "multiplicity")
-        for g, v in w.table.items():
-            key = ghat + g
-            scaled = coefficients.normalize([mult * x for x in v])
-            raw[key] = coefficients.add(raw[key], scaled) if key in raw else scaled
-    return canonicalize(raw, w.datum, coefficients, section=section, label=w.label)
-
-
-def shift_act(
-    hhat, w: TwistedTable, section: Optional[SectionSystem] = None
-) -> TwistedTable:
-    """Act by a kernel-lattice character: translate support, recanonicalize.
-
-    On canonical forms this applies twist(h) to every value and keeps the
-    support fixed.
-    """
-    hhat = _as_character(w.datum.ambient, hhat)
-    if not w.datum.in_kernel(hhat):
-        raise ValueError(f"{hhat!r} is not in the node's kernel lattice")
-    return tensor_with_representation({hhat: 1}, w, section=section)
 
 
 def face_restriction(maps: TwistedMaps, w: TwistedTable) -> TwistedTable:

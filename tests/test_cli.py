@@ -140,6 +140,25 @@ def test_ch_requires_a_wide_enough_window(sphere_file):
     assert "enlarge the radius" in err
 
 
+def test_ch_refuses_a_node_without_its_chain_shift(tmp_path):
+    desc = json.loads(serialize_descriptor(fixtures.sphere_rotation()))
+    desc["spaces"]["0"]["shifts"] = []
+    path = tmp_path / "no-shift.json"
+    path.write_text(json.dumps(desc))
+    code, out, err = run_cli("ch", "--input", str(path), "--window", "4")
+    assert (code, out) == (2, "")
+    assert err == (
+        "resolvedk: Chern data failed: node 0: shift automorphisms match "
+        "exponential twists: kernel rank 1, 0 chain shifts, 1 K shifts\n"
+    )
+    # validate names the same count, and it is the one failing row
+    code, out, _ = run_cli("validate", "--input", str(path), "--window", "4")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL node 0: one shift per kernel generator: kernel rank 1, 0 chain shifts, 1 K shifts"
+    ]
+
+
 def test_les_reports_exact_steps(sphere_file):
     code, out, _ = run_cli("les", "--input", sphere_file, "--window", "1", "--prune", "N")
     assert code == 0

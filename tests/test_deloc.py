@@ -1,6 +1,7 @@
 """Delocalized model: exponential twists, assembly, pruning sequences, Chern."""
 
 import importlib
+import itertools
 import pkgutil
 from fractions import Fraction
 from operator import attrgetter
@@ -24,7 +25,6 @@ from resolvedk.basespace import (
 from resolvedk.chargroup import Character, SubgroupDatum, edge_image, offset_section, section
 from resolvedk.deloc import (
     assemble_complex,
-    ch_of_character,
     chern_character,
     compare_ranks,
     deloc_cohomology,
@@ -115,32 +115,37 @@ def equal_isotropy_pair(deep_rule):
 # -- character exponentials --------------------------------------------------------
 
 
+def kernel_twist(coords, datum, space):
+    """exp(L(h)) of the ambient character with `coords`, h its kernel coordinates."""
+    return space.twist(datum.kernel_coordinates(Character(datum.ambient, coords)))
+
+
 def test_ch_identity_when_shifts_vanish():
     sphere = sphere_rotation()
     datum, space = sphere.tree.nodes["0"], sphere.spaces["0"]
     for k in (-2, 0, 5):
-        assert ch_of_character((k,), datum, space) == RationalMatrix.identity(3)
+        assert kernel_twist((k,), datum, space) == RationalMatrix.identity(3)
 
 
 def test_ch_single_nilpotent_step():
     datum, space = plane_root()
     for k in (1, 2, -3):
         expect = RationalMatrix([[1, 0], [k, 1]])
-        assert ch_of_character((k,), datum, space) == expect
+        assert kernel_twist((k,), datum, space) == expect
 
 
 def test_ch_is_multiplicative():
     datum, space = plane_root()
-    two, three = ch_of_character((2,), datum, space), ch_of_character((3,), datum, space)
-    assert two @ three == ch_of_character((5,), datum, space)
-    inv = ch_of_character((-2,), datum, space)
+    two, three = kernel_twist((2,), datum, space), kernel_twist((3,), datum, space)
+    assert two @ three == kernel_twist((5,), datum, space)
+    inv = kernel_twist((-2,), datum, space)
     assert two @ inv == RationalMatrix.identity(2)
 
 
 def test_ch_requires_kernel_character():
     sphere = sphere_rotation()
-    with pytest.raises(ValueError):
-        ch_of_character((1,), sphere.tree.nodes["N"], sphere.spaces["N"])
+    with pytest.raises(ValueError, match="kernel lattice"):
+        kernel_twist((1,), sphere.tree.nodes["N"], sphere.spaces["N"])
 
 
 def test_exp_rejects_non_nilpotent():
@@ -583,7 +588,7 @@ def test_sphere_pruning_steps_are_exact():
         for idx in range(len(steps) - 1):
             les = les_of_pruning(full.restrict(steps[idx].kept), full.restrict(steps[idx + 1].kept))
             assert les.report.ok, les.report.failures()
-            assert les.instance.labels == deloc.LES_LABELS
+            assert les.instance.labels == LES_LABELS
             assert les.instance.alternating_sum() == 0
 
 
@@ -842,6 +847,30 @@ def test_chern_data_validation_catches_open_or_torsion_reps():
         chern=ChernData({}),
     )
     assert not validate_chern_data(act3).ok
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(sphere_rotation, id="sphere"),
+    pytest.param(lambda: sphere_rotation_speed(3), id="speed3"),
+    pytest.param(projective_plane, id="plane"),
+    pytest.param(lambda: product_trivial((2,)), id="product2"),
+])
+def test_chern_representatives_intertwine_every_kernel_twist(build):
+    """C @ sigma(h) == exp(L(h)) @ C for every h in [-2, 2]^r at every node.
+
+    `validate_chern_data` checks the kernel generators only; this is the
+    identity for general h that docs/representation-ring.md derives from it.
+    """
+    action = build()
+    assert validate_chern_data(action).ok
+    for label, space in action.spaces.items():
+        reps = action.chern.reps[label]
+        dim = space.complex.total_dim
+        c = RationalMatrix.from_columns([list(v) for v in reps], nrows=dim) \
+            if reps else RationalMatrix.zeros(dim, 0)
+        rank = action.tree.nodes[label].kernel_rank
+        for h in itertools.product(range(-2, 3), repeat=rank):
+            assert c @ space.kdata.twist(h).matrix == space.twist(h) @ c, (label, h)
 
 
 def test_sphere_chern_cocycle_values():

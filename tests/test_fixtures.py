@@ -40,8 +40,11 @@ def test_product_scales_expected_dims():
     for key, dims in base_dims.items():
         assert prod_dims[key] == [2 * v for v in dims]
     # node labels, complexes, and face maps are shared unchanged
-    assert prod.spaces is not base.spaces or prod.spaces == base.spaces
     assert set(prod.tree.nodes) == set(base.tree.nodes)
+    assert prod.spaces.keys() == base.spaces.keys()
+    assert all(prod.spaces[label] is base.spaces[label] for label in base.spaces)
+    assert prod.faces.keys() == base.faces.keys()
+    assert all(prod.faces[pair] is base.faces[pair] for pair in base.faces)
 
 
 def test_product_rejects_torsion_inner():
@@ -52,9 +55,10 @@ def test_product_rejects_torsion_inner():
 
 def test_product_rejects_bad_chain():
     # appending Z/3 to the speed-2 root target Z/2 would need 2 | 3
-    base = sphere_rotation()
-    ok = product_trivial((3,), base)
-    assert ok.group.torsion == (3,)
+    with pytest.raises(ValueError, match=r"cannot append factors \(3,\) to target"):
+        product_trivial((3,), sphere_rotation_speed(2))
+    # the same factor on the torsion-free base sphere is accepted
+    assert product_trivial((3,), sphere_rotation()).group.torsion == (3,)
 
 
 def test_projective_plane_structure():

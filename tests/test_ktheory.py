@@ -1,22 +1,20 @@
-"""Graded K-groups, the grading translation action, and hexagon arithmetic."""
+"""Graded K-groups, the derived representation-ring action, and hexagon arithmetic."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resolvedk.basespace import KData
-from resolvedk.chargroup import Character, SubgroupDatum
+from resolvedk.chargroup import Character, SubgroupDatum, lift, lift_offset
 from resolvedk.fgab import AbHom, FgAbGroup
 from resolvedk.fixtures import sphere_rotation
 from resolvedk.ktheory import (
     LES_LABELS,
     GradedKGroup,
     SixTermInstance,
-    WindowExceeded,
     action_node_k,
     hexagon_check,
     product_with_trivial_factor,
-    rg_action,
 )
 
 Z = FgAbGroup.free(1)
@@ -53,12 +51,8 @@ def test_pole_node_window_table():
     datum, kdata = pole_node()
     k = GradedKGroup(datum, kdata, [(-1,), (0,), (1,)])
     assert k.total_ranks() == (3, 0)
-    assert k.table() == [
-        ((-1,), (1, ()), (0, ())),
-        ((0,), (1, ()), (0, ())),
-        ((1,), (1, ()), (0, ())),
-    ]
-    assert [g.free_rank for g in k.sector(Character(Z, (0,)))] == [1, 0]
+    assert [b.coords for b in k.window] == [(-1,), (0,), (1,)]
+    assert (k.kdata.k0.free_rank, k.kdata.k1.free_rank) == (1, 0)
 
 
 def test_window_is_deduplicated_and_sorted():
@@ -71,7 +65,7 @@ def test_empty_window_is_zero():
     datum, kdata = pole_node()
     k = GradedKGroup(datum, kdata, [])
     assert k.total_ranks() == (0, 0)
-    assert k.table() == []
+    assert k.window == ()
 
 
 def test_free_orbit_single_sector():
@@ -86,14 +80,6 @@ def test_foreign_window_character_rejected():
         GradedKGroup(datum, kdata, [Character(C2, (1,))])
 
 
-def test_sector_outside_window_names_character():
-    datum, kdata = pole_node()
-    k = GradedKGroup(datum, kdata, [(0,)])
-    with pytest.raises(WindowExceeded, match=r"\(7,\)") as err:
-        k.sector(Character(Z, (7,)))
-    assert err.value.char.coords == (7,)
-
-
 def test_action_node_k_reads_fixture_windows():
     sphere = sphere_rotation()
     k = action_node_k(sphere, "N", radius=2)
@@ -101,57 +87,64 @@ def test_action_node_k_reads_fixture_windows():
     assert k.total_ranks() == (5, 0)
 
 
-# -- the translation action ------------------------------------------------------
+# -- the representation-ring action, as derived ------------------------------------
+#
+# No library function applies the action: docs/representation-ring.md derives
+# it from the twisting law.  An ambient character g moves the class x at
+# lift(b) to lift(b + restrict(g)) and twists it there by sigma(h), h the
+# kernel coordinates of g + lift(b) - lift(b + restrict(g)).  `act` is that
+# formula; the tests check its values and that it is a group action, which
+# comes down to sigma(h) being multiplicative in h.
+
+
+def act(g, x, datum, kdata):
+    """The derived action of the ambient character (g,) on a K0 element {b: class}."""
+    ghat = Character(datum.ambient, (g,))
+    out = {}
+    for b, cls in x.items():
+        b2 = b + datum.restrict(ghat)
+        _, h = lift_offset(datum, None, b2, ghat + lift(datum, None, b))
+        out[b2] = kdata.twist(h).apply(cls)
+    return out
 
 
 def test_rg_action_by_zero_is_identity():
     datum, kdata = mod2_node()
-    k = GradedKGroup(datum, kdata, [(0,), (1,)])
-    x = {Character(C2, (0,)): ((1, 2), ()), Character(C2, (1,)): ((0, 1), ())}
-    assert rg_action(0, x, k) == x
+    x = {Character(C2, (0,)): (1, 2), Character(C2, (1,)): (0, 1)}
+    assert act(0, x, datum, kdata) == x
+    assert kdata.twist((0,)) == AbHom.identity(Z2)
+    assert kdata.odd.twist((0,)) == AbHom.identity(TRIV)
 
 
 def test_rg_action_translates_grading():
     datum, kdata = mod2_node()
-    k = GradedKGroup(datum, kdata, [(0,), (1,)])
-    x = {Character(C2, (0,)): ((1, 0), ())}
-    moved = rg_action(1, x, k)
+    x = {Character(C2, (0,)): (1, 0)}
     # lifts are 0 and 1, so the connecting kernel element is 1 + 0 - 1 = 0
-    assert moved == {Character(C2, (1,)): ((1, 0), ())}
+    assert act(1, x, datum, kdata) == {Character(C2, (1,)): (1, 0)}
 
 
 def test_rg_action_by_kernel_character_twists():
     datum, kdata = mod2_node()
-    k = GradedKGroup(datum, kdata, [(0,), (1,)])
-    x = {Character(C2, (0,)): ((0, 1), ())}
-    moved = rg_action(2, x, k)
-    assert moved == {Character(C2, (0,)): ((1, 1), ())}
+    x = {Character(C2, (0,)): (0, 1)}
+    assert datum.kernel_coordinates(Character(Z, (2,))) == (1,)
+    assert act(2, x, datum, kdata) == {Character(C2, (0,)): (1, 1)}
 
 
 def test_rg_action_is_a_group_action():
     datum, kdata = mod2_node()
-    k = GradedKGroup(datum, kdata, [(0,), (1,)])
-    x = {Character(C2, (1,)): ((2, -1), ())}
-    one_step = rg_action(3, rg_action(2, x, k), k)
-    assert one_step == rg_action(5, x, k)
-
-
-def test_rg_action_window_escape():
-    datum, kdata = pole_node()
-    k = GradedKGroup(datum, kdata, [(-1,), (0,), (1,)])
-    x = {Character(Z, (1,)): ((1,), ())}
-    with pytest.raises(WindowExceeded) as err:
-        rg_action(1, x, k)
-    assert err.value.char.coords == (2,)
+    x = {Character(C2, (1,)): (2, -1)}
+    assert act(3, act(2, x, datum, kdata), datum, kdata) == act(5, x, datum, kdata)
+    assert kdata.twist((1,)) @ kdata.twist((1,)) == kdata.twist((2,))
+    assert kdata.twist((2,)) @ kdata.twist((-2,)) == kdata.twist((0,))
 
 
 @settings(max_examples=40)
 @given(g1=st.integers(-3, 3), g2=st.integers(-3, 3), ev=st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
 def test_rg_action_composition_property(g1, g2, ev):
     datum, kdata = mod2_node()
-    k = GradedKGroup(datum, kdata, [(0,), (1,)])
-    x = {Character(C2, (0,)): (ev, ())}
-    assert rg_action(g1, rg_action(g2, x, k), k) == rg_action(g1 + g2, x, k)
+    x = {Character(C2, (0,)): ev}
+    assert act(g1, act(g2, x, datum, kdata), datum, kdata) == act(g1 + g2, x, datum, kdata)
+    assert kdata.twist((g1,)) @ kdata.twist((g2,)) == kdata.twist((g1 + g2,))
 
 
 # -- products with a trivially-acting factor ---------------------------------------
@@ -173,8 +166,7 @@ def test_product_multiplies_sector_count(torsion, factor):
     assert len(p.window) == factor * len(k.window)
     assert p.total_ranks() == (factor * k.total_ranks()[0], factor * k.total_ranks()[1])
     # every new sector is a copy of an old one
-    for b in p.window:
-        assert [g.free_rank for g in p.sector(b)] == [2, 0]
+    assert p.kdata is k.kdata
 
 
 def test_product_requires_finite_factor():
@@ -200,9 +192,9 @@ def test_product_action_twists_by_kernel_characters():
     k = GradedKGroup(datum, kdata, [(0,), (1,)])
     p = product_with_trivial_factor(FgAbGroup(0, (2,)), k)
     hhat = p.datum.kernel_basis[0]
-    x = {b: ((0, 1), ()) for b in p.window}
-    moved = rg_action(hhat, x, p)
-    assert moved == {b: ((1, 1), ()) for b in p.window}
+    h = p.datum.kernel_coordinates(hhat)
+    assert h == (1,)
+    assert p.kdata.twist(h).apply((0, 1)) == (1, 1)
 
 
 # -- six-term arithmetic -----------------------------------------------------------

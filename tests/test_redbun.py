@@ -24,10 +24,7 @@ from resolvedk.redbun import (
     canonical_bundle,
     canonicalize,
     check_iterated,
-    direct_sum,
     face_restriction,
-    shift_act,
-    tensor_with_representation,
 )
 
 Z = FgAbGroup.free(1)
@@ -61,6 +58,20 @@ def test_canonicalize_twisting_convention():
     assert again.table == w.table
 
 
+def test_shift_act():
+    # translating a table by a kernel character k twists every value by
+    # sigma(k / 2) and keeps the support: twice for k = 4, inversely for -2
+    datum, kdata = mod2_node()
+    base = {0: (1, 0), 1: (0, 1)}
+    for k, twist in ((0, AbHom.identity(Z2)), (2, SIGMA), (4, SIGMA @ SIGMA), (-2, SIGMA.inverse())):
+        moved = canonicalize({g + k: v for g, v in base.items()}, datum, kdata)
+        assert moved.table == {Character(Z, (g,)): twist.apply(v) for g, v in base.items()}
+
+    # the twist is only defined for characters of the kernel lattice
+    with pytest.raises(ValueError, match="kernel"):
+        datum.kernel_coordinates(Character(Z, (1,)))
+
+
 def test_canonicalize_merges_matching_restrictions():
     datum, kdata = free_orbit_node()
     w = canonicalize({2: (1,), 4: (2,)}, datum, kdata)
@@ -80,86 +91,6 @@ def test_canonicalize_rejects_foreign_characters():
         canonicalize({(1, 2): (1, 0)}, datum, kdata)
     with pytest.raises(ValueError, match="ambient"):
         canonicalize({Character(C2, (1,)): (1, 0)}, datum, kdata)
-
-
-def test_direct_sum_rules():
-    datum, kdata = mod2_node()
-    w1 = canonicalize({0: (1, 0)}, datum, kdata)
-    w2 = canonicalize({1: (0, 2)}, datum, kdata)
-    zero = canonicalize({}, datum, kdata)
-    assert direct_sum(w1, zero) == w1
-    merged = direct_sum(w1, w2)
-    assert merged.table == {
-        Character(Z, (0,)): (1, 0),
-        Character(Z, (1,)): (0, 2),
-    }
-    overlap = direct_sum(w1, w1)
-    assert overlap.table == {Character(Z, (0,)): (2, 0)}
-    assert direct_sum(w1, w2) == direct_sum(w2, w1)
-    a, b, c = w1, w2, canonicalize({1: (3, 1)}, datum, kdata)
-    assert direct_sum(direct_sum(a, b), c) == direct_sum(a, direct_sum(b, c))
-
-    other_datum, other_kdata = free_orbit_node()
-    foreign = canonicalize({0: (1,)}, other_datum, other_kdata)
-    with pytest.raises(ValueError, match="same node"):
-        direct_sum(w1, foreign)
-
-
-def test_tensor_with_representation():
-    datum, kdata = free_orbit_node()
-    w = canonicalize({2: (1,)}, datum, kdata)
-    assert tensor_with_representation({0: 1}, w) == w
-    # translation of the support before recanonicalizing
-    shifted = tensor_with_representation({1: 1}, w)
-    assert shifted.table == {Character(Z, (0,)): (1,)}
-    doubled = tensor_with_representation({0: 2}, w)
-    assert doubled.table == {Character(Z, (0,)): (2,)}
-
-
-@pytest.mark.parametrize(
-    "bad, error", [(1.5, TypeError), (Fraction(3, 2), ValueError)], ids=["float", "half"]
-)
-def test_tensor_multiplicity_must_be_integral(bad, error):
-    # these used to truncate: multiplicity 1.5 acted as 1
-    datum, kdata = free_orbit_node()
-    w = canonicalize({2: (1,)}, datum, kdata)
-    with pytest.raises(error):
-        tensor_with_representation({0: bad}, w)
-    assert tensor_with_representation({0: Fraction(4, 2)}, w).table == {Character(Z, (0,)): (2,)}
-
-
-def test_tensor_composition_is_convolution():
-    datum, kdata = mod2_node()
-    w = canonicalize({0: (1, 0), 1: (0, 1)}, datum, kdata)
-    rep1 = {1: 2}
-    rep2 = {-1: 1, 2: 3}
-    two_steps = tensor_with_representation(rep1, tensor_with_representation(rep2, w))
-    convolved = tensor_with_representation({0: 2, 3: 6}, w)
-    assert two_steps == convolved
-
-    w2 = canonicalize({1: (2, 2)}, datum, kdata)
-    left = tensor_with_representation(rep2, direct_sum(w, w2))
-    right = direct_sum(
-        tensor_with_representation(rep2, w), tensor_with_representation(rep2, w2)
-    )
-    assert left == right
-
-
-def test_shift_act():
-    datum, kdata = mod2_node()
-    w = canonicalize({0: (1, 0), 1: (0, 1)}, datum, kdata)
-    assert shift_act((0,), w) == w
-
-    once = shift_act((2,), w)
-    assert set(once.table) == set(w.table)
-    for ghat, cls in w.table.items():
-        assert once.table[ghat] == SIGMA.apply(cls)
-
-    assert shift_act((2,), once) == tensor_with_representation({4: 1}, w)
-    assert shift_act((-2,), once) == w
-
-    with pytest.raises(ValueError, match="kernel"):
-        shift_act((1,), w)
 
 
 def test_augmented_pullback_worked_value():
@@ -365,9 +296,13 @@ def test_pullback_commutes_with_sum_and_kernel_shift():
             TwistedMaps(shallow_kdata, None, AbHom.identity(Z2)), shallow, edge, w
         ).table
 
-    w1 = canonicalize({0: (1, 0), 1: (0, 1), 2: (1, 1), 3: (2, 0)}, deep, deep_kdata)
-    w2 = canonicalize({1: (1, 1), 2: (0, 2)}, deep, deep_kdata)
-    summed = pull(direct_sum(w1, w2))
+    raw1 = {0: (1, 0), 1: (0, 1), 2: (1, 1), 3: (2, 0)}
+    raw2 = {1: (1, 1), 2: (0, 2)}
+    w1 = canonicalize(raw1, deep, deep_kdata)
+    w2 = canonicalize(raw2, deep, deep_kdata)
+    # the sum of the two tables is the canonical form of the summed raw table
+    both = {g: Z2.add(raw1.get(g, Z2.zero()), raw2.get(g, Z2.zero())) for g in raw1.keys() | raw2.keys()}
+    summed = pull(canonicalize(both, deep, deep_kdata))
     parts = {
         g: Z2.add(cls, pull(w2).get(g, Z2.zero()))
         for g, cls in pull(w1).items()
@@ -375,7 +310,8 @@ def test_pullback_commutes_with_sum_and_kernel_shift():
     for g in set(summed) | set(parts):
         assert summed.get(g, Z2.zero()) == parts.get(g, Z2.zero())
 
-    shifted = pull(shift_act((4,), w1))
+    # the translate of the table by the kernel character 4
+    shifted = pull(canonicalize({g + 4: v for g, v in raw1.items()}, deep, deep_kdata))
     twist = SIGMA @ SIGMA  # the deep generator maps to twice the shallow one
     assert shifted == {g: twist.apply(cls) for g, cls in pull(w1).items()}
     assert shifted == {
@@ -401,4 +337,3 @@ def test_canonicalize_idempotent_property(raw):
     w = canonicalize(table, datum, kdata)
     assert canonicalize(w.table, datum, kdata).table == w.table
     assert all(g.coords in ((0,), (1,)) for g in w.table)
-    assert tensor_with_representation({0: 1}, w) == w
