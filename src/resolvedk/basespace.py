@@ -471,16 +471,17 @@ def validate_node(data: NodeSpaceData, kernel_rank: Optional[int] = None) -> Val
     )
     rep.merge(data.kdata.validate())
     if kernel_rank is not None:
-        counts_ok = len(data.shifts) == kernel_rank and data.kdata.generator_count == kernel_rank
-        rep.add(
-            "one shift per kernel generator",
-            counts_ok,
-            ""
-            if counts_ok
-            else f"kernel rank {kernel_rank}, {len(data.shifts)} chain shifts, "
-            f"{data.kdata.generator_count} K shifts",
-        )
+        mismatch = shift_count_mismatch(data, kernel_rank)
+        rep.add("one shift per kernel generator", not mismatch, mismatch)
     return rep
+
+
+def shift_count_mismatch(data: NodeSpaceData, kernel_rank: int) -> str:
+    """"" if the node has one chain shift and one K shift per kernel generator, else the counts."""
+    n_c, n_k = len(data.shifts), data.kdata.generator_count
+    if n_c == kernel_rank and n_k == kernel_rank:
+        return ""
+    return f"kernel rank {kernel_rank}, {n_c} chain shifts, {n_k} K shifts"
 
 
 class KPair:

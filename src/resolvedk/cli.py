@@ -182,9 +182,9 @@ def run(command: str, desc: ActionDescriptor, flags: argparse.Namespace) -> Comm
                 action, name, prune=removed, radius=flags.window
             )
             per_node: Dict[str, Dict[str, List[str]]] = {}
-            for label in sorted(cocycle.assembled.kept):
+            for label in sorted(cocycle.kept):
                 values = {}
-                for khat in cocycle.assembled.windows[label]:
+                for khat in cocycle.windows[label]:
                     vec = cocycle.node_value(label, khat)
                     if any(vec):
                         values[_coords_key(khat.coords)] = [_value_str(x) for x in vec]

@@ -10,10 +10,12 @@ relative complexes of a pruning step literally sub- and quotient complexes.
 Each face condition is the forms side of `redbun.augmented_pullback`, the
 table model this assembly is checked against: a face row block holds the
 face restriction on the shallow block and minus exp(L(h)) @ pullback on
-each deep block of the fiber.  All linear algebra is exact and rational;
-the character twists are exponentials of the nilpotent shift operators, so
-every exponential is a finite sum, and each node space builds each one
-once.
+each deep block of the fiber.  A Chern character is not assembled: it is
+one table of twisted forms per node, nonzero only on the bundle's finite
+support, and `redbun.face_comparisons` checks the same face conditions on
+those tables.  All linear algebra is exact and rational; the character
+twists are exponentials of the nilpotent shift operators, so every
+exponential is a finite sum, and each node space builds each one once.
 
 Sectors whose window characters are translates often carry equal
 constraint and differential matrices.  Every complex assembled from one
@@ -24,19 +26,20 @@ step is computed once per action, across section systems and repeated
 assemblies: one table per parsed action, freed with it.
 
 A batch of vectors is a `RationalMatrix` whose columns are the vectors:
-class coordinates, the maps of a six-term sequence, membership checks and
-Chern cocycles are matrices, and `RationalMatrix.apply` is the one
-single-vector operation (kept for the connecting map's lifts and the Chern
-data check).
+class coordinates, the maps of a six-term sequence and a node's Chern forms
+are matrices, and `RationalMatrix.apply` is the one single-vector operation
+(kept for the connecting map's lifts, the Chern data check and the entries
+of twisted tables).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .action import ResolvedAction, WindowError
-from .basespace import NodeSpaceData
+from .basespace import NodeSpaceData, shift_count_mismatch
 from .chargroup import Character, SectionSystem, fiber_support, lift, lift_offset
 from .itspace import Pruning, prune_step
 from .ktheory import SixTermInstance, hexagon_check
@@ -195,17 +198,6 @@ class SectorComplex:
             )
         return self._two
 
-    def membership_failure(self, cols: RationalMatrix) -> Optional[str]:
-        """None if every column meets every constraint, else the face of the first failing row."""
-        failing = (i for i, row in enumerate((self.constraint @ cols).sparse_rows()) if row)
-        i = next(failing, None)
-        if i is None:
-            return None
-        for desc, _, start, stop in self.row_origins:
-            if start <= i < stop:
-                return desc
-        return f"constraint row {i}"
-
     def select(self, keep: Callable[[str, Character], bool]) -> "SectorComplex":
         """The sector on the blocks whose (node, window character) passes `keep`.
 
@@ -245,14 +237,13 @@ class SectorComplex:
 class AssembledComplex:
     """Delocalized complex of a resolved action, split by root sector."""
 
-    __slots__ = ("action", "kept", "radius", "windows", "sections", "sectors", "_full")
+    __slots__ = ("action", "kept", "radius", "windows", "sectors", "_full")
 
-    def __init__(self, action, kept, radius, windows, sections, sectors, full=None):
+    def __init__(self, action, kept, radius, windows, sectors, full=None):
         self.action = action
         self.kept = kept
         self.radius = radius
         self.windows = windows
-        self.sections = sections
         self.sectors = sectors
         self._full = full   # None on the complex over every node, so no cycle
 
@@ -261,10 +252,6 @@ class AssembledComplex:
         """The complex over every node that this one restricts."""
         return self if self._full is None else self._full
 
-    def lift(self, label: str, khat: Character) -> Character:
-        section = self.sections.get(label) if self.sections else None
-        return lift(self.action.tree.nodes[label], section, khat)
-
     def restrict(self, kept) -> "AssembledComplex":
         """The subcomplex over a downward-closed kept set of nodes."""
         kept = Pruning(self.action.tree, kept).kept
@@ -272,7 +259,7 @@ class AssembledComplex:
             return self
         full = self.full
         return AssembledComplex(
-            self.action, kept, self.radius, self.windows, self.sections,
+            self.action, kept, self.radius, self.windows,
             {chi: sec.select(lambda label, _: label in kept) for chi, sec in full.sectors.items()},
             full,
         )
@@ -301,7 +288,7 @@ class AssembledComplex:
                 )
         full = self.full
         at = AssembledComplex(
-            self.action, full.kept, radius, dict(windows), self.sections,
+            self.action, full.kept, radius, dict(windows),
             {
                 chi: full.sectors[chi].select(lambda label, khat: khat in inside[label])
                 for chi in windows[tree.root]
@@ -332,8 +319,16 @@ def _checked_windows(action: ResolvedAction, radius: Optional[int]) -> Dict[str,
     return windows
 
 
-def _check_face_maps(action: ResolvedAction) -> None:
-    """Raise unless every face restriction and pullback is a chain map."""
+def _check_maps(action: ResolvedAction) -> None:
+    """Raise unless the shift and face maps are what the twisting law needs.
+
+    Every node has one chain shift and one K shift per kernel generator,
+    and every face restriction and pullback is a chain map.
+    """
+    for label in sorted(action.tree.nodes):
+        mismatch = shift_count_mismatch(action.spaces[label], action.tree.nodes[label].kernel_rank)
+        if mismatch:
+            raise ValueError(f"node {label}: one shift per kernel generator: {mismatch}")
     for pair in sorted(action.faces):
         fm = action.faces[pair]
         if not fm.rho.commutes_with_differentials():
@@ -359,7 +354,7 @@ def assemble_complex(
     # checked before the windows, so a bad prune set is reported first
     kept = _checked_kept(action, prune)
     windows = _checked_windows(action, radius)
-    _check_face_maps(action)
+    _check_maps(action)
 
     # every lift a face asks for, once: a table per node over its window
     lifts = {}
@@ -385,9 +380,7 @@ def assemble_complex(
         chi: _build_sector(action, chi, members[chi], lifts, faces)
         for chi in windows[tree.root]
     }
-    full = AssembledComplex(
-        action, frozenset(tree.nodes), radius, windows, dict(sections or {}), sectors
-    )
+    full = AssembledComplex(action, frozenset(tree.nodes), radius, windows, sectors)
     return full.restrict(kept)
 
 
@@ -669,10 +662,8 @@ def validate_chern_data(action: ResolvedAction) -> ValidationReport:
         # cochains; with one of each per generator they hold for every kernel
         # element (docs/representation-ring.md)
         n = action.tree.nodes[label].kernel_rank
-        n_k, n_c = kdata.generator_count, len(space.shifts)
-        if n_k != n or n_c != n:
-            detail = f"kernel rank {n}, {n_c} chain shifts, {n_k} K shifts"
-        else:
+        detail = shift_count_mismatch(space, n)
+        if not detail:
             bad_twists = []
             for i in range(n):
                 unit = [int(j == i) for j in range(n)]
@@ -688,19 +679,27 @@ def validate_chern_data(action: ResolvedAction) -> ValidationReport:
 
 
 class ChernCocycle:
-    """Closed, compatible tuple representing the Chern character of a bundle."""
+    """Closed, compatible family of twisted node forms: the Chern character of a bundle.
 
-    __slots__ = ("assembled", "name", "vectors")
+    `forms[label]` is the table of Chern forms of a kept node, on the section
+    lifts of its window characters at the requested radius.
+    """
 
-    def __init__(self, assembled: AssembledComplex, name: str, vectors):
-        self.assembled = assembled
+    __slots__ = ("name", "kept", "windows", "forms", "_values")
+
+    def __init__(self, name: str, kept, windows, forms):
         self.name = name
-        self.vectors = vectors
+        self.kept = kept
+        self.windows = windows
+        self.forms = forms
+        # each form under the window character it lifts, so no lift is recomputed
+        self._values = {
+            label: {table.datum.restrict(g): v for g, v in table.table.items()}
+            for label, table in forms.items()
+        }
 
     def node_value(self, label: str, khat: Character) -> Tuple[Exact, ...]:
-        chi = self.assembled.action.tree.root_image(label, khat)
-        s0, s1 = self.assembled.sectors[chi].spans[(label, khat)]
-        return self.vectors[chi][s0:s1]
+        return self._values[label].get(khat, self.forms[label].coefficients.zero)
 
 
 def chern_character(
@@ -710,21 +709,28 @@ def chern_character(
     radius: Optional[int] = None,
     sections: Optional[Mapping[str, SectionSystem]] = None,
 ) -> ChernCocycle:
-    """Chern character of a named bundle as an element of the assembled complex.
+    """Chern character of a named bundle as a family of twisted node forms.
 
     K-class coordinates are contracted with the node's Chern representatives
-    sector by sector; the result is checked to be closed and to satisfy every
-    face compatibility, and the offending face is named otherwise.
+    on the bundle's support, which must lie inside the windows of `radius`.
+    The forms must be closed and meet the face conditions of the complex
+    `assemble_complex` would build, whose input checks run first; the
+    conditions are checked face by face on the tables, without assembling.
+    The first failure is the one that complex would meet first: by root
+    sector, closedness before compatibility, then by face and shallow
+    window character.
     """
-    from .redbun import canonical_bundle
+    from .redbun import TwistedTable, canonical_bundle, face_comparisons
 
     validate_chern_data(action).raise_if_failed("Chern data")
     bundles = canonical_bundle(action, name, sections)
-    assembled = assemble_complex(action, prune=prune, radius=radius, sections=sections)
+    kept = _checked_kept(action, prune)
+    windows = _checked_windows(action, radius)
+    _check_maps(action)
     tree = action.tree
 
-    for label in sorted(assembled.kept):
-        window_set = set(assembled.windows[label])
+    for label in sorted(kept):
+        window_set = set(windows[label])
         for ghat in bundles[label].table:
             k = tree.nodes[label].restrict(ghat)
             if k not in window_set:
@@ -733,32 +739,48 @@ def chern_character(
                     f"{label}, outside the window; enlarge the radius"
                 )
 
-    vectors = {}
-    for chi, sec in assembled.sectors.items():
-        entries: Dict[int, Exact] = {}
-        for label, khat, s0, s1 in sec.blocks:
-            cls = bundles[label].table.get(assembled.lift(label, khat))
-            if cls is None:
-                continue
-            reps = action.chern.reps[label]
-            for coeff, representative in zip(cls, reps):
-                if coeff:
-                    for i, x in enumerate(representative):
-                        if x:
-                            entries[s0 + i] = entries.get(s0 + i, 0) + coeff * x
-        col = RationalMatrix.from_row_maps([entries], sec.total).transpose()
-        if not (sec.diff @ col).is_zero():
-            raise ValueError(
-                f"Chern cocycle of {name!r} is not closed in sector {chi.coords}"
+    sector_order = {chi: i for i, chi in enumerate(windows[tree.root])}
+
+    def sector(label: str, khat: Character) -> Tuple[int, tuple]:
+        chi = tree.root_image(label, khat)
+        return sector_order[chi], chi.coords
+
+    # each failure keyed by (root sector, closedness first, face, shallow character)
+    failures = []
+    forms = {}
+    for label in sorted(kept):
+        space = action.spaces[label]
+        datum = tree.nodes[label]
+        table = bundles[label].table
+        support = list(table)
+        values = {}
+        if support:
+            reps = RationalMatrix.from_columns(
+                [list(v) for v in action.chern.reps[label]], nrows=space.complex.total_dim
             )
-        bad = sec.membership_failure(col)
-        if bad is not None:
-            raise ValueError(
-                f"Chern cocycle of {name!r} breaks compatibility in sector "
-                f"{chi.coords}: {bad}"
+            chern = reps @ RationalMatrix.from_columns(
+                [list(table[g]) for g in support], nrows=reps.ncols
             )
-        vectors[chi] = col.column(0)
-    return ChernCocycle(assembled, name, vectors)
+            values = dict(zip(support, chern.columns()))
+            for j in {j for _, j, _ in (space.complex.d @ chern).entries()}:
+                pos, coords = sector(label, datum.restrict(support[j]))
+                failures.append((pos, 0, 0, 0, f"is not closed in sector {coords}"))
+        forms[label] = TwistedTable(label, datum, space, values)
+
+    faces = face_comparisons(action, attrgetter("forms"), forms, sections)
+    for p, (a, b, restriction, pullback) in enumerate(faces):
+        for g in restriction.table.keys() | pullback.table.keys():
+            if restriction.get(g) != pullback.get(g):
+                khat = tree.nodes[a].restrict(g)
+                pos, coords = sector(a, khat)
+                failures.append((
+                    pos, 1, p, windows[a].index(khat),
+                    f"breaks compatibility in sector {coords}: "
+                    f"face {a}<{b} at sector {khat.coords}",
+                ))
+    if failures:
+        raise ValueError(f"Chern cocycle of {name!r} {min(failures)[-1]}")
+    return ChernCocycle(name, kept, windows, forms)
 
 
 # -- comparisons and scans -------------------------------------------------------
@@ -860,7 +882,7 @@ def window_stabilization(
             windows[r] = _checked_windows(action, r)
             if i == 0:
                 # radius-independent: made once, where a fresh assembly makes it first
-                _check_face_maps(action)
+                _check_maps(action)
         top = assemble_complex(action, prune=prune, radius=max(radii))
         for r in radii:
             dims = deloc_cohomology(top.at_radius(r, windows[r]))

@@ -17,14 +17,16 @@ The augmented pullback transports a deep node's table onto a face over a
 shallower node: entries are pulled back along the fibration and re-twisted
 by the kernel element connecting the two section lifts, then summed over
 each fiber of the edge restriction.  Faces and corners expose one
-`TwistedMaps` per system, so restriction, pullback and the corner
-factorization are written once.
+`TwistedMaps` per system, so restriction, pullback, the face comparison
+and the corner factorization are written once: `face_comparisons` is the
+one face loop, shared by the bundle check on classes and the Chern
+character on forms.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .action import ResolvedAction
 from .basespace import Coefficients, TwistedMaps
@@ -213,6 +215,38 @@ def canonical_bundle(
     return out
 
 
+def face_comparisons(
+    action: ResolvedAction,
+    side: Callable,
+    tables: Mapping[str, TwistedTable],
+    sections: Optional[Mapping[str, SectionSystem]] = None,
+) -> Iterator[Tuple[str, str, TwistedTable, TwistedTable]]:
+    """Both sides of the compatibility condition on every face with a shallow table.
+
+    For each comparable pair a < b in order whose shallow node has a table,
+    yields (a, b, restriction, pullback): the face restriction of
+    `tables[a]` and the augmented pullback of `tables[b]`, on the coefficient
+    system `side` picks from the face (e.g. `attrgetter("forms")`).  A deep
+    node without a table is pruned: its pullback is the zero table, so the
+    shallow data must vanish on the face.  The condition holds where the
+    two tables agree.
+    """
+    tree = action.tree
+    for a, b in tree.comparable_pairs():
+        if a not in tables:
+            continue
+        maps = side(action.faces[(a, b)])
+        restriction = face_restriction(maps, tables[a])
+        if b in tables:
+            sec = sections.get(a) if sections else None
+            pullback = augmented_pullback(
+                maps, tree.nodes[a], tree.edge_restriction(a, b), tables[b], sec
+            )
+        else:
+            pullback = TwistedTable(b, tree.nodes[a], maps.coefficients, {})
+        yield a, b, restriction, pullback
+
+
 def check_iterated(
     action: ResolvedAction,
     name: str,
@@ -227,13 +261,7 @@ def check_iterated(
     """
     rep = ValidationReport()
     bundles = canonical_bundle(action, name, sections)
-    tree = action.tree
-    for a, b in tree.comparable_pairs():
-        fm = action.faces[(a, b)]
-        edge = tree.edge_restriction(a, b)
-        sec = sections.get(a) if sections else None
-        lhs = face_restriction(fm.classes, bundles[a])
-        rhs = augmented_pullback(fm.classes, tree.nodes[a], edge, bundles[b], shallow_section=sec)
+    for a, b, lhs, rhs in face_comparisons(action, attrgetter("classes"), bundles, sections):
         same = lhs.table == rhs.table
         rep.add(
             f"edge {a}<{b} bundle compatibility",

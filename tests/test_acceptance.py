@@ -5,11 +5,13 @@ per criterion.  Time budgets are asserted inside the tests themselves:
 criterion 1 under 10 s, criterion 4 under 1 s, criterion 6 under 30 s.
 """
 
+import itertools
 import random
 import time
 
 from resolvedk import fixtures
-from resolvedk.chargroup import offset_section, section
+from resolvedk.action import WindowError
+from resolvedk.chargroup import lift, offset_section, section
 from resolvedk.cli import main as cli_main
 from resolvedk.deloc import (
     assemble_complex,
@@ -193,29 +195,86 @@ def test_criterion_6_six_term_exactness():
     _passed(6, "six-term exactness", f"{steps_checked} steps in {elapsed:.2f} s")
 
 
+def _first_failure(asm, value):
+    """Place value(label, khat) into every block of `asm` and return what the
+    assembled complex says first: None if the columns are closed and meet every
+    face constraint, else the failure in ch's message form."""
+    for chi, sec in asm.sectors.items():
+        vec = [0] * sec.total
+        for label, khat, s0, s1 in sec.blocks:
+            vec[s0:s1] = value(label, khat)
+        col = RationalMatrix.from_columns([vec], nrows=sec.total)
+        if not (sec.diff @ col).is_zero():
+            return f"is not closed in sector {chi.coords}"
+        rows = (sec.constraint @ col).sparse_rows()
+        i = next((i for i, row in enumerate(rows) if row), None)
+        if i is not None:
+            (desc,) = [d for d, _, r0, r1 in sec.row_origins if r0 <= i < r1]
+            return f"breaks compatibility in sector {chi.coords}: {desc}"
+    return None
+
+
 def test_criterion_7_chern_compatibility():
-    """Chern characters of all fixture bundles: closed, inside the
-    assembled complex, exact shift-twist identity."""
+    """Chern characters of all fixture bundles, at radii 0-4 and over every
+    downward-closed kept set, cross-checked against the assembled complex:
+    the node values placed in their sector blocks are closed and meet every
+    face constraint, a refusal names the complex's first failing row, and
+    the Chern data satisfies the exact shift-twist identity."""
     cases = [
-        (fixtures.sphere_rotation(), 3),
-        (fixtures.sphere_rotation_speed(2), 3),
-        (fixtures.sphere_rotation_speed(3), 3),
-        (fixtures.product_trivial((2,)), 3),
-        (fixtures.projective_plane(), 1),
+        fixtures.sphere_rotation(),
+        fixtures.sphere_rotation_speed(2),
+        fixtures.sphere_rotation_speed(3),
+        fixtures.product_trivial((2,)),
+        fixtures.projective_plane(),
     ]
-    bundles_checked = 0
-    for action, radius in cases:
+    outcomes = {"cocycles": 0, "refusals": 0, "narrow windows": 0}
+    for action in cases:
         report = validate_chern_data(action)
         assert report.ok, report.failures()
-        for name in sorted(action.bundles):
-            cocycle = chern_character(action, name, radius=radius)
-            for chi, vec in cocycle.vectors.items():
-                sec = cocycle.assembled.sectors[chi]
-                assert (sec.diff @ sec.diff.from_columns([list(vec)])).is_zero()
-                assert sec.membership_failure(sec.diff.from_columns([list(vec)])) is None
-            bundles_checked += 1
-    assert bundles_checked >= 5
-    _passed(7, "Chern compatibility", f"{bundles_checked} bundles closed and compatible")
+        tree = action.tree
+        labels = sorted(tree.nodes)
+        prunes = [
+            prune
+            for n in range(len(labels) + 1)
+            for prune in itertools.combinations(labels, n)
+            if all(a not in prune or b in prune for a, b in tree.comparable_pairs())
+        ]
+        for radius in range(5):
+            full = assemble_complex(action, radius=radius)
+            for prune in prunes:
+                asm = full.restrict(set(labels) - set(prune))
+                for name in sorted(action.bundles):
+                    bundles = canonical_bundle(action, name)
+
+                    def contracted(label, khat):
+                        # the bundle's class contracted with the representatives
+                        cls = bundles[label].get(lift(tree.nodes[label], None, khat))
+                        reps = action.chern.reps[label]
+                        dim = action.spaces[label].complex.total_dim
+                        return [sum(c * rep[i] for c, rep in zip(cls, reps)) for i in range(dim)]
+
+                    outside = any(
+                        tree.nodes[label].restrict(ghat) not in asm.windows[label]
+                        for label in asm.kept
+                        for ghat in bundles[label].table
+                    )
+                    try:
+                        cocycle = chern_character(action, name, prune=prune, radius=radius)
+                    except WindowError:
+                        assert outside
+                        outcomes["narrow windows"] += 1
+                        continue
+                    except ValueError as exc:
+                        assert not outside
+                        failure = _first_failure(asm, contracted)
+                        assert str(exc) == f"Chern cocycle of {name!r} {failure}"
+                        outcomes["refusals"] += 1
+                        continue
+                    assert not outside and cocycle.kept == asm.kept
+                    assert _first_failure(asm, cocycle.node_value) is None
+                    outcomes["cocycles"] += 1
+    assert all(outcomes.values()) and outcomes["cocycles"] >= 15, outcomes
+    _passed(7, "Chern compatibility", ", ".join(f"{n} {k}" for k, n in outcomes.items()))
 
 
 def test_criterion_8_node_level_rank_isomorphism():

@@ -1,5 +1,6 @@
 """Command-line interface: commands, formats, exit codes."""
 
+import hashlib
 import importlib
 import io
 import json
@@ -140,6 +141,65 @@ def test_ch_requires_a_wide_enough_window(sphere_file):
     assert "enlarge the radius" in err
 
 
+def _changed_bundle(build, label, index, delta=1):
+    """A fixture's descriptor with one bundle entry's first class coordinate moved by `delta`."""
+    desc = json.loads(serialize_descriptor(build()))
+    (entries,) = [per_node[label] for per_node in desc["bundles"].values()]
+    cls = entries[index]["class"]
+    cls[0] = str(int(cls[0]) + delta)
+    return desc
+
+
+def _compatibility_failure(bundle, sector, face):
+    return (
+        f"resolvedk: Chern cocycle of {bundle!r} breaks compatibility in sector "
+        f"{sector}: face {face}\n"
+    )
+
+
+@pytest.mark.parametrize("build, label, index, delta, argv, err", [
+    (fixtures.sphere_rotation, "N", 0, 1, ["--window", "3"],
+     _compatibility_failure("poles", "()", "0<N at sector ()")),
+    (fixtures.sphere_rotation, "S", 0, -1, ["--window", "3"],
+     _compatibility_failure("poles", "()", "0<S at sector ()")),
+    (fixtures.projective_plane, "p2", 1, 1, ["--window", "1"],
+     _compatibility_failure("tautological", "()", "0<p2 at sector ()")),
+    (fixtures.projective_plane, "s", 0, 1, ["--window", "1"],
+     _compatibility_failure("tautological", "()", "0<s at sector ()")),
+    (lambda: fixtures.sphere_rotation_speed(3), "N", 1, 1, ["--window", "4"],
+     _compatibility_failure("poles", "(0,)", "0<N at sector (0,)")),
+    # S moved, but N is pruned: the root data must vanish on face 0<N, which
+    # comes first in comparable-pair order
+    (fixtures.sphere_rotation, "S", 0, 1, ["--window", "3", "--relative", "N"],
+     _compatibility_failure("poles", "()", "0<N at sector ()")),
+])
+def test_ch_names_the_first_face_a_changed_bundle_breaks(
+    tmp_path, build, label, index, delta, argv, err
+):
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(_changed_bundle(build, label, index, delta)))
+    assert run_cli("ch", "--input", str(path), *argv) == (2, "", err)
+
+
+def test_ch_names_the_first_root_sector_before_the_first_face(tmp_path):
+    # on the speed-3 sphere a new class at character 1 on S breaks face 0<S in
+    # root sector (1,), one at character 2 on N breaks face 0<N in sector (2,)
+    desc = json.loads(serialize_descriptor(fixtures.sphere_rotation_speed(3)))
+    path = tmp_path / "added.json"
+    added = desc["bundles"]["poles"]
+    added["N"].append({"char": ["2"], "class": ["1"]})
+    path.write_text(json.dumps(desc))
+    assert run_cli("ch", "--input", str(path), "--window", "3") == (
+        2, "", _compatibility_failure("poles", "(2,)", "0<N at sector (2,)")
+    )
+    # sectors come first: face 0<N comes before 0<S, but in a later sector
+    added["S"].append({"char": ["1"], "class": ["1"]})
+    path.write_text(json.dumps(desc))
+    assert run_cli("ch", "--input", str(path), "--window", "3") == (
+        2, "", _compatibility_failure("poles", "(1,)", "0<S at sector (1,)")
+    )
+
+
 def test_ch_refuses_a_node_without_its_chain_shift(tmp_path):
     desc = json.loads(serialize_descriptor(fixtures.sphere_rotation()))
     desc["spaces"]["0"]["shifts"] = []
@@ -157,6 +217,13 @@ def test_ch_refuses_a_node_without_its_chain_shift(tmp_path):
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
         "FAIL node 0: one shift per kernel generator: kernel rank 1, 0 chain shifts, 1 K shifts"
     ]
+    # and every computing command refuses it with that row
+    for argv in (["kred"], ["deloc"], ["compare"], ["les", "--prune", "N"], ["stabilize"]):
+        assert run_cli(*argv, "--input", str(path), "--window", "2") == (
+            2, "",
+            "resolvedk: node 0: one shift per kernel generator: "
+            "kernel rank 1, 0 chain shifts, 1 K shifts\n",
+        ), argv
 
 
 def test_les_reports_exact_steps(sphere_file):
@@ -219,6 +286,36 @@ def test_compare_and_kred_assemble_once(monkeypatch):
         code, _, _ = run_cli(command, "--input", "fixture:projective_plane", "--window", "2")
         assert code == 0
         assert len(calls) == 1, (command, calls)
+
+
+def test_ch_never_assembles(monkeypatch):
+    # ch checks its cocycle face by face on the node tables: with sector
+    # assembly refused, every golden ch command line and ch at window 7 on the
+    # four fixtures print their recorded outputs
+    from test_cli_golden import GOLDEN, cases, digest
+
+    def refused(*args):
+        raise AssertionError("ch assembled a sector")
+
+    monkeypatch.setattr(deloc, "_build_sector", refused)
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    for argv in (argv for argv in cases() if argv[0] == "ch"):
+        assert digest(argv) == golden[" ".join(argv)], argv
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "digests.json"), encoding="utf-8") as fh:
+        recorded = json.load(fh)["outputs"]
+    for spec, key in (
+        ("sphere_rotation", "sphere_rotation"),
+        ("sphere_rotation_speed:n=3", "sphere_rotation_speed_3"),
+        ("product_trivial:torsion=2", "product_trivial_2"),
+        ("projective_plane", "projective_plane"),
+    ):
+        code, out, err = run_cli("ch", "--input", "fixture:" + spec, "--window", "7",
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        # the benchmark records the digest of the JSON payload, without the newline
+        assert hashlib.sha256(out.rstrip("\n").encode()).hexdigest() == recorded[f"ch:{key}:w7"]
 
 
 def test_kred_and_compare_fail_on_a_failed_pruning_step(monkeypatch):

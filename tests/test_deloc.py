@@ -22,7 +22,14 @@ from resolvedk.basespace import (
     NodeSpaceData,
     ch_operator,
 )
-from resolvedk.chargroup import Character, SubgroupDatum, edge_image, offset_section, section
+from resolvedk.chargroup import (
+    Character,
+    SubgroupDatum,
+    edge_image,
+    lift,
+    offset_section,
+    section,
+)
 from resolvedk.deloc import (
     assemble_complex,
     chern_character,
@@ -49,6 +56,7 @@ from resolvedk.redbun import (
     augmented_pullback,
     canonicalize,
     corner_mismatch,
+    face_comparisons,
     face_restriction,
 )
 
@@ -450,29 +458,51 @@ def test_assembled_differential_squares_to_zero_and_preserves_constraints():
                 assert image.is_zero()
 
 
-def test_membership_failure_names_the_face():
-    sphere = sphere_rotation()
-    asm = assemble_complex(sphere, radius=0)
-    (sec,) = asm.sectors.values()
-    vec = [0] * sec.total
-    s0, _ = sec.spans[("0", Character(TRIV, ()))]
-    vec[s0] = 1
-    assert "face 0<N" in sec.membership_failure(RationalMatrix.from_columns([vec]))
-    assert sec.membership_failure(RationalMatrix.zeros(sec.total, 1)) is None
+def _broken_faces(action, tables):
+    """The faces a<b whose forms-side restriction and pullback differ, in order."""
+    return [
+        f"{a}<{b}"
+        for a, b, restriction, pullback in face_comparisons(action, attrgetter("forms"), tables)
+        if restriction.table != pullback.table
+    ]
 
 
-def test_membership_failure_of_a_batch_names_the_first_failing_row():
-    # radius 0 on the sphere: row 0 is face 0<N (x0 = xN), row 1 is face 0<S
+def _sphere_tables(sphere, **values):
+    return {
+        label: TwistedTable(label, sphere.tree.nodes[label], sphere.spaces[label],
+                            values.get(label, {}))
+        for label in sphere.tree.nodes
+    }
+
+
+def test_face_comparisons_name_the_broken_face():
+    # on the sphere, root slot 0 restricts to the N face and slot 1 to the S face
     sphere = sphere_rotation()
+    at_zero = Character(Z, (0,))
+    assert _broken_faces(sphere, _sphere_tables(sphere, **{"0": {at_zero: (1, 0, 0)}})) == ["0<N"]
+    assert _broken_faces(sphere, _sphere_tables(sphere, **{"0": {at_zero: (0, 1, 0)}})) == ["0<S"]
+    assert _broken_faces(sphere, _sphere_tables(sphere)) == []
+    # pruned deep nodes carry no table: the shallow data must vanish on their faces
+    root_only = {"0": _sphere_tables(sphere, **{"0": {at_zero: (1, 0, 0)}})["0"]}
+    assert _broken_faces(sphere, root_only) == ["0<N"]
+
+
+def test_face_comparisons_come_in_comparable_pair_order():
+    sphere = sphere_rotation()
+    at_zero = Character(Z, (0,))
+    both = _sphere_tables(sphere, N={at_zero: (1,)}, S={at_zero: (1,)})
+    assert _broken_faces(sphere, both) == ["0<N", "0<S"]
+    assert _broken_faces(sphere, _sphere_tables(sphere, S={at_zero: (1,)})) == ["0<S"]
+    # every compatible basis vector of the assembled complex meets every face condition
     (sec,) = assemble_complex(sphere, radius=0).sectors.values()
-    n0, _ = sec.spans[("N", Character(Z, (0,)))]
-    s0, _ = sec.spans[("S", Character(Z, (0,)))]
-    eye = RationalMatrix.identity(sec.total)
-    # the first failing column breaks face 0<S, but face 0<N is the earlier row
-    assert "face 0<N" in sec.membership_failure(eye.submatrix(range(sec.total), [s0, n0]))
-    assert "face 0<S" in sec.membership_failure(eye.submatrix(range(sec.total), [s0]))
     for p in (0, 1):
-        assert sec.membership_failure(sec.basis(p)) is None
+        for col in sec.basis(p).columns():
+            tables = {
+                label: TwistedTable(label, sphere.tree.nodes[label], sphere.spaces[label],
+                                    {lift(sphere.tree.nodes[label], None, khat): col[s0:s1]})
+                for label, khat, s0, s1 in sec.blocks
+            }
+            assert _broken_faces(sphere, tables) == []
 
 
 def test_class_coords_refuses_a_non_cocycle():
@@ -548,7 +578,7 @@ def test_face_blocks_match_the_forms_model(build, radius):
             assert (desc, shallow) == (f"face {a}<{b} at sector {khat.coords}", a)
             fm = action.faces[(a, b)]
             edge = tree.edge_restriction(a, b)
-            rep_a = full.lift(a, khat)
+            rep_a = lift(tree.nodes[a], None, khat)
             rows = range(r0, r1)
             seen = set()
 
@@ -567,9 +597,10 @@ def test_face_blocks_match_the_forms_model(build, radius):
             for bhat in full.windows[b]:
                 if edge_image(edge, bhat) != khat:
                     continue
+                rep_b = lift(tree.nodes[b], None, bhat)
                 for j, col in enumerate(columns(b, bhat)):
                     v = TwistedTable(b, tree.nodes[b], space,
-                                     {full.lift(b, bhat): _unit(space.complex.total_dim, j)})
+                                     {rep_b: _unit(space.complex.total_dim, j)})
                     got = augmented_pullback(fm.forms, tree.nodes[a], edge, v)
                     assert set(got.table) <= {rep_a}
                     assert tuple(-sec.constraint[i, col] for i in rows) == got.get(rep_a)
@@ -914,8 +945,8 @@ def test_trivial_rank_one_bundle_is_the_constant_cocycle():
         chern=ChernData({"n": [(1, 0)]}),
     )
     cc = chern_character(act, "unit")
-    (vec,) = cc.vectors.values()
-    assert vec == (1, 0)
+    (khat,) = cc.windows["n"]
+    assert cc.node_value("n", khat) == (1, 0)
 
 
 def test_chern_value_independent_of_sections():
@@ -925,7 +956,36 @@ def test_chern_value_independent_of_sections():
     secs["0"] = offset_section(secs["0"], {Character(TRIV, ()): (2,)})
     plain = chern_character(sphere, "poles", radius=3)
     moved = chern_character(sphere, "poles", radius=3, sections=secs)
-    assert plain.vectors == moved.vectors
+    for label in sorted(plain.kept):
+        for khat in windows[label]:
+            assert plain.node_value(label, khat) == moved.node_value(label, khat)
+
+
+@pytest.mark.parametrize("build, node, entry, root_char, sector", [
+    # the N class at 0 moved from 2 to 3
+    (sphere_rotation, "N", ((0,), (3,)), (), "()"),
+    # a new class on S at 1, in root sector (1,) of the speed-3 sphere
+    (lambda: sphere_rotation_speed(3), "S", ((1,), (1,)), (1,), "(1,)"),
+])
+def test_chern_failure_is_the_same_under_an_offset_section(build, node, entry, root_char, sector):
+    base = build()
+    poles = {label: dict(table) for label, table in base.bundles["poles"].items()}
+    poles[node][entry[0]] = entry[1]
+    act = ResolvedAction(
+        base.tree, base.spaces, base.faces, base.window_rules,
+        bundles={"poles": poles}, chern=base.chern,
+    )
+    root = act.tree.nodes["0"]
+    secs = dict(act.sections(act.windows(3)))
+    secs["0"] = offset_section(secs["0"], {Character(root.target, root_char): (2,)})
+    message = (
+        f"Chern cocycle of 'poles' breaks compatibility in sector {sector}: "
+        f"face 0<{node} at sector {sector}"
+    )
+    for sections in (None, secs):
+        with pytest.raises(ValueError) as exc:
+            chern_character(act, "poles", radius=3, sections=sections)
+        assert str(exc.value) == message
 
 
 # -- comparisons and scans -------------------------------------------------------------

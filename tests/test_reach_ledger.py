@@ -79,15 +79,20 @@ UNREACHED = {
     "ktheory.product_with_trivial_factor":
         f"acceptance criterion 5 ({CRIT}5_speed_n_equals_n_times_base)",
     "ratmat.RationalMatrix._rows": "read by perfbench/tracer.py (ROADMAP item 6)",
-    "redbun.TwistedTable.get": "the table model of ROADMAP item 4",
+    "ratmat.RationalMatrix.column":
+        "tests/test_ratmat.py::test_entry_access_on_sparse_rows, "
+        "tests/test_deloc.py::test_class_coords_refuses_a_non_cocycle, "
+        "tests/test_fgab.py::TestAbHom::test_kernel_of_projection, "
+        "tests/test_chargroup.py::_kernel_reference",
+    "ratmat.RationalMatrix.transpose":
+        "fgab._lattice_quotient (ROADMAP item 5); "
+        "tests/test_ratmat.py::test_sparse_rows_are_canonical, "
+        "tests/test_ratmat_differential.py::test_sparse_elimination_matches_sympy, "
+        "tests/test_fgab_differential.py::test_sparse_smith_and_hermite",
     "redbun.TwistedTable.is_zero": "the table model of ROADMAP item 4",
     "redbun.TwistedTable.support": "the table model of ROADMAP item 4",
-    "redbun.augmented_pullback":
-        "ROADMAP item 4; tests/test_deloc.py::test_face_blocks_match_the_forms_model",
     "redbun.check_iterated": "ROADMAP item 4 (the K side of bundle compatibility)",
     "redbun.corner_mismatch": "ROADMAP item 4 (the K side of bundle compatibility)",
-    "redbun.face_restriction":
-        "ROADMAP item 4; tests/test_deloc.py::test_face_blocks_match_the_forms_model",
     "report.ValidationReport.failures": "failed checks only (raise_if_failed and its callers)",
 }
 
