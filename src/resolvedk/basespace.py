@@ -49,7 +49,7 @@ class CochainComplex:
     (1, 0)
     """
 
-    __slots__ = ("dims", "slot_degrees", "d", "_offsets")
+    __slots__ = ("dims", "slot_degrees", "d", "_offsets", "_report")
 
     def __init__(self, dims: Sequence[int], differentials: Sequence = ()):
         dims = _ints(dims, "dimension")
@@ -75,6 +75,7 @@ class CochainComplex:
         self.slot_degrees = slot_degrees
         self.d = RationalMatrix.from_row_maps(rows, total)
         self._offsets = tuple(offsets)
+        self._report: Optional[ValidationReport] = None
 
     @classmethod
     def point(cls) -> "CochainComplex":
@@ -101,15 +102,17 @@ class CochainComplex:
         return self.d.submatrix(self.degree_slots(k + 1), self.degree_slots(k))
 
     def validate(self) -> ValidationReport:
-        rep = ValidationReport()
-        dd = self.d @ self.d
-        bad = sorted({self.slot_degrees[j] for _, j, _ in dd.entries()})
-        rep.add(
-            "differential squares to zero",
-            not bad,
-            "" if not bad else "fails starting in degree " + ", ".join(map(str, bad)),
-        )
-        return rep
+        """The d squared check, made once per complex."""
+        if self._report is None:
+            dd = self.d @ self.d
+            bad = sorted({self.slot_degrees[j] for _, j, _ in dd.entries()})
+            self._report = ValidationReport()
+            self._report.add(
+                "differential squares to zero",
+                not bad,
+                "" if not bad else "fails starting in degree " + ", ".join(map(str, bad)),
+            )
+        return self._report
 
     def cohomology(self) -> Tuple[int, ...]:
         """Per-degree cohomology dimensions (exact rational ranks)."""
@@ -192,19 +195,6 @@ class ChainMap:
         if self._commutes is None:
             self._commutes = self.target.d @ self.matrix == self.matrix @ self.source.d
         return self._commutes
-
-    def apply(self, vec: Sequence) -> Tuple[Fraction, ...]:
-        return self.matrix.apply(vec)
-
-    def compose(self, inner: "ChainMap") -> "ChainMap":
-        if inner.target != self.source:
-            raise ValueError("chain map composition mismatch")
-        return ChainMap(
-            inner.source, self.target, self.matrix @ inner.matrix, self.degree + inner.degree
-        )
-
-    def __matmul__(self, inner: "ChainMap") -> "ChainMap":
-        return self.compose(inner)
 
     def __eq__(self, other: object) -> bool:
         return (

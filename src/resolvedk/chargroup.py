@@ -175,9 +175,6 @@ class SubgroupDatum:
         """The image of an ambient character, kept in the restriction's table."""
         return edge_image(self.restriction, ghat)
 
-    def in_kernel(self, ghat: Character) -> bool:
-        return self.lattice.contains(ghat.coords)
-
     def kernel_coordinates(self, ghat: Character) -> Tuple[int, ...]:
         """Integer coordinates of a kernel element in the stored basis, kept per datum."""
         if ghat.group != self.ambient:

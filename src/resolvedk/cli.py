@@ -49,7 +49,7 @@ from .descriptor import (
     parse_descriptor,
     serialize_descriptor,
 )
-from .itspace import Pruning
+from .itspace import downward_closed
 from .ktheory import LES_LABELS, action_node_k, rational_global_k
 
 COMMANDS = ("validate", "kred", "deloc", "ch", "compare", "les", "stabilize", "example")
@@ -221,7 +221,7 @@ def run(command: str, desc: ActionDescriptor, flags: argparse.Namespace) -> Comm
         first = next(n for n in action.tree.labels_by_depth() if n in removed_set)
         # the first step is checked before the starting kept set, so a bad
         # --prune set is reported by a node that step does not restore
-        Pruning(action.tree, (set(action.tree.nodes) - removed_set) | {first})
+        downward_closed(action.tree, (set(action.tree.nodes) - removed_set) | {first})
         sub = assemble_complex(action, prune=removed_set, radius=flags.window)
         steps = []
         lines = []

@@ -41,7 +41,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 from .action import ResolvedAction, WindowError
 from .basespace import NodeSpaceData, shift_count_mismatch
 from .chargroup import Character, SectionSystem, fiber_support, lift, lift_offset
-from .itspace import Pruning, prune_step
+from .itspace import downward_closed
 from .ktheory import SixTermInstance, hexagon_check
 from .ratmat import (
     Exact,
@@ -254,7 +254,7 @@ class AssembledComplex:
 
     def restrict(self, kept) -> "AssembledComplex":
         """The subcomplex over a downward-closed kept set of nodes."""
-        kept = Pruning(self.action.tree, kept).kept
+        kept = downward_closed(self.action.tree, kept)
         if kept == self.kept:
             return self
         full = self.full
@@ -305,7 +305,7 @@ def _checked_kept(action: ResolvedAction, prune: Sequence[str]) -> frozenset:
     unknown = sorted(prune_set - set(tree.nodes))
     if unknown:
         raise ValueError(f"cannot prune unknown nodes {unknown}")
-    return Pruning(tree, frozenset(tree.nodes) - prune_set).kept
+    return downward_closed(tree, frozenset(tree.nodes) - prune_set)
 
 
 def _checked_windows(action: ResolvedAction, radius: Optional[int]) -> Dict[str, List[Character]]:
@@ -320,12 +320,15 @@ def _checked_windows(action: ResolvedAction, radius: Optional[int]) -> Dict[str,
 
 
 def _check_maps(action: ResolvedAction) -> None:
-    """Raise unless the shift and face maps are what the twisting law needs.
+    """Raise unless the node complexes, shifts and face maps are what the twisting law needs.
 
-    Every node has one chain shift and one K shift per kernel generator,
-    and every face restriction and pullback is a chain map.
+    Every node differential squares to zero, every node has one chain shift
+    and one K shift per kernel generator, and every face restriction and
+    pullback is a chain map.
     """
     for label in sorted(action.tree.nodes):
+        for name, detail in action.spaces[label].complex.validate().failures():
+            raise ValueError(f"node {label}: {name}: {detail}")
         mismatch = shift_count_mismatch(action.spaces[label], action.tree.nodes[label].kernel_rank)
         if mismatch:
             raise ValueError(f"node {label}: one shift per kernel generator: {mismatch}")
@@ -502,7 +505,7 @@ def les_of_pruning(sub: AssembledComplex, total: AssembledComplex) -> PruningLES
     if sub.full is not total.full:
         raise ValueError("a pruning step needs two restrictions of one assembled complex")
     added = sorted(total.kept - sub.kept)
-    if len(added) != 1 or prune_step(total.action.tree, sub.kept, added[0]).kept != total.kept:
+    if len(added) != 1 or not sub.kept < total.kept:
         raise ValueError(
             f"no single pruning step leads from {sorted(sub.kept)} to {sorted(total.kept)}"
         )

@@ -229,71 +229,16 @@ class IsotropyTree:
         return f"IsotropyTree({sorted(self.nodes)}, root={self.root!r})"
 
 
-class Pruning:
-    """A downward-closed kept subtree A' with pruned complement P = A \\ A'."""
-
-    __slots__ = ("tree", "kept")
-
-    def __init__(self, tree: IsotropyTree, kept: Iterable[str]):
-        kept_set = frozenset(kept)
-        unknown = kept_set - set(tree.nodes)
-        if unknown:
-            raise ValueError(f"pruning keeps unknown nodes {sorted(unknown)}")
-        for b in sorted(kept_set):
-            for a, b2 in tree.comparable_pairs():
-                if b2 == b and a not in kept_set:
-                    raise ValueError(
-                        f"kept set is not downward-closed: {b!r} kept but {a!r} is not"
-                    )
-        self.tree = tree
-        self.kept = kept_set
-
-    @property
-    def pruned(self) -> FrozenSet[str]:
-        return frozenset(set(self.tree.nodes) - self.kept)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Pruning)
-            and self.tree is other.tree
-            and self.kept == other.kept
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.tree), self.kept))
-
-    def __repr__(self) -> str:
-        return f"Pruning(kept={sorted(self.kept)})"
-
-
-def prune_step(tree: IsotropyTree, kept: Iterable[str], alpha: str) -> Pruning:
-    """Extend a kept subtree by one node whose predecessors are all kept."""
-    if isinstance(kept, Pruning):
-        kept_set = set(kept.kept)
-    else:
-        kept_set = set(kept)
-    if alpha not in tree.nodes:
-        raise ValueError(f"unknown node {alpha!r}")
-    if alpha in kept_set:
-        raise ValueError(f"node {alpha!r} is already kept")
-    missing = [a for a, b in tree.order if b == alpha and a not in kept_set]
-    if missing:
-        raise ValueError(
-            f"cannot keep {alpha!r}: predecessors {sorted(set(missing))} not kept"
-        )
-    return Pruning(tree, kept_set | {alpha})
-
-
-def pruning_sequence(tree: IsotropyTree) -> List[Pruning]:
-    """Deterministic chain of prunings from {root} up to the whole tree.
-
-    Nodes are added in depth-then-label order, so every step satisfies the
-    prune_step precondition.
-    """
-    tree.require_valid()
-    labels = tree.labels_by_depth()
-    assert labels[0] == tree.root
-    steps = [Pruning(tree, [tree.root])]
-    for label in labels[1:]:
-        steps.append(prune_step(tree, steps[-1], label))
-    return steps
+def downward_closed(tree: IsotropyTree, kept: Iterable[str]) -> FrozenSet[str]:
+    """A kept node set as a frozenset, after checking it is a downward-closed subtree."""
+    kept_set = frozenset(kept)
+    unknown = kept_set - set(tree.nodes)
+    if unknown:
+        raise ValueError(f"pruning keeps unknown nodes {sorted(unknown)}")
+    for b in sorted(kept_set):
+        for a, b2 in tree.comparable_pairs():
+            if b2 == b and a not in kept_set:
+                raise ValueError(
+                    f"kept set is not downward-closed: {b!r} kept but {a!r} is not"
+                )
+    return kept_set

@@ -18,7 +18,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .basespace import KData
 from .chargroup import Character, SubgroupDatum
-from .fgab import AbHom, FgAbGroup
 from .report import ValidationReport
 
 
@@ -55,68 +54,6 @@ def action_node_k(action, label: str, radius: Optional[int] = None) -> GradedKGr
         windows[label],
         label=label,
     )
-
-
-def _product_group(old: FgAbGroup, extra: FgAbGroup) -> Tuple[FgAbGroup, AbHom]:
-    """Canonical form of old x extra with the projection from raw coordinates.
-
-    The projection maps concatenated (old, extra) coordinate vectors onto the
-    invariant-factor presentation of the product.
-    """
-    n, m = old.ngens, extra.ngens
-    cover = FgAbGroup.free(n + m)
-    rel_cols = []
-    for j, d in enumerate(old.torsion):
-        col = [0] * (n + m)
-        col[old.free_rank + j] = d
-        rel_cols.append(col)
-    for j, d in enumerate(extra.torsion):
-        col = [0] * (n + m)
-        col[n + extra.free_rank + j] = d
-        rel_cols.append(col)
-    rel = AbHom.from_columns(FgAbGroup.free(len(rel_cols)), cover, rel_cols)
-    return rel.cokernel()
-
-
-def product_with_trivial_factor(a_dual: FgAbGroup, k: GradedKGroup) -> GradedKGroup:
-    """Extend the grading over the dual of a finite trivially-acting factor.
-
-    Every new sector is a copy of the corresponding old sector, so each
-    graded dimension multiplies by the order of the extra dual.  The
-    combined groups are put back into invariant-factor form, so any finite
-    extra dual is accepted.
-    """
-    if not a_dual.is_finite:
-        raise ValueError("the extra factor must have a finite dual")
-    amb, tgt = k.datum.ambient, k.datum.target
-    new_amb, amb_proj = _product_group(amb, a_dual)
-    new_tgt, tgt_proj = _product_group(tgt, a_dual)
-
-    def pair_amb(x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
-        return amb_proj.apply(tuple(x) + tuple(y))
-
-    def pair_tgt(b: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
-        return tgt_proj.apply(tuple(b) + tuple(y))
-
-    old_r = k.datum.restriction
-    cols = []
-    for e in new_amb.generators():
-        raw = amb_proj.preimage_representative(e)
-        cols.append(pair_tgt(old_r.apply(raw[: amb.ngens]), raw[amb.ngens:]))
-    new_restriction = AbHom.from_columns(new_amb, new_tgt, cols)
-    # the kernel is unchanged: keep the generator order so the shift
-    # automorphisms stay indexed consistently
-    kernel_basis = [
-        pair_amb(h.coords, (0,) * a_dual.ngens) for h in k.datum.kernel_basis
-    ]
-    new_datum = SubgroupDatum(new_restriction, kernel_basis=kernel_basis or None)
-
-    window = [
-        Character(new_tgt, pair_tgt(b.coords, extra))
-        for extra in a_dual.elements()
-        for b in k.window
-    ]
-    return GradedKGroup(new_datum, k.kdata, window, label=k.label)
 
 
 # -- six-term sequences --------------------------------------------------------

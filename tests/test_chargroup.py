@@ -47,8 +47,8 @@ def test_kernel_lattice_mod2():
     datum = mod2_datum()
     (gen,) = datum.kernel_basis
     assert gen.coords == (2,)
-    assert datum.in_kernel(Character(Z, (-4,)))
-    assert not datum.in_kernel(Character(Z, (3,)))
+    assert datum.restrict(Character(Z, (-4,))).is_zero()
+    assert not datum.restrict(Character(Z, (3,))).is_zero()
 
 
 def test_kernel_coordinates_roundtrip():

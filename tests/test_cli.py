@@ -226,6 +226,29 @@ def test_ch_refuses_a_node_without_its_chain_shift(tmp_path):
         ), argv
 
 
+def test_computing_commands_refuse_a_node_differential_that_does_not_square_to_zero(tmp_path):
+    desc = json.loads(serialize_descriptor(fixtures.sphere_rotation()))
+    desc["spaces"]["0"]["complex"] = {"dims": ["1", "1", "1"], "differentials": [[["1"]], [["1"]]]}
+    desc["faces"]["0<S"]["restriction"] = [["1", "0", "0"]]
+    del desc["chern"], desc["expected"]
+    path = tmp_path / "d-squared.json"
+    path.write_text(json.dumps(desc))
+    # the face maps are chain maps, so validate fails on the node row only
+    code, out, _ = run_cli("validate", "--input", str(path), "--window", "1")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL node 0: differential squares to zero: fails starting in degree 0"
+    ]
+    for argv in (["kred"], ["deloc"], ["les", "--prune", "N"], ["stabilize"]):
+        assert run_cli(*argv, "--input", str(path), "--window", "1") == (
+            2, "", "resolvedk: node 0: differential squares to zero: fails starting in degree 0\n",
+        ), argv
+    assert run_cli("compare", "--input", str(path), "--window", "1") == (
+        2, "", "resolvedk: cochain complex failed: differential squares to zero: "
+        "fails starting in degree 0\n",
+    )
+
+
 def test_les_reports_exact_steps(sphere_file):
     code, out, _ = run_cli("les", "--input", sphere_file, "--window", "1", "--prune", "N")
     assert code == 0

@@ -48,7 +48,7 @@ from resolvedk.fixtures import (
     sphere_rotation,
     sphere_rotation_speed,
 )
-from resolvedk.itspace import IsotropyTree, pruning_sequence
+from resolvedk.itspace import IsotropyTree
 from resolvedk.ktheory import LES_LABELS, rational_global_k
 from resolvedk.ratmat import RationalMatrix
 from resolvedk.redbun import (
@@ -613,11 +613,9 @@ def test_face_blocks_match_the_forms_model(build, radius):
 
 def test_sphere_pruning_steps_are_exact():
     sphere = sphere_rotation()
-    steps = pruning_sequence(sphere.tree)
     for m in (1, 2):
         full = assemble_complex(sphere, radius=m)
-        for idx in range(len(steps) - 1):
-            les = les_of_pruning(full.restrict(steps[idx].kept), full.restrict(steps[idx + 1].kept))
+        for les in pruning_walk(full.restrict({"0"}), full):
             assert les.report.ok, les.report.failures()
             assert les.instance.labels == LES_LABELS
             assert les.instance.alternating_sum() == 0
@@ -680,10 +678,11 @@ def test_les_rejects_invalid_steps():
 
 def test_plane_pruning_steps_are_exact():
     plane = projective_plane()
-    steps = pruning_sequence(plane.tree)
     full = assemble_complex(plane, radius=1)
-    for idx in range(len(steps) - 1):
-        les = les_of_pruning(full.restrict(steps[idx].kept), full.restrict(steps[idx + 1].kept))
+    walk = list(pruning_walk(full.restrict({"0"}), full))
+    # depth-then-label order
+    assert [les.alpha for les in walk] == ["p2", "s", "p1", "p3"]
+    for les in walk:
         assert les.report.ok, les.report.failures()
 
 
@@ -702,11 +701,11 @@ def test_les_step_solves_once_per_batch(monkeypatch):
         if getattr(module, "solve", None) is original:
             monkeypatch.setattr(module, "solve", counted)
     plane = projective_plane()
-    steps = pruning_sequence(plane.tree)
+    labels = plane.tree.labels_by_depth()
     per_sector = {}
     for radius in (2, 4):
         full = assemble_complex(plane, radius=radius)
-        sub, total = full.restrict(steps[-2].kept), full.restrict(steps[-1].kept)
+        sub, total = full.restrict(labels[:-1]), full
         calls.clear()
         les = les_of_pruning(sub, total)
         assert les.report.ok, les.report.failures()
@@ -746,10 +745,8 @@ def test_class_space_is_one_elimination(monkeypatch):
 @pytest.mark.parametrize("seed", range(12))
 def test_random_actions_pruning_exactness(seed):
     act = random_action(seed)
-    steps = pruning_sequence(act.tree)
     full = assemble_complex(act, radius=1)
-    for idx in range(len(steps) - 1):
-        les = les_of_pruning(full.restrict(steps[idx].kept), full.restrict(steps[idx + 1].kept))
+    for les in pruning_walk(full.restrict({act.tree.root}), full):
         assert les.report.ok, (seed, les.alpha, les.report.failures())
 
 

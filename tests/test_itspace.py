@@ -2,7 +2,7 @@ import pytest
 
 from resolvedk.chargroup import SubgroupDatum
 from resolvedk.fgab import AbHom, FgAbGroup
-from resolvedk.itspace import IsotropyTree, Pruning, prune_step, pruning_sequence
+from resolvedk.itspace import IsotropyTree, downward_closed
 
 
 Z = FgAbGroup.free(1)
@@ -42,8 +42,8 @@ def test_single_node_tree_is_valid():
     tree = IsotropyTree({"0": trivial_isotropy()}, [])
     assert tree.validate().ok
     assert tree.root == "0"
-    seq = pruning_sequence(tree)
-    assert len(seq) == 1 and seq[0].kept == frozenset({"0"})
+    assert tree.labels_by_depth() == ["0"]
+    assert downward_closed(tree, ["0"]) == frozenset({"0"})
 
 
 def test_sphere_tree_valid_and_ordered():
@@ -136,33 +136,7 @@ def test_corner_chain_must_be_totally_ordered():
     assert not short.validate().ok
 
 
-def test_pruning_downward_closure():
-    tree = sphere_tree()
-    keep = Pruning(tree, ["0", "N"])
-    assert keep.pruned == frozenset({"S"})
-    with pytest.raises(ValueError, match="not downward-closed"):
-        Pruning(tree, ["N"])
-
-
-def test_prune_step_preconditions():
-    tree = chain_tree()
-    first = prune_step(tree, ["0"], "s")
-    assert first.kept == frozenset({"0", "s"})
-    with pytest.raises(ValueError, match="already kept"):
-        prune_step(tree, first, "s")
-    with pytest.raises(ValueError, match="predecessors"):
-        prune_step(tree, ["0"], "p")
-    with pytest.raises(ValueError, match="unknown node"):
-        prune_step(tree, ["0"], "x")
-
-
-def test_pruning_sequence_sphere():
-    tree = sphere_tree()
-    seq = pruning_sequence(tree)
-    assert [sorted(p.kept) for p in seq] == [["0"], ["0", "N"], ["0", "N", "S"]]
-
-
-def test_pruning_sequence_depth_then_label():
+def five_node_tree():
     nodes = {
         "0": trivial_isotropy(),
         "s": half_isotropy(),
@@ -170,19 +144,44 @@ def test_pruning_sequence_depth_then_label():
         "p2": full_isotropy(),
         "p3": full_isotropy(),
     }
-    rels = [("0", "s"), ("0", "p2"), ("s", "p1"), ("s", "p3")]
-    tree = IsotropyTree(nodes, rels)
-    seq = pruning_sequence(tree)
-    added = [sorted(b.kept - a.kept)[0] for a, b in zip(seq, seq[1:])]
-    assert added == ["p2", "s", "p1", "p3"]
-    # every prefix is downward-closed by construction of Pruning
-    assert seq[-1].kept == frozenset(nodes)
+    return IsotropyTree(nodes, [("0", "s"), ("0", "p2"), ("s", "p1"), ("s", "p3")])
 
 
-def test_pruning_sequence_requires_valid_tree():
+def test_pruning_downward_closure():
+    tree = sphere_tree()
+    keep = downward_closed(tree, ["0", "N"])
+    assert keep == frozenset({"0", "N"}) and type(keep) is frozenset
+    with pytest.raises(ValueError, match="not downward-closed"):
+        downward_closed(tree, ["N"])
+
+
+def test_downward_closed_messages():
+    tree = five_node_tree()
+    with pytest.raises(ValueError) as unknown:
+        downward_closed(tree, ["0", "x", "a"])
+    assert str(unknown.value) == "pruning keeps unknown nodes ['a', 'x']"
+    with pytest.raises(ValueError) as open_below:
+        downward_closed(tree, ["p3", "p1", "0"])
+    assert str(open_below.value) == "kept set is not downward-closed: 'p1' kept but 's' is not"
+
+
+def test_labels_by_depth_sphere():
+    assert sphere_tree().labels_by_depth() == ["0", "N", "S"]
+
+
+def test_labels_by_depth_is_depth_then_label():
+    # every prefix is downward-closed, so it is the order a pruning walk adds nodes in
+    tree = five_node_tree()
+    labels = tree.labels_by_depth()
+    assert labels == ["0", "p2", "s", "p1", "p3"]
+    for end in range(1, len(labels) + 1):
+        assert downward_closed(tree, labels[:end]) == frozenset(labels[:end])
+
+
+def test_require_valid_refuses_unnested_kernels():
     tree = IsotropyTree(
         {"a": full_isotropy(), "b": trivial_isotropy()},
         [("a", "b")],
     )
-    with pytest.raises(ValueError, match="isotropy tree validation failed"):
-        pruning_sequence(tree)
+    with pytest.raises(ValueError, match="isotropy tree validation failed: kernel lattices nest"):
+        tree.require_valid()

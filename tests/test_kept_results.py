@@ -20,7 +20,6 @@ from resolvedk.chargroup import Character, SubgroupDatum, edge_image
 from resolvedk.deloc import TwoPeriodicComplex, assemble_complex, deloc_cohomology
 from resolvedk.descriptor import parse_descriptor, serialize_descriptor
 from resolvedk.fgab import FgAbGroup
-from resolvedk.itspace import pruning_sequence
 from resolvedk.ratmat import RationalMatrix, rank
 
 FIXTURES = {
@@ -55,8 +54,9 @@ def _rank_formula(sec, p):
 def _check_three_ways(action, radius):
     full = assemble_complex(action, radius=radius)
     checked = 0
-    for step in pruning_sequence(action.tree):
-        cx = full.restrict(step.kept)
+    labels = action.tree.labels_by_depth()
+    for end in range(1, len(labels) + 1):
+        cx = full.restrict(labels[:end])
         dims = deloc_cohomology(cx)
         for chi, sec in cx.sectors.items():
             two = sec.two_periodic

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from resolvedk.basespace import KData
 from resolvedk.chargroup import Character, SubgroupDatum, lift, lift_offset
 from resolvedk.fgab import AbHom, FgAbGroup
-from resolvedk.fixtures import sphere_rotation
+from resolvedk.fixtures import product_trivial, projective_plane, sphere_rotation
 from resolvedk.ktheory import (
     LES_LABELS,
     GradedKGroup,
     SixTermInstance,
     action_node_k,
     hexagon_check,
-    product_with_trivial_factor,
 )
 
 Z = FgAbGroup.free(1)
@@ -151,50 +150,34 @@ def test_rg_action_composition_property(g1, g2, ev):
 
 
 def test_product_with_trivial_group_keeps_ranks():
-    datum, kdata = mod2_node()
-    k = GradedKGroup(datum, kdata, [(0,), (1,)])
-    p = product_with_trivial_factor(TRIV, k)
-    assert p.total_ranks() == k.total_ranks()
-    assert len(p.window) == len(k.window)
+    base, prod = sphere_rotation(), product_trivial(())
+    for label in sorted(base.tree.nodes):
+        k, p = action_node_k(base, label, radius=1), action_node_k(prod, label, radius=1)
+        assert p.total_ranks() == k.total_ranks()
+        assert len(p.window) == len(k.window)
 
 
 @pytest.mark.parametrize("torsion,factor", [((2,), 2), ((3,), 3)])
 def test_product_multiplies_sector_count(torsion, factor):
-    datum, kdata = mod2_node()
-    k = GradedKGroup(datum, kdata, [(0,), (1,)])
-    p = product_with_trivial_factor(FgAbGroup(0, torsion), k)
-    assert len(p.window) == factor * len(k.window)
-    assert p.total_ranks() == (factor * k.total_ranks()[0], factor * k.total_ranks()[1])
-    # every new sector is a copy of an old one
-    assert p.kdata is k.kdata
-
-
-def test_product_requires_finite_factor():
-    datum, kdata = pole_node()
-    k = GradedKGroup(datum, kdata, [(0,)])
-    with pytest.raises(ValueError, match="finite"):
-        product_with_trivial_factor(Z, k)
-
-
-def test_product_canonicalizes_mixed_torsion():
-    # Z/2 target with a Z/3 factor: the product is a cyclic Z/6
-    datum = SubgroupDatum(AbHom.identity(C2))
-    kdata = KData.trivial_shifts(Z, TRIV, AbHom.identity(Z), 0)
-    k = GradedKGroup(datum, kdata, [(0,), (1,)])
-    p = product_with_trivial_factor(FgAbGroup(0, (3,)), k)
-    assert p.datum.target == FgAbGroup(0, (6,))
-    assert len(p.window) == 6
-    assert p.total_ranks() == (6, 0)
+    base, prod = sphere_rotation(), product_trivial(torsion)
+    for label in sorted(base.tree.nodes):
+        k, p = action_node_k(base, label, radius=1), action_node_k(prod, label, radius=1)
+        assert len(p.window) == factor * len(k.window)
+        assert p.total_ranks() == (factor * k.total_ranks()[0], factor * k.total_ranks()[1])
+        # every new sector is a copy of an old one
+        assert p.kdata.k0 == k.kdata.k0 and p.kdata.k1 == k.kdata.k1
 
 
 def test_product_action_twists_by_kernel_characters():
-    datum, kdata = mod2_node()
-    k = GradedKGroup(datum, kdata, [(0,), (1,)])
-    p = product_with_trivial_factor(FgAbGroup(0, (2,)), k)
-    hhat = p.datum.kernel_basis[0]
-    h = p.datum.kernel_coordinates(hhat)
+    base, prod = projective_plane(), product_trivial((2,), projective_plane())
+    datum = prod.tree.nodes["0"]
+    hhat = datum.kernel_basis[0]
+    assert hhat.coords == (1, 0)
+    h = datum.kernel_coordinates(hhat)
     assert h == (1,)
-    assert p.kdata.twist(h).apply((0, 1)) == (1, 1)
+    twist = prod.spaces["0"].kdata.twist(h)
+    assert twist == base.spaces["0"].kdata.twist(h)
+    assert twist.apply((1, 0)) == (1, 1)
 
 
 # -- six-term arithmetic -----------------------------------------------------------

@@ -8,7 +8,10 @@ plus every descriptor command on each golden fixture serialized to a file
 at window 1.  Every function and method defined in ``src/resolvedk`` that
 none of these runs calls must be a key of ``UNREACHED``, whose value names
 the roadmap item, acceptance criterion, test or benchmark use that keeps
-it.  Dunders and functions whose body only raises are not counted.
+it.  Dunders and functions whose body only raises are not counted.  A
+reason that cites ``tests/<file>.py::<name>`` (``*`` globs allowed, and
+``::<Class>::<method>``) must name a function or class that file defines,
+so a reason cannot outlive the test that keeps it.
 
 A new function that no run reaches fails the test until a command calls it
 or it is pinned here; a pinned function that the runs start to reach, or
@@ -16,8 +19,11 @@ that is deleted, fails it until its entry goes.  Run this file as a script
 to print the unreached functions.
 """
 
+import ast
+import fnmatch
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -27,15 +33,11 @@ UNREACHED = {
     "action.ResolvedAction.sections": f"acceptance criterion 3 ({CRIT}3_section_independence)",
     "action.WindowRule.explicit":
         "explicit window rules built in code (tests/test_action.py::test_window_explicit)",
-    "basespace.ChainMap.apply": "tests/test_basespace.py::test_chain_map_homogeneity_enforced",
-    "basespace.ChainMap.compose":
-        "the body of ChainMap @ (tests/test_basespace.py::test_chain_map_from_blocks_and_compose)",
     "chargroup.Character.is_zero": "chargroup._table_additive, behind SectionSystem.homomorphic",
     "chargroup.Character.scale":
         "SubgroupDatum.kernel_element, behind offset_section (perfbench/workloads.py)",
     "chargroup.SectionSystem.homomorphic":
         f"acceptance criterion 2 ({CRIT}2_splitting_absent_but_sections_work)",
-    "chargroup.SubgroupDatum.in_kernel": "tests/test_chargroup.py::test_kernel_lattice_mod2",
     "chargroup.SubgroupDatum.kernel_element":
         "offset_section (acceptance criterion 3, perfbench/workloads.py section trials)",
     "chargroup._table_additive": "SectionSystem.homomorphic (acceptance criterion 2)",
@@ -52,7 +54,7 @@ UNREACHED = {
         "duplicate JSON keys (tests/test_descriptor.py::test_rejects_duplicate_keys_with_path)",
     "descriptor._format_path": "descriptor input errors (tests/test_descriptor.py::test_rejects_*)",
     "fgab.AbHom._compute_split": "AbHom.try_split (acceptance criterion 2)",
-    "fgab.AbHom.cokernel": "ktheory._product_group (acceptance criterion 5); ROADMAP item 5",
+    "fgab.AbHom.cokernel": "ROADMAP item 5 (integral six-term sequences)",
     "fgab.AbHom.image": "ROADMAP item 5 (integral six-term sequences)",
     "fgab.AbHom.image_lattice": "ROADMAP item 5 (integral six-term sequences)",
     "fgab.AbHom.is_zero": "ROADMAP item 5; tests/test_fgab.py::TestAbHom::test_kernel_of_projection",
@@ -73,11 +75,6 @@ UNREACHED = {
     "fixtures._twisted": "fixtures.random_action",
     "fixtures.random_action":
         "perfbench/workloads.py random_sections; acceptance criteria 6 and 8",
-    "itspace.Pruning.pruned": "tests/test_itspace.py::test_pruning_downward_closure",
-    "itspace.pruning_sequence": f"acceptance criterion 6 ({CRIT}6_six_term_exactness)",
-    "ktheory._product_group": "product_with_trivial_factor (acceptance criterion 5)",
-    "ktheory.product_with_trivial_factor":
-        f"acceptance criterion 5 ({CRIT}5_speed_n_equals_n_times_base)",
     "ratmat.RationalMatrix._rows": "read by perfbench/tracer.py (ROADMAP item 6)",
     "ratmat.RationalMatrix.column":
         "tests/test_ratmat.py::test_entry_access_on_sparse_rows, "
@@ -93,7 +90,6 @@ UNREACHED = {
     "redbun.TwistedTable.support": "the table model of ROADMAP item 4",
     "redbun.check_iterated": "ROADMAP item 4 (the K side of bundle compatibility)",
     "redbun.corner_mismatch": "ROADMAP item 4 (the K side of bundle compatibility)",
-    "report.ValidationReport.failures": "failed checks only (raise_if_failed and its callers)",
 }
 
 
@@ -173,6 +169,36 @@ def unreached():
                 ):
                     out.append(f"{info.name}.{fn.__qualname__}")
     return sorted(out)
+
+
+def unresolved_citations(ledger):
+    """The `tests/...py::name` citations in the ledger's reasons that name nothing."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    bad = []
+    for key, reason in sorted(ledger.items()):
+        for path, names in re.findall(r"(tests/\w+\.py)((?:::[\w*]+)+)", reason):
+            full = os.path.join(root, path)
+            if not os.path.exists(full):
+                bad.append(f"{key}: {path}{names}")
+                continue
+            with open(full, encoding="utf-8") as fh:
+                scope = ast.parse(fh.read()).body
+            for name in names.split("::")[1:]:
+                found = [
+                    node for node in scope
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and fnmatch.fnmatchcase(node.name, name)
+                ]
+                if not found:
+                    bad.append(f"{key}: {path}{names}")
+                    break
+                scope = [child for node in found if isinstance(node, ast.ClassDef) for child in node.body]
+    return bad
+
+
+def test_ledger_reasons_cite_tests_that_exist():
+    bad = unresolved_citations(UNREACHED)
+    assert not bad, f"reasons cite tests that do not exist: {bad}"
 
 
 def test_unreached_library_functions_are_pinned():

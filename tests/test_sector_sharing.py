@@ -27,7 +27,6 @@ from resolvedk.fixtures import (
     sphere_rotation,
     sphere_rotation_speed,
 )
-from resolvedk.itspace import pruning_sequence
 from resolvedk.ratmat import RationalMatrix
 
 FIELDS = (
@@ -55,9 +54,10 @@ def _key(sec):
 
 
 def _sequence(action, radius):
-    """The restrictions along the action's pruning sequence, of one assembly."""
+    """The restrictions to the depth-then-label prefixes of the nodes, of one assembly."""
     full = assemble_complex(action, radius=radius)
-    return [full.restrict(step.kept) for step in pruning_sequence(action.tree)]
+    labels = action.tree.labels_by_depth()
+    return [full.restrict(labels[:end]) for end in range(1, len(labels) + 1)]
 
 
 def _h(two):
