@@ -19,7 +19,8 @@ Commands:
 removes nodes from the assembled complex (relative cohomology); ``--prune``
 names the nodes whose pruning sequences ``les`` reports.  A flag the
 command does not read (``--prune`` outside ``les``, ``--relative`` with
-``validate`` or ``les``) is an input error.
+``validate`` or ``les``, any flag but ``--format`` with ``example``) is an
+input error.
 
 Exit status: 0 on success, 1 on mathematical failure (a failed check or an
 inexact sequence), 2 on input errors.
@@ -70,10 +71,6 @@ class CommandResult:
 
 def _coords_key(coords: Sequence) -> str:
     return "(" + ",".join(str(int(x)) for x in coords) + ")"
-
-
-def _value_str(x) -> str:
-    return str(x)
 
 
 def _report_rows(report) -> List[List]:
@@ -187,7 +184,7 @@ def run(command: str, desc: ActionDescriptor, flags: argparse.Namespace) -> Comm
                 for khat in cocycle.windows[label]:
                     vec = cocycle.node_value(label, khat)
                     if any(vec):
-                        values[_coords_key(khat.coords)] = [_value_str(x) for x in vec]
+                        values[_coords_key(khat.coords)] = [str(x) for x in vec]
                 per_node[label] = values
                 for key, vals in sorted(values.items()):
                     lines.append(f"{name} @ {label} {key}: ({', '.join(vals)})")
@@ -371,6 +368,9 @@ def _execute(args: argparse.Namespace) -> Tuple[int, str]:
     detected mid-computation.
     """
     if args.command == "example":
+        for flag in ("input", "window", "prune", "relative"):
+            if getattr(args, flag) not in (None, []):
+                raise ValueError(f"example does not take --{flag}")
         if args.name is None:
             names = list(FIXTURE_NAMES)
             return OK, _rendered(args.fmt, CommandResult(OK, {"command": "example", "fixtures": names}, names))

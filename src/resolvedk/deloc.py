@@ -297,39 +297,38 @@ class AssembledComplex:
         return at.restrict(self.kept)
 
 
-def _checked_kept(action: ResolvedAction, prune: Sequence[str]) -> frozenset:
-    """The kept node set of a prune list, after checking the tree and the list."""
+def _checked_input(
+    action: ResolvedAction, prune: Sequence[str], radius: Optional[int]
+) -> Tuple[frozenset, Dict[str, List[Character]]]:
+    """The kept node set and the windows at `radius`, after every input check.
+
+    The one check order of every computing command, whose first failure
+    raises naming its node or face: (1) the tree is valid, the prune list
+    names known nodes and the kept set is downward-closed; (2) the windows
+    at `radius` materialize and are saturated; (3) the twisting law holds:
+    every node differential squares to zero, every node has one chain shift
+    and one K shift per kernel generator, and every face restriction and
+    pullback is a chain map.
+    """
     tree = action.tree
     tree.require_valid()
     prune_set = frozenset(prune)
     unknown = sorted(prune_set - set(tree.nodes))
     if unknown:
         raise ValueError(f"cannot prune unknown nodes {unknown}")
-    return downward_closed(tree, frozenset(tree.nodes) - prune_set)
+    kept = downward_closed(tree, frozenset(tree.nodes) - prune_set)
 
-
-def _checked_windows(action: ResolvedAction, radius: Optional[int]) -> Dict[str, List[Character]]:
-    """The windows at `radius`, after checking that they are saturated."""
     windows = action.windows(radius)
     sat = action.check_window_saturation(windows)
     if not sat.ok:
         raise WindowError(
             "; ".join(f"{name}: {detail}" for name, detail in sat.failures())
         )
-    return windows
 
-
-def _check_maps(action: ResolvedAction) -> None:
-    """Raise unless the node complexes, shifts and face maps are what the twisting law needs.
-
-    Every node differential squares to zero, every node has one chain shift
-    and one K shift per kernel generator, and every face restriction and
-    pullback is a chain map.
-    """
-    for label in sorted(action.tree.nodes):
+    for label in sorted(tree.nodes):
         for name, detail in action.spaces[label].complex.validate().failures():
             raise ValueError(f"node {label}: {name}: {detail}")
-        mismatch = shift_count_mismatch(action.spaces[label], action.tree.nodes[label].kernel_rank)
+        mismatch = shift_count_mismatch(action.spaces[label], tree.nodes[label].kernel_rank)
         if mismatch:
             raise ValueError(f"node {label}: one shift per kernel generator: {mismatch}")
     for pair in sorted(action.faces):
@@ -338,6 +337,7 @@ def _check_maps(action: ResolvedAction) -> None:
             raise ValueError(f"face {pair[0]}<{pair[1]}: restriction is not a chain map")
         if not fm.pullback.commutes_with_differentials():
             raise ValueError(f"face {pair[0]}<{pair[1]}: pullback is not a chain map")
+    return kept, windows
 
 
 def assemble_complex(
@@ -351,13 +351,10 @@ def assemble_complex(
     The complex over every node is assembled and the pruned one is its
     restriction: pruned nodes are omitted and their faces contribute pure
     vanishing constraints on the kept side.  The result splits as a direct
-    sum over the root window characters.
+    sum over the root window characters.  `_checked_input` runs first.
     """
     tree = action.tree
-    # checked before the windows, so a bad prune set is reported first
-    kept = _checked_kept(action, prune)
-    windows = _checked_windows(action, radius)
-    _check_maps(action)
+    kept, windows = _checked_input(action, prune, radius)
 
     # every lift a face asks for, once: a table per node over its window
     lifts = {}
@@ -716,9 +713,9 @@ def chern_character(
 
     K-class coordinates are contracted with the node's Chern representatives
     on the bundle's support, which must lie inside the windows of `radius`.
-    The forms must be closed and meet the face conditions of the complex
-    `assemble_complex` would build, whose input checks run first; the
-    conditions are checked face by face on the tables, without assembling.
+    The input passes `_checked_input` after the Chern data checks; the
+    forms must be closed and meet the face conditions of the complex
+    `assemble_complex` would build, checked face by face without assembling.
     The first failure is the one that complex would meet first: by root
     sector, closedness before compatibility, then by face and shallow
     window character.
@@ -727,9 +724,7 @@ def chern_character(
 
     validate_chern_data(action).raise_if_failed("Chern data")
     bundles = canonical_bundle(action, name, sections)
-    kept = _checked_kept(action, prune)
-    windows = _checked_windows(action, radius)
-    _check_maps(action)
+    kept, windows = _checked_input(action, prune, radius)
     tree = action.tree
 
     for label in sorted(kept):
@@ -817,6 +812,11 @@ def compare_ranks(
     """
     from .ktheory import rational_global_k
 
+    # first, so that its input checks run before any node cohomology
+    try:
+        global_k, failure = rational_global_k(action, prune=prune, radius=radius), ""
+    except ArithmeticError as exc:
+        global_k, failure = None, str(exc)
     rep = ValidationReport()
     for label in sorted(action.tree.nodes):
         kdata = action.spaces[label].kdata
@@ -829,12 +829,9 @@ def compare_ranks(
             f"K gives ({kdata.k0.free_rank}, {kdata.k1.free_rank}), "
             f"cohomology gives ({even}, {odd})",
         )
-    try:
-        global_k = rational_global_k(action, prune=prune, radius=radius)
-    except ArithmeticError as exc:
-        rep.add("pruning hexagons consistent", False, str(exc))
+    rep.add("pruning hexagons consistent", global_k is not None, failure)
+    if global_k is None:
         return rep, None
-    rep.add("pruning hexagons consistent", True, "")
 
     expected = (action.expected or {}).get("deloc_dims_by_radius")
     if expected is not None and radius is not None and not prune:
@@ -870,25 +867,25 @@ def window_stabilization(
     """Scan dimensions over growing windows and flag stabilization.
 
     The complex is assembled once, at the largest radius, and every radius
-    reads its complex from that one by selection (`AssembledComplex.at_radius`);
-    the checks a fresh assembly makes run for each radius in the given order
-    first, so a failing input raises the error its first failing radius
-    would.  Stabilization compares the last two rows; with fewer rows it
+    reads its complex from that one by selection (`AssembledComplex.at_radius`).
+    Each radius, in the given order, passes the input checks of a fresh
+    assembly, so a failing input raises the error of its first failing
+    radius.  Stabilization compares the last two rows; with fewer rows it
     is None.
     """
     radii = list(radii)
+    peak = max(radii, default=None)
+    windows = {}
+    top = None
+    for r in radii:
+        if top is None and r == peak:
+            top = assemble_complex(action, prune=prune, radius=r)
+            windows[r] = top.windows
+        else:
+            windows[r] = _checked_input(action, prune, r)[1]
     rows = []
-    if radii:
-        _checked_kept(action, prune)
-        windows = {}
-        for i, r in enumerate(radii):
-            windows[r] = _checked_windows(action, r)
-            if i == 0:
-                # radius-independent: made once, where a fresh assembly makes it first
-                _check_maps(action)
-        top = assemble_complex(action, prune=prune, radius=max(radii))
-        for r in radii:
-            dims = deloc_cohomology(top.at_radius(r, windows[r]))
-            rows.append((r, dims.even, dims.odd))
+    for r in radii:
+        dims = deloc_cohomology(top.at_radius(r, windows[r]))
+        rows.append((r, dims.even, dims.odd))
     stabilized = rows[-1][1:] == rows[-2][1:] if len(rows) >= 2 else None
     return WindowScan(tuple(rows), stabilized)

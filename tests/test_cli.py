@@ -239,14 +239,10 @@ def test_computing_commands_refuse_a_node_differential_that_does_not_square_to_z
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
         "FAIL node 0: differential squares to zero: fails starting in degree 0"
     ]
-    for argv in (["kred"], ["deloc"], ["les", "--prune", "N"], ["stabilize"]):
+    for argv in (["kred"], ["deloc"], ["compare"], ["les", "--prune", "N"], ["stabilize"]):
         assert run_cli(*argv, "--input", str(path), "--window", "1") == (
             2, "", "resolvedk: node 0: differential squares to zero: fails starting in degree 0\n",
         ), argv
-    assert run_cli("compare", "--input", str(path), "--window", "1") == (
-        2, "", "resolvedk: cochain complex failed: differential squares to zero: "
-        "fails starting in degree 0\n",
-    )
 
 
 def test_les_reports_exact_steps(sphere_file):
@@ -309,6 +305,28 @@ def test_compare_and_kred_assemble_once(monkeypatch):
         code, _, _ = run_cli(command, "--input", "fixture:projective_plane", "--window", "2")
         assert code == 0
         assert len(calls) == 1, (command, calls)
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (("stabilize", "--window", "0"), 1),
+    (("stabilize", "--window", "7"), 8),
+    (("kred", "--window", "3"), 1),
+    (("deloc", "--window", "3"), 1),
+    (("ch", "--window", "3"), 1),
+    (("compare", "--window", "3"), 1),
+    (("les", "--window", "3", "--prune", "N"), 1),
+])
+def test_each_command_checks_its_windows_once_per_radius(argv, calls, monkeypatch):
+    original = ResolvedAction.check_window_saturation
+    seen = []
+
+    def counted(self, windows):
+        seen.append(windows)
+        return original(self, windows)
+
+    monkeypatch.setattr(ResolvedAction, "check_window_saturation", counted)
+    assert run_cli(*argv, "--input", "fixture:sphere_rotation")[0] == 0
+    assert len(seen) == calls
 
 
 def test_ch_never_assembles(monkeypatch):
@@ -510,6 +528,13 @@ PLANE = ("--input", "fixture:projective_plane", "--window", "1")
 ] + [
     ((command, *PLANE, "--prune", "p3"), f"{command} does not take --prune; only les does")
     for command in ("validate", "kred", "deloc", "ch", "compare", "stabilize")
+] + [
+    (("example", *name, *flag), f"example does not take {flag[0]}")
+    for name in ((), ("sphere_rotation",))
+    for flag in (("--input", "x"), ("--window", "0"), ("--prune", "S"), ("--relative", "N"))
+] + [
+    (("example", "sphere_rotation", "--window", "3", "--relative", "N", "--prune", "S",
+      "--input", "x", "--format", "json"), "example does not take --input"),
 ])
 def test_a_flag_the_command_ignores_is_an_input_error(argv, message):
     code, out, err = run_cli(*argv)

@@ -7,6 +7,9 @@ this test green without touching the file.  After a deliberate output
 change, re-record with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which prints the number of keys whose digest changed (added and removed
+keys included), then each such key.
 """
 
 import hashlib
@@ -72,6 +75,13 @@ def test_cli_outputs_match_golden():
 
 
 if __name__ == "__main__":
+    with open(GOLDEN, encoding="utf-8") as fh:
+        old = json.load(fh)
+    new = record()
+    changed = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
     with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(record(), fh, indent=1, sort_keys=True)
+        json.dump(new, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    print(f"{len(changed)} keys changed")
+    for key in changed:
+        print(key)

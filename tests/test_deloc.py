@@ -1076,19 +1076,21 @@ def test_window_selection_refuses_windows_outside_the_assembled_ones():
         small.at_radius(2, sphere.windows(2))
 
 
-def sloped_pair():
+def sloped_pair(chain_shift=True):
     """A circle-isotropy node below a torus-fixed point, with edge (x, y) -> x + 2y.
 
     The deep ball of radius r maps onto [-3r, 3r], so the shallow ball of the
     same radius holds it at radius 0 only: the windows are saturated at
-    radius 0 and unsaturated from radius 1 on.
+    radius 0 and unsaturated from radius 1 on.  Without `chain_shift` the
+    shallow node has no chain shift for its kernel generator.
     """
     torus = FgAbGroup.free(2)
     circle = SubgroupDatum(AbHom(torus, Z, [[1, 2]]))
     fixed = SubgroupDatum(AbHom.identity(torus))
     pt = CochainComplex.point()
     shallow = NodeSpaceData(
-        pt, [ChainMap.zero(pt, pt, degree=2)], KData.trivial_shifts(Z, TRIV, AbHom.identity(Z), 1)
+        pt, [ChainMap.zero(pt, pt, degree=2)] if chain_shift else [],
+        KData.trivial_shifts(Z, TRIV, AbHom.identity(Z), 1),
     )
     deep = NodeSpaceData(pt, [], KData.trivial_shifts(Z, TRIV, AbHom.identity(Z), 0))
     kid = KPair(AbHom.identity(Z), AbHom.identity(TRIV))
@@ -1115,6 +1117,8 @@ def _fresh_scan_error(action, radii, prune=()):
         pytest.param(sloped_pair, (2, 0), (), id="unsaturated-first"),
         pytest.param(sloped_pair, range(3), ("x",), id="unknown-prune"),
         pytest.param(sloped_pair, range(3), ("a",), id="prune-not-closed"),
+        pytest.param(lambda: sloped_pair(chain_shift=False), range(3), (),
+                     id="shift-count-before-unsaturated"),
         pytest.param(lambda: fixed_point_action(WindowRule.explicit([[0], [1]])), range(3), (),
                      id="explicit"),
         pytest.param(lambda: equal_isotropy_pair(WindowRule.residue_ball(2, 1)), range(2), (),
