@@ -169,15 +169,13 @@ def run(command: str, desc: ActionDescriptor, flags: argparse.Namespace) -> Comm
         return CommandResult(OK, payload, lines)
 
     if command == "ch":
-        if not action.bundles:
-            payload["bundles"] = {}
-            return CommandResult(OK, payload, ["descriptor declares no bundles"])
+        cocycles = chern_character(
+            action, sorted(action.bundles), prune=removed, radius=flags.window
+        )
         bundles = {}
-        lines = []
-        for name in sorted(action.bundles):
-            cocycle = chern_character(
-                action, name, prune=removed, radius=flags.window
-            )
+        lines = [] if cocycles else ["descriptor declares no bundles"]
+        for cocycle in cocycles:
+            name = cocycle.name
             per_node: Dict[str, Dict[str, List[str]]] = {}
             for label in sorted(cocycle.kept):
                 values = {}

@@ -28,8 +28,7 @@ assemblies: one table per parsed action, freed with it.
 A batch of vectors is a `RationalMatrix` whose columns are the vectors:
 class coordinates, the maps of a six-term sequence and a node's Chern forms
 are matrices, and `RationalMatrix.apply` is the one single-vector operation
-(kept for the connecting map's lifts, the Chern data check and the entries
-of twisted tables).
+(kept for the connecting map's lifts and the entries of twisted tables).
 """
 
 from __future__ import annotations
@@ -639,8 +638,8 @@ def validate_chern_data(action: ResolvedAction) -> ValidationReport:
                 f"got {0 if reps is None else len(reps)}, need {kdata.k0.ngens}",
             )
             continue
-        d = space.complex.d
-        not_closed = [j for j, v in enumerate(reps) if any(d.apply(v))]
+        c = _representatives(action, label)
+        not_closed = sorted({j for _, j, _ in (space.complex.d @ c).entries()})
         rep.add(
             f"node {label}: representatives are closed",
             not not_closed,
@@ -655,9 +654,6 @@ def validate_chern_data(action: ResolvedAction) -> ValidationReport:
             not tors,
             "" if not tors else f"generators {tors}",
         )
-        dim = space.complex.total_dim
-        c = RationalMatrix.from_columns([list(v) for v in reps], nrows=dim) \
-            if reps else RationalMatrix.zeros(dim, 0)
         # the twisting laws at kernel generator i: sigma_i on K0, exp(L_i) on
         # cochains; with one of each per generator they hold for every kernel
         # element (docs/representation-ring.md)
@@ -678,107 +674,102 @@ def validate_chern_data(action: ResolvedAction) -> ValidationReport:
     return rep
 
 
+def _representatives(action: ResolvedAction, label: str) -> RationalMatrix:
+    """A node's Chern representatives as the columns of one matrix."""
+    dim = action.spaces[label].complex.total_dim
+    reps = action.chern.reps[label]
+    return RationalMatrix.from_columns([list(v) for v in reps], nrows=dim) \
+        if reps else RationalMatrix.zeros(dim, 0)
+
+
 class ChernCocycle:
     """Closed, compatible family of twisted node forms: the Chern character of a bundle.
 
-    `forms[label]` is the table of Chern forms of a kept node, on the section
-    lifts of its window characters at the requested radius.
+    `values[label][khat]` is the Chern form of a kept node at each window
+    character `khat` of the requested radius, on its section lift.
     """
 
-    __slots__ = ("name", "kept", "windows", "forms", "_values")
+    __slots__ = ("name", "kept", "windows", "values")
 
-    def __init__(self, name: str, kept, windows, forms):
+    def __init__(self, name: str, kept, windows, values):
         self.name = name
         self.kept = kept
         self.windows = windows
-        self.forms = forms
-        # each form under the window character it lifts, so no lift is recomputed
-        self._values = {
-            label: {table.datum.restrict(g): v for g, v in table.table.items()}
-            for label, table in forms.items()
-        }
+        self.values = values
 
     def node_value(self, label: str, khat: Character) -> Tuple[Exact, ...]:
-        return self._values[label].get(khat, self.forms[label].coefficients.zero)
+        return self.values[label][khat]
 
 
 def chern_character(
     action: ResolvedAction,
-    name: str,
+    names: Sequence[str],
     prune: Sequence[str] = (),
     radius: Optional[int] = None,
     sections: Optional[Mapping[str, SectionSystem]] = None,
-) -> ChernCocycle:
-    """Chern character of a named bundle as a family of twisted node forms.
+) -> List[ChernCocycle]:
+    """Chern characters of the named bundles, one family of twisted node forms each.
 
     K-class coordinates are contracted with the node's Chern representatives
-    on the bundle's support, which must lie inside the windows of `radius`.
-    The input passes `_checked_input` after the Chern data checks; the
-    forms must be closed and meet the face conditions of the complex
-    `assemble_complex` would build, checked face by face without assembling.
-    The first failure is the one that complex would meet first: by root
-    sector, closedness before compatibility, then by face and shallow
-    window character.
+    on each bundle's support, which must lie inside the windows of `radius`.
+    The checks run once for all bundles: `validate_chern_data` (when a name
+    is given), each bundle's canonical table, then `_checked_input`.  Every
+    representative is closed, so every contraction of them is closed too;
+    what is left per bundle, in the given order, is its window support and
+    the face conditions of the complex `assemble_complex` would build,
+    checked face by face without assembling.  A bundle's first failure is
+    the one that complex would meet first: by root sector, then by face and
+    shallow window character.
     """
     from .redbun import TwistedTable, canonical_bundle, face_comparisons
 
-    validate_chern_data(action).raise_if_failed("Chern data")
-    bundles = canonical_bundle(action, name, sections)
+    if names:
+        validate_chern_data(action).raise_if_failed("Chern data")
+    tables = [canonical_bundle(action, name, sections) for name in names]
     kept, windows = _checked_input(action, prune, radius)
     tree = action.tree
-
-    for label in sorted(kept):
-        window_set = set(windows[label])
-        for ghat in bundles[label].table:
-            k = tree.nodes[label].restrict(ghat)
-            if k not in window_set:
-                raise WindowError(
-                    f"bundle {name!r} has support at {ghat.coords} on node "
-                    f"{label}, outside the window; enlarge the radius"
-                )
-
+    reps = {label: _representatives(action, label) for label in kept} if names else {}
     sector_order = {chi: i for i, chi in enumerate(windows[tree.root])}
 
-    def sector(label: str, khat: Character) -> Tuple[int, tuple]:
-        chi = tree.root_image(label, khat)
-        return sector_order[chi], chi.coords
+    cocycles = []
+    for name, bundle in zip(names, tables):
+        forms, values = {}, {}
+        for label in sorted(kept):
+            datum, space, table = tree.nodes[label], action.spaces[label], bundle[label].table
+            values[label] = dict.fromkeys(windows[label], space.zero)
+            for ghat in table:
+                if datum.restrict(ghat) not in values[label]:
+                    raise WindowError(
+                        f"bundle {name!r} has support at {ghat.coords} on node "
+                        f"{label}, outside the window; enlarge the radius"
+                    )
+            support = list(table)
+            contracted = {}
+            if support:
+                chern = reps[label] @ RationalMatrix.from_columns(
+                    [list(table[g]) for g in support], nrows=reps[label].ncols
+                )
+                contracted = dict(zip(support, chern.columns()))
+            forms[label] = TwistedTable(label, datum, space, contracted)
+            values[label].update((datum.restrict(g), v) for g, v in forms[label].table.items())
 
-    # each failure keyed by (root sector, closedness first, face, shallow character)
-    failures = []
-    forms = {}
-    for label in sorted(kept):
-        space = action.spaces[label]
-        datum = tree.nodes[label]
-        table = bundles[label].table
-        support = list(table)
-        values = {}
-        if support:
-            reps = RationalMatrix.from_columns(
-                [list(v) for v in action.chern.reps[label]], nrows=space.complex.total_dim
-            )
-            chern = reps @ RationalMatrix.from_columns(
-                [list(table[g]) for g in support], nrows=reps.ncols
-            )
-            values = dict(zip(support, chern.columns()))
-            for j in {j for _, j, _ in (space.complex.d @ chern).entries()}:
-                pos, coords = sector(label, datum.restrict(support[j]))
-                failures.append((pos, 0, 0, 0, f"is not closed in sector {coords}"))
-        forms[label] = TwistedTable(label, datum, space, values)
-
-    faces = face_comparisons(action, attrgetter("forms"), forms, sections)
-    for p, (a, b, restriction, pullback) in enumerate(faces):
-        for g in restriction.table.keys() | pullback.table.keys():
-            if restriction.get(g) != pullback.get(g):
-                khat = tree.nodes[a].restrict(g)
-                pos, coords = sector(a, khat)
-                failures.append((
-                    pos, 1, p, windows[a].index(khat),
-                    f"breaks compatibility in sector {coords}: "
-                    f"face {a}<{b} at sector {khat.coords}",
-                ))
-    if failures:
-        raise ValueError(f"Chern cocycle of {name!r} {min(failures)[-1]}")
-    return ChernCocycle(name, kept, windows, forms)
+        # each failure keyed by (root sector, face, shallow character)
+        failures = []
+        faces = face_comparisons(action, attrgetter("forms"), forms, sections)
+        for p, (a, b, restriction, pullback) in enumerate(faces):
+            for g in restriction.table.keys() | pullback.table.keys():
+                if restriction.get(g) != pullback.get(g):
+                    khat = tree.nodes[a].restrict(g)
+                    chi = tree.root_image(a, khat)
+                    failures.append((
+                        sector_order[chi], p, windows[a].index(khat),
+                        f"breaks compatibility in sector {chi.coords}: "
+                        f"face {a}<{b} at sector {khat.coords}",
+                    ))
+        if failures:
+            raise ValueError(f"Chern cocycle of {name!r} {min(failures)[-1]}")
+        cocycles.append(ChernCocycle(name, kept, windows, values))
+    return cocycles
 
 
 # -- comparisons and scans -------------------------------------------------------

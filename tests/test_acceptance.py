@@ -255,7 +255,7 @@ def test_criterion_7_chern_compatibility():
                         for ghat in bundles[label].table
                     )
                     try:
-                        cocycle = chern_character(action, name, prune=prune, radius=radius)
+                        (cocycle,) = chern_character(action, [name], prune=prune, radius=radius)
                     except WindowError:
                         assert outside
                         outcomes["narrow windows"] += 1

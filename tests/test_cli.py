@@ -226,6 +226,38 @@ def test_ch_refuses_a_node_without_its_chain_shift(tmp_path):
         ), argv
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["--relative", "nope"], "resolvedk: cannot prune unknown nodes ['nope']\n"),
+    (["--window", "-1"], "resolvedk: window radius must be nonnegative\n"),
+], ids=["unknown-prune", "negative-window"])
+def test_ch_without_bundles_refuses_what_deloc_refuses(tmp_path, argv, err):
+    desc = json.loads(serialize_descriptor(fixtures.sphere_rotation()))
+    del desc["bundles"], desc["chern"], desc["expected"]
+    path = tmp_path / "no-bundles.json"
+    path.write_text(json.dumps(desc))
+    for command in ("deloc", "ch"):
+        assert run_cli(command, "--input", str(path), *argv) == (2, "", err), command
+    # a valid input without bundles says so
+    assert run_cli("ch", "--input", str(path), "--window", "2") == (
+        0, "descriptor declares no bundles\n", ""
+    )
+
+
+def test_compare_fails_when_k_ranks_disagree_with_node_cohomology(tmp_path):
+    # K1 of N gets a free generator that no odd cochain of the point matches;
+    # the face's odd K pullback stays empty
+    desc = json.loads(serialize_descriptor(fixtures.sphere_rotation()))
+    desc["spaces"]["N"]["k"]["k1"] = {"free_rank": "1", "torsion": []}
+    assert desc["faces"]["0<N"]["k_pullback"]["odd"] == []
+    path = tmp_path / "k1-rank.json"
+    path.write_text(json.dumps(desc))
+    code, out, _ = run_cli("compare", "--input", str(path), "--window", "2")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL node N: K ranks match node cohomology: K gives (1, 1), cohomology gives (1, 0)"
+    ]
+
+
 def test_computing_commands_refuse_a_node_differential_that_does_not_square_to_zero(tmp_path):
     desc = json.loads(serialize_descriptor(fixtures.sphere_rotation()))
     desc["spaces"]["0"]["complex"] = {"dims": ["1", "1", "1"], "differentials": [[["1"]], [["1"]]]}
@@ -327,6 +359,37 @@ def test_each_command_checks_its_windows_once_per_radius(argv, calls, monkeypatc
     monkeypatch.setattr(ResolvedAction, "check_window_saturation", counted)
     assert run_cli(*argv, "--input", "fixture:sphere_rotation")[0] == 0
     assert len(seen) == calls
+
+
+def test_ch_checks_its_input_and_chern_data_once_for_all_bundles(tmp_path, monkeypatch):
+    # the sphere with its poles bundle copied under a second name
+    desc = json.loads(serialize_descriptor(fixtures.sphere_rotation()))
+    desc["bundles"]["twin"] = desc["bundles"]["poles"]
+    path = tmp_path / "twin.json"
+    path.write_text(json.dumps(desc))
+    calls = []
+    saturation, chern_data = ResolvedAction.check_window_saturation, deloc.validate_chern_data
+
+    def counted_saturation(self, windows):
+        calls.append("windows")
+        return saturation(self, windows)
+
+    def counted_chern_data(action):
+        calls.append("chern")
+        return chern_data(action)
+
+    monkeypatch.setattr(ResolvedAction, "check_window_saturation", counted_saturation)
+    monkeypatch.setattr(deloc, "validate_chern_data", counted_chern_data)
+    code, out, err = run_cli("ch", "--input", str(path), "--window", "3", "--format", "json")
+    assert (code, err) == (0, "")
+    assert sorted(calls) == ["chern", "windows"]
+    # both bundles are listed, each with the poles values
+    poles = json.loads(run_cli("ch", "--input", "fixture:sphere_rotation", "--window", "3",
+                               "--format", "json")[1])["bundles"]["poles"]
+    assert json.loads(out)["bundles"] == {"poles": poles, "twin": poles}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "da99347e06cf5db46692f52630d12800855f3f99e56207edaf71be2128c0350f"
+    )
 
 
 def test_ch_never_assembles(monkeypatch):

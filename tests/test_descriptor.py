@@ -1,12 +1,14 @@
 """Descriptor schema: exact round-trips, strictness, path-precise errors."""
 
 import gc
+import io
 import json
 import weakref
 
 import pytest
 
 from resolvedk import descriptor, fixtures
+from resolvedk.cli import main
 from resolvedk.deloc import assemble_complex, deloc_cohomology
 from resolvedk.descriptor import (
     DescriptorError,
@@ -421,3 +423,30 @@ def test_rejects_duplicate_keys_with_path():
         parse_descriptor(text)
     assert err.value.path == ("spaces", "n")
     assert str(err.value) == "spaces.n: duplicate key 'shifts'"
+
+
+@pytest.mark.parametrize("path, what", [
+    (("tree", "nodes"), "of node data"),
+    (("tree", "face_ids"), "of face names"),
+    (("spaces",), "of per-node space data"),
+    (("windows",), "of per-node window rules"),
+    (("chern",), "of per-node Chern data"),
+    (("faces",), "of face data"),
+    (("corners",), "of corner data"),
+    (("bundles",), "of bundles"),
+    (("bundles", "poles"), "keyed by node label"),
+    (("expected", "deloc_dims_by_radius"), "keyed by window radius"),
+])
+def test_rejects_a_list_in_place_of_a_keyed_object(tmp_path, path, what):
+    doc = sphere_doc()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = []
+    file = tmp_path / "listed.json"
+    file.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["deloc", "--input", str(file)], out=out, err=err) == 2
+    assert (out.getvalue(), err.getvalue()) == (
+        "", f"resolvedk: {'.'.join(path)}: expected an object {what}\n"
+    )
