@@ -46,7 +46,9 @@ from .ratmat import (
     Exact,
     QuotientSpace,
     RationalMatrix,
+    Row,
     nullspace_basis,
+    pivot_columns,
     rank,
     reduced_nullspace,
     rref,
@@ -71,17 +73,22 @@ def _shared(table: Dict, key: Tuple, build: Callable):
 
 
 def _placed_rows(mat: RationalMatrix, idx: Sequence[int], total: int) -> RationalMatrix:
-    """The matrix with `total` rows whose row idx[i] is row i of `mat`, the rest zero."""
-    rows: List[Dict[int, Fraction]] = [{} for _ in range(total)]
-    for i, j, x in mat.entries():
-        rows[idx[i]][j] = x
-    return RationalMatrix.from_row_maps(rows, mat.ncols)
+    """The matrix with `total` rows whose row idx[i] is row i of `mat`, the rest zero.
+
+    `idx` needs one target per row of `mat` (ValueError otherwise).  The
+    stored rows of `mat` are canonical, so each is placed as it is.
+    """
+    if len(idx) != mat.nrows:
+        raise ValueError(f"{len(idx)} row targets for {mat.nrows} rows")
+    rows: List[Row] = [()] * total
+    for i, row in zip(idx, mat.sparse_rows()):
+        rows[i] = row
+    return RationalMatrix._of(tuple(rows), mat.ncols)
 
 
 def _column_space_basis(mat: RationalMatrix) -> RationalMatrix:
-    """Independent columns of `mat` spanning its column space."""
-    _, pivots = rref(mat)
-    return mat.submatrix(range(mat.nrows), pivots)
+    """Independent columns of `mat` spanning its column space: its pivot columns."""
+    return mat.submatrix(range(mat.nrows), pivot_columns(mat))
 
 
 # -- the assembled global complex ----------------------------------------------
@@ -712,17 +719,20 @@ def chern_character(
 
     K-class coordinates are contracted with the node's Chern representatives
     on each bundle's support, which must lie inside the windows of `radius`.
-    The checks run once for all bundles: `validate_chern_data` (when a name
-    is given), each bundle's canonical table, then `_checked_input`.  Every
-    representative is closed, so every contraction of them is closed too;
-    what is left per bundle, in the given order, is its window support and
-    the face conditions of the complex `assemble_complex` would build,
-    checked face by face without assembling.  A bundle's first failure is
-    the one that complex would meet first: by root sector, then by face and
-    shallow window character.
+    `names` must be a sequence of names, not one string (TypeError, before
+    any check).  The checks run once for all bundles: `validate_chern_data`
+    (when a name is given), each bundle's canonical table, then
+    `_checked_input`.  Every representative is closed, so every contraction
+    of them is closed too; what is left per bundle, in the given order, is
+    its window support and the face conditions of the complex
+    `assemble_complex` would build, checked face by face without assembling.
+    A bundle's first failure is the one that complex would meet first: by
+    root sector, then by face and shallow window character.
     """
     from .redbun import TwistedTable, canonical_bundle, face_comparisons
 
+    if isinstance(names, str):
+        raise TypeError(f"expected a sequence of bundle names, got the string {names!r}")
     if names:
         validate_chern_data(action).raise_if_failed("Chern data")
     tables = [canonical_bundle(action, name, sections) for name in names]

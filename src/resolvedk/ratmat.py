@@ -22,15 +22,27 @@ produces are nearly all zeros, and every kernel visits only nonzero entries:
 a product builds each row from the nonzeros of the left row times the rows
 they select on the right, and `apply` sums over nonzero pairs.
 
+Where the canonical form already holds the answer, a kernel reuses a row as
+it is instead of rebuilding it through a `{column: value}` map.  In a
+product, an empty left row gives an empty row, and a left row that is a
+single one selects a right row, which is canonical already.  A left row
+that is a single int over a right row of ints scales it pair by pair: the
+columns keep their order, and a product of two nonzero ints is a nonzero
+int, so no zero appears and no value needs converting.  `from_row_maps`
+sorts a row of plain ints once, dropping its zeros, since every int is
+already an exact entry.  Everything else goes through `exact` and `_canon`,
+so a float is still refused wherever it appears.
+
 There is one elimination, `_eliminate`, for both rings.  It runs on
 `{column: value}` rows, touching only the nonzero columns of a pivot row
 and, through a column-to-rows index, only the rows with a nonzero in the
 pivot column, and it picks pivots by one rule: the smallest |pivot|, then
 the fewest nonzeros, then the lowest row.  Over Q it is Gauss-Jordan, for
-`rref`, rank, nullspaces, `solve`, which eliminates once for a whole batch
-of right-hand sides, and `QuotientSpace`, coordinates on a quotient of two
-column spans from one elimination with the identity riding along.  Over Z
-it is the row Hermite form, for `fgab`'s Hermite and Smith forms.
+`rref`, `pivot_columns` (rank and column-space bases need no reduced rows),
+nullspaces, `solve`, which eliminates once for a whole batch of right-hand
+sides, and `QuotientSpace`, coordinates on a quotient of two column spans
+from one elimination with the identity riding along.  Over Z it is the row
+Hermite form, for `fgab`'s Hermite and Smith forms.
 """
 
 from __future__ import annotations
@@ -101,6 +113,8 @@ def _nonzero(values: Sequence[Exact]) -> Iterator[Tuple[int, Exact]]:
 
 def _canon(row: Dict[int, Exact]) -> Row:
     """The canonical row of a `{column: value}` map: sorted, zeros dropped."""
+    if not row:
+        return ()
     return tuple(sorted(filter(_value, _exact_map(row).items())))
 
 
@@ -164,13 +178,17 @@ class RationalMatrix:
     def from_row_maps(cls, rows: Sequence[Mapping[int, object]], ncols: int) -> "RationalMatrix":
         """Matrix whose row i holds the `{column: value}` entries of `rows[i]`.
 
-        Missing columns are zero and zero values are dropped.
+        Missing columns are zero and zero values are dropped.  A row of plain
+        ints is sorted once; any other row has every value type-checked.
         """
         data = []
         for row in rows:
-            if any(not 0 <= j < ncols for j in row):
+            if row and (min(row) < 0 or max(row) >= ncols):
                 raise ValueError("column index out of range")
-            data.append(_canon({j: exact(x) for j, x in row.items()}))
+            if _INT.issuperset(map(type, row.values())):
+                data.append(tuple(sorted([(j, x) for j, x in row.items() if x])))
+            else:
+                data.append(_canon({j: exact(x) for j, x in row.items()}))
         return cls._of(tuple(data), ncols)
 
     @property
@@ -259,6 +277,19 @@ class RationalMatrix:
         right = other._data
         out = []
         for row in self._data:
+            if not row:
+                out.append(())
+                continue
+            if len(row) == 1:
+                ((k, a),) = row
+                if type(a) is int:
+                    brow = right[k]
+                    if a == 1:
+                        out.append(brow)
+                        continue
+                    if _INT.issuperset(map(type, map(_value, brow))):
+                        out.append(tuple([(j, a * b) for j, b in brow]))
+                        continue
             acc: Dict[int, Exact] = {}
             for k, a in row:
                 for j, b in right[k]:
@@ -412,8 +443,20 @@ def rref(mat: RationalMatrix) -> Tuple[RationalMatrix, Tuple[int, ...]]:
     return RationalMatrix._of(tuple(map(_canon, rows)), mat.ncols), tuple(pivots)
 
 
+def pivot_columns(mat: RationalMatrix) -> Tuple[int, ...]:
+    """The pivot columns of `rref(mat)`, without building the reduced rows.
+
+    They index a basis of the column space of `mat` among its own columns.
+
+    >>> pivot_columns(RationalMatrix([[0, 1, 2], [0, 2, 4]]))
+    (1,)
+    """
+    return tuple(_eliminate([dict(r) for r in mat._data], mat.ncols))
+
+
 def rank(mat: RationalMatrix) -> int:
-    return len(rref(mat)[1])
+    """The rank of `mat`: the number of its pivot columns."""
+    return len(pivot_columns(mat))
 
 
 def nullspace_basis(mat: RationalMatrix) -> RationalMatrix:

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import pkgutil
+import random
 from fractions import Fraction
 from operator import attrgetter
 
@@ -935,6 +936,17 @@ def test_chern_unknown_bundle():
         chern_character(sphere_rotation(), ["nope"], radius=3)
 
 
+def test_chern_refuses_a_string_of_names(monkeypatch):
+    # a string is refused as such, before any check reads the action
+    def no_check(action):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(deloc, "validate_chern_data", no_check)
+    monkeypatch.setattr(deloc, "_checked_input", no_check)
+    with pytest.raises(TypeError, match="sequence of bundle names"):
+        chern_character(sphere_rotation(), "poles", radius=3)
+
+
 def test_plane_chern_cocycle():
     plane = projective_plane()
     (cc,) = chern_character(plane, ["tautological"], radius=1)
@@ -1149,3 +1161,38 @@ def test_stabilize_of_no_radii_checks_nothing():
     scan = window_stabilization(sloped_pair(), radii=(), prune=("x",))
     assert scan.rows == () and scan.stabilized is None
     assert window_stabilization(sloped_pair(), radii=(0,)).rows == ((0, 1, 0),)
+
+
+def _seeded_sparse(rng, m, n):
+    return RationalMatrix(
+        [[rng.choice((0, 0, 0, 1, -2, Fraction(1, 3))) for _ in range(n)] for _ in range(m)],
+        ncols=n,
+    )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_placed_rows_matches_the_dict_built_matrix(seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(0, 8), rng.randint(0, 6)
+    total = m + rng.randint(0, 5)
+    mat = _seeded_sparse(rng, m, n)
+    idx = rng.sample(range(total), m)
+    rows = [{} for _ in range(total)]
+    for i, j, x in mat.entries():
+        rows[idx[i]][j] = x
+    assert deloc._placed_rows(mat, idx, total) == RationalMatrix.from_row_maps(rows, n)
+
+
+@pytest.mark.parametrize("targets", [[0, 1, 2, 3], [0, 1]], ids=["longer", "shorter"])
+def test_placed_rows_needs_one_target_per_row(targets):
+    mat = RationalMatrix([[1, 0], [0, 2], [3, 0]])
+    with pytest.raises(ValueError, match="row targets"):
+        deloc._placed_rows(mat, targets, 5)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_column_space_basis_is_the_pivot_columns(seed):
+    rng = random.Random(seed)
+    mat = _seeded_sparse(rng, rng.randint(0, 8), rng.randint(0, 8))
+    want = mat.submatrix(range(mat.nrows), ratmat.rref(mat)[1])
+    assert deloc._column_space_basis(mat) == want

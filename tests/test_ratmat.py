@@ -7,6 +7,7 @@ from resolvedk.ratmat import (
     QuotientSpace,
     RationalMatrix,
     nullspace_basis,
+    pivot_columns,
     rank,
     rref,
     solve,
@@ -188,6 +189,28 @@ def test_every_entry_is_type_checked():
         RationalMatrix([[1, 0], [1]])
     with pytest.raises(ValueError):
         RationalMatrix.from_row_maps([{2: 1}], 2)
+
+
+@pytest.mark.parametrize("row", [{-1: 1}, {3: 1}, {0: 1, 3: 2}, {-1: Fraction(1, 2)}, {0: 1, -2: 0}])
+def test_from_row_maps_refuses_a_column_out_of_range(row):
+    # both bounds, on int rows and on the others, zero values included
+    with pytest.raises(ValueError, match="column index out of range"):
+        RationalMatrix.from_row_maps([{}, row], 3)
+
+
+@pytest.mark.parametrize("row", [{0: 0.5}, {0: 1, 1: 0.5}, {1: 0.0}, {0: Fraction(1, 2), 1: 1.0}])
+def test_from_row_maps_refuses_a_float(row):
+    with pytest.raises(TypeError):
+        RationalMatrix.from_row_maps([row], 2)
+
+
+def test_pivot_columns_and_rank():
+    mat = RationalMatrix([[0, 1, 2], [0, 2, 4], [1, 0, 1]])
+    assert pivot_columns(mat) == rref(mat)[1] == (0, 1)
+    assert rank(mat) == 2
+    assert pivot_columns(RationalMatrix.zeros(3, 0)) == ()
+    assert pivot_columns(RationalMatrix.zeros(0, 3)) == ()
+    assert rank(RationalMatrix.identity(4)) == 4
 
 
 def test_from_columns_rejects_a_disagreeing_nrows():

@@ -18,6 +18,7 @@ from resolvedk.ratmat import (  # noqa: E402
     QuotientSpace,
     RationalMatrix,
     nullspace_basis,
+    pivot_columns,
     rank,
     rref,
     solve,
@@ -239,3 +240,81 @@ def test_results_do_not_depend_on_row_order(seed):
     moved = QuotientSpace(sub.submatrix(amb), span.submatrix(amb))
     vecs = RationalMatrix.from_columns([span.apply(_vec(rng, span.ncols)) for _ in range(3)])
     assert moved.coords(vecs.submatrix(amb)) == QuotientSpace(sub, span).coords(vecs)
+
+
+def _left_factor(rng, m, k):
+    """An m x k int matrix whose rows are empty, a single one, a single int or longer."""
+    rows = []
+    for _ in range(m):
+        row = [0] * k
+        kind = rng.choice(("empty", "one", "int", "longer"))
+        if kind == "one":
+            row[rng.randrange(k)] = 1
+        elif kind == "int":
+            row[rng.randrange(k)] = rng.choice((-3, -2, -1, 2, 5))
+        elif kind == "longer":
+            for j in rng.sample(range(k), min(k, rng.randint(2, 4))):
+                row[j] = rng.choice((-2, -1, 1, 2, 3))
+        rows.append(row)
+    return RationalMatrix(rows, ncols=k)
+
+
+def _is_canonical(mat):
+    """Sorted nonzero pairs, every integral value an int."""
+    return mat == RationalMatrix(mat.to_lists(), ncols=mat.ncols) and all(
+        type(x) is int or x.denominator != 1 for _, _, x in mat.entries()
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_matmul_row_reuse_matches_sympy(seed):
+    # left rows of every kind the product reuses canonical rows for, over
+    # all-int right rows and over Fraction ones (2 * 1/2 must come out an int)
+    rng = random.Random(seed)
+    m, k, n = rng.randint(1, 12), rng.randint(1, 12), _shape(rng)
+    left = _left_factor(rng, m, k)
+    ints = RationalMatrix(
+        [[rng.choice((0, 0, -2, 1, 3)) for _ in range(n)] for _ in range(k)], ncols=n
+    )
+    halves = RationalMatrix(
+        [[rng.choice((0, Fraction(1, 2), Fraction(-3, 2), 1)) for _ in range(n)] for _ in range(k)],
+        ncols=n,
+    )
+    for right in (ints, _sparse(rng, k, n), halves):
+        prod = left @ right
+        assert prod.to_lists() == _back(_sym(left) * _sym(right))
+        assert _is_canonical(prod)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_from_row_maps_matches_dense(seed):
+    rng = random.Random(seed)
+    m, n = _shape(rng), rng.randint(1, 12)
+    ints = [[rng.choice((0, 0, 0, -2, 1, 3)) for _ in range(n)] for _ in range(m)]
+    for dense in (ints, _sparse(rng, m, n).to_lists(), [[Fraction(x) for x in row] for row in ints]):
+        # keys in shuffled order, some zeros written out
+        maps = []
+        for row in dense:
+            items = [(j, x) for j, x in enumerate(row) if x or rng.random() < 0.3]
+            rng.shuffle(items)
+            maps.append(dict(items))
+        got = RationalMatrix.from_row_maps(maps, n)
+        assert got == RationalMatrix(dense, ncols=n)
+        assert _is_canonical(got)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pivot_columns_are_the_rref_pivots(seed):
+    rng = random.Random(seed)
+    mat = _sparse(rng, _shape(rng), _shape(rng))
+    assert pivot_columns(mat) == rref(mat)[1] == tuple(_sym(mat).rref()[1])
+    assert rank(mat) == len(pivot_columns(mat))
+
+
+@pytest.mark.parametrize("seed", SPARSE_SEEDS)
+def test_pivot_columns_of_sparse_integer_matrices(seed):
+    rng = random.Random(seed)
+    wide = _sparse_ints(rng, 20, 30)
+    for mat in (wide, wide.transpose(), _deficient(rng, 20, 30)):
+        assert pivot_columns(mat) == rref(mat)[1]
+        assert rank(mat) == len(pivot_columns(mat))
