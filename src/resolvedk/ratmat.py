@@ -24,14 +24,12 @@ they select on the right, and `apply` sums over nonzero pairs.
 
 Where the canonical form already holds the answer, a kernel reuses a row as
 it is instead of rebuilding it through a `{column: value}` map.  In a
-product, an empty left row gives an empty row, and a left row that is a
-single one selects a right row, which is canonical already.  A left row
-that is a single int over a right row of ints scales it pair by pair: the
-columns keep their order, and a product of two nonzero ints is a nonzero
-int, so no zero appears and no value needs converting.  `from_row_maps`
-sorts a row of plain ints once, dropping its zeros, since every int is
-already an exact entry.  Everything else goes through `exact` and `_canon`,
-so a float is still refused wherever it appears.
+product, a left row that is a single one selects a right row, which is
+canonical already.  On the benchmark workloads a third to a half of all
+left rows are such unit singletons, and most of the rest are empty, which
+`_canon` turns into `()` at once.  Every other row is rebuilt through
+`_canon`, which type-checks each value, so a float is refused wherever it
+appears.
 
 There is one elimination, `_eliminate`, for both rings.  It runs on
 `{column: value}` rows, touching only the nonzero columns of a pivot row
@@ -86,7 +84,7 @@ def _exacts(values: Iterable) -> Tuple[Exact, ...]:
     return tuple(map(exact, values))
 
 
-def _exact_map(row: Dict[int, Exact]) -> Dict[int, Exact]:
+def _exact_map(row: Mapping[int, Exact]) -> Mapping[int, Exact]:
     """A `{column: value}` row with any integral Fraction turned into an int."""
     if _INT.issuperset(map(type, row.values())):
         return row
@@ -111,7 +109,7 @@ def _nonzero(values: Sequence[Exact]) -> Iterator[Tuple[int, Exact]]:
     return ((j, x) for j, x in candidates if x)
 
 
-def _canon(row: Dict[int, Exact]) -> Row:
+def _canon(row: Mapping[int, Exact]) -> Row:
     """The canonical row of a `{column: value}` map: sorted, zeros dropped."""
     if not row:
         return ()
@@ -178,17 +176,14 @@ class RationalMatrix:
     def from_row_maps(cls, rows: Sequence[Mapping[int, object]], ncols: int) -> "RationalMatrix":
         """Matrix whose row i holds the `{column: value}` entries of `rows[i]`.
 
-        Missing columns are zero and zero values are dropped.  A row of plain
-        ints is sorted once; any other row has every value type-checked.
+        Missing columns are zero and zero values are dropped.  Every value is
+        type-checked; a row of plain ints is recognised at C speed.
         """
         data = []
         for row in rows:
             if row and (min(row) < 0 or max(row) >= ncols):
                 raise ValueError("column index out of range")
-            if _INT.issuperset(map(type, row.values())):
-                data.append(tuple(sorted([(j, x) for j, x in row.items() if x])))
-            else:
-                data.append(_canon({j: exact(x) for j, x in row.items()}))
+            data.append(_canon(row))
         return cls._of(tuple(data), ncols)
 
     @property
@@ -277,19 +272,9 @@ class RationalMatrix:
         right = other._data
         out = []
         for row in self._data:
-            if not row:
-                out.append(())
+            if len(row) == 1 and row[0][1] == 1:
+                out.append(right[row[0][0]])
                 continue
-            if len(row) == 1:
-                ((k, a),) = row
-                if type(a) is int:
-                    brow = right[k]
-                    if a == 1:
-                        out.append(brow)
-                        continue
-                    if _INT.issuperset(map(type, map(_value, brow))):
-                        out.append(tuple([(j, a * b) for j, b in brow]))
-                        continue
             acc: Dict[int, Exact] = {}
             for k, a in row:
                 for j, b in right[k]:

@@ -1188,11 +1188,3 @@ def test_placed_rows_needs_one_target_per_row(targets):
     mat = RationalMatrix([[1, 0], [0, 2], [3, 0]])
     with pytest.raises(ValueError, match="row targets"):
         deloc._placed_rows(mat, targets, 5)
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_column_space_basis_is_the_pivot_columns(seed):
-    rng = random.Random(seed)
-    mat = _seeded_sparse(rng, rng.randint(0, 8), rng.randint(0, 8))
-    want = mat.submatrix(range(mat.nrows), ratmat.rref(mat)[1])
-    assert deloc._column_space_basis(mat) == want

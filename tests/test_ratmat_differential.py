@@ -14,6 +14,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from resolvedk.deloc import _column_space_basis  # noqa: E402
 from resolvedk.ratmat import (  # noqa: E402
     QuotientSpace,
     RationalMatrix,
@@ -268,8 +269,9 @@ def _is_canonical(mat):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matmul_row_reuse_matches_sympy(seed):
-    # left rows of every kind the product reuses canonical rows for, over
-    # all-int right rows and over Fraction ones (2 * 1/2 must come out an int)
+    # left rows that are empty, a single one (reused right rows), a single
+    # int or longer, over all-int right rows and over Fraction ones
+    # (2 * 1/2 must come out an int)
     rng = random.Random(seed)
     m, k, n = rng.randint(1, 12), rng.randint(1, 12), _shape(rng)
     left = _left_factor(rng, m, k)
@@ -309,6 +311,7 @@ def test_pivot_columns_are_the_rref_pivots(seed):
     mat = _sparse(rng, _shape(rng), _shape(rng))
     assert pivot_columns(mat) == rref(mat)[1] == tuple(_sym(mat).rref()[1])
     assert rank(mat) == len(pivot_columns(mat))
+    assert _column_space_basis(mat) == mat.submatrix(range(mat.nrows), rref(mat)[1])
 
 
 @pytest.mark.parametrize("seed", SPARSE_SEEDS)
