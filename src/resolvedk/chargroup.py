@@ -12,7 +12,7 @@ of the choice of section.
 from __future__ import annotations
 
 from operator import add, neg, sub
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .fgab import AbHom, FgAbGroup, Lattice, _ints, row_hermite_form, smith_normal_form
 from .ratmat import RationalMatrix
@@ -335,21 +335,6 @@ def offset_section(base: SectionSystem, offsets: Mapping[Character, Sequence[int
             raise ValueError(f"offset for {b!r} outside the section support")
         table[b] = table[b] + datum.kernel_element(coeffs)
     return SectionSystem(datum, table, None)
-
-
-def fiber_support(
-    edge: AbHom, support: Iterable[Character]
-) -> Dict[Character, Tuple[Character, ...]]:
-    """Partition a finite support by the value of an edge restriction.
-
-    `edge` maps the deeper subgroup dual onto the shallower one; the result
-    maps each hit target character to the tuple of support characters above
-    it (input order preserved, keys sorted).
-    """
-    fibers: Dict[Character, List[Character]] = {}
-    for b in support:
-        fibers.setdefault(edge_image(edge, b), []).append(b)
-    return {k: tuple(fibers[k]) for k in sorted(fibers, key=lambda c: c.coords)}
 
 
 def edge_restriction(shallow: SubgroupDatum, deep: SubgroupDatum) -> AbHom:

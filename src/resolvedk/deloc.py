@@ -8,14 +8,15 @@ force the corresponding restrictions to vanish, which is what makes the
 relative complexes of a pruning step literally sub- and quotient complexes.
 
 Each face condition is the forms side of `redbun.augmented_pullback`, the
-table model this assembly is checked against: a face row block holds the
-face restriction on the shallow block and minus exp(L(h)) @ pullback on
-each deep block of the fiber.  A Chern character is not assembled: it is
-one table of twisted forms per node, nonzero only on the bundle's finite
-support, and `redbun.face_comparisons` checks the same face conditions on
-those tables.  All linear algebra is exact and rational; the character
-twists are exponentials of the nilpotent shift operators, so every
-exponential is a finite sum, and each node space builds each one once.
+table model this assembly is checked against, and both read each deep
+character through `edge_image`, `lift_offset` and `TwistedMaps.pulled`: a
+face row block holds the face restriction on the shallow block and minus
+exp(L(h)) @ pullback on each deep block landing on it.  A Chern character
+is not assembled: it is one table of twisted forms per node, nonzero only
+on the bundle's finite support, and `redbun.face_comparisons` checks the
+same face conditions on those tables.  All linear algebra is exact and
+rational; the character twists are exponentials of the nilpotent shift
+operators, so every exponential is a finite sum, built once per node space.
 
 Sectors whose window characters are translates often carry equal
 constraint and differential matrices.  Every complex assembled from one
@@ -39,7 +40,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 
 from .action import ResolvedAction, WindowError
 from .basespace import NodeSpaceData, shift_count_mismatch
-from .chargroup import Character, SectionSystem, fiber_support, lift, lift_offset
+from .chargroup import Character, SectionSystem, edge_image, lift, lift_offset
 from .itspace import downward_closed
 from .ktheory import SixTermInstance, hexagon_check
 from .ratmat import (
@@ -362,16 +363,6 @@ def assemble_complex(
     tree = action.tree
     kept, windows = _checked_input(action, prune, radius)
 
-    # every lift a face asks for, once: a table per node over its window
-    lifts = {}
-    for label in sorted({node for pair in tree.comparable_pairs() for node in pair}):
-        datum = tree.nodes[label]
-        given = sections.get(label) if sections else None
-        lifts[label] = SectionSystem(datum, {b: lift(datum, given, b) for b in windows[label]})
-    faces = [
-        (a, b, fiber_support(tree.edge_restriction(a, b), windows[b]))
-        for a, b in tree.comparable_pairs()
-    ]
     # every window character sorted into its root sector in one pass, in
     # node order and then window order
     members: Dict[Character, List[Tuple[str, Character]]] = {
@@ -383,23 +374,24 @@ def assemble_complex(
             if chi in members:
                 members[chi].append((label, khat))
     sectors = {
-        chi: _build_sector(action, chi, members[chi], lifts, faces)
+        chi: _build_sector(action, chi, members[chi], sections or {})
         for chi in windows[tree.root]
     }
     full = AssembledComplex(action, frozenset(tree.nodes), radius, windows, sectors)
     return full.restrict(kept)
 
 
-def _build_sector(action, chi, members, lifts, faces) -> SectorComplex:
+def _build_sector(action, chi, members, sections) -> SectorComplex:
     """One root sector: its blocks, face constraints, differential and parities.
 
     `members` lists the sector's (label, window character) pairs in block
     order.  Each face row block states that the face restriction of the
-    shallow data equals the augmented pullback of the deep data, as
-    `redbun.augmented_pullback` computes it on the face's forms side: every
-    deep character in the fiber over the shallow one contributes
-    exp(L(h)) @ pullback, with h given by the twisting law.  Rows are built
-    as `{column: value}` maps, so only nonzero entries are ever stored.
+    shallow data equals the augmented pullback of the deep data, read as
+    `redbun.augmented_pullback` reads a table entry: each deep character goes
+    through `edge_image` to its shallow character (in the sector, as the
+    windows are saturated), and exp(L(h)) @ pullback is subtracted into that
+    character's row block, h from `lift_offset` between the two lifts.  Rows
+    are `{column: value}` maps, so only nonzero entries are ever stored.
     """
     tree = action.tree
     blocks = []
@@ -417,25 +409,25 @@ def _build_sector(action, chi, members, lifts, faces) -> SectorComplex:
     rows: List[Dict[int, Fraction]] = []
     row_origins = []
     row_chars = []
-    for a, b, fibers in faces:
+    for a, b in tree.comparable_pairs():
         forms = action.faces[(a, b)].forms
         fdim = len(forms.coefficients.zero)
+        start = {}
         for khat in by_node.get(a, ()):
+            start[khat] = r0 = len(rows)
             s0, _ = spans[(a, khat)]
-            block: List[Dict[int, Fraction]] = [{} for _ in range(fdim)]
+            rows.extend({} for _ in range(fdim))
             for i, j, x in forms.restriction.entries():
-                block[i][s0 + j] = x
-            for bhat in fibers.get(khat, ()):
-                t0, _ = spans[(b, bhat)]
-                _, coords = lift_offset(tree.nodes[a], lifts[a], khat, lifts[b](bhat))
-                for i, j, x in forms.pulled(coords).entries():
-                    block[i][t0 + j] = block[i].get(t0 + j, 0) - x
-            start = len(rows)
-            rows.extend(block)
-            row_origins.append(
-                (f"face {a}<{b} at sector {khat.coords}", a, start, start + fdim)
-            )
+                rows[r0 + i][s0 + j] = x
+            row_origins.append((f"face {a}<{b} at sector {khat.coords}", a, r0, r0 + fdim))
             row_chars.append(khat)
+        edge = tree.edge_restriction(a, b)
+        for bhat in by_node.get(b, ()):
+            khat, (t0, _) = edge_image(edge, bhat), spans[(b, bhat)]
+            deep = lift(tree.nodes[b], sections.get(b), bhat)
+            _, coords = lift_offset(tree.nodes[a], sections.get(a), khat, deep)
+            for i, j, x in forms.pulled(coords).entries():
+                rows[start[khat] + i][t0 + j] = -x
     constraint = RationalMatrix.from_row_maps(rows, total)
 
     diff_rows: List[Dict[int, Fraction]] = [{} for _ in range(total)]
@@ -568,7 +560,12 @@ def _sector_les(sa: SectorComplex, sb: SectorComplex, alpha: str):
 
 
 def _les_of(two_a: TwoPeriodicComplex, two_b: TwoPeriodicComplex, emb, q_idx, shared):
-    """The (instance, report) `_sector_les` shares; the quotient complex is shared too."""
+    """The (instance, report) `_sector_les` shares; the quotient complex is shared too.
+
+    `diff` is block-diagonal over (node, character) blocks and `q_idx` holds
+    whole alpha blocks, so on the quotient a connecting image d @ vb @ x is
+    d_alpha @ (vb[q] @ x) = d_alpha @ rep = 0, as `rep` is a quotient cocycle.
+    """
     d_alpha = two_b.d.submatrix(q_idx, q_idx)
     q_images = [_column_space_basis(two_b.basis(p).submatrix(q_idx)) for p in (0, 1)]
     two_q = _shared(
@@ -593,8 +590,6 @@ def _les_of(two_a: TwoPeriodicComplex, two_b: TwoPeriodicComplex, emb, q_idx, sh
         images = RationalMatrix.from_columns(
             [two_b.d.apply(vb.apply(x)) for x in lifts], nrows=total
         )
-        if not images.submatrix(q_idx).is_zero():
-            raise ArithmeticError("connecting image does not vanish on the quotient")
         maps[("conn", p)] = two_a.class_coords(images.submatrix(emb), (p + 1) % 2)
 
     dims = (

@@ -14,13 +14,13 @@ and twisted forms hold cochains over Q twisted by exp(L(h)) (the system is
 the node's `NodeSpaceData`).  The Chern character intertwines the two.
 
 The augmented pullback transports a deep node's table onto a face over a
-shallower node: entries are pulled back along the fibration and re-twisted
-by the kernel element connecting the two section lifts, then summed over
-each fiber of the edge restriction.  Faces and corners expose one
-`TwistedMaps` per system, so restriction, pullback, the face comparison
-and the corner factorization are written once: `face_comparisons` is the
-one face loop, shared by the bundle check on classes and the Chern
-character on forms.
+shallower node: each entry goes through `edge_image` to the shallow
+character it lands on, `lift_offset` gives the kernel element between the
+two lifts, `TwistedMaps.pulled` maps it there and the results add up, the
+chain by which `deloc._build_sector` writes its face rows.  Faces and
+corners expose one `TwistedMaps` per system, so restriction, pullback, the
+face comparison and the corner factorization are written once, and
+`face_comparisons` is the one face loop for the classes and forms sides.
 """
 
 from __future__ import annotations

@@ -205,21 +205,21 @@ def _assembly_cases():
 
 @pytest.mark.parametrize("build, radius", list(_assembly_cases()))
 def test_assembled_characters_are_canonical(monkeypatch, build, radius):
-    seen = {"lift tables": [], "fiber keys": []}
-    real_section, real_fibers = deloc.SectionSystem, deloc.fiber_support
+    seen = {"lifts": [], "edge images": []}
+    real_lift, real_edge_image = deloc.lift, deloc.edge_image
 
-    def recorded_section(datum, table, *args):
-        seen["lift tables"].extend(c for pair in table.items() for c in pair)
-        return real_section(datum, table, *args)
+    def recorded_lift(datum, section, b):
+        ghat = real_lift(datum, section, b)
+        seen["lifts"].extend((b, ghat))
+        return ghat
 
-    def recorded_fibers(edge, support):
-        fibers = real_fibers(edge, support)
-        seen["fiber keys"].extend(fibers)
-        seen["fiber keys"].extend(c for members in fibers.values() for c in members)
-        return fibers
+    def recorded_edge_image(edge, b):
+        image = real_edge_image(edge, b)
+        seen["edge images"].extend((b, image))
+        return image
 
-    monkeypatch.setattr(deloc, "SectionSystem", recorded_section)
-    monkeypatch.setattr(deloc, "fiber_support", recorded_fibers)
+    monkeypatch.setattr(deloc, "lift", recorded_lift)
+    monkeypatch.setattr(deloc, "edge_image", recorded_edge_image)
     assembled = assemble_complex(build(), radius=radius)
     seen["windows"] = [c for window in assembled.windows.values() for c in window]
     seen["sector keys"] = list(assembled.sectors)

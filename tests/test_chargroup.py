@@ -10,7 +10,6 @@ from resolvedk.chargroup import (
     SectionSystem,
     SubgroupDatum,
     edge_restriction,
-    fiber_support,
     lift_offset,
     offset_section,
     section,
@@ -184,16 +183,6 @@ def test_section_table_validated():
     datum = mod2_datum()
     with pytest.raises(ValueError, match="not a lift"):
         SectionSystem(datum, {Character(C2, (1,)): Character(Z, (2,))})
-
-
-def test_fiber_support_partitions():
-    edge = AbHom(Z, C2, [[1]])
-    support = [Character(Z, (k,)) for k in (-1, 0, 1, 2)]
-    fibers = fiber_support(edge, support)
-    assert [c.coords for c in fibers[Character(C2, (0,))]] == [(0,), (2,)]
-    assert [c.coords for c in fibers[Character(C2, (1,))]] == [(-1,), (1,)]
-    total = sum(len(v) for v in fibers.values())
-    assert total == len(support)
 
 
 def test_edge_restriction_mod2():

@@ -557,6 +557,19 @@ def test_assembly_dimensions_independent_of_sections():
     assert (first.even, first.odd) == (second.even, second.odd)
 
 
+@pytest.mark.parametrize("build", [sphere_rotation, projective_plane])
+def test_a_section_that_misses_a_window_character_is_refused(build):
+    # the face rows read every node's section on the characters they lift:
+    # a section without a node's first window character is refused by name
+    action = build()
+    windows = action.windows(2)
+    for label in sorted(action.tree.nodes):
+        secs = action.sections(windows)
+        secs[label] = section(action.tree.nodes[label], windows[label][1:])
+        with pytest.raises(ValueError, match="outside the tabulated section support"):
+            assemble_complex(action, radius=2, sections=secs)
+
+
 def _unit(dim, i):
     return tuple(Fraction(int(j == i)) for j in range(dim))
 
@@ -696,6 +709,39 @@ def test_plane_pruning_steps_are_exact():
     assert [les.alpha for les in walk] == ["p2", "s", "p1", "p3"]
     for les in walk:
         assert les.report.ok, les.report.failures()
+
+
+def test_a_nonzero_odd_connecting_inclusion_composite_is_reported(monkeypatch):
+    # No fixture step has odd quotient cohomology, so the odd connecting map
+    # H^1(Q) -> H^0(A) is always empty.  Plant one odd quotient class: its
+    # projection is zero and its connecting image a sub class that the even
+    # inclusion of the step adding S to {0, N} does not kill.
+    full = assemble_complex(sphere_rotation(), radius=1)
+    sub, total = full.restrict({"0", "N"}), full
+    (chi,) = total.sectors
+    two_a, two_b = sub.sectors[chi].two_periodic, total.sectors[chi].two_periodic
+    original = deloc.TwoPeriodicComplex.class_coords
+    incl = {}
+
+    def planted(two, vecs, parity):
+        got = original(two, vecs, parity)
+        if two is two_b and parity == 0:
+            incl[0] = got
+        elif two not in (two_a, two_b) and parity == 1:  # the odd projection
+            return RationalMatrix.zeros(1, got.ncols)
+        elif two is two_a and parity == 0:  # the odd connecting map
+            i = next(j for _, j, _ in incl[0].entries())
+            return RationalMatrix.from_row_maps(
+                [{0: 1} if r == i else {} for r in range(got.nrows)], 1
+            )
+        return got
+
+    monkeypatch.setattr(deloc.TwoPeriodicComplex, "class_coords", planted)
+    les = les_of_pruning(sub, total)
+    rows = dict(les.report.failures())
+    assert rows[f"sector {chi.coords}: consecutive maps compose to zero"] == (
+        "nonzero: connecting->inclusion (odd)"
+    )
 
 
 def test_les_step_solves_once_per_batch(monkeypatch):

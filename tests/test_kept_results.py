@@ -168,7 +168,8 @@ def test_parses_share_no_table_and_an_action_takes_its_tables_with_it(monkeypatc
         ]
         return {id(action.shared)} | {id(h.images) for h in homs}
 
-    assert first.shared and all(d.restriction.images for d in first.tree.nodes.values())
+    edges = [first.tree.edge_restriction(a, b) for a, b in first.tree.comparable_pairs()]
+    assert first.shared and all(e.images for e in edges)
     assert not tables(first) & tables(second)
     refs = [weakref.ref(d) for d in first.tree.nodes.values()]
     refs += [weakref.ref(v) for v in first.shared.values() if isinstance(v, TwoPeriodicComplex)]
