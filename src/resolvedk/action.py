@@ -9,7 +9,7 @@ character windows for the computational pipelines.
 
 Windows truncate the finitely supported character direction.  Four rules:
 
-- ``explicit``: a fixed list of characters; refuses resizing.
+- ``explicit``: a fixed list of distinct characters; refuses resizing.
 - ``full``: every character of a finite dual.
 - ``ball``: free coordinates bounded by a radius, torsion coordinates full.
 - ``residue_ball``: rank-one duals whose characters track a residue mod n;
@@ -90,12 +90,17 @@ class WindowRule:
         """Finite character list; `radius` overrides a stored ball radius.
 
         Full windows are already canonical and ignore the override;
-        explicit windows are a fixed commitment and refuse it.
+        explicit windows are a fixed commitment and refuse it, and refuse a
+        character they list twice after reduction.  No other kind can repeat one.
         """
         if self.kind == "explicit":
             if radius is not None:
                 raise WindowError("explicit windows cannot be resized")
-            return [Character(group, c) for c in self.chars]
+            chars = [Character(group, c) for c in self.chars]
+            for i, ch in enumerate(chars):
+                if ch in chars[:i]:
+                    raise WindowError(f"explicit window repeats the character {ch.coords}")
+            return chars
         if self.kind == "full":
             if not group.is_finite:
                 raise WindowError("full window requested on an infinite dual")

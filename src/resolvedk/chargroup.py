@@ -210,26 +210,12 @@ class SubgroupDatum:
         return f"SubgroupDatum({self.ambient} -> {self.target})"
 
 
-# `SectionSystem` flag value: decide the splitting, then additivity of the
-# table, on first read
-_DECIDE_ON_READ = object()
-
-
 class SectionSystem:
-    """A tabulated set-theoretic section of a subgroup restriction.
+    """A tabulated set-theoretic section of a subgroup restriction."""
 
-    `homomorphic` records whether the table came from a homomorphic
-    splitting (True), provably did not (False), or was not checked (None).
-    """
+    __slots__ = ("datum", "table")
 
-    __slots__ = ("datum", "table", "_homomorphic")
-
-    def __init__(
-        self,
-        datum: SubgroupDatum,
-        table: Mapping[Character, Character],
-        homomorphic: Optional[bool] = None,
-    ):
+    def __init__(self, datum: SubgroupDatum, table: Mapping[Character, Character]):
         for b, ghat in table.items():
             if b.group != datum.target or ghat.group != datum.ambient:
                 raise ValueError("section table has mismatched groups")
@@ -237,14 +223,6 @@ class SectionSystem:
                 raise ValueError(f"table entry for {b!r} is not a lift (got {ghat!r})")
         self.datum = datum
         self.table = dict(table)
-        self._homomorphic = homomorphic
-
-    @property
-    def homomorphic(self) -> Optional[bool]:
-        if self._homomorphic is _DECIDE_ON_READ:
-            split = self.datum.restriction.try_split()
-            self._homomorphic = split is not None and _table_additive(self.table)
-        return self._homomorphic
 
     def __call__(self, b: Character) -> Character:
         try:
@@ -294,32 +272,14 @@ def edge_image(edge: AbHom, b: Character) -> Character:
     return image
 
 
-def _table_additive(table: Mapping[Character, Character]) -> bool:
-    """Whether tabulated lifts respect addition wherever it stays tabulated."""
-    for b1, g1 in table.items():
-        if b1.is_zero() and not g1.is_zero():
-            return False
-        for b2, g2 in table.items():
-            s = b1 + b2
-            if s in table and table[s] != g1 + g2:
-                return False
-    return True
-
-
 def section(datum: SubgroupDatum, support: Iterable) -> SectionSystem:
-    """Canonical section over a finite support set of target characters.
-
-    The `homomorphic` flag is False when no homomorphic splitting exists at
-    all (that absence is decided exactly), and otherwise records whether the
-    tabulated entries are additive wherever sums stay inside the support;
-    both are decided on the first read of the flag, not here.
-    """
+    """Canonical section over a finite support set of target characters."""
     table: Dict[Character, Character] = {}
     for b in support:
         if not isinstance(b, Character):
             b = Character(datum.target, b)
         table[b] = datum.canonical_representative(b)
-    return SectionSystem(datum, table, _DECIDE_ON_READ)
+    return SectionSystem(datum, table)
 
 
 def offset_section(base: SectionSystem, offsets: Mapping[Character, Sequence[int]]) -> SectionSystem:
@@ -334,7 +294,7 @@ def offset_section(base: SectionSystem, offsets: Mapping[Character, Sequence[int
         if b not in table:
             raise ValueError(f"offset for {b!r} outside the section support")
         table[b] = table[b] + datum.kernel_element(coeffs)
-    return SectionSystem(datum, table, None)
+    return SectionSystem(datum, table)
 
 
 def edge_restriction(shallow: SubgroupDatum, deep: SubgroupDatum) -> AbHom:

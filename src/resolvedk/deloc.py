@@ -562,9 +562,11 @@ def _sector_les(sa: SectorComplex, sb: SectorComplex, alpha: str):
 def _les_of(two_a: TwoPeriodicComplex, two_b: TwoPeriodicComplex, emb, q_idx, shared):
     """The (instance, report) `_sector_les` shares; the quotient complex is shared too.
 
-    `diff` is block-diagonal over (node, character) blocks and `q_idx` holds
-    whole alpha blocks, so on the quotient a connecting image d @ vb @ x is
-    d_alpha @ (vb[q] @ x) = d_alpha @ rep = 0, as `rep` is a quotient cocycle.
+    A quotient cocycle `rep` lies in the span of `two_q`'s basis, whose
+    columns are pivot columns of vb[q]: rep = vb[q] @ x for a placed x, so
+    `solve` lifts it.  `diff` is block-diagonal over (node, character) blocks
+    and `q_idx` holds whole alpha blocks, so on the quotient the connecting
+    image d @ vb @ x is d_alpha @ (vb[q] @ x) = d_alpha @ rep = 0.
     """
     d_alpha = two_b.d.submatrix(q_idx, q_idx)
     q_images = [_column_space_basis(two_b.basis(p).submatrix(q_idx)) for p in (0, 1)]
@@ -585,8 +587,6 @@ def _les_of(two_a: TwoPeriodicComplex, two_b: TwoPeriodicComplex, emb, q_idx, sh
         # pull the images back into the sub sector
         vb = two_b.basis(p)
         lifts = solve(vb.submatrix(q_idx), two_q.class_representatives(p).columns())
-        if None in lifts:
-            raise ArithmeticError("quotient cocycle has no total-space lift")
         images = RationalMatrix.from_columns(
             [two_b.d.apply(vb.apply(x)) for x in lifts], nrows=total
         )

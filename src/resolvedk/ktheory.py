@@ -3,7 +3,7 @@
 At a fixed-isotropy node the graded K-group is one copy of the node's
 integral (K0, K1) pair per window character, so its rank as a module over
 the representation ring is the window size times the free ranks
-(`GradedKGroup.total_ranks`).  How an ambient character acts on it, and
+(`action_node_k`).  How an ambient character acts on it, and
 why the Chern character commutes with that action, is derived in
 `docs/representation-ring.md`; nothing here computes the action.
 Globally only rational dimensions are emitted; the six-term sequence of
@@ -14,46 +14,16 @@ extension.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .basespace import KData
-from .chargroup import Character, SubgroupDatum
 from .report import ValidationReport
 
 
-class GradedKGroup:
-    """One (K0, K1) sector per window character of a node."""
-
-    __slots__ = ("label", "datum", "kdata", "window")
-
-    def __init__(self, datum: SubgroupDatum, kdata: KData, window: Sequence, label: str = ""):
-        chars = []
-        for b in window:
-            if not isinstance(b, Character):
-                b = Character(datum.target, b)
-            elif b.group != datum.target:
-                raise ValueError(f"window character {b!r} is not in the node dual")
-            chars.append(b)
-        self.datum = datum
-        self.kdata = kdata
-        self.window = tuple(sorted(set(chars), key=lambda c: c.coords))
-        self.label = label
-
-    def total_ranks(self) -> Tuple[int, int]:
-        even = len(self.window) * self.kdata.k0.free_rank
-        odd = len(self.window) * self.kdata.k1.free_rank
-        return even, odd
-
-
-def action_node_k(action, label: str, radius: Optional[int] = None) -> GradedKGroup:
-    """Graded K-group of one node of a resolved action."""
-    windows = action.windows(radius)
-    return GradedKGroup(
-        action.tree.nodes[label],
-        action.spaces[label].kdata,
-        windows[label],
-        label=label,
-    )
+def action_node_k(action, label: str, windows: Mapping[str, Sequence]) -> Tuple[int, int]:
+    """(even, odd) K ranks of one node over its materialized window."""
+    kdata = action.spaces[label].kdata
+    size = len(windows[label])
+    return size * kdata.k0.free_rank, size * kdata.k1.free_rank
 
 
 # -- six-term sequences --------------------------------------------------------

@@ -89,6 +89,20 @@ MUTANTS = (
         "the 'connecting->inclusion (odd)' composite of 'consecutive maps compose to zero'",
     ),
     Mutant(
+        "window-repeat-accepted",
+        "src/resolvedk/action.py",
+        "if ch in chars[:i]:",
+        "if False:",
+        "an explicit window refuses a character it repeats after reduction",
+    ),
+    Mutant(
+        "kred-node-rank",
+        "src/resolvedk/ktheory.py",
+        "size * kdata.k1.free_rank",
+        "size * kdata.k0.free_rank",
+        "action_node_k: the odd rank is the window size times the K1 free rank",
+    ),
+    Mutant(
         "compare-k1-rank",
         "src/resolvedk/deloc.py",
         "kdata.k1.free_rank == odd",

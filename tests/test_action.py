@@ -20,6 +20,17 @@ def test_window_explicit():
         rule.materialize(Z, radius=3)
 
 
+@pytest.mark.parametrize("group, chars, repeated", [
+    (Z, [(0,), (1,), (0,)], r"\(0,\)"),
+    (C2, [(0,), (1,), (2,)], r"\(0,\)"),
+    (C2, [(1,), (-1,)], r"\(1,\)"),
+], ids=["direct", "after-reduction", "negative"])
+def test_explicit_window_refuses_a_repeated_character(group, chars, repeated):
+    # each kept character carries one (K0, K1) copy, so a repeat would count twice
+    with pytest.raises(WindowError, match="repeats the character " + repeated):
+        WindowRule.explicit(chars).materialize(group)
+
+
 def test_window_full():
     assert len(WindowRule.full().materialize(C2)) == 2
     with pytest.raises(WindowError, match="infinite dual"):

@@ -106,8 +106,6 @@ def test_canonical_section_mod2():
     sec = section(datum, [(0,), (1,)])
     assert sec(Character(C2, (0,))).coords == (0,)
     assert sec(Character(C2, (1,))).coords == (1,)
-    # No homomorphic splitting of Z -> Z/2 exists, and that is decided.
-    assert sec.homomorphic is False
     # (2,) reduces to (0,), which is tabulated
     assert sec(Character(C2, (2,))).coords == (0,)
 
@@ -117,7 +115,6 @@ def test_canonical_section_slope():
     sec = section(datum, [Character(Z, (0,)), Character(Z, (1,))])
     assert sec(Character(Z, (1,))).coords == (-1, 1)
     assert sec(Character(Z, (0,))).coords == (0, 0)
-    assert sec.homomorphic is True
     with pytest.raises(ValueError, match="outside the tabulated"):
         sec(Character(Z, (5,)))
 
@@ -128,27 +125,6 @@ def test_canonical_section_slope_breaks_additivity_on_larger_support():
     # tau(1) + tau(1) = (-2, 2) but tau(2) = (1, 0): canonical lifts need
     # not be additive even when splittings exist.
     assert sec(Character(Z, (2,))).coords == (1, 0)
-    assert sec.homomorphic is False
-
-
-def test_section_checks_additivity_on_first_read_only(monkeypatch):
-    from resolvedk import chargroup
-
-    calls = []
-    check = chargroup._table_additive
-    monkeypatch.setattr(chargroup, "_table_additive", lambda table: calls.append(1) or check(table))
-    splits = []
-    try_split = AbHom.try_split
-    monkeypatch.setattr(AbHom, "try_split", lambda hom: splits.append(1) or try_split(hom))
-    sec = section(slope_datum(), [Character(Z, (k,)) for k in range(3)])
-    assert calls == [] and splits == []
-    assert sec.homomorphic is False and sec.homomorphic is False
-    assert calls == [1] and splits == [1]
-    # without a splitting nothing is tabulated-checked at all
-    no_split = section(mod2_datum(), [(0,), (1,)])
-    assert splits == [1]
-    assert no_split.homomorphic is False
-    assert calls == [1] and splits == [1, 1]
 
 
 def test_offset_and_compare_sections():

@@ -463,11 +463,68 @@ def test_a_descriptor_command_imports_no_fixture_or_bundle_module(sphere_file):
 
 
 @pytest.mark.parametrize(
-    "command", [["validate"], ["deloc"], ["kred"], ["ch"], ["compare"], ["les", "--prune", "N"]]
+    "command",
+    [["validate"], ["deloc"], ["kred"], ["ch"], ["compare"], ["les", "--prune", "N"], ["stabilize"]],
 )
 def test_negative_window_is_an_input_error(sphere_file, command):
     code, out, err = run_cli(*command, "--input", sphere_file, "--window", "-1")
     assert (code, out, err) == (2, "", "resolvedk: window radius must be nonnegative\n")
+
+
+@pytest.mark.parametrize("action, chars, repeated", [
+    (fixtures.sphere_rotation, [[], []], "()"),
+    (lambda: fixtures.product_trivial((2,)), [["0"], ["1"], ["2"]], "(0,)"),
+], ids=["sphere-root-twice", "product-mod-2"])
+def test_a_repeated_window_character_is_refused(tmp_path, action, chars, repeated):
+    # counted twice, the repeat would make deloc read (5, 1) on the sphere
+    # and (10, 1) on the product
+    action = action()
+    desc = json.loads(serialize_descriptor(action))
+    desc["windows"][action.tree.root] = {"kind": "explicit", "chars": chars}
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(desc))
+    path = str(path)
+    message = f"resolvedk: explicit window repeats the character {repeated}\n"
+    for command in ("deloc", "kred", "compare"):
+        assert run_cli(command, "--input", path) == (2, "", message), command
+    code, out, _ = run_cli("validate", "--input", path, "--format", "json")
+    assert code == 1
+    assert ["windows materialize", False, message[len("resolvedk: "):-1]] in (
+        json.loads(out)["report"]
+    )
+
+
+def test_kred_checks_its_input_before_its_node_rows(sphere_file):
+    code, out, err = run_cli(
+        "kred", "--input", sphere_file, "--window", "-1", "--relative", "nope"
+    )
+    assert (code, out, err) == (2, "", "resolvedk: cannot prune unknown nodes ['nope']\n")
+    assert run_cli("deloc", "--input", sphere_file, "--window", "-1", "--relative", "nope") == (
+        code, out, err
+    )
+
+
+@pytest.mark.parametrize("spec", ["sphere_rotation", "projective_plane"])
+def test_kred_materializes_the_windows_at_most_twice(spec, monkeypatch):
+    # once behind the input gate and once for the node rows
+    original = ResolvedAction.windows
+    calls = []
+
+    def counted(self, radius=None):
+        calls.append(radius)
+        return original(self, radius)
+
+    monkeypatch.setattr(ResolvedAction, "windows", counted)
+    assert run_cli("kred", "--input", "fixture:" + spec, "--window", "2")[0] == 0
+    assert 1 <= len(calls) <= 2, calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("example", "sphere_rotation_speed:n=2,n=3"),
+    ("deloc", "--input", "fixture:sphere_rotation_speed:n=2,n=3"),
+])
+def test_a_repeated_fixture_parameter_is_an_input_error(argv):
+    assert run_cli(*argv) == (2, "", "resolvedk: fixture parameter 'n' given twice\n")
 
 
 def test_compare_on_the_plane_at_radius_six():

@@ -10,7 +10,6 @@ from resolvedk.fgab import AbHom, FgAbGroup
 from resolvedk.fixtures import product_trivial, projective_plane, sphere_rotation
 from resolvedk.ktheory import (
     LES_LABELS,
-    GradedKGroup,
     SixTermInstance,
     action_node_k,
     hexagon_check,
@@ -24,66 +23,20 @@ C2 = FgAbGroup(0, (2,))
 SIGMA = AbHom(Z2, Z2, [[1, 1], [0, 1]])
 
 
-def pole_node():
-    """Full isotropy on a point: K0 = Z per character, K1 = 0."""
-    datum = SubgroupDatum(AbHom.identity(Z))
-    kdata = KData(Z, TRIV, [], [], AbHom.identity(Z))
-    return datum, kdata
-
-
 def mod2_node():
     datum = SubgroupDatum(AbHom(Z, C2, [[1]]))
     kdata = KData(Z2, TRIV, [SIGMA], [AbHom.identity(TRIV)], AbHom(Z2, Z, [[1, 0]]))
     return datum, kdata
 
 
-def free_orbit_node():
-    datum = SubgroupDatum(AbHom(Z, TRIV, []))
-    kdata = KData.trivial_shifts(Z, TRIV, AbHom.identity(Z), 1)
-    return datum, kdata
-
-
 # -- graded groups ---------------------------------------------------------------
-
-
-def test_pole_node_window_table():
-    datum, kdata = pole_node()
-    k = GradedKGroup(datum, kdata, [(-1,), (0,), (1,)])
-    assert k.total_ranks() == (3, 0)
-    assert [b.coords for b in k.window] == [(-1,), (0,), (1,)]
-    assert (k.kdata.k0.free_rank, k.kdata.k1.free_rank) == (1, 0)
-
-
-def test_window_is_deduplicated_and_sorted():
-    datum, kdata = pole_node()
-    k = GradedKGroup(datum, kdata, [(1,), (0,), (1,), (0,)])
-    assert [b.coords for b in k.window] == [(0,), (1,)]
-
-
-def test_empty_window_is_zero():
-    datum, kdata = pole_node()
-    k = GradedKGroup(datum, kdata, [])
-    assert k.total_ranks() == (0, 0)
-    assert k.window == ()
-
-
-def test_free_orbit_single_sector():
-    datum, kdata = free_orbit_node()
-    k = GradedKGroup(datum, kdata, [()])
-    assert k.total_ranks() == (1, 0)
-
-
-def test_foreign_window_character_rejected():
-    datum, kdata = pole_node()
-    with pytest.raises(ValueError, match="node dual"):
-        GradedKGroup(datum, kdata, [Character(C2, (1,))])
 
 
 def test_action_node_k_reads_fixture_windows():
     sphere = sphere_rotation()
-    k = action_node_k(sphere, "N", radius=2)
-    assert len(k.window) == 5
-    assert k.total_ranks() == (5, 0)
+    windows = sphere.windows(2)
+    assert len(windows["N"]) == 5
+    assert action_node_k(sphere, "N", windows) == (5, 0)
 
 
 # -- the representation-ring action, as derived ------------------------------------
@@ -151,21 +104,23 @@ def test_rg_action_composition_property(g1, g2, ev):
 
 def test_product_with_trivial_group_keeps_ranks():
     base, prod = sphere_rotation(), product_trivial(())
+    kw, pw = base.windows(1), prod.windows(1)
     for label in sorted(base.tree.nodes):
-        k, p = action_node_k(base, label, radius=1), action_node_k(prod, label, radius=1)
-        assert p.total_ranks() == k.total_ranks()
-        assert len(p.window) == len(k.window)
+        assert action_node_k(prod, label, pw) == action_node_k(base, label, kw)
+        assert len(pw[label]) == len(kw[label])
 
 
 @pytest.mark.parametrize("torsion,factor", [((2,), 2), ((3,), 3)])
 def test_product_multiplies_sector_count(torsion, factor):
     base, prod = sphere_rotation(), product_trivial(torsion)
+    kw, pw = base.windows(1), prod.windows(1)
     for label in sorted(base.tree.nodes):
-        k, p = action_node_k(base, label, radius=1), action_node_k(prod, label, radius=1)
-        assert len(p.window) == factor * len(k.window)
-        assert p.total_ranks() == (factor * k.total_ranks()[0], factor * k.total_ranks()[1])
+        k, p = action_node_k(base, label, kw), action_node_k(prod, label, pw)
+        assert len(pw[label]) == factor * len(kw[label])
+        assert p == (factor * k[0], factor * k[1])
         # every new sector is a copy of an old one
-        assert p.kdata.k0 == k.kdata.k0 and p.kdata.k1 == k.kdata.k1
+        kk, pk = base.spaces[label].kdata, prod.spaces[label].kdata
+        assert pk.k0 == kk.k0 and pk.k1 == kk.k1
 
 
 def test_product_action_twists_by_kernel_characters():
@@ -271,12 +226,3 @@ def test_hexagon_check_accepts_every_exact_hexagon(r):
     dims = tuple(r[i - 1] + r[i] for i in range(6))
     inst = SixTermInstance(dims, ranks=tuple(r))
     assert hexagon_check(inst).ok
-
-
-def test_window_growth_is_monotone():
-    datum, kdata = pole_node()
-    sizes = []
-    for m in range(4):
-        window = [(i,) for i in range(-m, m + 1)]
-        sizes.append(GradedKGroup(datum, kdata, window).total_ranks()[0])
-    assert sizes == sorted(sizes)

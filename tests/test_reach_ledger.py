@@ -33,14 +33,12 @@ UNREACHED = {
     "action.ResolvedAction.sections": f"acceptance criterion 3 ({CRIT}3_section_independence)",
     "action.WindowRule.explicit":
         "explicit window rules built in code (tests/test_action.py::test_window_explicit)",
-    "chargroup.Character.is_zero": "chargroup._table_additive, behind SectionSystem.homomorphic",
+    "chargroup.Character.is_zero":
+        "tests/test_character_arithmetic.py::test_kernel_coordinates_invert_kernel_elements",
     "chargroup.Character.scale":
         "SubgroupDatum.kernel_element, behind offset_section (perfbench/workloads.py)",
-    "chargroup.SectionSystem.homomorphic":
-        f"acceptance criterion 2 ({CRIT}2_splitting_absent_but_sections_work)",
     "chargroup.SubgroupDatum.kernel_element":
         "offset_section (acceptance criterion 3, perfbench/workloads.py section trials)",
-    "chargroup._table_additive": "SectionSystem.homomorphic (acceptance criterion 2)",
     "chargroup.offset_section":
         "acceptance criterion 3 and the perfbench/workloads.py section trials",
     "chargroup.section":
