@@ -56,7 +56,7 @@ class WindowRule:
     ):
         if kind not in self.KINDS:
             raise ValueError(f"unknown window kind {kind!r}")
-        if kind == "explicit" and not chars and chars != ():
+        if kind == "explicit" and not chars:
             raise ValueError("explicit window needs characters")
         chars = tuple(_ints(c) for c in chars)
         radius = _integer(radius, "window radius")
@@ -89,7 +89,7 @@ class WindowRule:
     def materialize(self, group: FgAbGroup, radius: Optional[int] = None) -> List[Character]:
         """Finite character list; `radius` overrides a stored ball radius.
 
-        Full windows are already canonical and ignore the override;
+        Full windows are already canonical and ignore a nonnegative override;
         explicit windows are a fixed commitment and refuse it, and refuse a
         character they list twice after reduction.  No other kind can repeat one.
         """
@@ -101,13 +101,13 @@ class WindowRule:
                 if ch in chars[:i]:
                     raise WindowError(f"explicit window repeats the character {ch.coords}")
             return chars
+        r = self.radius if radius is None else _integer(radius, "window radius")
+        if r < 0:
+            raise WindowError("window radius must be nonnegative")
         if self.kind == "full":
             if not group.is_finite:
                 raise WindowError("full window requested on an infinite dual")
             return [Character(group, c) for c in group.elements()]
-        r = self.radius if radius is None else _integer(radius, "window radius")
-        if r < 0:
-            raise WindowError("window radius must be nonnegative")
         if self.kind == "ball":
             out = [[]]
             for _ in range(group.free_rank):

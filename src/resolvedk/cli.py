@@ -117,8 +117,9 @@ def run(command: str, desc: ActionDescriptor, flags: argparse.Namespace) -> Comm
 
     if command == "kred":
         # first, so that its input checks run before any node row
-        glob = rational_global_k(action, prune=removed, radius=flags.window)
-        windows = action.windows(flags.window)
+        asm = assemble_complex(action, prune=removed, radius=flags.window)
+        dims, checks = rational_global_k(asm)
+        windows = asm.windows
         nodes = {}
         lines = []
         for label in sorted(action.tree.nodes):
@@ -134,16 +135,16 @@ def run(command: str, desc: ActionDescriptor, flags: argparse.Namespace) -> Comm
             )
         payload["nodes"] = nodes
         payload["global"] = {
-            "even": glob.even,
-            "odd": glob.odd,
+            "even": dims.even,
+            "odd": dims.odd,
             "sectors": {
-                _coords_key(chi.coords): list(dims) for chi, dims in glob.sectors.items()
+                _coords_key(chi.coords): list(pair) for chi, pair in dims.sectors.items()
             },
         }
-        payload["checks"] = _report_rows(glob.checks)
+        payload["checks"] = _report_rows(checks)
         payload["notes"] = list(action.notes)
-        lines.append(f"global rational K: even {glob.even}, odd {glob.odd}")
-        lines += _report_lines(glob.checks) + _note_lines(action)
+        lines.append(f"global rational K: even {dims.even}, odd {dims.odd}")
+        lines += _report_lines(checks) + _note_lines(action)
         # rational_global_k returns only when every summed row holds
         return CommandResult(OK, payload, lines)
 
@@ -192,16 +193,16 @@ def run(command: str, desc: ActionDescriptor, flags: argparse.Namespace) -> Comm
         return CommandResult(OK, payload, lines)
 
     if command == "compare":
-        report, glob = compare_ranks(action, prune=removed, radius=flags.window)
+        report, dims = compare_ranks(assemble_complex(action, prune=removed, radius=flags.window))
         if report.ok:
-            payload["even"] = {"rational_k": glob.even, "delocalized": glob.even}
-            payload["odd"] = {"rational_k": glob.odd, "delocalized": glob.odd}
+            payload["even"] = {"rational_k": dims.even, "delocalized": dims.even}
+            payload["odd"] = {"rational_k": dims.odd, "delocalized": dims.odd}
         payload["ok"] = report.ok
         payload["report"] = _report_rows(report)
         payload["notes"] = list(action.notes)
         lines = _report_lines(report)
         if report.ok:
-            lines.append(f"even {glob.even} = {glob.even}, odd {glob.odd} = {glob.odd}")
+            lines.append(f"even {dims.even} = {dims.even}, odd {dims.odd} = {dims.odd}")
         lines += _note_lines(action)
         lines.append("ranks agree" if report.ok else "rank comparison FAILED")
         return CommandResult(OK if report.ok else MATH_FAILURE, payload, lines)

@@ -792,27 +792,19 @@ def node_parity_dims(space: NodeSpaceData) -> Tuple[int, int]:
     return even, odd
 
 
-def compare_ranks(
-    action: ResolvedAction,
-    prune: Sequence[str] = (),
-    radius: Optional[int] = None,
-):
+def compare_ranks(assembled: AssembledComplex):
     """Rational rank equality between the K side and the delocalized side.
 
     Per node: every window sector contributes the free ranks of (K0, K1),
     which must equal the node's even/odd cohomology.  Globally: the
-    dimensions must survive every pruning hexagon, and match the action's
-    declared expectations when those cover the requested radius.  Returns
-    the report and the global rational K it computed (None when a hexagon
-    failed).
+    dimensions of `assembled` must survive every pruning hexagon, and match
+    the action's declared expectations when those cover its radius and it
+    keeps every node.  Returns the report and the dimensions that
+    `rational_global_k` computed (None when a hexagon failed).
     """
     from .ktheory import rational_global_k
 
-    # first, so that its input checks run before any node cohomology
-    try:
-        global_k, failure = rational_global_k(action, prune=prune, radius=radius), ""
-    except ArithmeticError as exc:
-        global_k, failure = None, str(exc)
+    action = assembled.action
     rep = ValidationReport()
     for label in sorted(action.tree.nodes):
         kdata = action.spaces[label].kdata
@@ -825,21 +817,23 @@ def compare_ranks(
             f"K gives ({kdata.k0.free_rank}, {kdata.k1.free_rank}), "
             f"cohomology gives ({even}, {odd})",
         )
-    rep.add("pruning hexagons consistent", global_k is not None, failure)
-    if global_k is None:
+    try:
+        dims = rational_global_k(assembled)[0]
+    except ArithmeticError as exc:
+        rep.add("pruning hexagons consistent", False, str(exc))
         return rep, None
+    rep.add("pruning hexagons consistent", True)
 
-    expected = (action.expected or {}).get("deloc_dims_by_radius")
-    if expected is not None and radius is not None and not prune:
-        declared = expected.get(str(radius))
-        if declared is not None:
-            got = [global_k.even, global_k.odd]
-            rep.add(
-                f"dimensions at radius {radius} match declared values",
-                got == list(declared),
-                "" if got == list(declared) else f"computed {got}, declared {list(declared)}",
-            )
-    return rep, global_k
+    by_radius = (action.expected or {}).get("deloc_dims_by_radius", {})
+    declared = None if assembled.radius is None else by_radius.get(str(assembled.radius))
+    if declared is not None and assembled.kept == frozenset(action.tree.nodes):
+        got = [dims.even, dims.odd]
+        rep.add(
+            f"dimensions at radius {assembled.radius} match declared values",
+            got == list(declared),
+            "" if got == list(declared) else f"computed {got}, declared {list(declared)}",
+        )
+    return rep, dims
 
 
 class WindowScan:

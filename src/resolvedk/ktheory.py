@@ -1,4 +1,4 @@
-"""Character-graded equivariant K-groups and six-term rank arithmetic.
+"""Node K ranks, six-term rank arithmetic, and the global check of an assembled complex.
 
 At a fixed-isotropy node the graded K-group is one copy of the node's
 integral (K0, K1) pair per window character, so its rank as a module over
@@ -6,15 +6,15 @@ the representation ring is the window size times the free ranks
 (`action_node_k`).  How an ambient character acts on it, and
 why the Chern character commutes with that action, is derived in
 `docs/representation-ring.md`; nothing here computes the action.
-Globally only rational dimensions are emitted; the six-term sequence of
-each pruning step comes with all six dimensions and map ranks computed,
-and is checked at that level, never by guessing an unproved integral
-extension.
+Globally only rational dimensions are emitted (`rational_global_k`): the
+six-term sequence of each pruning step comes with all six dimensions and
+map ranks computed, and is checked at that level, never by guessing an
+unproved integral extension.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from .report import ValidationReport
 
@@ -97,43 +97,22 @@ def hexagon_check(h: SixTermInstance) -> ValidationReport:
     return rep
 
 
-class GlobalRationalK:
-    """Rational global K-dimensions, per root sector and total."""
+def rational_global_k(assembled):
+    """(DelocDims, ValidationReport): global rational K of an assembled complex, checked.
 
-    __slots__ = ("sectors", "even", "odd", "checks")
-
-    def __init__(self, sectors: Dict, even: int, odd: int, checks: ValidationReport):
-        self.sectors = sectors
-        self.even = even
-        self.odd = odd
-        self.checks = checks
-
-    def __repr__(self) -> str:
-        return f"GlobalRationalK(even={self.even}, odd={self.odd})"
-
-
-def rational_global_k(
-    action,
-    prune: Sequence[str] = (),
-    radius: Optional[int] = None,
-) -> GlobalRationalK:
-    """Global K-dimensions over the rationals, via the delocalized model.
-
-    The dimensions are those of the delocalized cohomology of the kept
-    complex.  Every step of the pruning sequence that builds that complex
-    from its root must yield an exact six-term sequence in every sector,
-    otherwise the computation aborts with the failing rows.  The summed rows
-    reported per step then hold: the sectors' d_i = r_{i-1} + r_i add up to
+    The dimensions are those of the delocalized cohomology of `assembled`.
+    Every step of the pruning sequence that builds it from its root must
+    yield an exact six-term sequence in every sector, otherwise the
+    computation aborts with the failing rows.  The summed rows reported per
+    step then hold: the sectors' d_i = r_{i-1} + r_i add up to
     D_i = R_{i-1} + R_i (so the alternating sum is 0), and
     R_i <= sum of min(d_i, d_{i+1}) <= min(D_i, D_{i+1}).
     """
     from . import deloc
 
-    assembled = deloc.assemble_complex(action, prune=prune, radius=radius)
     dims = deloc.deloc_cohomology(assembled)
-
     checks = ValidationReport()
-    start = assembled.full.restrict(assembled.kept & {action.tree.root})
+    start = assembled.full.restrict(assembled.kept & {assembled.action.tree.root})
     for les in deloc.pruning_walk(start, assembled):
         if not les.report.ok:
             raise ArithmeticError(
@@ -141,4 +120,4 @@ def rational_global_k(
                 + "\n".join(f"{n}: {d}" if d else n for n, d in les.report.failures())
             )
         checks.merge(hexagon_check(les.instance), prefix=f"step +{les.alpha}: ")
-    return GlobalRationalK(dims.sectors, dims.even, dims.odd, checks)
+    return dims, checks

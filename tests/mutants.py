@@ -96,6 +96,41 @@ MUTANTS = (
         "an explicit window refuses a character it repeats after reduction",
     ),
     Mutant(
+        "window-negative-radius",
+        "src/resolvedk/action.py",
+        "if r < 0:",
+        "if False:",
+        "materialize refuses a negative radius override for every kind but explicit",
+    ),
+    Mutant(
+        "global-k-inexact-step",
+        "src/resolvedk/ktheory.py",
+        "if not les.report.ok:",
+        "if False:",
+        "rational_global_k raises on a pruning step whose six-term report fails",
+    ),
+    Mutant(
+        "compare-hexagons-row",
+        "src/resolvedk/deloc.py",
+        '"pruning hexagons consistent", False,',
+        '"pruning hexagons consistent", True,',
+        "compare_ranks: the 'pruning hexagons consistent' row fails when a step is inexact",
+    ),
+    Mutant(
+        "compare-declared-row",
+        "src/resolvedk/deloc.py",
+        "got == list(declared),",
+        "True,",
+        "compare_ranks: the dimensions match the declared values",
+    ),
+    Mutant(
+        "compare-declared-kept",
+        "src/resolvedk/deloc.py",
+        "and assembled.kept == frozenset(action.tree.nodes):",
+        ":",
+        "compare_ranks: declared values are compared only on a complex over every node",
+    ),
+    Mutant(
         "kred-node-rank",
         "src/resolvedk/ktheory.py",
         "size * kdata.k1.free_rank",

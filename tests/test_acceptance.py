@@ -63,7 +63,7 @@ def test_criterion_2_splitting_absent_but_sections_work():
 
     dims = deloc_cohomology(assemble_complex(speed2, radius=1))
     assert (dims.even, dims.odd) == (10, 0)
-    assert compare_ranks(speed2, radius=1)[0].ok
+    assert compare_ranks(assemble_complex(speed2, radius=1))[0].ok
     _passed(2, "set-theoretic sections", "no splitting, pipeline dims (10, 0)")
 
 
@@ -127,9 +127,9 @@ def test_criterion_4_sphere_dimensions_and_oracle():
         oracle = 2 * (2 * m + 1) - 1  # pole-table pairs with equal sums
         assert dims.even == expected_even == oracle
         assert dims.odd == 0
-        glob = rational_global_k(sphere, radius=m)
+        glob, checks = rational_global_k(assemble_complex(sphere, radius=m))
         assert (glob.even, glob.odd) == (dims.even, dims.odd)
-        assert glob.checks.ok
+        assert checks.ok
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.2f} s"
 
@@ -300,7 +300,7 @@ def test_criterion_9_projective_plane_comparison():
     plane = fixtures.projective_plane()
     committed = {0: (1, 0), 1: (6, 0), 2: (12, 0)}
     for m, (even, odd) in committed.items():
-        report, _ = compare_ranks(plane, radius=m)
+        report, _ = compare_ranks(assemble_complex(plane, radius=m))
         assert report.ok, report.failures()
         dims = deloc_cohomology(assemble_complex(plane, radius=m))
         assert (dims.even, dims.odd) == (even, odd)

@@ -20,6 +20,12 @@ def test_window_explicit():
         rule.materialize(Z, radius=3)
 
 
+@pytest.mark.parametrize("chars", [[], ()], ids=["list", "tuple"])
+def test_explicit_window_needs_characters(chars):
+    with pytest.raises(ValueError, match="explicit window needs characters"):
+        WindowRule.explicit(chars)
+
+
 @pytest.mark.parametrize("group, chars, repeated", [
     (Z, [(0,), (1,), (0,)], r"\(0,\)"),
     (C2, [(0,), (1,), (2,)], r"\(0,\)"),

@@ -13,9 +13,13 @@ import pytest
 
 import resolvedk
 from resolvedk import deloc, fixtures
-from resolvedk.action import ResolvedAction
+from resolvedk.action import ResolvedAction, WindowRule
+from resolvedk.basespace import CochainComplex, KData, NodeSpaceData
+from resolvedk.chargroup import SubgroupDatum
 from resolvedk.cli import main
 from resolvedk.descriptor import parse_descriptor, serialize_descriptor
+from resolvedk.fgab import AbHom, FgAbGroup
+from resolvedk.itspace import IsotropyTree
 from resolvedk.report import ValidationReport
 
 
@@ -349,16 +353,24 @@ def test_compare_and_kred_assemble_once(monkeypatch):
     (("les", "--window", "3", "--prune", "N"), 1),
 ])
 def test_each_command_checks_its_windows_once_per_radius(argv, calls, monkeypatch):
-    original = ResolvedAction.check_window_saturation
-    seen = []
+    # and materializes them once per radius: kred's node rows read the
+    # windows of the complex its input gate assembled
+    original, materialize = ResolvedAction.check_window_saturation, ResolvedAction.windows
+    seen, materialized = [], []
 
     def counted(self, windows):
         seen.append(windows)
         return original(self, windows)
 
+    def counted_windows(self, radius=None):
+        materialized.append(radius)
+        return materialize(self, radius)
+
     monkeypatch.setattr(ResolvedAction, "check_window_saturation", counted)
+    monkeypatch.setattr(ResolvedAction, "windows", counted_windows)
     assert run_cli(*argv, "--input", "fixture:sphere_rotation")[0] == 0
     assert len(seen) == calls
+    assert len(materialized) == calls
 
 
 def test_ch_checks_its_input_and_chern_data_once_for_all_bundles(tmp_path, monkeypatch):
@@ -471,6 +483,25 @@ def test_negative_window_is_an_input_error(sphere_file, command):
     assert (code, out, err) == (2, "", "resolvedk: window radius must be nonnegative\n")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["deloc"], ["kred"], ["ch"], ["compare"], ["les", "--prune", "n"], ["stabilize"]],
+)
+def test_negative_window_is_an_input_error_on_full_windows(tmp_path, command):
+    # a Z/2 point whose only window is full, which ignores a nonnegative radius
+    z = FgAbGroup.free(1)
+    point = NodeSpaceData(
+        CochainComplex.point(), [], KData.trivial_shifts(z, FgAbGroup.free(0), AbHom.identity(z), 0)
+    )
+    tree = IsotropyTree({"n": SubgroupDatum(AbHom.identity(FgAbGroup(0, (2,))))}, [])
+    action = ResolvedAction(tree, {"n": point}, {}, {"n": WindowRule.full()})
+    path = tmp_path / "point.json"
+    path.write_text(serialize_descriptor(action))
+    assert run_cli(*command, "--input", str(path), "--window", "0")[0] == 0
+    code, out, err = run_cli(*command, "--input", str(path), "--window", "-1")
+    assert (code, out, err) == (2, "", "resolvedk: window radius must be nonnegative\n")
+
+
 @pytest.mark.parametrize("action, chars, repeated", [
     (fixtures.sphere_rotation, [[], []], "()"),
     (lambda: fixtures.product_trivial((2,)), [["0"], ["1"], ["2"]], "(0,)"),
@@ -502,21 +533,6 @@ def test_kred_checks_its_input_before_its_node_rows(sphere_file):
     assert run_cli("deloc", "--input", sphere_file, "--window", "-1", "--relative", "nope") == (
         code, out, err
     )
-
-
-@pytest.mark.parametrize("spec", ["sphere_rotation", "projective_plane"])
-def test_kred_materializes_the_windows_at_most_twice(spec, monkeypatch):
-    # once behind the input gate and once for the node rows
-    original = ResolvedAction.windows
-    calls = []
-
-    def counted(self, radius=None):
-        calls.append(radius)
-        return original(self, radius)
-
-    monkeypatch.setattr(ResolvedAction, "windows", counted)
-    assert run_cli("kred", "--input", "fixture:" + spec, "--window", "2")[0] == 0
-    assert 1 <= len(calls) <= 2, calls
 
 
 @pytest.mark.parametrize("argv", [

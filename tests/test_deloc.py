@@ -659,8 +659,10 @@ def test_les_dimensions_match_direct_assemblies():
 
 
 def test_les_degenerates_when_added_window_is_empty():
-    act = equal_isotropy_pair(WindowRule.explicit(()))
+    # no window rule materializes an empty window; select one from a ball
+    act = equal_isotropy_pair(WindowRule.ball(0))
     full = assemble_complex(act)
+    full = full.at_radius(None, {"a": full.windows["a"], "b": []})
     les = les_of_pruning(full.restrict({"a"}), full)
     assert les.report.ok
     assert les.instance.dims[2] == 0 and les.instance.dims[5] == 0
@@ -709,6 +711,51 @@ def test_plane_pruning_steps_are_exact():
     assert [les.alpha for les in walk] == ["p2", "s", "p1", "p3"]
     for les in walk:
         assert les.report.ok, les.report.failures()
+
+
+def odd_face_pair():
+    """Two circles over Z, a free below b fixed, glued along their degree-1 slots.
+
+    Both node complexes are (1, 1) with zero differential; the face complex
+    is (0, 1), and the restriction and the pullback each pick the degree-1
+    slot.  The step adding b has odd quotient and even sub cohomology, so
+    its odd connecting map H^1(Q) -> H^0(A) is a 1x1 matrix.
+    """
+    circle, band = CochainComplex((1, 1)), CochainComplex((0, 1))
+
+    def kdata(k0, k1, count):
+        return KData.trivial_shifts(k0, k1, AbHom(k0, Z, [[1] * k0.ngens]), count)
+
+    free = NodeSpaceData(circle, [ChainMap.zero(circle, circle, degree=2)], kdata(Z, Z, 1))
+    fixed = NodeSpaceData(circle, [], kdata(Z, Z, 0))
+    face = NodeSpaceData(band, [ChainMap.zero(band, band, degree=2)], kdata(TRIV, Z, 1))
+    odd_slot = ChainMap(circle, band, [[0, 1]])
+    k_map = KPair(AbHom(Z, TRIV, []), AbHom.identity(Z))
+    tree = IsotropyTree(
+        {"a": SubgroupDatum(AbHom(Z, TRIV, [])), "b": SubgroupDatum(AbHom.identity(Z))},
+        [("a", "b")],
+    )
+    return ResolvedAction(
+        tree,
+        {"a": free, "b": fixed},
+        {("a", "b"): FaceMaps(face, odd_slot, odd_slot, k_map, k_map)},
+        {"a": WindowRule.full(), "b": WindowRule.ball(1)},
+    )
+
+
+def test_an_odd_connecting_map_with_one_entry_composes_to_zero():
+    act = odd_face_pair()
+    assert act.validate(0).ok
+    full = assemble_complex(act, radius=0)
+    les = les_of_pruning(full.restrict({"a"}), full)
+    assert les.instance.dims == (1, 2, 1, 0, 1, 1)
+    assert les.instance.ranks == (1, 1, 0, 0, 1, 0)
+    (chi,) = full.sectors
+    assert (f"sector {chi.coords}: consecutive maps compose to zero", True, "") in (
+        les.report.checks
+    )
+    assert les.report.ok
+    assert compare_ranks(full)[0].ok
 
 
 def test_a_nonzero_odd_connecting_inclusion_composite_is_reported(monkeypatch):
@@ -816,15 +863,16 @@ def test_relative_global_k_checks_the_hexagons_of_its_own_complex():
     dims = deloc_cohomology(pruned)
     assert (walk[-1].instance.dims[1], walk[-1].instance.dims[4]) == (dims.even, dims.odd)
 
-    glob = rational_global_k(plane, prune=("p3",), radius=1)
+    glob, checks = rational_global_k(pruned)
     assert (glob.even, glob.odd) == (dims.even, dims.odd)
-    assert {name.split(":")[0] for name, _, _ in glob.checks.checks} == {
+    assert {name.split(":")[0] for name, _, _ in checks.checks} == {
         "step +p2", "step +s", "step +p1"
     }
     sphere = sphere_rotation()
-    glob = rational_global_k(sphere, prune=("N",), radius=1)
-    assert {name.split(":")[0] for name, _, _ in glob.checks.checks} == {"step +S"}
-    assert rational_global_k(sphere, prune=("0", "N", "S"), radius=1).checks.checks == []
+    _, checks = rational_global_k(assemble_complex(sphere, prune=("N",), radius=1))
+    assert {name.split(":")[0] for name, _, _ in checks.checks} == {"step +S"}
+    empty = assemble_complex(sphere, prune=("0", "N", "S"), radius=1)
+    assert rational_global_k(empty)[1].checks == []
 
 
 @pytest.mark.parametrize("prune, computed", [(("p2",), 14), (("p1", "p3"), 10)])
@@ -841,9 +889,9 @@ def test_relative_global_k_computes_the_kept_cocycles_once(monkeypatch, prune, c
 
     monkeypatch.setattr(deloc.TwoPeriodicComplex, "cocycles", counting)
     plane = projective_plane()
-    glob = rational_global_k(plane, prune=prune, radius=1)
+    _, checks = rational_global_k(assemble_complex(plane, prune=prune, radius=1))
     assert len(calls) == computed
-    assert glob.checks.ok
+    assert checks.ok
 
 
 @pytest.mark.parametrize(
@@ -865,7 +913,7 @@ def test_every_pruning_hexagon_carries_its_ranks(build, radius):
         for inst in (les.instance, *les.sector_instances.values()):
             assert len(inst.ranks) == 6
             assert all(type(r) is int for r in inst.ranks), inst
-    checks = rational_global_k(action, radius=radius).checks
+    checks = rational_global_k(full)[1]
     rows = [name.split(": ", 1)[1] for name, _, _ in checks.checks]
     assert len(rows) == 7 * len(walk)
     assert set(rows) <= {"alternating dimension sum vanishes"} | {
@@ -1058,13 +1106,13 @@ def test_chern_failure_is_the_same_under_an_offset_section(build, node, entry, r
 
 
 def test_compare_ranks_sphere():
-    rep, _ = compare_ranks(sphere_rotation(), radius=1)
+    rep, _ = compare_ranks(assemble_complex(sphere_rotation(), radius=1))
     assert rep.ok, rep.failures()
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_compare_ranks_plane(m):
-    rep, _ = compare_ranks(projective_plane(), radius=m)
+    rep, _ = compare_ranks(assemble_complex(projective_plane(), radius=m))
     assert rep.ok, rep.failures()
 
 
@@ -1075,7 +1123,7 @@ def test_compare_ranks_flags_wrong_expectations():
         bundles=sphere.bundles, chern=sphere.chern,
         expected={"deloc_dims_by_radius": {"1": [4, 0]}},
     )
-    rep, _ = compare_ranks(doctored, radius=1)
+    rep, _ = compare_ranks(assemble_complex(doctored, radius=1))
     assert not rep.ok
     assert any("declared" in name for name, _ in rep.failures())
 
@@ -1083,9 +1131,9 @@ def test_compare_ranks_flags_wrong_expectations():
 def test_global_rational_k_agrees_with_assembly():
     sphere = sphere_rotation()
     for m in (0, 1, 2):
-        g = rational_global_k(sphere, radius=m)
+        g, checks = rational_global_k(assemble_complex(sphere, radius=m))
         assert (g.even, g.odd) == (4 * m + 1, 0)
-        assert g.checks.ok
+        assert checks.ok
 
 
 def test_window_scan_shows_linear_growth_without_stabilization():
