@@ -535,6 +535,22 @@ def test_kred_checks_its_input_before_its_node_rows(sphere_file):
     )
 
 
+@pytest.mark.parametrize("spec", ["sphere_rotation", "projective_plane"])
+def test_kred_materializes_the_windows_at_most_twice(spec, monkeypatch):
+    # in fact once: the node rows read the windows of the complex that the
+    # input gate assembled, so no second materialization is left
+    original = ResolvedAction.windows
+    calls = []
+
+    def counted(self, radius=None):
+        calls.append(radius)
+        return original(self, radius)
+
+    monkeypatch.setattr(ResolvedAction, "windows", counted)
+    assert run_cli("kred", "--input", "fixture:" + spec, "--window", "2")[0] == 0
+    assert calls == [2], calls
+
+
 @pytest.mark.parametrize("argv", [
     ("example", "sphere_rotation_speed:n=2,n=3"),
     ("deloc", "--input", "fixture:sphere_rotation_speed:n=2,n=3"),
