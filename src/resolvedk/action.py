@@ -33,6 +33,7 @@ from .basespace import (
 from .chargroup import Character, SectionSystem, edge_image, section
 from .fgab import FgAbGroup, _integer, _ints
 from .itspace import IsotropyTree
+from .ratmat import RationalMatrix
 from .report import ValidationReport
 
 
@@ -170,6 +171,7 @@ class ResolvedAction:
         "notes",
         "expected",
         "shared",
+        "_report",
     )
 
     def __init__(
@@ -195,6 +197,7 @@ class ResolvedAction:
         self.expected = dict(expected) if expected else {}
         # the sector sharing table of every complex assembled from this action
         self.shared: Dict = {}
+        self._report: Optional[ValidationReport] = None
 
     @property
     def group(self) -> FgAbGroup:
@@ -243,36 +246,37 @@ class ResolvedAction:
             for label in self.tree.nodes
         }
 
+    def chern_matrix(self, label: str) -> RationalMatrix:
+        """A node's Chern representatives as the columns of one matrix."""
+        dim = self.spaces[label].complex.total_dim
+        return RationalMatrix.from_columns(self.chern.reps[label], nrows=dim)
+
     # -- validation ----------------------------------------------------------
 
-    def validate(self, radius: Optional[int] = None) -> ValidationReport:
+    def descriptor_report(self) -> ValidationReport:
+        """The descriptor rows, made once per action (which is not edited after).
+
+        In order: the tree, the space and face data matching it, then each
+        node, face and corner, which follow only when the first rows hold.
+        Computing commands raise the first failing row; `validate` reports all.
+        """
+        if self._report is None:
+            self._report = self._descriptor_rows()
+        return self._report
+
+    def _descriptor_rows(self) -> ValidationReport:
         rep = ValidationReport()
         rep.merge(self.tree.validate(), prefix="tree: ")
 
-        missing_space = sorted(set(self.tree.nodes) - set(self.spaces))
-        extra_space = sorted(set(self.spaces) - set(self.tree.nodes))
-        rep.add(
-            "space data matches node set",
-            not missing_space and not extra_space,
-            "; ".join(
-                filter(None, [
-                    f"missing {missing_space}" if missing_space else "",
-                    f"extraneous {extra_space}" if extra_space else "",
-                ])
-            ),
-        )
-        missing_face = sorted(set(self.tree.order) - set(self.faces))
-        extra_face = sorted(set(self.faces) - set(self.tree.order))
-        rep.add(
-            "face data matches comparable pairs",
-            not missing_face and not extra_face,
-            "; ".join(
-                filter(None, [
-                    f"missing {missing_face}" if missing_face else "",
-                    f"extraneous {extra_face}" if extra_face else "",
-                ])
-            ),
-        )
+        for name, want, have in (
+            ("space data matches node set", set(self.tree.nodes), set(self.spaces)),
+            ("face data matches comparable pairs", set(self.tree.order), set(self.faces)),
+        ):
+            missing, extra = sorted(want - have), sorted(have - want)
+            rep.add(name, not missing and not extra, "; ".join(filter(None, [
+                f"missing {missing}" if missing else "",
+                f"extraneous {extra}" if extra else "",
+            ])))
         if not rep.ok:
             return rep
 
@@ -314,6 +318,19 @@ class ResolvedAction:
                 ),
                 prefix=f"corner {'<'.join(chain)}: ",
             )
+        return rep
+
+    def validate(self, radius: Optional[int] = None) -> ValidationReport:
+        """Every row: descriptor, windows at `radius`, bundles, then Chern data.
+
+        The window rows read the tree, so they follow only when its rows
+        hold.  The Chern rows (`validate_chern_data`) read the node shifts
+        and K-data, so they follow only when every descriptor row holds.
+        """
+        rep = ValidationReport()
+        rep.merge(self.descriptor_report())
+        if not self.tree.validate().ok:
+            return rep
 
         try:
             windows = self.windows(radius)
@@ -344,32 +361,79 @@ class ResolvedAction:
                 "" if not bad_entries else "bad " + ", ".join(bad_entries),
             )
 
-        if self.chern is not None:
-            missing = sorted(set(self.tree.nodes) - set(self.chern.reps))
-            rep.add(
-                "Chern representatives cover all nodes",
-                not missing,
-                "" if not missing else f"missing {missing}",
-            )
-            bad_shape = []
-            for node, vecs in sorted(self.chern.reps.items()):
-                if node not in self.spaces:
-                    bad_shape.append(f"{node} (unknown node)")
-                    continue
-                space = self.spaces[node]
-                k0 = space.kdata.k0
-                if len(vecs) != k0.ngens:
-                    bad_shape.append(f"{node} (one vector per K0 generator)")
-                    continue
-                odd = set(space.complex.parity_slots(1))
-                for i, vec in enumerate(vecs):
-                    if len(vec) != space.complex.total_dim or any(
-                        vec[j] != 0 for j in odd
-                    ):
-                        bad_shape.append(f"{node}[{i}]")
-            rep.add(
-                "Chern representatives shaped and even",
-                not bad_shape,
-                "" if not bad_shape else "bad " + ", ".join(bad_shape),
-            )
+        if self.chern is not None and self.descriptor_report().ok:
+            rep.merge(validate_chern_data(self))
         return rep
+
+
+def validate_chern_data(action: ResolvedAction) -> ValidationReport:
+    """The Chern rows: shapes, then per node closedness, torsion and twisting laws.
+
+    The per-node rows follow only when the shape rows hold, and they read one
+    shift per kernel generator: callers run them after the descriptor rows.
+    """
+    rep = ValidationReport()
+    if action.chern is None:
+        rep.add("Chern data present", False, "action carries no Chern data")
+        return rep
+    missing = sorted(set(action.tree.nodes) - set(action.chern.reps))
+    rep.add(
+        "Chern representatives cover all nodes",
+        not missing,
+        "" if not missing else f"missing {missing}",
+    )
+    bad_shape = []
+    for node, vecs in sorted(action.chern.reps.items()):
+        space = action.spaces.get(node)
+        if space is None:
+            bad_shape.append(f"{node} (unknown node)")
+        elif len(vecs) != space.kdata.k0.ngens:
+            bad_shape.append(f"{node} (one vector per K0 generator)")
+        else:
+            odd = space.complex.parity_slots(1)
+            bad_shape += [
+                f"{node}[{i}]" for i, vec in enumerate(vecs)
+                if len(vec) != space.complex.total_dim or any(vec[j] != 0 for j in odd)
+            ]
+    rep.add(
+        "Chern representatives shaped and even",
+        not bad_shape,
+        "" if not bad_shape else "bad " + ", ".join(bad_shape),
+    )
+    if not rep.ok:
+        return rep
+
+    for label in sorted(action.tree.nodes):
+        space = action.spaces[label]
+        kdata = space.kdata
+        c = action.chern_matrix(label)
+        not_closed = sorted({j for _, j, _ in (space.complex.d @ c).entries()})
+        rep.add(
+            f"node {label}: representatives are closed",
+            not not_closed,
+            "" if not not_closed else f"generators {not_closed}",
+        )
+        tors = [
+            j for j in range(kdata.k0.free_rank, kdata.k0.ngens)
+            if any(x != 0 for x in action.chern.reps[label][j])
+        ]
+        rep.add(
+            f"node {label}: torsion classes have zero representative",
+            not tors,
+            "" if not tors else f"generators {tors}",
+        )
+        # the twisting laws at kernel generator i: sigma_i on K0, exp(L_i) on
+        # cochains; with one of each per generator they hold for every kernel
+        # element (docs/representation-ring.md)
+        n = action.tree.nodes[label].kernel_rank
+        units = [[int(j == i) for j in range(n)] for i in range(n)]
+        bad_twists = [
+            i for i, unit in enumerate(units)
+            if c @ kdata.twist(unit).matrix != space.twist(unit) @ c
+        ]
+        rep.add(
+            f"node {label}: shift automorphisms match exponential twists",
+            not bad_twists,
+            "" if not bad_twists else f"kernel generators {bad_twists}",
+        )
+    return rep

@@ -116,7 +116,8 @@ class CochainComplex:
 
     def cohomology(self) -> Tuple[int, ...]:
         """Per-degree cohomology dimensions (exact rational ranks)."""
-        self.validate().raise_if_failed("cochain complex")
+        for name, detail in self.validate().failures():
+            raise ValueError(f"cochain complex failed: {name}: {detail}")
         out = []
         prev_rank = 0
         for k in range(len(self.dims)):
@@ -340,7 +341,7 @@ class KData(Coefficients):
     automorphism of a kernel element on K0; `odd` is the one of K1.
     """
 
-    __slots__ = ("k0", "k1", "sigma0", "sigma1", "dim_hom", "odd")
+    __slots__ = ("k0", "k1", "sigma0", "sigma1", "dim_hom", "odd", "_report")
 
     def __init__(
         self,
@@ -367,6 +368,7 @@ class KData(Coefficients):
         self.dim_hom = dim_hom
         super().__init__(*_classes(k0, self.sigma0))
         self.odd = Coefficients(*_classes(k1, self.sigma1))
+        self._report: Optional[ValidationReport] = None
 
     @classmethod
     def trivial_shifts(cls, k0: FgAbGroup, k1: FgAbGroup, dim_hom: AbHom, count: int) -> "KData":
@@ -383,10 +385,17 @@ class KData(Coefficients):
         return len(self.sigma0)
 
     def validate(self) -> ValidationReport:
+        """The shift automorphism rows, made once per K-data object."""
+        if self._report is not None:
+            return self._report
         rep = ValidationReport()
-        families = [("sigma0", self.sigma0), ("sigma1", self.sigma1)]
-        for name, family in families:
-            not_invertible = [i for i, a in enumerate(family) if a.inverse() is None]
+        families = [("sigma0", self.k0, self.sigma0), ("sigma1", self.k1, self.sigma1)]
+        for name, group, family in families:
+            # an identity is its own inverse, and most shifts are identities
+            identity = AbHom.identity(group)
+            not_invertible = [
+                i for i, a in enumerate(family) if a != identity and a.inverse() is None
+            ]
             rep.add(
                 f"{name} automorphisms invertible",
                 not not_invertible,
@@ -411,6 +420,7 @@ class KData(Coefficients):
             not bad_dim,
             "" if not bad_dim else f"generators {bad_dim}",
         )
+        self._report = rep
         return rep
 
 
@@ -437,8 +447,8 @@ class NodeSpaceData(Coefficients):
         super().__init__(*_cochains(complex_, self.shifts))
 
 
-def validate_node(data: NodeSpaceData, kernel_rank: Optional[int] = None) -> ValidationReport:
-    """All node-level invariants, reported rather than thrown."""
+def validate_node(data: NodeSpaceData, kernel_rank: int) -> ValidationReport:
+    """All invariants of a node of the given kernel rank, reported rather than thrown."""
     rep = ValidationReport()
     rep.merge(data.complex.validate())
     stuck = [i for i, op in enumerate(data.shifts) if not op.commutes_with_differentials()]
@@ -460,18 +470,14 @@ def validate_node(data: NodeSpaceData, kernel_rank: Optional[int] = None) -> Val
         "" if not clashes else f"pairs {clashes}",
     )
     rep.merge(data.kdata.validate())
-    if kernel_rank is not None:
-        mismatch = shift_count_mismatch(data, kernel_rank)
-        rep.add("one shift per kernel generator", not mismatch, mismatch)
-    return rep
-
-
-def shift_count_mismatch(data: NodeSpaceData, kernel_rank: int) -> str:
-    """"" if the node has one chain shift and one K shift per kernel generator, else the counts."""
     n_c, n_k = len(data.shifts), data.kdata.generator_count
-    if n_c == kernel_rank and n_k == kernel_rank:
-        return ""
-    return f"kernel rank {kernel_rank}, {n_c} chain shifts, {n_k} K shifts"
+    rep.add(
+        "one shift per kernel generator",
+        n_c == n_k == kernel_rank,
+        "" if n_c == n_k == kernel_rank
+        else f"kernel rank {kernel_rank}, {n_c} chain shifts, {n_k} K shifts",
+    )
+    return rep
 
 
 class KPair:
@@ -562,7 +568,9 @@ def validate_face(
 
     `shallow_datum` / `deep_datum` are the SubgroupDatum objects of the two
     nodes; the deep node's kernel generators are re-expressed in the shallow
-    node's kernel basis to state what the pullback must intertwine.
+    node's kernel basis to state what the pullback must intertwine; without
+    that embedding, or with a count row of the face or the deep node
+    failing, those two rows are left out.
     """
     rep = ValidationReport()
     rep.merge(validate_node(face_maps.face, kernel_rank=shallow_datum.kernel_rank), prefix="face ")
@@ -617,7 +625,12 @@ def validate_face(
             )
             embed_ok = False
             break
-    if embed_ok:
+    face = face_maps.face
+    counted = (
+        len(face.shifts) == face.kdata.generator_count == shallow_datum.kernel_rank
+        and len(deep.shifts) == deep.kdata.generator_count == deep_datum.kernel_rank
+    )
+    if embed_ok and counted:
         bad_chain = []
         bad_k = []
         for j, h in enumerate(coords):

@@ -38,8 +38,8 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .action import ResolvedAction, WindowError
-from .basespace import NodeSpaceData, shift_count_mismatch
+from .action import ResolvedAction, WindowError, validate_chern_data
+from .basespace import NodeSpaceData
 from .chargroup import Character, SectionSystem, edge_image, lift, lift_offset
 from .itspace import downward_closed
 from .ktheory import SixTermInstance, hexagon_check
@@ -310,15 +310,15 @@ def _checked_input(
     """The kept node set and the windows at `radius`, after every input check.
 
     The one check order of every computing command, whose first failure
-    raises naming its node or face: (1) the tree is valid, the prune list
-    names known nodes and the kept set is downward-closed; (2) the windows
-    at `radius` materialize and are saturated; (3) the twisting law holds:
-    every node differential squares to zero, every node has one chain shift
-    and one K shift per kernel generator, and every face restriction and
-    pullback is a chain map.
+    raises as `row: detail`, naming its node, face or corner: (1) the
+    descriptor rows (`ResolvedAction.descriptor_report`: the tree, the space
+    and face data, every node, face and corner), made once per parsed action
+    and the same rows `validate` reports; (2) the prune list names known
+    nodes and the kept set is downward-closed; (3) the windows at `radius`
+    materialize and are saturated.
     """
+    action.descriptor_report().raise_first()
     tree = action.tree
-    tree.require_valid()
     prune_set = frozenset(prune)
     unknown = sorted(prune_set - set(tree.nodes))
     if unknown:
@@ -326,24 +326,7 @@ def _checked_input(
     kept = downward_closed(tree, frozenset(tree.nodes) - prune_set)
 
     windows = action.windows(radius)
-    sat = action.check_window_saturation(windows)
-    if not sat.ok:
-        raise WindowError(
-            "; ".join(f"{name}: {detail}" for name, detail in sat.failures())
-        )
-
-    for label in sorted(tree.nodes):
-        for name, detail in action.spaces[label].complex.validate().failures():
-            raise ValueError(f"node {label}: {name}: {detail}")
-        mismatch = shift_count_mismatch(action.spaces[label], tree.nodes[label].kernel_rank)
-        if mismatch:
-            raise ValueError(f"node {label}: one shift per kernel generator: {mismatch}")
-    for pair in sorted(action.faces):
-        fm = action.faces[pair]
-        if not fm.rho.commutes_with_differentials():
-            raise ValueError(f"face {pair[0]}<{pair[1]}: restriction is not a chain map")
-        if not fm.pullback.commutes_with_differentials():
-            raise ValueError(f"face {pair[0]}<{pair[1]}: pullback is not a chain map")
+    action.check_window_saturation(windows).raise_first(WindowError)
     return kept, windows
 
 
@@ -623,67 +606,6 @@ def _les_of(two_a: TwoPeriodicComplex, two_b: TwoPeriodicComplex, emb, q_idx, sh
 # -- Chern characters ------------------------------------------------------------
 
 
-def validate_chern_data(action: ResolvedAction) -> ValidationReport:
-    """Closedness, torsion vanishing, and shift compatibility of Chern data."""
-    rep = ValidationReport()
-    if action.chern is None:
-        rep.add("Chern data present", False, "action carries no Chern data")
-        return rep
-    for label in sorted(action.tree.nodes):
-        space = action.spaces[label]
-        kdata = space.kdata
-        reps = action.chern.reps.get(label)
-        if reps is None or len(reps) != kdata.k0.ngens:
-            rep.add(
-                f"node {label}: one representative per K0 generator",
-                False,
-                f"got {0 if reps is None else len(reps)}, need {kdata.k0.ngens}",
-            )
-            continue
-        c = _representatives(action, label)
-        not_closed = sorted({j for _, j, _ in (space.complex.d @ c).entries()})
-        rep.add(
-            f"node {label}: representatives are closed",
-            not not_closed,
-            "" if not not_closed else f"generators {not_closed}",
-        )
-        tors = [
-            j for j in range(kdata.k0.free_rank, kdata.k0.ngens)
-            if any(Fraction(x) != 0 for x in reps[j])
-        ]
-        rep.add(
-            f"node {label}: torsion classes have zero representative",
-            not tors,
-            "" if not tors else f"generators {tors}",
-        )
-        # the twisting laws at kernel generator i: sigma_i on K0, exp(L_i) on
-        # cochains; with one of each per generator they hold for every kernel
-        # element (docs/representation-ring.md)
-        n = action.tree.nodes[label].kernel_rank
-        detail = shift_count_mismatch(space, n)
-        if not detail:
-            bad_twists = []
-            for i in range(n):
-                unit = [int(j == i) for j in range(n)]
-                if c @ kdata.twist(unit).matrix != space.twist(unit) @ c:
-                    bad_twists.append(i)
-            detail = f"kernel generators {bad_twists}" if bad_twists else ""
-        rep.add(
-            f"node {label}: shift automorphisms match exponential twists",
-            not detail,
-            detail,
-        )
-    return rep
-
-
-def _representatives(action: ResolvedAction, label: str) -> RationalMatrix:
-    """A node's Chern representatives as the columns of one matrix."""
-    dim = action.spaces[label].complex.total_dim
-    reps = action.chern.reps[label]
-    return RationalMatrix.from_columns([list(v) for v in reps], nrows=dim) \
-        if reps else RationalMatrix.zeros(dim, 0)
-
-
 class ChernCocycle:
     """Closed, compatible family of twisted node forms: the Chern character of a bundle.
 
@@ -715,11 +637,11 @@ def chern_character(
     K-class coordinates are contracted with the node's Chern representatives
     on each bundle's support, which must lie inside the windows of `radius`.
     `names` must be a sequence of names, not one string (TypeError, before
-    any check).  The checks run once for all bundles: `validate_chern_data`
-    (when a name is given), each bundle's canonical table, then
-    `_checked_input`.  Every representative is closed, so every contraction
-    of them is closed too; what is left per bundle, in the given order, is
-    its window support and the face conditions of the complex
+    any check).  The checks run once for all bundles: `_checked_input`, then
+    (when a name is given) the first failing row of `validate_chern_data`,
+    then each bundle's canonical table.  Every representative is closed, so
+    every contraction of them is closed too; what is left per bundle, in the
+    given order, is its window support and the face conditions of the complex
     `assemble_complex` would build, checked face by face without assembling.
     A bundle's first failure is the one that complex would meet first: by
     root sector, then by face and shallow window character.
@@ -728,12 +650,12 @@ def chern_character(
 
     if isinstance(names, str):
         raise TypeError(f"expected a sequence of bundle names, got the string {names!r}")
-    if names:
-        validate_chern_data(action).raise_if_failed("Chern data")
-    tables = [canonical_bundle(action, name, sections) for name in names]
     kept, windows = _checked_input(action, prune, radius)
+    if names:
+        validate_chern_data(action).raise_first()
+    tables = [canonical_bundle(action, name, sections) for name in names]
     tree = action.tree
-    reps = {label: _representatives(action, label) for label in kept} if names else {}
+    reps = {label: action.chern_matrix(label) for label in kept} if names else {}
     sector_order = {chi: i for i, chi in enumerate(windows[tree.root])}
 
     cocycles = []

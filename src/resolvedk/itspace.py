@@ -222,9 +222,6 @@ class IsotropyTree:
         self._report = rep
         return rep
 
-    def require_valid(self) -> None:
-        self.validate().raise_if_failed("isotropy tree validation")
-
     def __repr__(self) -> str:
         return f"IsotropyTree({sorted(self.nodes)}, root={self.root!r})"
 

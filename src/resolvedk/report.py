@@ -2,7 +2,7 @@
 
 Structural validators return a report listing every check with a pass/fail
 flag and a human-readable detail, instead of stopping at the first failure.
-Operations that require validity call `raise_if_failed`.
+Operations that require validity call `raise_first`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class ValidationReport:
             lines.append(f"[{mark}] {name}" + (f": {detail}" if detail else ""))
         return "\n".join(lines)
 
-    def raise_if_failed(self, context: str = "validation") -> None:
-        if not self.ok:
-            bad = "; ".join(f"{n}: {d}" if d else n for n, d in self.failures())
-            raise ValueError(f"{context} failed: {bad}")
+    def raise_first(self, error=ValueError) -> None:
+        """Raise the first failing row as `row: detail`."""
+        for name, detail in self.failures():
+            raise error(f"{name}: {detail or 'fails'}")

@@ -62,10 +62,45 @@ MUTANTS = (
     ),
     Mutant(
         "input-gate-pullback",
-        "src/resolvedk/deloc.py",
-        "if not fm.pullback.commutes_with_differentials():",
-        "if False:",
-        "the input gate's 'pullback is not a chain map'",
+        "src/resolvedk/basespace.py",
+        'rep.add("pullback is a chain map", face_maps.pullback.commutes_with_differentials())',
+        'rep.add("pullback is a chain map", True)',
+        "the descriptor row 'pullback is a chain map'",
+    ),
+    Mutant(
+        "shifts-pairwise-commute",
+        "src/resolvedk/basespace.py",
+        "!= data.shifts[j].matrix @ data.shifts[i].matrix",
+        "!= data.shifts[i].matrix @ data.shifts[j].matrix",
+        "the descriptor row 'shift operators pairwise commute'",
+    ),
+    Mutant(
+        "rho-chain-shifts",
+        "src/resolvedk/basespace.py",
+        "if face_maps.rho.matrix @ node_op.matrix != face_op.matrix @ face_maps.rho.matrix",
+        "if False",
+        "the descriptor row 'rho intertwines chain shifts'",
+    ),
+    Mutant(
+        "pullback-k-shifts",
+        "src/resolvedk/basespace.py",
+        "bad_k.append(j)",
+        "pass",
+        "the descriptor row 'pullback intertwines K shifts'",
+    ),
+    Mutant(
+        "corner-deep-pullbacks",
+        "src/resolvedk/basespace.py",
+        "corner.into_ag.matrix @ face_ag.pullback.matrix\n        == corner.pull_bg.matrix @ face_bg.pullback.matrix,",
+        "True,",
+        "the descriptor row 'deep pullbacks agree on the corner'",
+    ),
+    Mutant(
+        "chern-shaped-even",
+        "src/resolvedk/action.py",
+        "vec[j] != 0 for j in odd",
+        "False for j in odd",
+        "the Chern row 'Chern representatives shaped and even', which ch now reads",
     ),
     Mutant(
         "hexagon-rank-bound",
@@ -87,6 +122,20 @@ MUTANTS = (
         '        ("connecting->inclusion (odd)", maps[("incl", 0)] @ maps[("conn", 1)]),\n',
         "",
         "the 'connecting->inclusion (odd)' composite of 'consecutive maps compose to zero'",
+    ),
+    Mutant(
+        "les-even-total-quotient-total",
+        "src/resolvedk/deloc.py",
+        '        ("total->quotient->total", maps[("proj", 0)] @ maps[("incl", 0)]),\n',
+        "",
+        "the 'total->quotient->total' (even) composite of 'consecutive maps compose to zero'",
+    ),
+    Mutant(
+        "les-odd-quotient-connecting",
+        "src/resolvedk/deloc.py",
+        '        ("quotient->connecting (odd)", maps[("conn", 1)] @ maps[("proj", 1)]),\n',
+        "",
+        "the 'quotient->connecting (odd)' composite of 'consecutive maps compose to zero'",
     ),
     Mutant(
         "window-repeat-accepted",

@@ -209,11 +209,11 @@ def test_ch_refuses_a_node_without_its_chain_shift(tmp_path):
     desc["spaces"]["0"]["shifts"] = []
     path = tmp_path / "no-shift.json"
     path.write_text(json.dumps(desc))
-    code, out, err = run_cli("ch", "--input", str(path), "--window", "4")
-    assert (code, out) == (2, "")
-    assert err == (
-        "resolvedk: Chern data failed: node 0: shift automorphisms match "
-        "exponential twists: kernel rank 1, 0 chain shifts, 1 K shifts\n"
+    # ch refuses it with the count row, before any Chern row
+    assert run_cli("ch", "--input", str(path), "--window", "4") == (
+        2, "",
+        "resolvedk: node 0: one shift per kernel generator: "
+        "kernel rank 1, 0 chain shifts, 1 K shifts\n",
     )
     # validate names the same count, and it is the one failing row
     code, out, _ = run_cli("validate", "--input", str(path), "--window", "4")

@@ -425,12 +425,12 @@ def test_assemble_names_unsaturated_edge():
     (lambda interval, pt: (
         ChainMap(interval, interval, [[1, 0, 0], [0, 2, 0], [0, 0, 1]]),
         ChainMap(pt, interval, [[1], [1], [0]]),
-    ), "face a<b: restriction is not a chain map"),
+    ), "face a<b: rho is a chain map: fails"),
     # a chain-map restriction with a pullback whose d @ P has the entry -1
     (lambda interval, pt: (
         ChainMap.identity(interval),
         ChainMap(pt, interval, [[1], [0], [0]]),
-    ), "face a<b: pullback is not a chain map"),
+    ), "face a<b: pullback is a chain map: fails"),
 ], ids=["restriction", "pullback"])
 def test_assemble_rejects_non_chain_map_faces(maps, message):
     interval = CochainComplex((2, 1), [[[-1, 1]]])
@@ -458,6 +458,19 @@ def test_assemble_rejects_non_chain_map_faces(maps, message):
     with pytest.raises(ValueError) as exc:
         assemble_complex(act)
     assert str(exc.value) == message
+
+
+def test_assemble_refuses_an_invalid_tree_with_its_first_row():
+    # b's kernel Z does not nest inside a's kernel 0; the tree rows come
+    # before the (here missing) space and face data
+    tree = IsotropyTree(
+        {"a": SubgroupDatum(AbHom.identity(Z)), "b": SubgroupDatum(AbHom(Z, TRIV, []))},
+        [("a", "b")],
+    )
+    act = ResolvedAction(tree, {}, {}, {})
+    with pytest.raises(ValueError) as exc:
+        assemble_complex(act)
+    assert str(exc.value) == "tree: kernel lattices nest along the order: violated on edges a<b"
 
 
 def test_assembled_differential_squares_to_zero_and_preserves_constraints():
@@ -788,6 +801,56 @@ def test_a_nonzero_odd_connecting_inclusion_composite_is_reported(monkeypatch):
     rows = dict(les.report.failures())
     assert rows[f"sector {chi.coords}: consecutive maps compose to zero"] == (
         "nonzero: connecting->inclusion (odd)"
+    )
+
+
+def _planted_composites(monkeypatch, role, plant):
+    """The composite row of the odd face pair's step adding b, with one map planted.
+
+    Its dims are (1, 2, 1, 0, 1, 1) and its ranks (1, 1, 0, 0, 1, 0).  `role`
+    is the (map, source parity) whose `class_coords` call `plant(got, seen)`
+    replaces; `seen` holds the maps computed before it.
+    """
+    full = assemble_complex(odd_face_pair(), radius=0)
+    sub = full.restrict({"a"})
+    (chi,) = full.sectors
+    two_a, two_b = sub.sectors[chi].two_periodic, full.sectors[chi].two_periodic
+    original = deloc.TwoPeriodicComplex.class_coords
+    seen = {}
+
+    def planted(two, vecs, parity):
+        got = original(two, vecs, parity)
+        # a connecting map lands in the sub complex, one parity past its source
+        which = ("conn", 1 - parity) if two is two_a else ("incl" if two is two_b else "proj", parity)
+        seen[which] = got
+        return plant(got, seen) if which == role else got
+
+    monkeypatch.setattr(deloc.TwoPeriodicComplex, "class_coords", planted)
+    rows = dict(les_of_pruning(sub, full).report.failures())
+    return rows.get(f"sector {chi.coords}: consecutive maps compose to zero")
+
+
+def test_a_nonzero_even_total_quotient_total_composite_is_reported(monkeypatch):
+    # the even projection planted as the transpose of the even inclusion
+    # (both rank one), so that their composite is nonzero; the even
+    # connecting map out of it has no target, as the sub odd part is 0
+    def transpose(got, seen):
+        return seen[("incl", 0)].transpose()
+
+    assert _planted_composites(monkeypatch, ("proj", 0), transpose) == (
+        "nonzero: total->quotient->total"
+    )
+
+
+def test_a_nonzero_odd_quotient_connecting_composite_is_reported(monkeypatch):
+    # the odd connecting map planted as the 1 x 1 unit: after the odd
+    # projection and before the even inclusion (both rank one) it composes
+    # to nonzero on both sides
+    def unit(got, seen):
+        return RationalMatrix.identity(1)
+
+    assert _planted_composites(monkeypatch, ("conn", 1), unit) == (
+        "nonzero: quotient->connecting (odd), connecting->inclusion (odd)"
     )
 
 

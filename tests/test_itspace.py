@@ -76,8 +76,6 @@ def test_nesting_violation_reported_with_edge():
     assert not rep.ok
     failed = dict(rep.failures())
     assert "a<b" in failed["kernel lattices nest along the order"]
-    with pytest.raises(ValueError, match="kernel lattices nest"):
-        tree.require_valid()
 
 
 def test_cycles_and_unknown_labels_rejected():
@@ -178,10 +176,13 @@ def test_labels_by_depth_is_depth_then_label():
         assert downward_closed(tree, labels[:end]) == frozenset(labels[:end])
 
 
-def test_require_valid_refuses_unnested_kernels():
+def test_validate_fails_unnested_kernels_on_the_nesting_row_alone():
+    # the edge restrictions are then not derived, so nesting is the one failing row
     tree = IsotropyTree(
         {"a": full_isotropy(), "b": trivial_isotropy()},
         [("a", "b")],
     )
-    with pytest.raises(ValueError, match="isotropy tree validation failed: kernel lattices nest"):
-        tree.require_valid()
+    assert tree.validate().failures() == [
+        ("kernel lattices nest along the order", "violated on edges a<b")
+    ]
+    assert "edge restrictions derivable" not in {name for name, _, _ in tree.validate().checks}
