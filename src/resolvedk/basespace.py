@@ -116,8 +116,7 @@ class CochainComplex:
 
     def cohomology(self) -> Tuple[int, ...]:
         """Per-degree cohomology dimensions (exact rational ranks)."""
-        for name, detail in self.validate().failures():
-            raise ValueError(f"cochain complex failed: {name}: {detail}")
+        self.validate().raise_first()
         out = []
         prev_rank = 0
         for k in range(len(self.dims)):
@@ -389,13 +388,9 @@ class KData(Coefficients):
         if self._report is not None:
             return self._report
         rep = ValidationReport()
-        families = [("sigma0", self.k0, self.sigma0), ("sigma1", self.k1, self.sigma1)]
-        for name, group, family in families:
-            # an identity is its own inverse, and most shifts are identities
-            identity = AbHom.identity(group)
-            not_invertible = [
-                i for i, a in enumerate(family) if a != identity and a.inverse() is None
-            ]
+        families = [("sigma0", self.sigma0), ("sigma1", self.sigma1)]
+        for name, family in families:
+            not_invertible = [i for i, a in enumerate(family) if a.inverse() is None]
             rep.add(
                 f"{name} automorphisms invertible",
                 not not_invertible,
@@ -470,14 +465,19 @@ def validate_node(data: NodeSpaceData, kernel_rank: int) -> ValidationReport:
         "" if not clashes else f"pairs {clashes}",
     )
     rep.merge(data.kdata.validate())
-    n_c, n_k = len(data.shifts), data.kdata.generator_count
+    counted = counts_match(data, kernel_rank)
     rep.add(
         "one shift per kernel generator",
-        n_c == n_k == kernel_rank,
-        "" if n_c == n_k == kernel_rank
-        else f"kernel rank {kernel_rank}, {n_c} chain shifts, {n_k} K shifts",
+        counted,
+        "" if counted else f"kernel rank {kernel_rank}, {len(data.shifts)} chain shifts, "
+        f"{data.kdata.generator_count} K shifts",
     )
     return rep
+
+
+def counts_match(data: NodeSpaceData, kernel_rank: int) -> bool:
+    """One chain shift and one K shift per kernel generator."""
+    return len(data.shifts) == data.kdata.generator_count == kernel_rank
 
 
 class KPair:
@@ -625,10 +625,8 @@ def validate_face(
             )
             embed_ok = False
             break
-    face = face_maps.face
-    counted = (
-        len(face.shifts) == face.kdata.generator_count == shallow_datum.kernel_rank
-        and len(deep.shifts) == deep.kdata.generator_count == deep_datum.kernel_rank
+    counted = counts_match(face_maps.face, shallow_datum.kernel_rank) and counts_match(
+        deep, deep_datum.kernel_rank
     )
     if embed_ok and counted:
         bad_chain = []

@@ -43,7 +43,7 @@ def test_invalid_complex_reported_then_raises():
     rep = bad.validate()
     assert not rep.ok
     assert "degree 0" in dict(rep.failures())["differential squares to zero"]
-    with pytest.raises(ValueError, match="cochain complex"):
+    with pytest.raises(ValueError, match="^differential squares to zero: fails starting in degree 0$"):
         bad.cohomology()
 
 

@@ -23,6 +23,7 @@ from resolvedk.basespace import (
     KData,
     KPair,
     NodeSpaceData,
+    validate_face,
 )
 from resolvedk.chargroup import SubgroupDatum
 from resolvedk.cli import build_parser, main, run
@@ -51,9 +52,9 @@ def _first_row(report_rows):
     return None
 
 
-def _outcome(command, action):
+def _outcome(command, action, *extra):
     """(exit status, first failing row or None) of one command on an in-memory action."""
-    flags = build_parser().parse_args([command, "--window", "1"])
+    flags = build_parser().parse_args([command, "--window", "1", *extra])
     try:
         result = run(command, ActionDescriptor(action), flags)
     except ValueError as exc:
@@ -152,6 +153,13 @@ def _face_sigmas_trivial(act):
     return _with(act, faces=faces)
 
 
+def _corners_undeclared(act):
+    # the descriptor parser refuses corner data off the declared chains, so in memory only
+    if not act.corners:
+        return None
+    return _with(act, tree=_tree_with(act.tree, corner_chains=[]))
+
+
 def _corner_into_ag_doubled(act):
     if not act.corners:
         return None
@@ -175,6 +183,7 @@ PLANTINGS = {
     _root_sigma_zeroed: "sigma0 automorphisms invertible",
     _face_shifts_zeroed: "rho intertwines chain shifts",
     _face_sigmas_trivial: "rho intertwines K shifts",
+    _corners_undeclared: "corner data only on declared chains",
     _corner_into_ag_doubled: "restrictions from the base node agree on the corner",
 }
 
@@ -238,6 +247,15 @@ def _sigmas_not_commuting():
     k = KData(Z2, TRIV, [a, b], [AbHom.identity(TRIV)] * 2, AbHom(Z2, Z, [[0, 0]]))
     pt = CochainComplex.point()
     return _one_node(NodeSpaceData(pt, [ChainMap.zero(pt, pt, degree=2)] * 2, k), 2)
+
+
+def _dim_hom_moved():
+    # sigma0 sends the second K0 generator to the sum of both, which the dimension [1, 0] sees
+    k = KData(
+        Z2, TRIV, [AbHom(Z2, Z2, [[1, 1], [0, 1]])], [AbHom.identity(TRIV)], AbHom(Z2, Z, [[1, 0]])
+    )
+    pt = CochainComplex.point()
+    return _one_node(NodeSpaceData(pt, [ChainMap.zero(pt, pt, degree=2)], k), 1)
 
 
 def _pulled_pair(deep_shift, deep_kdata, face_kdata, pullback_k0):
@@ -307,6 +325,8 @@ NEW_ROWS = [
      lambda: _edited(fixtures.sphere_rotation, ("spaces", "0", "k", "sigma0"), [[["2"]]]), "N"),
     ("node n: sigma0 automorphisms commute: pairs [(0, 1)]",
      lambda: _descriptor(_sigmas_not_commuting()), "n"),
+    ("node n: shifts preserve the dimension homomorphism: generators [0]",
+     lambda: _descriptor(_dim_hom_moved()), "n"),
     ("face 0<p2: rho intertwines chain shifts: generators [0]",
      lambda: _edited(PLANE, ("faces", "0<p2", "space", "shifts"), [[["0", "0"], ["0", "0"]]]),
      "p1"),
@@ -348,6 +368,52 @@ def test_every_computing_command_refuses_a_row_it_once_skipped(tmp_path, row, de
         if command == "les":
             argv += ["--prune", prune]
         assert run_cli(*argv) == (2, "", f"resolvedk: {row}\n"), command
+
+
+def _kernels_unnested():
+    """a < b over Z with the deep node's kernel Z outside the shallow node's 2Z."""
+    pt = CochainComplex.point()
+    tree = IsotropyTree(
+        {"a": SubgroupDatum(AbHom(Z, FgAbGroup(0, (2,)), [[1]])),
+         "b": SubgroupDatum(AbHom(Z, TRIV, []))},
+        [("a", "b")],
+    )
+    space = NodeSpaceData(
+        pt, [ChainMap.zero(pt, pt, degree=2)], KData.trivial_shifts(Z, TRIV, AbHom.identity(Z), 1)
+    )
+    k_id = KPair(AbHom.identity(Z), AbHom.identity(TRIV))
+    maps = FaceMaps(space, ChainMap.identity(pt), ChainMap.identity(pt), k_id, k_id)
+    return ResolvedAction(
+        tree, {"a": space, "b": space}, {("a", "b"): maps},
+        {"a": WindowRule.full(), "b": WindowRule.full()},
+    )
+
+
+@pytest.mark.parametrize("row, build, prune", [
+    ("corner data only on declared chains: undeclared [('0', 's', 'p1'), ('0', 's', 'p3')]",
+     lambda: _corners_undeclared(PLANE()), "p1"),
+    ("tree: kernel lattices nest along the order: violated on edges a<b", _kernels_unnested, "b"),
+], ids=["undeclared corners", "unnested kernels"])
+def test_every_computing_command_refuses_a_row_no_descriptor_file_plants(row, build, prune):
+    act = build()
+    assert _outcome("validate", act) == (1, row)
+    for command in COMPUTING:
+        extra = ("--prune", prune) if command == "les" else ()
+        assert _outcome(command, act, *extra) == (2, row), command
+
+
+def test_the_kernel_embedding_row_fails_only_where_the_tree_nesting_row_fails():
+    # the descriptor rows stop after a failed tree row, so no command reaches
+    # validate_face's embedding row; on its own it fails on the same face
+    act = _kernels_unnested()
+    datums = act.tree.nodes
+    rep = validate_face(
+        act.faces[("a", "b")], datums["a"], datums["b"], act.spaces["a"], act.spaces["b"]
+    )
+    assert rep.failures() == [
+        ("deep kernel embeds in shallow kernel",
+         "generator 0 of the deep kernel is outside the shallow lattice"),
+    ]
 
 
 def test_a_deep_node_without_its_shifts_fails_its_count_row_only(tmp_path):
