@@ -26,6 +26,7 @@ from .basespace import (
     CornerData,
     FaceMaps,
     NodeSpaceData,
+    unintertwined,
     validate_corner,
     validate_face,
     validate_node,
@@ -300,12 +301,10 @@ class ResolvedAction:
                 prefix=f"face {a}<{b}: ",
             )
 
-        declared = set(self.tree.corner_chains)
-        extra_corners = sorted(set(self.corners) - declared)
-        rep.add(
+        rep.add_failing(
             "corner data only on declared chains",
-            not extra_corners,
-            "" if not extra_corners else f"undeclared {extra_corners}",
+            sorted(set(self.corners) - set(self.tree.corner_chains)),
+            "undeclared",
         )
         for chain in sorted(self.corners):
             a, b, g = chain[0], chain[1], chain[2]
@@ -341,11 +340,10 @@ class ResolvedAction:
         rep.merge(self.check_window_saturation(windows))
 
         for name, per_node in sorted(self.bundles.items()):
-            unknown = sorted(set(per_node) - set(self.tree.nodes))
-            rep.add(
+            rep.add_failing(
                 f"bundle {name!r} node labels known",
-                not unknown,
-                "" if not unknown else f"unknown nodes {unknown}",
+                sorted(set(per_node) - set(self.tree.nodes)),
+                "unknown nodes",
             )
             bad_entries = []
             for node, table in per_node.items():
@@ -376,11 +374,10 @@ def validate_chern_data(action: ResolvedAction) -> ValidationReport:
     if action.chern is None:
         rep.add("Chern data present", False, "action carries no Chern data")
         return rep
-    missing = sorted(set(action.tree.nodes) - set(action.chern.reps))
-    rep.add(
+    rep.add_failing(
         "Chern representatives cover all nodes",
-        not missing,
-        "" if not missing else f"missing {missing}",
+        sorted(set(action.tree.nodes) - set(action.chern.reps)),
+        "missing",
     )
     bad_shape = []
     for node, vecs in sorted(action.chern.reps.items()):
@@ -407,33 +404,29 @@ def validate_chern_data(action: ResolvedAction) -> ValidationReport:
         space = action.spaces[label]
         kdata = space.kdata
         c = action.chern_matrix(label)
-        not_closed = sorted({j for _, j, _ in (space.complex.d @ c).entries()})
-        rep.add(
+        rep.add_failing(
             f"node {label}: representatives are closed",
-            not not_closed,
-            "" if not not_closed else f"generators {not_closed}",
+            sorted({j for _, j, _ in (space.complex.d @ c).entries()}),
+            "generators",
         )
-        tors = [
-            j for j in range(kdata.k0.free_rank, kdata.k0.ngens)
-            if any(x != 0 for x in action.chern.reps[label][j])
-        ]
-        rep.add(
+        rep.add_failing(
             f"node {label}: torsion classes have zero representative",
-            not tors,
-            "" if not tors else f"generators {tors}",
+            [
+                j for j in range(kdata.k0.free_rank, kdata.k0.ngens)
+                if any(x != 0 for x in action.chern.reps[label][j])
+            ],
+            "generators",
         )
         # the twisting laws at kernel generator i: sigma_i on K0, exp(L_i) on
         # cochains; with one of each per generator they hold for every kernel
         # element (docs/representation-ring.md)
         n = action.tree.nodes[label].kernel_rank
         units = [[int(j == i) for j in range(n)] for i in range(n)]
-        bad_twists = [
-            i for i, unit in enumerate(units)
-            if c @ kdata.twist(unit).matrix != space.twist(unit) @ c
-        ]
-        rep.add(
+        rep.add_failing(
             f"node {label}: shift automorphisms match exponential twists",
-            not bad_twists,
-            "" if not bad_twists else f"kernel generators {bad_twists}",
+            unintertwined(
+                c, [kdata.twist(u).matrix for u in units], [space.twist(u) for u in units]
+            ),
+            "kernel generators",
         )
     return rep

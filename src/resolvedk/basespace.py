@@ -254,6 +254,21 @@ def sigma_for_character(
     return acc
 
 
+def noncommuting_pairs(family: Sequence) -> List[Tuple[int, int]]:
+    """The index pairs i < j of a family whose members do not commute."""
+    return [
+        (i, j)
+        for i in range(len(family))
+        for j in range(i + 1, len(family))
+        if family[i] @ family[j] != family[j] @ family[i]
+    ]
+
+
+def unintertwined(f, a: Sequence, b: Sequence) -> List[int]:
+    """The indices i where f @ a[i] != b[i] @ f: where f does not carry a[i] to b[i]."""
+    return [i for i, (x, y) in enumerate(zip(a, b)) if f @ x != y @ f]
+
+
 def _exp_nilpotent(m: RationalMatrix) -> RationalMatrix:
     if m.nrows != m.ncols:
         raise ValueError("exponential of a non-square matrix")
@@ -388,32 +403,17 @@ class KData(Coefficients):
         if self._report is not None:
             return self._report
         rep = ValidationReport()
-        families = [("sigma0", self.sigma0), ("sigma1", self.sigma1)]
-        for name, family in families:
-            not_invertible = [i for i, a in enumerate(family) if a.inverse() is None]
-            rep.add(
+        for name, family in (("sigma0", self.sigma0), ("sigma1", self.sigma1)):
+            rep.add_failing(
                 f"{name} automorphisms invertible",
-                not not_invertible,
-                "" if not not_invertible else f"generators {not_invertible}",
+                [i for i, a in enumerate(family) if a.inverse() is None],
+                "generators",
             )
-            clashes = [
-                (i, j)
-                for i in range(len(family))
-                for j in range(i + 1, len(family))
-                if family[i] @ family[j] != family[j] @ family[i]
-            ]
-            rep.add(
-                f"{name} automorphisms commute",
-                not clashes,
-                "" if not clashes else f"pairs {clashes}",
-            )
-        bad_dim = [
-            i for i, a in enumerate(self.sigma0) if self.dim_hom @ a != self.dim_hom
-        ]
-        rep.add(
+            rep.add_failing(f"{name} automorphisms commute", noncommuting_pairs(family), "pairs")
+        rep.add_failing(
             "shifts preserve the dimension homomorphism",
-            not bad_dim,
-            "" if not bad_dim else f"generators {bad_dim}",
+            [i for i, a in enumerate(self.sigma0) if self.dim_hom @ a != self.dim_hom],
+            "generators",
         )
         self._report = rep
         return rep
@@ -446,23 +446,15 @@ def validate_node(data: NodeSpaceData, kernel_rank: int) -> ValidationReport:
     """All invariants of a node of the given kernel rank, reported rather than thrown."""
     rep = ValidationReport()
     rep.merge(data.complex.validate())
-    stuck = [i for i, op in enumerate(data.shifts) if not op.commutes_with_differentials()]
-    rep.add(
+    rep.add_failing(
         "shift operators commute with d",
-        not stuck,
-        "" if not stuck else f"generators {stuck}",
+        [i for i, op in enumerate(data.shifts) if not op.commutes_with_differentials()],
+        "generators",
     )
-    clashes = [
-        (i, j)
-        for i in range(len(data.shifts))
-        for j in range(i + 1, len(data.shifts))
-        if data.shifts[i].matrix @ data.shifts[j].matrix
-        != data.shifts[j].matrix @ data.shifts[i].matrix
-    ]
-    rep.add(
+    rep.add_failing(
         "shift operators pairwise commute",
-        not clashes,
-        "" if not clashes else f"pairs {clashes}",
+        noncommuting_pairs([op.matrix for op in data.shifts]),
+        "pairs",
     )
     rep.merge(data.kdata.validate())
     counted = counts_match(data, kernel_rank)
@@ -572,8 +564,9 @@ def validate_face(
     that embedding, or with a count row of the face or the deep node
     failing, those two rows are left out.
     """
+    face = face_maps.face
     rep = ValidationReport()
-    rep.merge(validate_node(face_maps.face, kernel_rank=shallow_datum.kernel_rank), prefix="face ")
+    rep.merge(validate_node(face, kernel_rank=shallow_datum.kernel_rank), prefix="face ")
 
     if face_maps.rho.source != shallow.complex:
         rep.add("rho source", False, "rho does not start at the shallow node complex")
@@ -585,26 +578,17 @@ def validate_face(
     rep.add("rho is a chain map", face_maps.rho.commutes_with_differentials())
     rep.add("pullback is a chain map", face_maps.pullback.commutes_with_differentials())
 
-    bad = [
-        i
-        for i, (node_op, face_op) in enumerate(zip(shallow.shifts, face_maps.face.shifts))
-        if face_maps.rho.matrix @ node_op.matrix != face_op.matrix @ face_maps.rho.matrix
-    ]
-    rep.add(
+    rep.add_failing(
         "rho intertwines chain shifts",
-        not bad,
-        "" if not bad else f"generators {bad}",
+        unintertwined(
+            face_maps.rho.matrix,
+            [op.matrix for op in shallow.shifts],
+            [op.matrix for op in face.shifts],
+        ),
+        "generators",
     )
-    bad0 = [
-        i
-        for i, (node_s, face_s) in enumerate(zip(shallow.kdata.sigma0, face_maps.face.kdata.sigma0))
-        if face_maps.rho_k.even @ node_s != face_s @ face_maps.rho_k.even
-    ]
-    bad1 = [
-        i
-        for i, (node_s, face_s) in enumerate(zip(shallow.kdata.sigma1, face_maps.face.kdata.sigma1))
-        if face_maps.rho_k.odd @ node_s != face_s @ face_maps.rho_k.odd
-    ]
+    bad0 = unintertwined(face_maps.rho_k.even, shallow.kdata.sigma0, face.kdata.sigma0)
+    bad1 = unintertwined(face_maps.rho_k.odd, shallow.kdata.sigma1, face.kdata.sigma1)
     rep.add(
         "rho intertwines K shifts",
         not bad0 and not bad1,
@@ -625,38 +609,27 @@ def validate_face(
             )
             embed_ok = False
             break
-    counted = counts_match(face_maps.face, shallow_datum.kernel_rank) and counts_match(
+    counted = counts_match(face, shallow_datum.kernel_rank) and counts_match(
         deep, deep_datum.kernel_rank
     )
     if embed_ok and counted:
-        bad_chain = []
-        bad_k = []
-        for j, h in enumerate(coords):
-            face_l = shift_for_character(
-                face_maps.face.shifts, h, face_maps.face.complex.total_dim
-            )
-            if (
-                face_maps.pullback.matrix @ deep.shifts[j].matrix
-                != face_l @ face_maps.pullback.matrix
-            ):
-                bad_chain.append(j)
-            if (
-                face_maps.pullback_k.even @ deep.kdata.sigma0[j]
-                != face_maps.face.kdata.twist(h) @ face_maps.pullback_k.even
-            ) or (
-                face_maps.pullback_k.odd @ deep.kdata.sigma1[j]
-                != face_maps.face.kdata.odd.twist(h) @ face_maps.pullback_k.odd
-            ):
-                bad_k.append(j)
-        rep.add(
+        rep.add_failing(
             "pullback intertwines chain shifts",
-            not bad_chain,
-            "" if not bad_chain else f"deep generators {bad_chain}",
+            unintertwined(
+                face_maps.pullback.matrix,
+                [op.matrix for op in deep.shifts],
+                [shift_for_character(face.shifts, h, face.complex.total_dim) for h in coords],
+            ),
+            "deep generators",
         )
-        rep.add(
+        pull_k = face_maps.pullback_k
+        rep.add_failing(
             "pullback intertwines K shifts",
-            not bad_k,
-            "" if not bad_k else f"deep generators {bad_k}",
+            sorted({
+                *unintertwined(pull_k.even, deep.kdata.sigma0, map(face.kdata.twist, coords)),
+                *unintertwined(pull_k.odd, deep.kdata.sigma1, map(face.kdata.odd.twist, coords)),
+            }),
+            "deep generators",
         )
     return rep
 

@@ -104,7 +104,7 @@ def run(command: str, desc: ActionDescriptor, flags: argparse.Namespace) -> Comm
         payload["relative"] = sorted(removed)
     # validate and stabilize read --window outside the input gate, so check it as the gate does
     if command in ("validate", "stabilize") and flags.window is not None and flags.window < 0:
-        raise WindowError("window radius must be nonnegative")
+        raise WindowError("windows materialize: window radius must be nonnegative")
 
     if command == "validate":
         report = action.validate(flags.window)

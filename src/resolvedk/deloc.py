@@ -315,7 +315,8 @@ def _checked_input(
     and face data, every node, face and corner), made once per parsed action
     and the same rows `validate` reports; (2) the prune list names known
     nodes and the kept set is downward-closed; (3) the windows at `radius`
-    materialize and are saturated.
+    materialize and are saturated (`validate`'s window rows, raised with
+    their row names).
     """
     action.descriptor_report().raise_first()
     tree = action.tree
@@ -325,7 +326,10 @@ def _checked_input(
         raise ValueError(f"cannot prune unknown nodes {unknown}")
     kept = downward_closed(tree, frozenset(tree.nodes) - prune_set)
 
-    windows = action.windows(radius)
+    try:
+        windows = action.windows(radius)
+    except WindowError as exc:
+        raise WindowError(f"windows materialize: {exc}") from None
     action.check_window_saturation(windows).raise_first(WindowError)
     return kept, windows
 

@@ -485,8 +485,10 @@ class AbHom:
     The matrix has shape (codomain.ngens, domain.ngens) and acts on
     coordinate columns: h(x) = M @ x, reduced in the codomain.  The
     constructor checks that the entries are integers (ValueError otherwise)
-    and that torsion relations are respected.  `images` is the table of
-    character images that `chargroup.edge_image` keeps for this hom.
+    and that torsion relations are respected; composites, sums, negatives
+    and identities are homs by construction and skip both checks.  `images`
+    is the table of character images that `chargroup.edge_image` keeps for
+    this hom.
 
     >>> z = FgAbGroup.free(1); z2 = FgAbGroup(0, (2,))
     >>> mod2 = AbHom(z, z2, RationalMatrix([[1]]))
@@ -504,18 +506,16 @@ class AbHom:
                 f"matrix shape {matrix.shape} != ({codomain.ngens}, {domain.ngens})"
             )
         _require_integral(matrix)
-        cols = matrix.columns()
+        for j, d in enumerate(domain.torsion, domain.free_rank):
+            if any(codomain.reduce([d * x for x in matrix.column(j)])):
+                raise ValueError(f"matrix does not respect torsion relation {d} on generator {j}")
+        self._bind(domain, codomain, matrix)
+
+    def _bind(self, domain: FgAbGroup, codomain: FgAbGroup, matrix: RationalMatrix) -> None:
         # reduction into the codomain is the identity on ints without torsion
         if codomain.torsion:
-            cols = [codomain.reduce(c) for c in cols]
+            cols = [codomain._wrap(c) for c in matrix.columns()]
             matrix = RationalMatrix.from_columns(cols, nrows=codomain.ngens)
-        for j, d in enumerate(domain.torsion):
-            scaled = [d * x for x in cols[domain.free_rank + j]]
-            if any(codomain.reduce(scaled)):
-                raise ValueError(
-                    f"matrix does not respect torsion relation {d} on generator "
-                    f"{domain.free_rank + j}"
-                )
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
@@ -525,8 +525,15 @@ class AbHom:
         self._split = _UNKNOWN
 
     @classmethod
+    def _of(cls, domain: FgAbGroup, codomain: FgAbGroup, matrix: RationalMatrix) -> "AbHom":
+        """Wrap an integral matrix that respects the torsion relations (a derived hom)."""
+        hom = object.__new__(cls)
+        hom._bind(domain, codomain, matrix)
+        return hom
+
+    @classmethod
     def identity(cls, group: FgAbGroup) -> "AbHom":
-        return cls(group, group, RationalMatrix.identity(group.ngens))
+        return cls._of(group, group, RationalMatrix.identity(group.ngens))
 
     @classmethod
     def from_columns(cls, domain: FgAbGroup, codomain: FgAbGroup, columns: Sequence[Sequence[int]]) -> "AbHom":
@@ -539,7 +546,7 @@ class AbHom:
         """self o inner."""
         if inner.codomain != self.domain:
             raise ValueError("composition domain mismatch")
-        return AbHom(inner.domain, self.codomain, self.matrix @ inner.matrix)
+        return AbHom._of(inner.domain, self.codomain, self.matrix @ inner.matrix)
 
     def __matmul__(self, inner: "AbHom") -> "AbHom":
         return self.compose(inner)
@@ -547,13 +554,13 @@ class AbHom:
     def __add__(self, other: "AbHom") -> "AbHom":
         if (self.domain, self.codomain) != (other.domain, other.codomain):
             raise ValueError("hom addition mismatch")
-        return AbHom(self.domain, self.codomain, self.matrix + other.matrix)
+        return AbHom._of(self.domain, self.codomain, self.matrix + other.matrix)
 
     def __sub__(self, other: "AbHom") -> "AbHom":
         return self + (-other)
 
     def __neg__(self) -> "AbHom":
-        return AbHom(self.domain, self.codomain, -self.matrix)
+        return AbHom._of(self.domain, self.codomain, -self.matrix)
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()

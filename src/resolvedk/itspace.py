@@ -33,7 +33,6 @@ class IsotropyTree:
         "root",
         "_depths",
         "_edge_cache",
-        "_report",
     )
 
     def __init__(
@@ -88,7 +87,6 @@ class IsotropyTree:
 
         self._depths: Optional[Dict[str, int]] = None
         self._edge_cache: Dict[Tuple[str, str], AbHom] = {}
-        self._report: Optional[ValidationReport] = None
 
     # -- order queries -------------------------------------------------------
 
@@ -136,8 +134,6 @@ class IsotropyTree:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        if self._report is not None:
-            return self._report
         rep = ValidationReport()
 
         rep.add(
@@ -219,7 +215,6 @@ class IsotropyTree:
                 "; ".join(bad_edges),
             )
 
-        self._report = rep
         return rep
 
     def __repr__(self) -> str:

@@ -2,12 +2,14 @@
 
 Structural validators return a report listing every check with a pass/fail
 flag and a human-readable detail, instead of stopping at the first failure.
-Operations that require validity call `raise_first`.
+A row that collects its failing items (generators, pairs, node labels) is
+added by `add_failing`, whose detail names them after a label.  Operations
+that require validity call `raise_first`.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 
 class ValidationReport:
@@ -18,6 +20,10 @@ class ValidationReport:
 
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append((name, bool(ok), detail))
+
+    def add_failing(self, name: str, failing: Sequence, label: str) -> None:
+        """The row `name`, failing when `failing` lists an item: detail `label [items]`."""
+        self.checks.append((name, not failing, f"{label} {failing}" if failing else ""))
 
     def merge(self, other: "ValidationReport", prefix: str = "") -> None:
         for name, ok, detail in other.checks:

@@ -68,24 +68,50 @@ MUTANTS = (
         "the descriptor row 'pullback is a chain map'",
     ),
     Mutant(
+        "input-gate-rho",
+        "src/resolvedk/basespace.py",
+        'rep.add("rho is a chain map", face_maps.rho.commutes_with_differentials())',
+        'rep.add("rho is a chain map", True)',
+        "the descriptor row 'rho is a chain map'",
+    ),
+    Mutant(
+        "complex-d-squared",
+        "src/resolvedk/basespace.py",
+        "bad = sorted({self.slot_degrees[j] for _, j, _ in dd.entries()})",
+        "bad = []",
+        "the complex row 'differential squares to zero'",
+    ),
+    Mutant(
+        "counts-match",
+        "src/resolvedk/basespace.py",
+        "return len(data.shifts) == data.kdata.generator_count == kernel_rank",
+        "return True",
+        "counts_match: one chain shift and one K shift per kernel generator",
+    ),
+    Mutant(
         "shifts-pairwise-commute",
         "src/resolvedk/basespace.py",
-        "!= data.shifts[j].matrix @ data.shifts[i].matrix",
-        "!= data.shifts[i].matrix @ data.shifts[j].matrix",
+        "noncommuting_pairs([op.matrix for op in data.shifts]),",
+        "[],",
         "the descriptor row 'shift operators pairwise commute'",
     ),
     Mutant(
         "rho-chain-shifts",
         "src/resolvedk/basespace.py",
-        "if face_maps.rho.matrix @ node_op.matrix != face_op.matrix @ face_maps.rho.matrix",
-        "if False",
+        "unintertwined(\n            face_maps.rho.matrix,\n"
+        "            [op.matrix for op in shallow.shifts],\n"
+        "            [op.matrix for op in face.shifts],\n        ),",
+        "[],",
         "the descriptor row 'rho intertwines chain shifts'",
     ),
     Mutant(
         "pullback-k-shifts",
         "src/resolvedk/basespace.py",
-        "bad_k.append(j)",
-        "pass",
+        "sorted({\n"
+        "                *unintertwined(pull_k.even, deep.kdata.sigma0, map(face.kdata.twist, coords)),\n"
+        "                *unintertwined(pull_k.odd, deep.kdata.sigma1, map(face.kdata.odd.twist, coords)),\n"
+        "            }),",
+        "[],",
         "the descriptor row 'pullback intertwines K shifts'",
     ),
     Mutant(
@@ -94,6 +120,57 @@ MUTANTS = (
         "corner.into_ag.matrix @ face_ag.pullback.matrix\n        == corner.pull_bg.matrix @ face_bg.pullback.matrix,",
         "True,",
         "the descriptor row 'deep pullbacks agree on the corner'",
+    ),
+    Mutant(
+        "unknown-prune",
+        "src/resolvedk/deloc.py",
+        'raise ValueError(f"cannot prune unknown nodes {unknown}")',
+        "pass",
+        "_checked_input refuses a prune list naming an unknown node",
+    ),
+    Mutant(
+        "downward-closed",
+        "src/resolvedk/itspace.py",
+        "if b2 == b and a not in kept_set:",
+        "if False:",
+        "downward_closed refuses a kept node whose shallower node is not kept",
+    ),
+    Mutant(
+        "chern-closed",
+        "src/resolvedk/action.py",
+        "sorted({j for _, j, _ in (space.complex.d @ c).entries()}),",
+        "[],",
+        "the Chern row 'representatives are closed'",
+    ),
+    Mutant(
+        "chern-torsion-zero",
+        "src/resolvedk/action.py",
+        "if any(x != 0 for x in action.chern.reps[label][j])",
+        "if False",
+        "the Chern row 'torsion classes have zero representative'",
+    ),
+    Mutant(
+        "chern-twists",
+        "src/resolvedk/action.py",
+        "unintertwined(\n"
+        "                c, [kdata.twist(u).matrix for u in units], [space.twist(u) for u in units]\n"
+        "            ),",
+        "[],",
+        "the Chern row 'shift automorphisms match exponential twists'",
+    ),
+    Mutant(
+        "at-radius-inside",
+        "src/resolvedk/deloc.py",
+        "if not inside[label] <= set(self.windows[label]):",
+        "if False:",
+        "AssembledComplex.at_radius refuses windows outside the assembled ones",
+    ),
+    Mutant(
+        "les-same-complex",
+        "src/resolvedk/deloc.py",
+        "if sub.full is not total.full:",
+        "if False:",
+        "les_of_pruning refuses two restrictions of different assembled complexes",
     ),
     Mutant(
         "chern-shaped-even",

@@ -232,7 +232,7 @@ def test_ch_refuses_a_node_without_its_chain_shift(tmp_path):
 
 @pytest.mark.parametrize("argv, err", [
     (["--relative", "nope"], "resolvedk: cannot prune unknown nodes ['nope']\n"),
-    (["--window", "-1"], "resolvedk: window radius must be nonnegative\n"),
+    (["--window", "-1"], "resolvedk: windows materialize: window radius must be nonnegative\n"),
 ], ids=["unknown-prune", "negative-window"])
 def test_ch_without_bundles_refuses_what_deloc_refuses(tmp_path, argv, err):
     desc = json.loads(serialize_descriptor(fixtures.sphere_rotation()))
@@ -480,7 +480,7 @@ def test_a_descriptor_command_imports_no_fixture_or_bundle_module(sphere_file):
 )
 def test_negative_window_is_an_input_error(sphere_file, command):
     code, out, err = run_cli(*command, "--input", sphere_file, "--window", "-1")
-    assert (code, out, err) == (2, "", "resolvedk: window radius must be nonnegative\n")
+    assert (code, out, err) == (2, "", "resolvedk: windows materialize: window radius must be nonnegative\n")
 
 
 @pytest.mark.parametrize(
@@ -499,7 +499,7 @@ def test_negative_window_is_an_input_error_on_full_windows(tmp_path, command):
     path.write_text(serialize_descriptor(action))
     assert run_cli(*command, "--input", str(path), "--window", "0")[0] == 0
     code, out, err = run_cli(*command, "--input", str(path), "--window", "-1")
-    assert (code, out, err) == (2, "", "resolvedk: window radius must be nonnegative\n")
+    assert (code, out, err) == (2, "", "resolvedk: windows materialize: window radius must be nonnegative\n")
 
 
 @pytest.mark.parametrize("action, chars, repeated", [
@@ -515,14 +515,13 @@ def test_a_repeated_window_character_is_refused(tmp_path, action, chars, repeate
     path = tmp_path / "repeated.json"
     path.write_text(json.dumps(desc))
     path = str(path)
-    message = f"resolvedk: explicit window repeats the character {repeated}\n"
+    detail = f"explicit window repeats the character {repeated}"
+    message = f"resolvedk: windows materialize: {detail}\n"
     for command in ("deloc", "kred", "compare"):
         assert run_cli(command, "--input", path) == (2, "", message), command
     code, out, _ = run_cli("validate", "--input", path, "--format", "json")
     assert code == 1
-    assert ["windows materialize", False, message[len("resolvedk: "):-1]] in (
-        json.loads(out)["report"]
-    )
+    assert ["windows materialize", False, detail] in json.loads(out)["report"]
 
 
 def test_kred_checks_its_input_before_its_node_rows(sphere_file):

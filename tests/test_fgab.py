@@ -403,3 +403,22 @@ def test_hom_decomposes_its_graph_once(monkeypatch):
     assert h.try_split() is split
     assert len(seen) == calls
     assert sum(1 for mat in seen if mat == graph) == 1
+
+
+def test_derived_homs_are_not_rechecked(monkeypatch):
+    from resolvedk import fgab
+
+    z6 = FgAbGroup(1, (6,))
+    f = AbHom(FgAbGroup(2, (6,)), z6, RationalMatrix([[1, 2, 0], [0, 3, 1]]))
+    g = AbHom(z6, z6, RationalMatrix([[2, 0], [5, 5]]))
+    calls = []
+    monkeypatch.setattr(fgab, "_require_integral", calls.append)
+    derived = [g @ f, f + f, -f, f - f, AbHom.identity(z6)]
+    assert calls == []
+    # each is reduced into the torsion codomain as a checked hom would be
+    for hom, matrix in zip(derived, [
+        g.matrix @ f.matrix, f.matrix + f.matrix, -f.matrix, RationalMatrix.zeros(2, 3),
+        RationalMatrix.identity(2),
+    ]):
+        assert hom == AbHom(hom.domain, hom.codomain, matrix)
+    assert (g @ f).matrix == RationalMatrix([[2, 4, 0], [5, 1, 5]])

@@ -52,9 +52,13 @@ def _first_row(report_rows):
     return None
 
 
-def _outcome(command, action, *extra):
-    """(exit status, first failing row or None) of one command on an in-memory action."""
-    flags = build_parser().parse_args([command, "--window", "1", *extra])
+def _outcome(command, action, *extra, window="1"):
+    """(exit status, first failing row or None) of one command on an in-memory action.
+
+    `window=None` runs at the radii the action's window rules store.
+    """
+    radius = () if window is None else ("--window", window)
+    flags = build_parser().parse_args([command, *radius, *extra])
     try:
         result = run(command, ActionDescriptor(action), flags)
     except ValueError as exc:
@@ -65,13 +69,13 @@ def _outcome(command, action, *extra):
 # -- planted violations of the descriptor rows, on in-memory actions ---------------
 
 
-def _with(action, tree=None, spaces=None, faces=None, corners=None):
+def _with(action, tree=None, spaces=None, faces=None, corners=None, windows=None):
     """A fresh action (with its own descriptor report) with some parts replaced."""
     return ResolvedAction(
         action.tree if tree is None else tree,
         action.spaces if spaces is None else spaces,
         action.faces if faces is None else faces,
-        action.window_rules,
+        action.window_rules if windows is None else windows,
         corners=action.corners if corners is None else corners,
         bundles=action.bundles,
         chern=action.chern,
@@ -173,6 +177,29 @@ def _corner_into_ag_doubled(act):
     return _with(act, corners=corners)
 
 
+def _window_repeated(act):
+    root = act.tree.root
+    zero = [0] * act.tree.nodes[root].target.ngens
+    return _with(act, windows={**act.window_rules, root: WindowRule.explicit([zero, zero])})
+
+
+def _window_full_on_infinite_dual(act):
+    infinite = [label for label, datum in act.tree.nodes.items() if not datum.target.is_finite]
+    if not infinite:
+        return None
+    return _with(act, windows={**act.window_rules, infinite[0]: WindowRule.full()})
+
+
+def _window_residue_off_z(act):
+    off_z = [
+        label for label, datum in act.tree.nodes.items()
+        if (datum.target.free_rank, datum.target.torsion) != (1, ())
+    ]
+    if not off_z:
+        return None
+    return _with(act, windows={**act.window_rules, off_z[0]: WindowRule.residue_ball(2, 1)})
+
+
 PLANTINGS = {
     # planting: the row it fails first wherever it fails
     _face_names_repeated: "tree: face names distinct",
@@ -185,6 +212,9 @@ PLANTINGS = {
     _face_sigmas_trivial: "rho intertwines K shifts",
     _corners_undeclared: "corner data only on declared chains",
     _corner_into_ag_doubled: "restrictions from the base node agree on the corner",
+    _window_repeated: "windows materialize",
+    _window_full_on_infinite_dual: "windows materialize",
+    _window_residue_off_z: "windows materialize",
 }
 
 ACTIONS = [
@@ -199,7 +229,7 @@ ACTIONS = [
 
 
 def test_validate_fails_exactly_when_deloc_refuses_and_both_name_the_same_row():
-    failing_rows = {row: 0 for row in PLANTINGS.values()}
+    failing_rows = {plant: 0 for plant in PLANTINGS}
     for name, build in ACTIONS:
         act = build()
         assert _outcome("validate", act) == (0, None), name
@@ -208,12 +238,14 @@ def test_validate_fails_exactly_when_deloc_refuses_and_both_name_the_same_row():
             planted = plant(act)
             if planted is None:
                 continue
-            status, first = _outcome("validate", planted)
-            refused = _outcome("deloc", planted)
+            # an explicit window refuses any --window, so the window rows run at the stored radii
+            window = None if row == "windows materialize" else "1"
+            status, first = _outcome("validate", planted, window=window)
+            refused = _outcome("deloc", planted, window=window)
             assert (status == 1) == (refused[0] == 2), (name, plant.__name__)
             if status == 1:
                 assert refused == (2, first), (name, plant.__name__)
-                failing_rows[row] += f"{row}: " in first
+                failing_rows[plant] += f"{row}: " in first
     # every planting failed its row on some action
     assert all(failing_rows.values()), failing_rows
 

@@ -5,7 +5,11 @@ package is imported, the json half of the golden command lines
 (``tests/test_cli_golden.cases()``; ``cli.run`` builds both the payload and
 the text lines of every command, so the table half reaches nothing more)
 plus every descriptor command on each golden fixture serialized to a file
-at window 1.  Every function and method defined in ``src/resolvedk`` that
+at window 1, plus one section-independence trial per golden fixture through
+the public calls the perfbench section trials make
+(``ResolvedAction.sections``, ``chargroup.offset_section``, then
+``assemble_complex`` and ``redbun.canonical_bundle`` under the offset
+sections).  Every function and method defined in ``src/resolvedk`` that
 none of these runs calls must be a key of ``UNREACHED``, whose value names
 the roadmap item, acceptance criterion, test or benchmark use that keeps
 it.  Dunders and functions whose body only raises are not counted.  A
@@ -30,20 +34,10 @@ import sys
 CRIT = "tests/test_acceptance.py::test_criterion_"
 
 UNREACHED = {
-    "action.ResolvedAction.sections": f"acceptance criterion 3 ({CRIT}3_section_independence)",
     "action.WindowRule.explicit":
         "explicit window rules built in code (tests/test_action.py::test_window_explicit)",
     "chargroup.Character.is_zero":
         "tests/test_character_arithmetic.py::test_kernel_coordinates_invert_kernel_elements",
-    "chargroup.Character.scale":
-        "SubgroupDatum.kernel_element, behind offset_section (perfbench/workloads.py)",
-    "chargroup.SubgroupDatum.kernel_element":
-        "offset_section (acceptance criterion 3, perfbench/workloads.py section trials)",
-    "chargroup.offset_section":
-        "acceptance criterion 3 and the perfbench/workloads.py section trials",
-    "chargroup.section":
-        "perfbench/workloads.py section trials (wrapped by perfbench/tracer.py); "
-        "acceptance criteria 2 and 3",
     "descriptor._Node.fail": "descriptor input errors (tests/test_descriptor.py::test_rejects_*)",
     "descriptor._Node.path": "descriptor input errors (tests/test_descriptor.py::test_rejects_*)",
     "descriptor._Node.rational":
@@ -74,11 +68,6 @@ UNREACHED = {
     "fixtures.random_action":
         "perfbench/workloads.py random_sections; acceptance criteria 6 and 8",
     "ratmat.RationalMatrix._rows": "read by perfbench/tracer.py (ROADMAP item 6)",
-    "ratmat.RationalMatrix.column":
-        "tests/test_ratmat.py::test_entry_access_on_sparse_rows, "
-        "tests/test_deloc.py::test_class_coords_refuses_a_non_cocycle, "
-        "tests/test_fgab.py::TestAbHom::test_kernel_of_projection, "
-        "tests/test_chargroup.py::_kernel_reference",
     "ratmat.RationalMatrix.transpose":
         "fgab._lattice_quotient (ROADMAP item 5); "
         "tests/test_ratmat.py::test_sparse_rows_are_canonical, "
@@ -111,8 +100,11 @@ def unreached():
     try:
         import resolvedk
         from resolvedk import fixtures
+        from resolvedk.chargroup import offset_section
         from resolvedk.cli import COMMANDS, main
+        from resolvedk.deloc import assemble_complex
         from resolvedk.descriptor import serialize_descriptor
+        from resolvedk.redbun import canonical_bundle
         from test_cli_golden import cases
 
         runs = [argv for argv in cases() if argv[-1] == "json"]
@@ -133,6 +125,20 @@ def unreached():
                 ]
             for argv in runs:
                 main(argv, out=io.StringIO(), err=io.StringIO())
+        for build in builds.values():
+            # each node's first window character lifted one kernel generator further
+            action = build()
+            windows = action.windows(1)
+            sections = {
+                label: offset_section(base, {
+                    windows[label][0]: [1] + [0] * (action.tree.nodes[label].kernel_rank - 1)
+                })
+                for label, base in action.sections(windows).items()
+                if action.tree.nodes[label].kernel_rank
+            }
+            assemble_complex(action, radius=1, sections=sections)
+            for name in sorted(action.bundles):
+                canonical_bundle(action, name, sections)
     finally:
         sys.setprofile(None)
 
