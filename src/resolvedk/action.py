@@ -218,11 +218,23 @@ class ResolvedAction:
             out[label] = sorted(rule.materialize(target, radius), key=lambda c: c.coords)
         return out
 
-    def check_window_saturation(
-        self, windows: Mapping[str, Sequence[Character]]
-    ) -> ValidationReport:
-        """Edge restrictions must map deep windows into shallow windows."""
+    def window_rows(
+        self, radius: Optional[int] = None
+    ) -> Tuple[Optional[Dict[str, List[Character]]], ValidationReport]:
+        """The windows at `radius` (None when they do not materialize) and their rows.
+
+        The rows are `windows materialize` and, when it holds, the saturation
+        row: edge restrictions must map deep windows into shallow windows.
+        `validate` reports them; the input gate raises the first failing one.
+        """
         rep = ValidationReport()
+        try:
+            windows, detail = self.windows(radius), ""
+        except WindowError as exc:
+            windows, detail = None, str(exc)
+        rep.add("windows materialize", windows is not None, detail)
+        if windows is None:
+            return None, rep
         bad = []
         for a, b in self.tree.comparable_pairs():
             shallow = set(windows[a])
@@ -236,7 +248,7 @@ class ResolvedAction:
             not bad,
             "" if not bad else "unsaturated on " + ", ".join(bad),
         )
-        return rep
+        return windows, rep
 
     def sections(
         self, windows: Mapping[str, Sequence[Character]]
@@ -331,13 +343,10 @@ class ResolvedAction:
         if not self.tree.validate().ok:
             return rep
 
-        try:
-            windows = self.windows(radius)
-        except WindowError as exc:
-            rep.add("windows materialize", False, str(exc))
+        windows, rows = self.window_rows(radius)
+        rep.merge(rows)
+        if windows is None:
             return rep
-        rep.add("windows materialize", True)
-        rep.merge(self.check_window_saturation(windows))
 
         for name, per_node in sorted(self.bundles.items()):
             rep.add_failing(

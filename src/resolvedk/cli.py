@@ -101,10 +101,10 @@ def run(command: str, desc: ActionDescriptor, flags: argparse.Namespace) -> Comm
     if flags.window is not None:
         payload["window"] = flags.window
     if removed:
-        payload["relative"] = sorted(removed)
-    # validate and stabilize read --window outside the input gate, so check it as the gate does
-    if command in ("validate", "stabilize") and flags.window is not None and flags.window < 0:
-        raise WindowError("windows materialize: window radius must be nonnegative")
+        payload["relative"] = sorted(set(removed))
+    # validate reports its window rows, but a negative --window is bad input as in the gate
+    if command == "validate" and flags.window is not None and flags.window < 0:
+        action.window_rows(flags.window)[1].raise_first(WindowError)
 
     if command == "validate":
         report = action.validate(flags.window)
@@ -248,7 +248,7 @@ def run(command: str, desc: ActionDescriptor, flags: argparse.Namespace) -> Comm
 
     if command == "stabilize":
         top = flags.window if flags.window is not None else 3
-        scan = window_stabilization(action, radii=range(top + 1), prune=removed)
+        scan = window_stabilization(action, top, prune=removed)
         payload["rows"] = [list(row) for row in scan.rows]
         payload["stabilized"] = scan.stabilized
         payload["notes"] = list(action.notes)

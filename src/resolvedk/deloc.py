@@ -315,8 +315,8 @@ def _checked_input(
     and face data, every node, face and corner), made once per parsed action
     and the same rows `validate` reports; (2) the prune list names known
     nodes and the kept set is downward-closed; (3) the windows at `radius`
-    materialize and are saturated (`validate`'s window rows, raised with
-    their row names).
+    materialize and are saturated (`ResolvedAction.window_rows`, the rows
+    `validate` reports).
     """
     action.descriptor_report().raise_first()
     tree = action.tree
@@ -326,11 +326,8 @@ def _checked_input(
         raise ValueError(f"cannot prune unknown nodes {unknown}")
     kept = downward_closed(tree, frozenset(tree.nodes) - prune_set)
 
-    try:
-        windows = action.windows(radius)
-    except WindowError as exc:
-        raise WindowError(f"windows materialize: {exc}") from None
-    action.check_window_saturation(windows).raise_first(WindowError)
+    windows, rows = action.window_rows(radius)
+    rows.raise_first(WindowError)
     return kept, windows
 
 
@@ -777,31 +774,24 @@ class WindowScan:
 
 def window_stabilization(
     action: ResolvedAction,
-    radii: Sequence[int],
+    top: int,
     prune: Sequence[str] = (),
 ) -> WindowScan:
-    """Scan dimensions over growing windows and flag stabilization.
+    """Scan dimensions over the radii `0..top` and flag stabilization.
 
-    The complex is assembled once, at the largest radius, and every radius
-    reads its complex from that one by selection (`AssembledComplex.at_radius`).
-    Each radius, in the given order, passes the input checks of a fresh
-    assembly, so a failing input raises the error of its first failing
-    radius.  Stabilization compares the last two rows; with fewer rows it
-    is None.
+    The complex is assembled once, at `top`, and every radius reads its
+    complex from that one by selection (`AssembledComplex.at_radius`).  The
+    input checks of a fresh assembly run at each radius in ascending order,
+    so a failing input raises the error of its first failing radius, and a
+    negative `top` is refused by the window rows after the descriptor and
+    prune checks.  Stabilization compares the last two rows; with one row
+    it is None.
     """
-    radii = list(radii)
-    peak = max(radii, default=None)
-    windows = {}
-    top = None
-    for r in radii:
-        if top is None and r == peak:
-            top = assemble_complex(action, prune=prune, radius=r)
-            windows[r] = top.windows
-        else:
-            windows[r] = _checked_input(action, prune, r)[1]
+    windows = [_checked_input(action, prune, r)[1] for r in range(top)]
+    assembled = assemble_complex(action, prune=prune, radius=top)
     rows = []
-    for r in radii:
-        dims = deloc_cohomology(top.at_radius(r, windows[r]))
+    for r, at in enumerate(windows + [assembled.windows]):
+        dims = deloc_cohomology(assembled.at_radius(r, at))
         rows.append((r, dims.even, dims.odd))
     stabilized = rows[-1][1:] == rows[-2][1:] if len(rows) >= 2 else None
     return WindowScan(tuple(rows), stabilized)

@@ -61,6 +61,13 @@ MUTANTS = (
         "windows saturated under edge restrictions",
     ),
     Mutant(
+        "window-gate-raise",
+        "src/resolvedk/deloc.py",
+        "rows.raise_first(WindowError)",
+        "pass",
+        "_checked_input raises the first failing window row",
+    ),
+    Mutant(
         "input-gate-pullback",
         "src/resolvedk/basespace.py",
         'rep.add("pullback is a chain map", face_maps.pullback.commutes_with_differentials())',

@@ -107,13 +107,26 @@ def test_action_windows_and_sections():
 
 
 def test_window_saturation_check():
-    action = sphere_rotation()
-    windows = action.windows(radius=1)
-    assert action.check_window_saturation(windows).ok
-    # drop the root character: every pole character now has nowhere to go
-    windows["0"] = []
-    rep = action.check_window_saturation(windows)
-    assert not rep.ok
+    action = sphere_rotation_speed(3)
+    windows, rows = action.window_rows(radius=1)
+    assert windows == action.windows(radius=1)
+    assert rows.checks == [
+        ("windows materialize", True, ""),
+        ("windows saturated under edge restrictions", True, ""),
+    ]
+    # keep one root character: the pole characters off its residue have nowhere to go
+    action.window_rules["0"] = WindowRule.explicit([[0]])
+    windows, rows = action.window_rows()
+    assert windows == action.windows()
+    assert rows.failures() == [
+        ("windows saturated under edge restrictions", "unsaturated on 0<N at (-2,), 0<S at (-2,)")
+    ]
+    # a window that does not materialize has no saturation row
+    windows, rows = action.window_rows(radius=1)
+    assert windows is None
+    assert rows.checks == [
+        ("windows materialize", False, "explicit windows cannot be resized")
+    ]
 
 
 def test_sphere_action_validates():

@@ -91,6 +91,12 @@ def test_deloc_relative_nodes(sphere_file):
     )
     assert code == 0
     assert "total: even 0, odd 1" in out
+    # a node named twice is removed once, and listed once
+    once = run_cli("deloc", "--input", sphere_file, "--window", "1", "--relative", "N",
+                   "--format", "json")
+    assert json.loads(once[1])["relative"] == ["N"]
+    assert run_cli("deloc", "--input", sphere_file, "--window", "1", "--relative", "N",
+                   "--relative", "N", "--format", "json") == once
 
 
 def test_deloc_surfaces_the_odd_k_note(sphere_file):
@@ -355,18 +361,18 @@ def test_compare_and_kred_assemble_once(monkeypatch):
 def test_each_command_checks_its_windows_once_per_radius(argv, calls, monkeypatch):
     # and materializes them once per radius: kred's node rows read the
     # windows of the complex its input gate assembled
-    original, materialize = ResolvedAction.check_window_saturation, ResolvedAction.windows
+    original, materialize = ResolvedAction.window_rows, ResolvedAction.windows
     seen, materialized = [], []
 
-    def counted(self, windows):
-        seen.append(windows)
-        return original(self, windows)
+    def counted(self, radius=None):
+        seen.append(radius)
+        return original(self, radius)
 
     def counted_windows(self, radius=None):
         materialized.append(radius)
         return materialize(self, radius)
 
-    monkeypatch.setattr(ResolvedAction, "check_window_saturation", counted)
+    monkeypatch.setattr(ResolvedAction, "window_rows", counted)
     monkeypatch.setattr(ResolvedAction, "windows", counted_windows)
     assert run_cli(*argv, "--input", "fixture:sphere_rotation")[0] == 0
     assert len(seen) == calls
@@ -380,17 +386,17 @@ def test_ch_checks_its_input_and_chern_data_once_for_all_bundles(tmp_path, monke
     path = tmp_path / "twin.json"
     path.write_text(json.dumps(desc))
     calls = []
-    saturation, chern_data = ResolvedAction.check_window_saturation, deloc.validate_chern_data
+    window_rows, chern_data = ResolvedAction.window_rows, deloc.validate_chern_data
 
-    def counted_saturation(self, windows):
+    def counted_window_rows(self, radius=None):
         calls.append("windows")
-        return saturation(self, windows)
+        return window_rows(self, radius)
 
     def counted_chern_data(action):
         calls.append("chern")
         return chern_data(action)
 
-    monkeypatch.setattr(ResolvedAction, "check_window_saturation", counted_saturation)
+    monkeypatch.setattr(ResolvedAction, "window_rows", counted_window_rows)
     monkeypatch.setattr(deloc, "validate_chern_data", counted_chern_data)
     code, out, err = run_cli("ch", "--input", str(path), "--window", "3", "--format", "json")
     assert (code, err) == (0, "")
@@ -522,16 +528,19 @@ def test_a_repeated_window_character_is_refused(tmp_path, action, chars, repeate
     code, out, _ = run_cli("validate", "--input", path, "--format", "json")
     assert code == 1
     assert ["windows materialize", False, detail] in json.loads(out)["report"]
+    # an explicit window refuses any --window first, and a negative one is bad input
+    for command in ("validate", "deloc", "stabilize"):
+        assert run_cli(command, "--input", path, "--window", "-1") == (
+            2, "", "resolvedk: windows materialize: explicit windows cannot be resized\n"
+        ), command
 
 
-def test_kred_checks_its_input_before_its_node_rows(sphere_file):
-    code, out, err = run_cli(
-        "kred", "--input", sphere_file, "--window", "-1", "--relative", "nope"
-    )
-    assert (code, out, err) == (2, "", "resolvedk: cannot prune unknown nodes ['nope']\n")
-    assert run_cli("deloc", "--input", sphere_file, "--window", "-1", "--relative", "nope") == (
-        code, out, err
-    )
+@pytest.mark.parametrize("command", ["kred", "deloc", "compare", "ch", "stabilize"])
+def test_kred_checks_its_input_before_its_node_rows(sphere_file, command):
+    # the --relative nodes are checked before the windows, on every command
+    assert run_cli(
+        command, "--input", sphere_file, "--window", "-1", "--relative", "nope"
+    ) == (2, "", "resolvedk: cannot prune unknown nodes ['nope']\n")
 
 
 @pytest.mark.parametrize("spec", ["sphere_rotation", "projective_plane"])

@@ -1200,21 +1200,21 @@ def test_global_rational_k_agrees_with_assembly():
 
 
 def test_window_scan_shows_linear_growth_without_stabilization():
-    scan = window_stabilization(sphere_rotation(), radii=(0, 1, 2))
+    scan = window_stabilization(sphere_rotation(), 2)
     assert scan.rows == ((0, 1, 0), (1, 5, 0), (2, 9, 0))
     assert scan.stabilized is False
 
 
 def test_window_scan_stabilizes_on_finite_duals():
     act = free_circle_action()
-    scan = window_stabilization(act, radii=(0, 1, 2))
+    scan = window_stabilization(act, 2)
     assert scan.rows == ((0, 1, 1), (1, 1, 1), (2, 1, 1))
     assert scan.stabilized is True
 
 
-def test_window_scan_empty_radii():
-    scan = window_stabilization(sphere_rotation(), radii=())
-    assert scan.rows == ()
+def test_window_scan_of_one_radius_has_no_verdict():
+    scan = window_stabilization(sphere_rotation(), 0)
+    assert scan.rows == ((0, 1, 0),)
     assert scan.stabilized is None
 
 
@@ -1282,42 +1282,36 @@ def sloped_pair(chain_shift=True):
     )
 
 
-def _fresh_scan_error(action, radii, prune=()):
-    """The first error of assembling afresh at each radius in turn."""
+def _fresh_scan_error(action, top, prune=()):
+    """The first error of assembling afresh at each radius `0..top` in turn (at `top` if negative)."""
     with pytest.raises(Exception) as info:
-        for r in radii:
+        for r in range(top + 1) if top >= 0 else (top,):
             deloc_cohomology(assemble_complex(action, prune=prune, radius=r))
     return info.type, str(info.value)
 
 
 @pytest.mark.parametrize(
-    "build, radii, prune",
+    "build, top, prune",
     [
-        pytest.param(sloped_pair, range(3), (), id="unsaturated-from-1"),
-        pytest.param(sloped_pair, (2, 0), (), id="unsaturated-first"),
-        pytest.param(sloped_pair, range(3), ("x",), id="unknown-prune"),
-        pytest.param(sloped_pair, range(3), ("a",), id="prune-not-closed"),
-        pytest.param(lambda: sloped_pair(chain_shift=False), range(3), (),
+        pytest.param(sloped_pair, 2, (), id="unsaturated-from-1"),
+        pytest.param(sloped_pair, 2, ("x",), id="unknown-prune"),
+        pytest.param(sloped_pair, 2, ("a",), id="prune-not-closed"),
+        pytest.param(lambda: sloped_pair(chain_shift=False), 2, (),
                      id="shift-count-before-unsaturated"),
-        pytest.param(lambda: fixed_point_action(WindowRule.explicit([[0], [1]])), range(3), (),
+        pytest.param(lambda: fixed_point_action(WindowRule.explicit([[0], [1]])), 2, (),
                      id="explicit"),
-        pytest.param(lambda: equal_isotropy_pair(WindowRule.residue_ball(2, 1)), range(2), (),
+        pytest.param(lambda: equal_isotropy_pair(WindowRule.residue_ball(2, 1)), 1, (),
                      id="unsaturated-everywhere"),
-        pytest.param(sphere_rotation, (1, -1, 2), (), id="negative-radius"),
+        pytest.param(sphere_rotation, -1, (), id="negative-radius"),
+        pytest.param(sloped_pair, -1, ("x",), id="negative-radius-after-prune"),
     ],
 )
-def test_stabilize_raises_the_first_error_of_a_fresh_scan(build, radii, prune):
+def test_stabilize_raises_the_first_error_of_a_fresh_scan(build, top, prune):
     action = build()
-    expected = _fresh_scan_error(action, radii, prune)
+    expected = _fresh_scan_error(action, top, prune)
     with pytest.raises(Exception) as info:
-        window_stabilization(action, radii=radii, prune=prune)
+        window_stabilization(action, top, prune=prune)
     assert (info.type, str(info.value)) == expected
-
-
-def test_stabilize_of_no_radii_checks_nothing():
-    scan = window_stabilization(sloped_pair(), radii=(), prune=("x",))
-    assert scan.rows == () and scan.stabilized is None
-    assert window_stabilization(sloped_pair(), radii=(0,)).rows == ((0, 1, 0),)
 
 
 def _seeded_sparse(rng, m, n):

@@ -121,7 +121,7 @@ def test_window_scan_reuses_sectors_met_at_smaller_radii(monkeypatch):
 
     monkeypatch.setattr(TwoPeriodicComplex, "__init__", counting)
     action = sphere_rotation_speed(3)
-    scan = window_stabilization(action, radii=range(4))
+    scan = window_stabilization(action, 3)
     assert [row[1] for row in scan.rows] == [3 * (4 * m + 1) for m in range(4)]
     top = assemble_complex(action, radius=3)
     keys = {
